@@ -134,6 +134,19 @@ func (h *harness) waitJob(id string) service.Job {
 	return service.Job{}
 }
 
+// waitWorkers polls until n workers are registered with the coordinator.
+func (h *harness) waitWorkers(n int) {
+	h.t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if len(h.svc.Workers()) >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h.t.Fatalf("workers registered = %d after 30s, want %d", len(h.svc.Workers()), n)
+}
+
 // waitStatus polls until the job reads the wanted (non-terminal) status.
 func (h *harness) waitStatus(id string, want service.Status) {
 	h.t.Helper()
@@ -215,6 +228,10 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	h.startWorker("w-1")
 	h.startWorker("w-2")
+	// A worker registers on its first lease poll. Submitting the batch
+	// before both have polled lets the first one drain every job, and the
+	// other never appears in the worker list checked below.
+	h.waitWorkers(2)
 
 	ids := []string{job1.ID}
 	for i, body := range []service.Request{

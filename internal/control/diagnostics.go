@@ -51,7 +51,7 @@ func HamiltonianSeries(m *core.Model, ic []float64, pol *Policy, opts Options) (
 	if err != nil {
 		return nil, fmt.Errorf("control: hamiltonian forward pass: %w", err)
 	}
-	psi, phi, err := backwardSweep(ctx, m, tr, sched, opts, newSweepArena(m.N(), len(sched.T)))
+	psi, phi, err := backwardSweep(ctx, m, tr, sched, opts, newSweepArena(m, len(sched.T)))
 	if err != nil {
 		return nil, fmt.Errorf("control: hamiltonian backward pass: %w", err)
 	}

@@ -127,6 +127,16 @@ func Optimize(m *core.Model, ic []float64, tf float64, opts Options) (*Policy, e
 // (e.g. a pathological c1/c2 choice that never converges) can be
 // interrupted programmatically instead of spinning until MaxIter.
 func OptimizeCtx(ctx context.Context, m *core.Model, ic []float64, tf float64, opts Options) (*Policy, error) {
+	return optimize(ctx, m, ic, tf, opts, backwardSweep)
+}
+
+// sweepKernel is the signature of backwardSweep.
+type sweepKernel func(ctx context.Context, m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options, arena *sweepArena) (psi, phi [][]float64, err error)
+
+// optimize is OptimizeCtx with the backward-sweep kernel as a parameter,
+// so a test can run the whole iteration on a reference kernel and require
+// the same policy bit for bit (TestOptimizeMatchesReference).
+func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts Options, sweep sweepKernel) (*Policy, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -147,11 +157,12 @@ func OptimizeCtx(ctx context.Context, m *core.Model, ic []float64, tf float64, o
 
 	// Per-run arena shared by every backward sweep: the ψ/φ row tables, the
 	// co-state initial condition, the interpolation buffer consumed by the
-	// co-state RHS, and the RK4 stepper scratch are all allocated once here
-	// instead of once per sweep (and, for the interpolation buffer, once
-	// per RHS evaluation). MaxIter sweeps then run allocation-free apart
-	// from the recorded trajectories themselves.
-	arena := newSweepArena(n, ng)
+	// co-state RHS, the λ and φ/⟨k⟩ tables it reads, and the RK4 stepper
+	// scratch are all allocated once here instead of once per sweep (and,
+	// for the interpolation buffer, once per RHS evaluation). MaxIter
+	// sweeps then run allocation-free apart from the recorded trajectories
+	// themselves.
+	arena := newSweepArena(m, ng)
 
 	// Rebadge the forward integration's StageODE checkpoints so a consumer
 	// can tell the FBSM forward sweep apart from a plain simulation job.
@@ -179,7 +190,7 @@ func OptimizeCtx(ctx context.Context, m *core.Model, ic []float64, tf float64, o
 
 		// (2) Backward sweep: co-states with transversality
 		// ψ(tf) = 0, φ(tf) = w.
-		psi, phi, err := backwardSweep(ctx, m, tr, sched, opts, arena)
+		psi, phi, err := sweep(ctx, m, tr, sched, opts, arena)
 		if err != nil {
 			return nil, fmt.Errorf("control: backward sweep %d: %w", iter, err)
 		}
@@ -262,17 +273,28 @@ type sweepArena struct {
 	psi, phi [][]float64 // ψ/φ row tables over the schedule grid
 	z0       []float64   // transversality condition
 	ybuf     []float64   // tr.AtInto scratch for the co-state RHS
+	lam      []float64   // λ(k_i) per group
+	kphi     []float64   // φ(k_i)/⟨k⟩ per group
 	st       *ode.RK4    // backward-integration stepper scratch
 }
 
-func newSweepArena(n, ng int) *sweepArena {
-	return &sweepArena{
+func newSweepArena(m *core.Model, ng int) *sweepArena {
+	n := m.N()
+	a := &sweepArena{
 		psi:  make([][]float64, ng),
 		phi:  make([][]float64, ng),
 		z0:   make([]float64, 2*n),
 		ybuf: make([]float64, 2*n),
+		lam:  make([]float64, n),
+		kphi: make([]float64, n),
 		st:   ode.NewRK4(2 * n),
 	}
+	meanK := m.MeanDegree()
+	for i := 0; i < n; i++ {
+		a.lam[i] = m.Lambda(i)
+		a.kphi[i] = m.Varphi(i) / meanK
+	}
+	return a
 }
 
 // backwardSweep integrates the co-state system from tf to 0 and returns
@@ -283,7 +305,19 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 	n := m.N()
 	ng := len(sched.T)
 	tf := sched.Horizon()
-	meanK := m.MeanDegree()
+	c1, c2 := opts.Cost.C1, opts.Cost.C2
+
+	// The terms that depend on t alone — the interpolated state, ε1, ε2,
+	// Θ and the hoisted −2c1ε1², −2c2ε2² — are memoized on the last t
+	// the RHS saw. An RK4 step evaluates its two midpoint stages at the
+	// same t, and its last stage at the t where the next step begins, so
+	// half the evaluations reuse them. The memo is keyed on the exact
+	// float t, and every product keeps its grouping, so the co-states are
+	// bit-identical to recomputing everything per call (see
+	// TestOptimizeMatchesReference).
+	y := arena.ybuf
+	var e1, e2, theta, a1, a2 float64
+	lastT := math.NaN()
 
 	// Packed co-state z = [ψ_1..ψ_n, φ_1..φ_n] as a function of reversed
 	// time τ = tf − t: dz/dτ = −g(tf − τ, z). The state interpolation
@@ -291,40 +325,48 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 	// RK4 step over the whole grid, so a per-call clone here used to be the
 	// dominant allocation of the entire FBSM iteration.
 	costateRHS := func(tau float64, z, dz []float64) {
-		t := tf - tau
-		y := arena.ybuf
-		tr.AtInto(t, y)
-		e1 := sched.Eps1At(t)
-		e2 := sched.Eps2At(t)
-		theta := m.Theta(y)
-
-		// Cross-group coupling Σ_j (ψ_j − φ_j) λ_j S_j (exact adjoint).
-		var coupling float64
-		if opts.Adjoint == AdjointExact {
-			for j := 0; j < n; j++ {
-				coupling += (z[j] - z[n+j]) * m.Lambda(j) * y[j]
-			}
+		if t := tf - tau; t != lastT {
+			lastT = t
+			tr.AtInto(t, y)
+			e1 = sched.Eps1At(t)
+			e2 = sched.Eps2At(t)
+			theta = m.Theta(y)
+			a1 = -2 * c1 * e1 * e1
+			a2 = -2 * c2 * e2 * e2
 		}
+		// Every slice below has length n, so the loops run without
+		// bounds checks.
+		ys, yi := y[:n:n], y[n:][:n:n]
+		zs, zi := z[:n:n], z[n:][:n:n]
+		ds, di := dz[:n:n], dz[n:][:n:n]
+		lam, kphi := arena.lam[:n:n], arena.kphi[:n:n]
 
-		c1, c2 := opts.Cost.C1, opts.Cost.C2
-		for i := 0; i < n; i++ {
-			s, inf := y[i], y[n+i]
-			lam := m.Lambda(i)
-			// dψ_i/dt = −2c1ε1²S_i + ψ_i(λΘ + ε1) − φ_iλΘ
-			dpsi := -2*c1*e1*e1*s + z[i]*(lam*theta+e1) - z[n+i]*lam*theta
-
-			var dphi float64
-			switch opts.Adjoint {
-			case AdjointExact:
-				// dφ_i/dt = −2c2ε2²I_i + (φ(k_i)/⟨k⟩)Σ_j(ψ_j−φ_j)λ_jS_j + φ_iε2
-				dphi = -2*c2*e2*e2*inf + m.Varphi(i)/meanK*coupling + z[n+i]*e2
-			default: // AdjointDiagonal — the paper's Equation (16)
-				kterm := m.Varphi(i) / meanK * lam * s
-				dphi = -2*c2*e2*e2*inf + z[i]*kterm - z[n+i]*(kterm-e2)
+		if opts.Adjoint == AdjointExact {
+			// Cross-group coupling Σ_j (ψ_j − φ_j) λ_j S_j.
+			var coupling float64
+			for j, s := range ys {
+				coupling += (zs[j] - zi[j]) * lam[j] * s
 			}
-			// Reversed time flips the sign.
-			dz[i] = -dpsi
-			dz[n+i] = -dphi
+			for i, s := range ys {
+				l := lam[i]
+				// dψ_i/dt = −2c1ε1²S_i + ψ_i(λΘ + ε1) − φ_iλΘ
+				dpsi := a1*s + zs[i]*(l*theta+e1) - zi[i]*l*theta
+				// dφ_i/dt = −2c2ε2²I_i + (φ(k_i)/⟨k⟩)Σ_j(ψ_j−φ_j)λ_jS_j + φ_iε2
+				dphi := a2*yi[i] + kphi[i]*coupling + zi[i]*e2
+				// Reversed time flips the sign.
+				ds[i] = -dpsi
+				di[i] = -dphi
+			}
+			return
+		}
+		// AdjointDiagonal — the paper's Equation (16).
+		for i, s := range ys {
+			l := lam[i]
+			dpsi := a1*s + zs[i]*(l*theta+e1) - zi[i]*l*theta
+			kterm := kphi[i] * l * s
+			dphi := a2*yi[i] + zs[i]*kterm - zi[i]*(kterm-e2)
+			ds[i] = -dpsi
+			di[i] = -dphi
 		}
 	}
 

@@ -212,13 +212,25 @@ func EqualWithin(a, b []float64, tol float64) bool {
 }
 
 // AllFinite reports whether every element of a is finite (not NaN or ±Inf).
+//
+// It is one branch-free pass: v*0 is ±0 for every finite v and NaN for NaN
+// and ±Inf, and NaN survives every sum, so the total of the products is
+// zero exactly when all elements are finite. Four accumulators keep the
+// additions independent; the solvers run this check after every step.
 func AllFinite(a []float64) bool {
-	for _, v := range a {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		q := a[i : i+4 : i+4]
+		s0 += q[0] * 0
+		s1 += q[1] * 0
+		s2 += q[2] * 0
+		s3 += q[3] * 0
 	}
-	return true
+	for _, v := range a[i:] {
+		s0 += v * 0
+	}
+	return s0+s1+s2+s3 == 0
 }
 
 func mustSameLen(a, b int) {

@@ -242,3 +242,51 @@ func TestQuickClampBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referenceAllFinite is AllFinite before it became a branch-free sum, kept
+// verbatim as the golden reference.
+func referenceAllFinite(a []float64) bool {
+	for _, v := range a {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllFiniteMatchesReference places every kind of non-finite value at
+// every position of slices of length 1–9, among fillers that stress the
+// v·0 trick (−0, subnormals, ±MaxFloat64), and requires the branch-free
+// pass to agree with the per-element test everywhere — on all-finite
+// slices of lengths 0–9 too.
+func TestAllFiniteMatchesReference(t *testing.T) {
+	finite := []float64{
+		0, math.Copysign(0, -1), 1, -1,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022 / 3, // subnormal
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -math.NaN()}
+	for n := 0; n <= 9; n++ {
+		for off := range finite {
+			// Rotate through the table so each slice mixes signs and
+			// magnitudes and every filler lands at every position.
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = finite[(off+i)%len(finite)]
+			}
+			if got, want := AllFinite(a), referenceAllFinite(a); got != want || !got {
+				t.Fatalf("AllFinite(%v) = %v, reference %v, want true", a, got, want)
+			}
+			for pos := 0; pos < n; pos++ {
+				for _, b := range bad {
+					c := append([]float64(nil), a...)
+					c[pos] = b
+					if got, want := AllFinite(c), referenceAllFinite(c); got != want || got {
+						t.Fatalf("AllFinite(%v) = %v, reference %v, want false", c, got, want)
+					}
+				}
+			}
+		}
+	}
+}

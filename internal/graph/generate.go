@@ -133,7 +133,18 @@ func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
 	if n == 0 {
 		return nil, ErrDegreeSequence
 	}
-	g := New(n)
+	stubs := 0
+	for _, d := range outDeg {
+		stubs += max(d, 0)
+	}
+	// Draw every target first, node by node in the order an edge-at-a-time
+	// build would add them. The kept targets of node u then form one
+	// contiguous run of tgt, which is exactly u's out-list, and a
+	// counting pass lays out the in-lists in the same order AddEdge would
+	// append to them (see TestConfigurationModelMatchesReference).
+	tgt := make([]int, 0, stubs)
+	outCnt := make([]int, n)
+	inCnt := make([]int, n)
 	for u, d := range outDeg {
 		if d < 0 {
 			return nil, fmt.Errorf("%w: negative degree %d at node %d", ErrDegreeSequence, d, u)
@@ -146,8 +157,41 @@ func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
 			if v == u {
 				continue // drop stubborn self-loop
 			}
-			// Endpoints are valid by construction.
-			_ = g.AddEdge(u, v)
+			tgt = append(tgt, v)
+			outCnt[u]++
+			inCnt[v]++
+		}
+	}
+
+	// Each adjacency list is a window of one flat backing, capped so that
+	// a later AddEdge reallocates instead of overwriting its neighbour.
+	// Nodes without arcs keep nil lists, as under AddEdge.
+	g := New(n)
+	g.m = len(tgt)
+	inPos := make([]int, n) // next free slot of each in-window
+	off := 0
+	for v, c := range inCnt {
+		inPos[v] = off
+		off += c
+	}
+	src := make([]int, len(tgt))
+	off = 0
+	for u, c := range outCnt {
+		if c == 0 {
+			continue
+		}
+		out := tgt[off : off+c : off+c]
+		g.out[u] = out
+		off += c
+		for _, v := range out {
+			src[inPos[v]] = u
+			inPos[v]++
+		}
+	}
+	for v, c := range inCnt {
+		if c > 0 {
+			end := inPos[v] // one past v's window once it is filled
+			g.in[v] = src[end-c : end : end]
 		}
 	}
 	return g, nil

@@ -450,12 +450,12 @@ func TestReadEdgeListSparseIDs(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"1\n",     // too few fields
-		"a b\n",   // non-numeric source
-		"1 b\n",   // non-numeric target
-		"-1 2\n",  // negative id
-		"0 1\n2",  // truncated tail: last line cut mid-record, no newline
-		"1 -2\n",  // negative target
+		"1\n",                      // too few fields
+		"a b\n",                    // non-numeric source
+		"1 b\n",                    // non-numeric target
+		"-1 2\n",                   // negative id
+		"0 1\n2",                   // truncated tail: last line cut mid-record, no newline
+		"1 -2\n",                   // negative target
 		"1 99999999999999999999\n", // target overflows int64
 	}
 	for _, in := range cases {

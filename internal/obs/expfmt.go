@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,59 +20,43 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // with metric updates sees a near-consistent snapshot; each individual
 // value is read atomically.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.fams[name]
-	}
-	r.mu.Unlock()
-
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	for _, f := range r.families() {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		// Series order is fixed by the sorted label signature so scrapes
-		// are byte-stable run to run.
-		series := append([]*series(nil), f.series...)
-		sort.Slice(series, func(i, j int) bool { return series[i].sig < series[j].sig })
-		for _, s := range series {
-			writeSeries(bw, f, s)
+		for i := range f.series {
+			writeSeries(bw, f.name, &f.series[i])
 		}
 	}
 	return bw.Flush()
 }
 
-func writeSeries(w *bufio.Writer, f *family, s *series) {
+func writeSeries(w *bufio.Writer, name string, s *series) {
 	switch {
 	case s.c != nil:
-		fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(s.labels, nil), s.c.Value())
+		fmt.Fprintf(w, "%s%s %d\n", name, labelString(s.labels, nil), s.c.Value())
 	case s.gf != nil:
-		fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(s.labels, nil), formatFloat(s.gf()))
+		fmt.Fprintf(w, "%s%s %s\n", name, labelString(s.labels, nil), formatFloat(s.gf()))
 	case s.g != nil:
-		fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(s.labels, nil), formatFloat(s.g.Value()))
+		fmt.Fprintf(w, "%s%s %s\n", name, labelString(s.labels, nil), formatFloat(s.g.Value()))
 	case s.h != nil:
 		var cum int64
 		for i, upper := range s.h.upper {
 			cum += s.h.counts[i].Load()
 			le := Label{Name: "le", Value: formatFloat(upper)}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(s.labels, &le), cum)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(s.labels, &le), cum)
 		}
 		cum += s.h.counts[len(s.h.upper)].Load()
 		le := Label{Name: "le", Value: "+Inf"}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(s.labels, &le), cum)
-		fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(s.labels, nil), formatFloat(s.h.Sum()))
-		fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(s.labels, nil), cum)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(s.labels, &le), cum)
+		fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(s.labels, nil), formatFloat(s.h.Sum()))
+		fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(s.labels, nil), cum)
 		// Companion counter: observations above the last explicit bound.
 		// Silent clamping into +Inf hides a bucket layout that no longer
 		// covers the distribution; this makes it alertable.
-		fmt.Fprintf(w, "%s_overflow_total%s %d\n", f.name, labelString(s.labels, nil), s.h.Overflow())
+		fmt.Fprintf(w, "%s_overflow_total%s %d\n", name, labelString(s.labels, nil), s.h.Overflow())
 	}
 }
 

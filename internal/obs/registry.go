@@ -74,41 +74,52 @@ func NewRegistry() *Registry {
 // with a previously registered family — both programmer errors caught at
 // startup.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, "counter", labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	var c *Counter
+	r.register(name, help, "counter", labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+		c = s.c
+	})
+	return c
 }
 
 // Gauge registers (or returns the existing) settable gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, "gauge", labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	var g *Gauge
+	r.register(name, help, "gauge", labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+		g = s.g
+	})
+	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 // fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.register(name, help, "gauge", labels)
-	s.gf = fn
+	r.register(name, help, "gauge", labels, func(s *series) { s.gf = fn })
 }
 
 // Histogram registers (or returns the existing) histogram series with the
 // given bucket upper bounds (ascending; a +Inf bucket is implicit). A nil
 // buckets slice selects DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	s := r.register(name, help, "histogram", labels)
-	if s.h == nil {
-		s.h = NewHistogram(buckets)
-	}
-	return s.h
+	var h *Histogram
+	r.register(name, help, "histogram", labels, func(s *series) {
+		if s.h == nil {
+			s.h = NewHistogram(buckets)
+		}
+		h = s.h
+	})
+	return h
 }
 
-func (r *Registry) register(name, help, typ string, labels []Label) *series {
+// register finds or creates the (name, labels) series and runs set on it
+// with r.mu held, so the instrument exists before any render can reach
+// the series: renders copy the series under the same lock (families).
+func (r *Registry) register(name, help, typ string, labels []Label, set func(*series)) {
 	if err := checkName(name); err != nil {
 		panic(fmt.Sprintf("obs: %v", err))
 	}
@@ -132,12 +143,44 @@ func (r *Registry) register(name, help, typ string, labels []Label) *series {
 	}
 	for _, s := range f.series {
 		if s.sig == sig {
-			return s
+			set(s)
+			return
 		}
 	}
 	s := &series{labels: sorted, sig: sig}
+	set(s)
 	f.series = append(f.series, s)
-	return s
+}
+
+// familyCopy is one family as a render sees it: its series copied by
+// value, sorted by label signature.
+type familyCopy struct {
+	name, help, typ string
+	series          []series
+}
+
+// families copies every family under r.mu, sorted by name with series
+// sorted by label signature so renders are byte-stable run to run. The
+// copies own their series headers, so a render never reads a field that
+// a concurrent registration is writing; the instruments they point at
+// are safe for concurrent use.
+func (r *Registry) families() []familyCopy {
+	r.mu.Lock()
+	fams := make([]familyCopy, 0, len(r.fams))
+	for _, f := range r.fams {
+		fc := familyCopy{name: f.name, help: f.help, typ: f.typ, series: make([]series, len(f.series))}
+		for i, s := range f.series {
+			fc.series[i] = *s
+		}
+		fams = append(fams, fc)
+	}
+	r.mu.Unlock()
+
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].sig < f.series[j].sig })
+	}
+	return fams
 }
 
 // checkName enforces the Prometheus metric/label name charset

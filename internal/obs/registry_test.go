@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -202,5 +203,84 @@ func TestNewHistogramRejectsBadBuckets(t *testing.T) {
 			}()
 			NewHistogram(buckets)
 		})
+	}
+}
+
+// TestConcurrentFirstRegistration is the race gate for lazily registered
+// series, the way the HTTP middleware registers a route's counter on its
+// first request: many goroutines register the same new labelled series at
+// once while scrapes and snapshots render the registry. Every caller must
+// get the one shared instrument, and no render may see a half-built series.
+func TestConcurrentFirstRegistration(t *testing.T) {
+	r := NewRegistry()
+	const (
+		routes  = 8
+		callers = 16
+	)
+	stop := make(chan struct{})
+	var renders sync.WaitGroup
+	renders.Add(1)
+	go func() {
+		defer renders.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Errorf("scrape: %v", err)
+				return
+			}
+			_ = r.Snapshot()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	got := make([][]*Counter, routes)
+	for route := 0; route < routes; route++ {
+		got[route] = make([]*Counter, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(route, c int) {
+				defer wg.Done()
+				lbl := L("route", fmt.Sprintf("/r%d", route))
+				ctr := r.Counter("requests_total", "requests", lbl, L("code", "200"))
+				ctr.Inc()
+				got[route][c] = ctr
+				r.Gauge("inflight", "in flight", lbl).Add(1)
+				r.Histogram("latency_seconds", "latency", nil, lbl).Observe(0.01)
+				r.GaugeFunc("route_up", "route registered", func() float64 { return 1 }, lbl)
+			}(route, c)
+		}
+	}
+	wg.Wait()
+	close(stop)
+	renders.Wait()
+
+	for route, ctrs := range got {
+		for c, ctr := range ctrs {
+			if ctr != ctrs[0] {
+				t.Fatalf("route %d caller %d got a second counter instance", route, c)
+			}
+		}
+		if v := ctrs[0].Value(); v != callers {
+			t.Errorf("route %d counter = %d, want %d", route, v, callers)
+		}
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for route := 0; route < routes; route++ {
+		want := fmt.Sprintf(`requests_total{code="200",route="/r%d"} %d`, route, callers)
+		if !strings.Contains(out, want) {
+			t.Errorf("final scrape missing %s", want)
+		}
+		want = fmt.Sprintf(`latency_seconds_count{route="/r%d"} %d`, route, callers)
+		if !strings.Contains(out, want) {
+			t.Errorf("final scrape missing %s", want)
+		}
 	}
 }

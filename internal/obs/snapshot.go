@@ -54,24 +54,11 @@ type Snapshot []FamilySnapshot
 // per series; like a scrape, the whole snapshot is near-consistent rather
 // than a single atomic cut.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.fams[name]
-	}
-	r.mu.Unlock()
-
+	fams := r.families()
 	snap := make(Snapshot, 0, len(fams))
 	for _, f := range fams {
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ}
-		series := append([]*series(nil), f.series...)
-		sort.Slice(series, func(i, j int) bool { return series[i].sig < series[j].sig })
-		for _, s := range series {
+		for _, s := range f.series {
 			ss := SeriesSnapshot{Labels: append([]Label(nil), s.labels...)}
 			switch {
 			case s.c != nil:
@@ -96,7 +83,7 @@ func (r *Registry) Snapshot() Snapshot {
 				}
 				ss.Histogram = hs
 			default:
-				continue // registered but never materialized; nothing to sample
+				continue // a GaugeFunc registered with a nil fn; nothing to sample
 			}
 			fs.Series = append(fs.Series, ss)
 		}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
-#   tier 1: go build ./... && go test ./...
+#   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...
 #   tier 2: go vet ./... && go test -race ./...
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
@@ -32,7 +32,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + test"
+echo "== tier 1: format + build + test"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "verify: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go build ./...
 go test ./...
 
