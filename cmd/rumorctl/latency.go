@@ -24,7 +24,7 @@ type latencySummary struct {
 
 // fetchLatency scrapes addr's /metrics. Failures degrade to a zero
 // summary — the dashboard's primary data is the worker registry, and a
-// daemon running with -disable-segment-metrics simply has no series.
+// page without segment series (a daemon predating them) yields none.
 func fetchLatency(addr string) latencySummary {
 	resp, err := http.Get(strings.TrimSuffix(addr, "/") + "/metrics")
 	if err != nil {

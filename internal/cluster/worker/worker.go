@@ -462,23 +462,13 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 	close(stopHB)
 	<-hbDone
 
+	st, msg := service.Classify(err, timeout, errors.Is(err, context.Canceled))
 	res := service.ResultRequest{
 		WorkerID:   opts.ID,
 		LeaseToken: leased.LeaseToken,
-	}
-	switch {
-	case err == nil:
-		res.Status = string(service.StatusSucceeded)
-		res.Result = raw
-	case errors.Is(err, context.DeadlineExceeded):
-		res.Status = string(service.StatusFailed)
-		res.Error = fmt.Sprintf("timed out after %s: %v", timeout, err)
-	case errors.Is(err, context.Canceled):
-		res.Status = string(service.StatusCancelled)
-		res.Error = fmt.Sprintf("cancelled by client: %v", err)
-	default:
-		res.Status = string(service.StatusFailed)
-		res.Error = err.Error()
+		Status:     string(st),
+		Error:      msg,
+		Result:     raw,
 	}
 	if dropped > 0 {
 		jlg.Warn("progress events dropped by the heartbeat buffer", "dropped", dropped)

@@ -11,7 +11,6 @@ import (
 	"rumornet/internal/cluster"
 	"rumornet/internal/degreedist"
 	"rumornet/internal/obs"
-	"rumornet/internal/obs/invariant"
 	"rumornet/internal/obs/journal"
 	"rumornet/internal/obs/trace"
 )
@@ -29,11 +28,12 @@ import (
 // Every grant mints a fenced lease token; heartbeats and uploads carrying a
 // token that is no longer current are rejected with ErrStaleLease (409), so
 // a worker presumed dead cannot corrupt a job that has since been requeued.
-// The public API is unchanged: leased jobs read as running with live
-// progress (the heartbeat feeds the same sink pipeline runJob wires), and a
-// result upload lands blob + terminal WAL record before the terminal status
-// publishes — the PR 5 durability-before-visibility ordering, extended from
-// process crash to node loss.
+// The public API is unchanged: a lease grant starts the job through the
+// same begin a local worker uses, so leased jobs read as running with live
+// progress (the heartbeat feeds the sink begin wired), and a result upload
+// ends it through the same settle — blob + terminal WAL record land before
+// the terminal status publishes, the durability-before-visibility ordering
+// extended from process crash to node loss.
 
 // ErrStaleLease marks a heartbeat or result upload whose lease token is no
 // longer current (409): the lease expired and the job was requeued, or the
@@ -358,63 +358,14 @@ func (s *Service) LeaseNext(workerID, addr string) (*LeasedJob, error) {
 	}
 }
 
-// grantLease moves one dequeued job to running under a fresh lease, wiring
-// the same per-job pipeline runJob builds (logger, invariant monitor,
-// progress sink) so relayed remote events flow through identical plumbing.
-// Returns nil if the job is no longer queued.
+// grantLease starts one dequeued job under a fresh lease for workerID and
+// returns what the worker needs to run it, or nil if the job is no longer
+// queued.
 func (s *Service) grantLease(r *jobRecord, workerID string) *LeasedJob {
-	lg := s.cfg.Logger.With("job_id", r.job.ID, "type", r.job.Type,
-		"trace_id", r.job.TraceID, "worker", workerID)
-	monitor := invariant.New(s.cfg.Invariants, func(v invariant.Violation) {
-		s.met.invariantViolation(v.Check)
-		s.journal.Append(journal.Entry{
-			JobID: r.job.ID, TraceID: r.job.TraceID,
-			Kind: journal.KindInvariant, Check: v.Check, Msg: v.Msg,
-			Stage: v.Event.Stage, Step: v.Event.Step, T: v.Event.T,
-			Value: v.Event.Value,
-		})
-		lg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
-			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
-	})
-	sink := s.progressSink(r, monitor, lg)
-
-	s.mu.Lock()
-	if r.job.Status != StatusQueued { // cancelled while queued
-		s.mu.Unlock()
+	lease, ok := s.begin(r, workerID, nil)
+	if !ok {
 		return nil
 	}
-	r.attempts++
-	attempt := r.attempts
-	lease := s.table.Grant(r.job.ID, workerID, attempt)
-	start := time.Now()
-	r.job.Status = StatusRunning
-	r.job.StartedAt = &start
-	r.job.Worker = workerID
-	r.monitor = monitor
-	r.sink = sink
-	s.walStarted(r.job.ID)
-	s.walAttempt(r.job.ID, attempt)
-	s.mu.Unlock()
-
-	queueWait := start.Sub(r.job.SubmittedAt)
-	s.met.queueWaitObserve(r.req.Class, queueWait)
-	if s.sat != nil {
-		s.sat.observe(queueWait, start)
-	}
-	s.met.running.Inc()
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLease,
-		Msg: fmt.Sprintf("lease granted to worker %q (attempt %d/%d)",
-			workerID, attempt, s.cfg.Cluster.MaxAttempts),
-	})
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "started",
-	})
-	lg.Info("job leased", "attempt", attempt,
-		"lease_ttl", s.table.TTL().String(),
-		"queue_wait_ms", float64(start.Sub(r.job.SubmittedAt))/float64(time.Millisecond))
 	return &LeasedJob{
 		JobID:       r.job.ID,
 		TraceID:     r.job.TraceID,
@@ -423,7 +374,7 @@ func (s *Service) grantLease(r *jobRecord, workerID string) *LeasedJob {
 		TimeoutMS:   r.timeout.Milliseconds(),
 		LeaseToken:  lease.Token,
 		LeaseTTLMS:  s.table.TTL().Milliseconds(),
-		Attempt:     attempt,
+		Attempt:     lease.Attempt,
 		MaxAttempts: s.cfg.Cluster.MaxAttempts,
 		Traceparent: r.span.Context().Traceparent(),
 	}
@@ -467,8 +418,8 @@ func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, er
 
 // CompleteLease finalizes a remotely-executed job from its result upload.
 // The fenced release comes first — a stale token cannot finish a job — and
-// a succeeded job's blob and terminal WAL record land on disk before the
-// terminal status publishes, exactly runJob's ordering.
+// settle then lands a succeeded job's blob and terminal WAL record before
+// the terminal status publishes, exactly as for a local run.
 func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	if s.table == nil {
 		return Job{}, fmt.Errorf("%w: not a coordinator", ErrNotFound)
@@ -498,7 +449,6 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	}
 	sink := r.sink
 	monitor := r.monitor
-	started := r.job.StartedAt
 	s.mu.Unlock()
 
 	// The lease is released: the reaper can no longer requeue this job and
@@ -510,77 +460,14 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	// so an SSE replay reads worker-side entries in causal order.
 	s.mergeWorkerRelay(id, r.job.TraceID, res.Journal, res.Spans)
 	s.storeWorkerTelemetry(lease.Worker, res.Metrics, res.Telemetry)
-	if st == StatusSucceeded {
+	if st == StatusSucceeded && r.req.Type == JobODE {
 		// Theorem 5 consistency of the finished trajectory, as in runJob.
-		if r.req.Type == JobODE && monitor != nil {
-			var odeRes ODEResult
-			if json.Unmarshal(res.Result, &odeRes) == nil {
-				monitor.CheckOutcome(odeRes.R0, odeRes.FinalI)
-			}
-		}
-		// Durability before visibility: blob + terminal record land while
-		// the job still reads as running.
-		s.storePutResult(r.key, res.Result)
-		s.walFinished(id, StatusSucceeded)
-	}
-
-	s.mu.Lock()
-	fin := time.Now()
-	from := r.job.SubmittedAt
-	if started != nil {
-		from = *started
-	}
-	elapsed := fin.Sub(from)
-	r.job.FinishedAt = &fin
-	r.job.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	if s.met.segments != nil && started != nil {
-		r.job.Latency = &JobLatency{
-			QueueWaitMS: float64(started.Sub(r.job.SubmittedAt)) / float64(time.Millisecond),
-			ExecuteMS:   float64(arrive.Sub(*started)) / float64(time.Millisecond),
-			SerializeMS: float64(fin.Sub(arrive)) / float64(time.Millisecond),
+		var odeRes ODEResult
+		if json.Unmarshal(res.Result, &odeRes) == nil {
+			monitor.CheckOutcome(odeRes.R0, odeRes.FinalI)
 		}
 	}
-	r.job.Status = st
-	switch st {
-	case StatusSucceeded:
-		r.job.Result = res.Result
-		if evicted := s.cache.put(r.key, res.Result); len(evicted) > 0 {
-			s.met.cacheEvictions.Add(int64(len(evicted)))
-			s.trimEvictedLocked(evicted)
-		}
-		s.keyJobs[r.key] = append(s.keyJobs[r.key], r.job.ID)
-	default:
-		r.job.Error = res.Error
-		s.walFinished(id, st)
-	}
-	job := r.snapshot()
-	s.mu.Unlock()
-
-	s.met.running.Dec()
-	s.met.outcome(st)
-	s.met.observe(r.job.Type, elapsed)
-	if started != nil {
-		s.met.segmentObserve(started.Sub(job.SubmittedAt), arrive.Sub(*started), fin.Sub(arrive))
-	}
-	s.met.workerLatency(lease.Worker, elapsed)
-	msg := "finished: " + string(st)
-	if res.Error != "" {
-		msg += ": " + res.Error
-	}
-	s.journal.Append(journal.Entry{
-		JobID: id, TraceID: job.TraceID,
-		Kind: journal.KindLifecycle, Msg: msg, Final: true,
-	})
-	r.endSpans(st)
-	lg := s.cfg.Logger.With("job_id", id, "worker", lease.Worker)
-	if st == StatusSucceeded {
-		lg.Info("remote job finished", "status", st,
-			"elapsed_ms", job.ElapsedMS, "attempt", lease.Attempt)
-	} else {
-		lg.Warn("remote job finished", "status", st,
-			"elapsed_ms", job.ElapsedMS, "attempt", lease.Attempt, "error", res.Error)
-	}
-	return job, nil
+	return s.settle(r, outcome{status: st, err: res.Error, result: res.Result, execEnd: arrive}), nil
 }
 
 // reaper periodically requeues (or terminally fails) jobs whose lease
@@ -604,84 +491,76 @@ func (s *Service) reaper(interval time.Duration) {
 // the attempt budget, terminal failure beyond it (or terminal cancellation
 // if the user already asked). Popping the lease invalidates its token, so
 // the presumed-dead worker's late heartbeat or upload bounces off
-// ErrStaleLease.
+// ErrStaleLease — which also makes the reaper the job's only settler.
 func (s *Service) reapExpired() {
 	for _, lease := range s.table.Expired() {
 		s.met.leaseExpirations.Inc()
-		s.met.running.Dec()
-
-		s.mu.Lock()
-		r, ok := s.jobs[lease.JobID]
-		if !ok || r.job.Status != StatusRunning {
-			s.mu.Unlock()
+		r, st, reason := s.reap(lease)
+		if r == nil {
+			s.met.running.Dec()
 			continue
 		}
-		switch {
-		case r.userCancelled:
-			s.finishReapedLocked(r, StatusCancelled, fmt.Sprintf(
-				"cancelled by client; lease expired on worker %q", lease.Worker))
-		case r.attempts >= s.cfg.Cluster.MaxAttempts:
-			s.finishReapedLocked(r, StatusFailed, fmt.Sprintf(
-				"lease expired on worker %q and the attempt budget is exhausted (%d/%d)",
-				lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts))
-		case s.draining:
-			// The queue channel is closed; pushing would panic. Leave the
-			// job running-without-a-lease: it has no terminal WAL record,
-			// so the next process life re-enqueues it — crash semantics,
-			// which is what a drain racing a worker death is.
-			s.mu.Unlock()
-			s.cfg.Logger.Warn("lease expired while draining; job deferred to restart",
-				"job_id", lease.JobID, "worker", lease.Worker)
-		default:
-			r.job.Status = StatusQueued
-			r.job.StartedAt = nil
-			r.job.Worker = ""
-			attempts := r.attempts // read before unlock: the next grant increments it
-			select {
-			case s.queues[classIndex(r.req.Class)] <- r:
-				s.mu.Unlock()
-				s.met.requeues.Inc()
-				s.journal.Append(journal.Entry{
-					JobID: lease.JobID, TraceID: r.job.TraceID,
-					Kind: journal.KindLease,
-					Msg: fmt.Sprintf("lease expired on worker %q; requeued (attempt %d/%d used)",
-						lease.Worker, attempts, s.cfg.Cluster.MaxAttempts),
-				})
-				s.cfg.Logger.Warn("lease expired; job requeued",
-					"job_id", lease.JobID, "worker", lease.Worker,
-					"attempt", attempts, "max_attempts", s.cfg.Cluster.MaxAttempts)
-			default:
-				s.finishReapedLocked(r, StatusFailed, fmt.Sprintf(
-					"lease expired on worker %q and the queue is full", lease.Worker))
-			}
-		}
+		s.journal.Append(journal.Entry{
+			JobID: r.job.ID, TraceID: r.job.TraceID,
+			Kind: journal.KindLease, Msg: "lease expired: " + reason,
+		})
+		s.settle(r, outcome{status: st, err: reason})
 	}
 }
 
-// finishReapedLocked terminally settles a job the reaper could not requeue.
-// Callers hold s.mu; it unlocks.
-func (s *Service) finishReapedLocked(r *jobRecord, st Status, reason string) {
-	fin := time.Now()
-	s.walFinished(r.job.ID, st)
-	r.job.Status = st
-	r.job.Error = reason
-	r.job.FinishedAt = &fin
+// reap requeues the job of one expired lease, or returns it with the
+// terminal status and reason it must settle with. It returns a nil record
+// when the job left the running state for the queue (or, while draining,
+// for the next process life).
+func (s *Service) reap(lease cluster.Lease) (*jobRecord, Status, string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.jobs[lease.JobID]
+	if !ok || r.job.Status != StatusRunning {
+		return nil, "", ""
+	}
+	st, reason := StatusFailed, ""
+	switch {
+	case r.userCancelled:
+		st, reason = StatusCancelled, fmt.Sprintf(
+			"cancelled by client; lease expired on worker %q", lease.Worker)
+	case r.attempts >= s.cfg.Cluster.MaxAttempts:
+		reason = fmt.Sprintf(
+			"lease expired on worker %q and the attempt budget is exhausted (%d/%d)",
+			lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts)
+	case s.draining:
+		// The queue channel is closed; pushing would panic. Leave the job
+		// running-without-a-lease: it has no terminal WAL record, so the
+		// next process life re-enqueues it — crash semantics, which is what
+		// a drain racing a worker death is.
+		s.cfg.Logger.Warn("lease expired while draining; job deferred to restart",
+			"job_id", lease.JobID, "worker", lease.Worker)
+		return nil, "", ""
+	default:
+		select {
+		case s.queues[classIndex(r.req.Class)] <- r:
+			// Back to queued under the lock, so begin cannot claim the job
+			// before the record reads queued again.
+			r.job.Status = StatusQueued
+			r.job.StartedAt = nil
+			r.job.Worker = ""
+			s.met.requeues.Inc()
+			s.journal.Append(journal.Entry{
+				JobID: lease.JobID, TraceID: r.job.TraceID,
+				Kind: journal.KindLease,
+				Msg: fmt.Sprintf("lease expired on worker %q; requeued (attempt %d/%d used)",
+					lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts),
+			})
+			s.cfg.Logger.Warn("lease expired; job requeued",
+				"job_id", lease.JobID, "worker", lease.Worker,
+				"attempt", r.attempts, "max_attempts", s.cfg.Cluster.MaxAttempts)
+			return nil, "", ""
+		default:
+			reason = fmt.Sprintf("lease expired on worker %q and the queue is full", lease.Worker)
+		}
+	}
 	r.job.Worker = ""
-	s.mu.Unlock()
-
-	s.met.outcome(st)
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLease, Msg: "lease expired: " + reason,
-	})
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "finished: " + string(st) + ": " + reason,
-		Final: true,
-	})
-	r.endSpans(st)
-	s.cfg.Logger.Warn("reaped job finished", "job_id", r.job.ID,
-		"status", st, "error", reason)
+	return r, st, reason
 }
 
 // clusterRoutes mounts the internal worker API (coordinator mode only).

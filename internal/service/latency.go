@@ -45,13 +45,8 @@ type JobLatency struct {
 }
 
 // segmentObserve records one job's segment decomposition into the
-// per-segment histograms. A nil receiver field set (segments disabled via
-// Config.DisableSegmentMetrics) makes it a no-op so the bench pair can
-// price the hooks.
+// per-segment histograms.
 func (m *metrics) segmentObserve(queueWait, execute, serialize time.Duration) {
-	if m.segments == nil {
-		return
-	}
 	m.segments[segQueueWait].Observe(queueWait.Seconds())
 	m.segments[segExecute].Observe(execute.Seconds())
 	m.segments[segSerialize].Observe(serialize.Seconds())

@@ -14,12 +14,15 @@ import (
 // This file is the service side of the durable job store: the WAL append
 // helpers called on the submission and execution paths, and the startup
 // recovery that turns a write-ahead log plus result store back into live
-// service state. The contract with runJob/Cancel:
+// service state. The contract with the lifecycle (lifecycle.go):
 //
 //   - every job that enters the queue gets an opSubmitted record (with the
-//     full request, so recovery can re-enqueue it verbatim);
-//   - every terminal outcome the service *chose* (success, failure, user
-//     cancellation, timeout) gets an opFinished record;
+//     full request, so recovery can re-enqueue it verbatim); begin adds
+//     opStarted, and opAttempt for a lease;
+//   - settle writes the opFinished record for every terminal outcome the
+//     service *chose* (success, failure, user cancellation, timeout) of a
+//     job that has an opSubmitted record — a submit-time cache hit never
+//     had one and gets none;
 //   - a shutdown-cancelled job gets NO terminal record — crash and
 //     redeploy look identical in the log, and both re-run the job.
 //
@@ -31,6 +34,7 @@ func (s *Service) walSubmitted(r *jobRecord) {
 	if s.store == nil {
 		return
 	}
+	r.logged = true
 	blob, err := json.Marshal(r.req)
 	if err == nil {
 		err = s.store.AppendSubmitted(store.JobState{
@@ -50,8 +54,8 @@ func (s *Service) walStarted(id string) {
 	s.walErrored("started", id, s.store.AppendStarted(id))
 }
 
-// walFinished logs a terminal outcome. Callers hold s.mu, so the record is
-// on disk before any poller can observe the terminal status.
+// walFinished logs a terminal outcome. settle calls it before the terminal
+// status publishes, so the record is on disk before any poller sees it.
 func (s *Service) walFinished(id string, status Status) {
 	if s.store == nil {
 		return
@@ -79,7 +83,7 @@ func (s *Service) walScenario(name, source string, degrees []int, probs []float6
 	}))
 }
 
-// storePutResult persists a succeeded job's result blob. Callers hold s.mu.
+// storePutResult persists a succeeded job's result blob.
 func (s *Service) storePutResult(key string, raw json.RawMessage) {
 	if s.store == nil {
 		return
@@ -195,8 +199,9 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.jobs[js.ID]; dup {
+	_, dup := s.jobs[js.ID]
+	s.mu.Unlock()
+	if dup {
 		return StatusFailed // defensive: the log should never duplicate ids
 	}
 	submitted := js.SubmittedAt
@@ -223,33 +228,21 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 		timeout:  timeout,
 		span:     span,
 		attempts: js.Attempts,
+		logged:   true,
 	}
 
 	if reason == "" {
 		// The job may have completed just before the crash: result blob
 		// written, terminal record lost. The warmed cache answers it.
 		if raw, hit := s.cache.get(key); hit {
-			s.met.outcome(StatusSucceeded)
-			fin := time.Now()
-			r.job.Status = StatusSucceeded
-			r.job.CacheHit = true
-			r.job.Result = raw
-			r.job.FinishedAt = &fin
-			s.walFinished(js.ID, StatusSucceeded)
-			s.insertLocked(r)
-			s.keyJobs[key] = append(s.keyJobs[key], js.ID)
-			s.journal.Append(journal.Entry{
-				JobID: js.ID, TraceID: r.job.TraceID,
-				Kind: journal.KindLifecycle, Msg: "finished: succeeded (recovered result)",
-				Final: true,
-			})
-			span.SetAttr("status", string(StatusSucceeded))
-			span.End()
+			s.settle(r, outcome{status: StatusSucceeded, result: raw, hit: "recovered"})
 			return StatusSucceeded
 		}
+		s.mu.Lock()
 		select {
 		case s.queues[classIndex(req.Class)] <- r:
 			s.insertLocked(r)
+			s.mu.Unlock()
 			s.journal.Append(journal.Entry{
 				JobID: js.ID, TraceID: r.job.TraceID,
 				Kind: journal.KindLifecycle, Msg: "recovered: re-queued after restart",
@@ -259,24 +252,10 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 				"was_started", js.Started)
 			return StatusQueued
 		default:
+			s.mu.Unlock()
 			reason = "recovery: queue full"
 		}
 	}
-
-	s.met.outcome(StatusFailed)
-	fin := time.Now()
-	r.job.Status = StatusFailed
-	r.job.Error = reason
-	r.job.FinishedAt = &fin
-	s.walFinished(js.ID, StatusFailed)
-	s.insertLocked(r)
-	s.journal.Append(journal.Entry{
-		JobID: js.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "finished: failed: " + reason,
-		Final: true,
-	})
-	span.SetAttr("status", string(StatusFailed))
-	span.End()
-	s.cfg.Logger.Warn("recovered job failed", "job_id", js.ID, "error", reason)
+	s.settle(r, outcome{status: StatusFailed, err: reason})
 	return StatusFailed
 }

@@ -66,6 +66,9 @@ type jobRecord struct {
 
 	cancel        context.CancelFunc // non-nil while running locally; nil for leased jobs
 	userCancelled bool
+	// logged records that the WAL holds the job's submitted record, so
+	// settle owes it a finished record. Set before the job is visible.
+	logged bool
 
 	// attempts counts cluster lease grants (0 for standalone execution);
 	// the reaper terminally fails the job once it reaches
@@ -85,7 +88,7 @@ type jobRecord struct {
 	// progress stream; violations land in the journal, the metrics and
 	// the log exactly once per check.
 	monitor *invariant.Monitor
-	// sink is the progress sink runJob wired for this execution, kept so
+	// sink is the progress sink begin wired for this execution, kept so
 	// tests can inject synthetic events through the full pipeline.
 	sink obs.Progress
 
@@ -166,7 +169,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		scenarios: newRegistry(),
 		cache:     newResultCache(cfg.CacheEntries),
-		met:       newMetrics(cfg.DisableSegmentMetrics),
+		met:       newMetrics(),
 		tracer:    trace.New(cfg.TraceSpans),
 		journal:   journal.New(cfg.JournalEntries, cfg.JournalSink),
 		jobs:      make(map[string]*jobRecord),
@@ -312,8 +315,8 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (Job, error) {
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.draining {
+		s.mu.Unlock()
 		s.met.reject()
 		s.cfg.Logger.Warn("job rejected", "reason", "draining", "type", req.Type)
 		return Job{}, ErrDraining
@@ -342,23 +345,33 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (Job, error) {
 	}
 	span.SetAttr("job_id", r.job.ID)
 
-	if raw, hit := s.cache.get(key); hit {
-		return s.finishCacheHitLocked(r, raw, "memory"), nil
-	}
-	// Memory miss: a result persisted by an earlier process life (or
-	// evicted by the LRU bound since) may still be on disk. The read goes
-	// through the Reader seam and also repopulates the memory cache, so one
+	// A memory miss may still be on disk: a result persisted by an earlier
+	// process life, or evicted by the LRU bound since. The read goes through
+	// the Reader seam, and settle repopulates the memory cache, so one
 	// submission pays the I/O.
-	if s.reader != nil {
-		if blob, ok := s.reader.GetResult(key); ok {
-			raw := json.RawMessage(blob)
-			if evicted := s.cache.put(key, raw); len(evicted) > 0 {
-				s.met.cacheEvictions.Add(int64(len(evicted)))
-				s.trimEvictedLocked(evicted)
-			}
-			return s.finishCacheHitLocked(r, raw, "disk"), nil
+	raw, hit := s.cache.get(key)
+	source := "memory"
+	if !hit && s.reader != nil {
+		var blob []byte
+		if blob, hit = s.reader.GetResult(key); hit {
+			raw, source = json.RawMessage(blob), "disk"
 		}
 	}
+	if hit {
+		// Completed synchronously: no queue slot, no execution.
+		s.mu.Unlock()
+		s.met.submit()
+		s.met.cacheHit()
+		if source == "disk" {
+			s.met.diskHits.Inc()
+		}
+		s.journal.Append(journal.Entry{
+			JobID: r.job.ID, TraceID: r.job.TraceID,
+			Kind: journal.KindLifecycle, Msg: "submitted",
+		})
+		return s.settle(r, outcome{status: StatusSucceeded, result: raw, hit: source}), nil
+	}
+	defer s.mu.Unlock()
 
 	// Saturation sheds batch work first: an overloaded queue recovers by
 	// refusing sweeps, not interactive submissions. Checked after the cache
@@ -428,42 +441,6 @@ func (s *Service) resolveRequest(req Request) (Request, *Scenario, string, time.
 	}
 	key := cacheKey(req.Type, sc.Fingerprint, req.Params)
 	return req, sc, key, timeout, nil
-}
-
-// finishCacheHitLocked completes a submission synchronously from a cached
-// result (source: "memory" or "disk") — no queue slot, no execution.
-// Callers hold s.mu and have r.job initialized to StatusQueued.
-func (s *Service) finishCacheHitLocked(r *jobRecord, raw json.RawMessage, source string) Job {
-	s.met.submit()
-	s.met.cacheHit()
-	if source == "disk" {
-		s.met.diskHits.Inc()
-	}
-	s.met.outcome(StatusSucceeded)
-	fin := time.Now()
-	r.job.Status = StatusSucceeded
-	r.job.CacheHit = true
-	r.job.Result = raw
-	r.job.FinishedAt = &fin
-	s.insertLocked(r)
-	// The hit job's journal lives exactly as long as the cache entry
-	// backing it; record the dependency so eviction trims both.
-	s.keyJobs[r.key] = append(s.keyJobs[r.key], r.job.ID)
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "submitted",
-	})
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "finished: succeeded (cache hit)",
-		Final: true,
-	})
-	r.span.SetAttr("cache_hit", source)
-	r.span.End()
-	s.cfg.Logger.Info("job served from cache",
-		"job_id", r.job.ID, "type", r.job.Type, "scenario", r.job.Scenario,
-		"source", source, "trace_id", r.job.TraceID)
-	return r.job
 }
 
 // insertLocked records the job and evicts the oldest finished jobs beyond
@@ -572,7 +549,7 @@ func (s *Service) JobIndex(limit int, status Status) ([]Job, int) {
 
 // Cancel stops a job: queued jobs finish immediately as cancelled, running
 // jobs have their context cancelled and settle asynchronously. Cancelling
-// a finished job is a no-op returning its final snapshot.
+// a finished (or already cancelled) job is a no-op returning its snapshot.
 func (s *Service) Cancel(id string) (Job, error) {
 	s.mu.Lock()
 	r, ok := s.jobs[id]
@@ -580,47 +557,29 @@ func (s *Service) Cancel(id string) (Job, error) {
 		s.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	switch r.job.Status {
-	case StatusQueued:
-		fin := time.Now()
-		// Terminal record first: once a poller can observe the cancelled
-		// status the WAL will not re-enqueue the job after a restart.
-		s.walFinished(r.job.ID, StatusCancelled)
-		r.job.Status = StatusCancelled
-		r.job.Error = "cancelled before start"
-		r.job.FinishedAt = &fin
-		job := r.job
-		s.mu.Unlock()
-		s.met.outcome(StatusCancelled)
-		s.journal.Append(journal.Entry{
-			JobID: id, TraceID: job.TraceID,
-			Kind: journal.KindLifecycle, Msg: "finished: cancelled before start",
-			Final: true,
-		})
-		r.span.SetAttr("status", string(StatusCancelled))
-		r.span.End()
-		s.cfg.Logger.Info("job cancelled while queued", "job_id", id)
-		return job, nil
-	case StatusRunning:
-		r.userCancelled = true
-		cancel := r.cancel
-		job := r.snapshot()
-		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		if s.table != nil {
-			// Leased jobs have no local cancel func; the flag rides back on
-			// the next heartbeat ack and the worker stops the job there.
-			s.table.RequestCancel(id)
-		}
-		s.cfg.Logger.Info("job cancellation requested", "job_id", id)
-		return job, nil
-	default:
-		job := r.snapshot()
+	job := r.snapshot()
+	if job.Status.Terminal() || r.userCancelled {
 		s.mu.Unlock()
 		return job, nil
 	}
+	// The flag also makes begin skip a queued job, so the settle below has
+	// no competitor.
+	r.userCancelled = true
+	cancel := r.cancel
+	s.mu.Unlock()
+	if job.Status == StatusQueued {
+		return s.settle(r, outcome{status: StatusCancelled, err: "cancelled before start"}), nil
+	}
+	if cancel != nil {
+		cancel()
+	}
+	if s.table != nil {
+		// Leased jobs have no local cancel func; the flag rides back on
+		// the next heartbeat ack and the worker stops the job there.
+		s.table.RequestCancel(id)
+	}
+	s.cfg.Logger.Info("job cancellation requested", "job_id", id)
+	return job, nil
 }
 
 // Stats returns a consistent snapshot of the operational counters.
@@ -798,148 +757,30 @@ func (s *Service) tryDequeue() *jobRecord {
 	return nil
 }
 
-// runJob executes one dequeued job under its timeout and finalizes its
-// record, metrics, journal, trace span and (on success) the result cache.
+// runJob executes one dequeued job under its timeout and settles it.
 func (s *Service) runJob(r *jobRecord) {
-	// Job-scoped logger, threaded through ctx so solver-adjacent code can
-	// correlate its records with this job and its trace.
-	lg := s.cfg.Logger.With("job_id", r.job.ID, "type", r.job.Type,
-		"trace_id", r.job.TraceID)
-	monitor := invariant.New(s.cfg.Invariants, func(v invariant.Violation) {
-		s.met.invariantViolation(v.Check)
-		s.journal.Append(journal.Entry{
-			JobID: r.job.ID, TraceID: r.job.TraceID,
-			Kind: journal.KindInvariant, Check: v.Check, Msg: v.Msg,
-			Stage: v.Event.Stage, Step: v.Event.Step, T: v.Event.T,
-			Value: v.Event.Value,
-		})
-		lg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
-			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
-	})
-	sink := s.progressSink(r, monitor, lg)
-
-	s.mu.Lock()
-	if r.job.Status != StatusQueued { // cancelled while queued
-		s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(s.baseCtx, r.timeout)
+	defer cancel()
+	if _, ok := s.begin(r, "", cancel); !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, r.timeout)
-	ctx = withInnerWorkers(ctx, s.cfg.InnerWorkers)
-	r.cancel = cancel
-	r.monitor = monitor
-	r.sink = sink
-	start := time.Now()
-	r.job.Status = StatusRunning
-	r.job.StartedAt = &start
-	s.walStarted(r.job.ID)
-	s.mu.Unlock()
-	defer cancel()
-
-	queueWait := start.Sub(r.job.SubmittedAt)
-	s.met.queueWaitObserve(r.req.Class, queueWait)
-	if s.sat != nil {
-		s.sat.observe(queueWait, start)
-	}
-	s.met.running.Inc()
-	defer s.met.running.Dec()
-
-	ctx = obs.ContextWithLogger(ctx, lg)
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "started",
-	})
-	lg.Info("job started", "queue_wait_ms",
-		float64(start.Sub(r.job.SubmittedAt))/float64(time.Millisecond))
-
-	payload, err := execute(ctx, r.sc, r.req, sink)
-	execDone := time.Now() // everything after is the serialize segment
+	payload, err := execute(withInnerWorkers(ctx, s.cfg.InnerWorkers), r.sc, r.req, r.sink)
+	execEnd := time.Now() // everything after is the serialize segment
 	var raw json.RawMessage
 	if err == nil {
 		raw, err = json.Marshal(payload)
 		// Theorem 5 consistency of the finished trajectory; any violation
-		// lands in the journal before the terminal entry below.
+		// lands in the journal before the terminal entry.
 		if res, ok := payload.(*ODEResult); ok && err == nil {
-			monitor.CheckOutcome(res.R0, res.FinalI)
+			r.monitor.CheckOutcome(res.R0, res.FinalI)
 		}
 	}
-	if err == nil {
-		// Durability before visibility: the result blob and the terminal
-		// record land on disk while the job still reads as running, so a
-		// poller that observes "succeeded" and kills the process cannot
-		// lose the result. Deliberately outside s.mu — the blob write is
-		// hundreds of microseconds of filesystem work and must not
-		// serialize the other workers.
-		s.storePutResult(r.key, raw)
-		s.walFinished(r.job.ID, StatusSucceeded)
-	}
-
 	s.mu.Lock()
-	fin := time.Now()
-	elapsed := fin.Sub(start)
-	r.job.FinishedAt = &fin
-	r.job.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	if s.met.segments != nil {
-		r.job.Latency = &JobLatency{
-			QueueWaitMS: float64(queueWait) / float64(time.Millisecond),
-			ExecuteMS:   float64(execDone.Sub(start)) / float64(time.Millisecond),
-			SerializeMS: float64(fin.Sub(execDone)) / float64(time.Millisecond),
-		}
-	}
-	shutdownCancel := false
-	switch {
-	case err == nil:
-		r.job.Status = StatusSucceeded
-		r.job.Result = raw
-		if evicted := s.cache.put(r.key, raw); len(evicted) > 0 {
-			s.met.cacheEvictions.Add(int64(len(evicted)))
-			s.trimEvictedLocked(evicted)
-		}
-		s.keyJobs[r.key] = append(s.keyJobs[r.key], r.job.ID)
-	case r.userCancelled:
-		r.job.Status = StatusCancelled
-		r.job.Error = fmt.Sprintf("cancelled by client: %v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		r.job.Status = StatusFailed
-		r.job.Error = fmt.Sprintf("timed out after %s: %v", r.timeout, err)
-	case errors.Is(err, context.Canceled):
-		r.job.Status = StatusCancelled
-		r.job.Error = fmt.Sprintf("cancelled by shutdown: %v", err)
-		// No terminal WAL record: a shutdown-cancelled job is the crash /
-		// redeploy case, and the restarted daemon must re-enqueue it.
-		shutdownCancel = true
-	default:
-		r.job.Status = StatusFailed
-		r.job.Error = err.Error()
-	}
-	status := r.job.Status
-	jobType := r.job.Type
-	errMsg := r.job.Error
-	// Success already logged its terminal record (with the blob) above;
-	// shutdown cancellation deliberately logs none.
-	if !shutdownCancel && status != StatusSucceeded {
-		s.walFinished(r.job.ID, status)
-	}
+	byClient := r.userCancelled
 	s.mu.Unlock()
-
-	s.met.outcome(status)
-	s.met.observe(jobType, elapsed)
-	s.met.segmentObserve(queueWait, execDone.Sub(start), fin.Sub(execDone))
-	msg := "finished: " + string(status)
-	if errMsg != "" {
-		msg += ": " + errMsg
-	}
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: msg, Final: true,
-	})
-	r.endSpans(status)
-	if status == StatusSucceeded {
-		lg.Info("job finished", "status", status,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond))
-	} else {
-		lg.Warn("job finished", "status", status,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond), "error", errMsg)
-	}
+	st, msg := Classify(err, r.timeout, byClient)
+	s.settle(r, outcome{status: st, err: msg, result: raw, execEnd: execEnd,
+		shutdown: st == StatusCancelled && !byClient})
 }
 
 // stageSpan opens the per-stage child span the first time a stage reports;

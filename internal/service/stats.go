@@ -121,8 +121,7 @@ type metrics struct {
 	// shed counts batch submissions refused under saturation (a subset of
 	// rejected).
 	shed *obs.Counter
-	// segments decomposes end-to-end job latency (latency.go); nil when
-	// Config.DisableSegmentMetrics benched the hooks away.
+	// segments decomposes end-to-end job latency (latency.go).
 	segments map[string]*obs.Histogram
 	abmStep  *obs.Histogram // per-sweep wall time from StageABM events
 	running  *obs.Gauge     // jobs currently executing (busy workers)
@@ -159,7 +158,7 @@ var walBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1,
 }
 
-func newMetrics(disableSegments bool) *metrics {
+func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg: reg,
@@ -212,13 +211,11 @@ func newMetrics(disableSegments bool) *metrics {
 			"Numerical invariant violations detected by the per-job monitors.",
 			obs.L("check", check))
 	}
-	if !disableSegments {
-		m.segments = map[string]*obs.Histogram{}
-		for _, seg := range []string{segQueueWait, segExecute, segSerialize} {
-			m.segments[seg] = reg.Histogram("rumor_job_latency_segment_seconds",
-				"End-to-end job latency decomposed into queue-wait/execute/serialize segments (DESIGN.md §14).",
-				queueWaitBuckets, obs.L("segment", seg))
-		}
+	m.segments = map[string]*obs.Histogram{}
+	for _, seg := range []string{segQueueWait, segExecute, segSerialize} {
+		m.segments[seg] = reg.Histogram("rumor_job_latency_segment_seconds",
+			"End-to-end job latency decomposed into queue-wait/execute/serialize segments (DESIGN.md §14).",
+			queueWaitBuckets, obs.L("segment", seg))
 	}
 	m.surfaceQueries = map[string]*obs.Counter{}
 	for _, outcome := range []string{outcomeHit, outcomeFallbackUncovered, outcomeFallbackTolerance} {

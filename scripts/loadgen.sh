@@ -10,16 +10,11 @@
 # verdict, and p50/p90/p99/p999 for the submit round trip, the end-to-end
 # path and the three server-attributed segments (queue wait / execute /
 # serialize) — all latencies coordinated-omission-correct, measured from
-# the scheduled send time.
-#
-# The sweep is followed by the segment-hook overhead pair
-# (BenchmarkJobSegmentsOff/On, fastest of 3 runs each) merged into the
-# same file as a "benchmarks" array, so one
+# the scheduled send time. Diff two artifacts with
 #
 #   scripts/benchdiff.sh BENCH_PR9.json new.json
 #
-# gates both the per-phase p99s and the hook's ns_per_op with the 5%
-# threshold.
+# which gates the per-phase p99s with the 5% threshold.
 #
 # The pr10 suite instead records the response-surface serving story
 # (DESIGN.md §15): the same selfhosted single-worker daemon, but half the
@@ -72,44 +67,11 @@ rates="${RATES:-10,25,50,100}"
 duration="${DURATION:-5s}"
 mix="${MIX:-ode=1}"
 
-tmpart="$(mktemp)"
-tmpbench="$(mktemp)"
-trap 'rm -f "$tmpart" "$tmpbench"' EXIT
-
 go run ./cmd/rumorload -selfhost -selfhost-workers 1 \
 	-selfhost-saturation-budget 250ms \
 	-rates "$rates" -duration "$duration" -mix "$mix" -hot 0.5 \
 	-poll 25ms -suite pr9-latency \
-	-note "open-loop sweep, selfhost 1 worker, built-in Digg2009 scenario (~38ms/ODE job => ~26 jobs/s capacity), 250ms queue-wait p99 budget; latencies measured from scheduled send time (coordinated-omission-correct); benchmarks = segment-hook overhead pair, fastest of 3, claim < 5%" \
-	-out "$tmpart"
-
-go test -run '^$' -bench 'BenchmarkJobSegments(Off|On)$' \
-	-benchmem -count 3 ./internal/service | tee "$tmpbench"
-
-# Merge: reopen the artifact before its closing brace and append the
-# benchmark entries (fastest run per name, as in bench.sh — single samples
-# on a shared host swing by more than the 5% claim).
-sed '$d' "$tmpart" | sed '$ s/^  ]$/  ],/' > "$out"
-awk '
-/^Benchmark/ {
-	name = $1; gmp = 1
-	if (match(name, /-[0-9]+$/)) gmp = substr(name, RSTART + 1) + 0
-	if (name in idx) {
-		i = idx[name]
-		if ($3 + 0 < ns[i] + 0) { iters[i] = $2; ns[i] = $3; bytes[i] = $5; allocs[i] = $7 }
-		next
-	}
-	i = ++cnt; idx[name] = i
-	names[i] = name; gmps[i] = gmp
-	iters[i] = $2; ns[i] = $3; bytes[i] = $5; allocs[i] = $7
-}
-END {
-	printf "  \"benchmarks\": [\n"
-	for (i = 1; i <= cnt; i++)
-		printf "    {\"name\": \"%s\", \"gomaxprocs\": %d, \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-			names[i], gmps[i], iters[i], ns[i], bytes[i], allocs[i], (i < cnt ? "," : "")
-	printf "  ]\n"
-}' "$tmpbench" >> "$out"
-printf '}\n' >> "$out"
+	-note "open-loop sweep, selfhost 1 worker, built-in Digg2009 scenario (~38ms/ODE job => ~26 jobs/s capacity), 250ms queue-wait p99 budget; latencies measured from scheduled send time (coordinated-omission-correct)" \
+	-out "$out"
 
 echo "wrote $out"

@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
-#   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...
+#   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...,
+#           and go vet over the rumorbench module
 #   tier 2: go vet ./... && go test -race ./...
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
@@ -41,6 +42,11 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go test ./...
+# rumorbench is its own module (its go.mod replaces rumornet with ../), so
+# the root ./... never compiles it, yet it calls service.New, Config and
+# ExecuteRequest: vet it so an API change that breaks the benchmark fails
+# here rather than at benchmark time.
+(cd rumorbench && go vet ./...)
 
 if [ "${1:-}" = "-race" ]; then
 	echo "== tier 2: vet + race + bench smoke"
