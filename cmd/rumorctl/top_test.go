@@ -89,41 +89,36 @@ func TestTopFlagValidation(t *testing.T) {
 	}
 }
 
-// TestParseLatency pins the client-side bucket-quantile math against a
-// canned exposition page.
+// TestParseLatency pins which /metrics series the dashboard reads: the
+// server's windowed p99 gauge, the queue-wait count and the saturation
+// verdict — no client-side quantile estimate.
 func TestParseLatency(t *testing.T) {
-	// 100 observations: 90 under 10ms, 9 more under 100ms, 1 under 1s.
-	// rank(p99) = 99 -> the le="0.1" bucket.
-	text := `# TYPE rumor_job_latency_segment_seconds histogram
-rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="0.01"} 90
-rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="0.1"} 99
-rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="1"} 100
-rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="+Inf"} 100
-rumor_job_latency_segment_seconds_bucket{segment="execute",le="+Inf"} 100
+	text := `# TYPE rumor_queue_wait_seconds histogram
+rumor_queue_wait_seconds_bucket{le="+Inf"} 100
+rumor_queue_wait_seconds_count 100
+rumor_queue_wait_class_seconds_count{class="batch"} 60
+rumor_queue_wait_window_p99_seconds 0.0625
 rumor_saturated 1
 `
 	s := parseLatency(text)
-	if !s.ok || s.count != 100 {
-		t.Fatalf("parse failed: %+v", s)
-	}
-	if s.p99 != 0.1 || s.inOverflow {
-		t.Errorf("p99 bound = %g (overflow %v), want 0.1", s.p99, s.inOverflow)
-	}
-	if !s.saturated {
-		t.Error("rumor_saturated 1 not picked up")
+	if !s.ok || s.count != 100 || !s.detector || s.p99 != 0.0625 || !s.saturated {
+		t.Errorf("parse = %+v, want count 100, p99 0.0625, saturated", s)
 	}
 
-	// All mass past the last finite bucket: the bound degrades to ">last".
-	over := parseLatency(`rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="0.01"} 0
-rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="+Inf"} 5
-`)
-	if !over.ok || !over.inOverflow || over.p99 != 0.01 {
-		t.Errorf("overflow case: %+v, want inOverflow with bound 0.01", over)
+	// Detector disabled: no window gauge, so no p99 to show.
+	off := parseLatency("rumor_queue_wait_seconds_count 7\n")
+	if !off.ok || off.count != 7 || off.detector {
+		t.Errorf("detector-off parse = %+v, want count 7 without detector", off)
+	}
+	var sb strings.Builder
+	renderLatency(&sb, off)
+	if want := "saturation detector disabled (7 jobs)"; !strings.Contains(sb.String(), want) {
+		t.Errorf("detector-off line %q, want %q", sb.String(), want)
 	}
 
-	// No queue-wait series at all (segments disabled).
+	// No queue-wait series at all.
 	if s := parseLatency("rumor_jobs_total 3\n"); s.ok {
-		t.Errorf("parse of a page without segment buckets claimed ok: %+v", s)
+		t.Errorf("parse of a page without queue-wait series claimed ok: %+v", s)
 	}
 }
 
@@ -137,8 +132,8 @@ func TestTopLatencyLine(t *testing.T) {
 		fmt.Fprint(w, `{"workers":[],"count":0}`)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="0.25"} 99
-rumor_job_latency_segment_seconds_bucket{segment="queue_wait",le="+Inf"} 100
+		fmt.Fprint(w, `rumor_queue_wait_seconds_count 100
+rumor_queue_wait_window_p99_seconds 0.25
 rumor_saturated 1
 `)
 	})
@@ -150,7 +145,7 @@ rumor_saturated 1
 		t.Fatalf("runTop: %v", err)
 	}
 	got := out.String()
-	for _, want := range []string{"queue-wait p99 <=250ms", "(100 jobs)", "[SATURATED]"} {
+	for _, want := range []string{"queue-wait p99 250ms", "(100 jobs)", "[SATURATED]"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("dashboard missing %q:\n%s", want, got)
 		}

@@ -139,14 +139,14 @@ func BenchmarkStandaloneThreshold(b *testing.B) {
 	benchThroughput(b, startStandalone(b, 1), thresholdReq)
 }
 
-// The BENCH_PR8 pair: the same near-zero-compute workload through one
-// worker node with the telemetry relay on (default) vs off. The heartbeat
-// is forced fast so relay payloads actually ride heartbeats mid-job, not
-// just the result upload; both arms pay the same HTTP round trips, so the
-// ns_per_op difference is the relay serialization itself — journal entries,
-// finished spans and the health sample per send, plus the registry
-// snapshot on its 250ms throttle window. The PR 8 claim is < 5% overhead.
-func startClusterRelay(b *testing.B, disable bool) *service.Service {
+// BenchmarkClusterThresholdRelayOn is the BENCH_PR8 relay measurement: the
+// near-zero-compute threshold workload through one worker node with the
+// heartbeat forced fast, so relay payloads actually ride heartbeats
+// mid-job, not just the result upload — journal entries, finished spans
+// and the health sample per send, plus the registry snapshot on its 250ms
+// throttle window. Against BenchmarkClusterThreshold it prices the relay
+// together with the faster heartbeat.
+func startClusterRelay(b *testing.B) *service.Service {
 	b.Helper()
 	svc, err := service.New(service.Config{
 		QueueDepth: 64,
@@ -161,12 +161,11 @@ func startClusterRelay(b *testing.B, disable bool) *service.Service {
 	go func() {
 		defer close(done)
 		worker.Run(ctx, worker.Options{
-			Coordinator:      ts.URL,
-			ID:               "bw-relay",
-			PollMin:          time.Millisecond,
-			PollMax:          5 * time.Millisecond,
-			Heartbeat:        2 * time.Millisecond,
-			DisableTelemetry: disable,
+			Coordinator: ts.URL,
+			ID:          "bw-relay",
+			PollMin:     time.Millisecond,
+			PollMax:     5 * time.Millisecond,
+			Heartbeat:   2 * time.Millisecond,
 		})
 	}()
 	b.Cleanup(func() {
@@ -179,9 +178,5 @@ func startClusterRelay(b *testing.B, disable bool) *service.Service {
 }
 
 func BenchmarkClusterThresholdRelayOn(b *testing.B) {
-	benchThroughput(b, startClusterRelay(b, false), thresholdReq)
-}
-
-func BenchmarkClusterThresholdRelayOff(b *testing.B) {
-	benchThroughput(b, startClusterRelay(b, true), thresholdReq)
+	benchThroughput(b, startClusterRelay(b), thresholdReq)
 }

@@ -237,35 +237,6 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkerTelemetryDisabled runs a node with DisableTelemetry and checks
-// the job still completes while no relay payload reaches the coordinator —
-// the wire protocol treats every telemetry field as optional.
-func TestWorkerTelemetryDisabled(t *testing.T) {
-	h := newCoordinator(t, nil)
-	h.startWorkerOpts("w-quiet", func(o *worker.Options) { o.DisableTelemetry = true })
-
-	job, err := h.svc.Submit(service.Request{Type: service.JobODE, Scenario: "tiny",
-		Params: service.Params{Lambda0: 0.02, Tf: 40, Points: 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := h.waitJob(job.ID)
-	if done.Status != service.StatusSucceeded {
-		t.Fatalf("job: %s (%s)", done.Status, done.Error)
-	}
-	if _, body := h.getBody("/metrics"); strings.Contains(string(body), "rumor_worker_") {
-		t.Error("telemetry-disabled worker leaked a registry snapshot onto /metrics")
-	}
-	ws := h.svc.Workers()
-	if len(ws) != 1 || ws[0].Telemetry != nil {
-		t.Errorf("workers = %+v, want one worker without telemetry", ws)
-	}
-	// Progress relay still works without the telemetry payload.
-	if done.Progress == nil {
-		t.Error("progress relay broken with telemetry disabled")
-	}
-}
-
 // TestScenarioWALReplay is satellite 1: an uploaded scenario is persisted
 // in the WAL, so a coordinator restart re-registers it and the recovered
 // job completes instead of failing with "unknown scenario".

@@ -68,12 +68,6 @@ type Options struct {
 	// rumord's worker mode passes its own so -debug-addr can expose the
 	// same instruments locally that the coordinator re-exports remotely.
 	Registry *obs.Registry
-	// DisableTelemetry strips the relay payload — journal entries, spans,
-	// registry snapshots and health samples — from heartbeats and result
-	// uploads, leaving only the lease protocol and progress events. The
-	// overhead benchmarks use it as the baseline arm; operators can use it
-	// on pathologically slow links.
-	DisableTelemetry bool
 }
 
 func (o Options) withDefaults() Options {
@@ -140,7 +134,7 @@ type node struct {
 	started time.Time
 
 	jobsExecuted *obs.Counter
-	abmStep      *obs.Histogram
+	abmStep      *obs.HDR
 	invariants   map[string]*obs.Counter
 	invCount     atomic.Int64
 	lastStage    atomic.Value // string
@@ -159,8 +153,7 @@ func newNode(opts Options) *node {
 	n.jobsExecuted = n.reg.Counter("rumor_jobs_executed_total",
 		"Jobs this worker ran to a terminal status (accepted by the coordinator or not).")
 	n.abmStep = n.reg.Histogram("rumor_abm_step_seconds",
-		"Wall time of one ABM transition sweep on this worker.",
-		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1})
+		"Wall time of one ABM transition sweep on this worker.")
 	n.invariants = map[string]*obs.Counter{}
 	for _, check := range invariant.Checks() {
 		n.invariants[check] = n.reg.Counter("rumor_invariant_violations_total",
@@ -184,9 +177,6 @@ func (n *node) memSample() runtime.MemStats {
 
 // telemetry builds the health sample piggybacked on heartbeats and uploads.
 func (n *node) telemetry() *cluster.Telemetry {
-	if n.opts.DisableTelemetry {
-		return nil
-	}
 	ms := n.memSample()
 	stage, _ := n.lastStage.Load().(string)
 	return &cluster.Telemetry{
@@ -202,14 +192,11 @@ func (n *node) telemetry() *cluster.Telemetry {
 }
 
 // relaySnapshot samples the relay registry, at most once per snapshotEvery
-// across all send channels (nil when throttled or telemetry is disabled).
+// across all send channels (nil when throttled).
 // The first call ships immediately so a short-lived worker still reports;
 // a send that then fails on the wire just waits out the window — snapshots
 // are absolute values, so nothing is lost, only delayed.
 func (n *node) relaySnapshot() obs.Snapshot {
-	if n.opts.DisableTelemetry {
-		return nil
-	}
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
 	if !n.snapAt.IsZero() && time.Since(n.snapAt) < snapshotEvery {
@@ -325,9 +312,6 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 		dropped    int
 	)
 	addEntry := func(kind, msg string) {
-		if opts.DisableTelemetry {
-			return
-		}
 		e := journal.Entry{
 			JobID: leased.JobID, TraceID: leased.TraceID,
 			Kind: kind, Msg: msg,
@@ -342,17 +326,15 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 		// monitor's own latch state.
 		monitor.Observe(ev)
 		if ev.Stage == obs.StageABM && ev.Elapsed > 0 {
-			n.abmStep.Observe(ev.Elapsed.Seconds())
+			n.abmStep.Record(ev.Elapsed.Seconds())
 		}
 		mu.Lock()
-		if !opts.DisableTelemetry {
-			if stageSpans == nil {
-				stageSpans = make(map[string]*trace.Span)
-			}
-			if _, ok := stageSpans[ev.Stage]; !ok {
-				stageSpans[ev.Stage] = jobTracer.StartSpan("stage."+ev.Stage, parent,
-					obs.L("worker", opts.ID), obs.L("job_id", leased.JobID))
-			}
+		if stageSpans == nil {
+			stageSpans = make(map[string]*trace.Span)
+		}
+		if _, ok := stageSpans[ev.Stage]; !ok {
+			stageSpans[ev.Stage] = jobTracer.StartSpan("stage."+ev.Stage, parent,
+				obs.L("worker", opts.ID), obs.L("job_id", leased.JobID))
 		}
 		if len(events) >= eventBufferCap {
 			events = events[1:]
@@ -372,9 +354,6 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 	// finished since the last upload (the ring never wraps at jobSpanRingCap,
 	// so the cursor is a plain offset).
 	drainRelay := func() ([]journal.Entry, []trace.SpanData) {
-		if opts.DisableTelemetry {
-			return nil, nil
-		}
 		mu.Lock()
 		je := jentries
 		jentries = nil

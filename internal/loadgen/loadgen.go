@@ -194,31 +194,25 @@ type Result struct {
 	Phases []PhaseResult `json:"phases"`
 }
 
-// recorders hold one HDR per endpoint behind a mutex; request goroutines
-// are few hundred per second, so contention is negligible and the merge
-// discipline stays trivial.
+// recorders hold one HDR per endpoint; the map is fixed at construction
+// and HDR recording is lock-free, so request goroutines share it directly.
 type recorders struct {
-	mu   sync.Mutex
 	hdrs map[string]*obs.HDR
 }
 
 func newRecorders() *recorders {
 	r := &recorders{hdrs: make(map[string]*obs.HDR, len(endpoints))}
 	for _, ep := range endpoints {
-		r.hdrs[ep] = obs.DefaultLatencyHDR()
+		r.hdrs[ep] = obs.NewHDR()
 	}
 	return r
 }
 
 func (r *recorders) record(endpoint string, d time.Duration) {
-	r.mu.Lock()
 	r.hdrs[endpoint].Record(d.Seconds())
-	r.mu.Unlock()
 }
 
 func (r *recorders) stats() []EndpointStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]EndpointStats, 0, len(endpoints))
 	for _, ep := range endpoints {
 		h := r.hdrs[ep]

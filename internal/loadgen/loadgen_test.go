@@ -12,8 +12,8 @@ import (
 )
 
 // newTestTarget stands up an in-process rumord (the same handler stack the
-// daemon serves) with a saturation budget below the detector's HDR floor
-// (100µs), so the very first executed job's queue wait flips the gauge —
+// daemon serves) with a 1µs saturation budget, below any real queue
+// hand-off, so the very first executed job's queue wait flips the gauge —
 // the smoke then proves the whole submit→poll→scrape pipeline without
 // betting on this box's real capacity (the full tier-1 suite may be
 // compiling the rest of the repo on the same CPU, slowing jobs 10x).

@@ -42,22 +42,45 @@ func writeSeries(w *bufio.Writer, name string, s *series) {
 	case s.g != nil:
 		fmt.Fprintf(w, "%s%s %s\n", name, labelString(s.labels, nil), formatFloat(s.g.Value()))
 	case s.h != nil:
-		var cum int64
-		for i, upper := range s.h.upper {
-			cum += s.h.counts[i].Load()
-			le := Label{Name: "le", Value: formatFloat(upper)}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(s.labels, &le), cum)
-		}
-		cum += s.h.counts[len(s.h.upper)].Load()
-		le := Label{Name: "le", Value: "+Inf"}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(s.labels, &le), cum)
-		fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(s.labels, nil), formatFloat(s.h.Sum()))
-		fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(s.labels, nil), cum)
-		// Companion counter: observations above the last explicit bound.
-		// Silent clamping into +Inf hides a bucket layout that no longer
-		// covers the distribution; this makes it alertable.
-		fmt.Fprintf(w, "%s_overflow_total%s %d\n", name, labelString(s.labels, nil), s.h.Overflow())
+		writeHistogram(w, name, s.labels, s.h.snapshot())
 	}
+}
+
+// hdrLe are the le bounds every histogram renders at: the HDR layout's
+// powers of two, 2^-20 … 2^11 s.
+var hdrLe = func() (le [hdrSlots]Label) {
+	for e := range le {
+		le[e] = Label{Name: "le", Value: formatFloat(math.Ldexp(1, hdrMinExp+e))}
+	}
+	return le
+}()
+
+// writeHistogram renders one histogram series: cumulative buckets at the
+// hdrLe bounds (the first holds the underflow, each next one adds a power
+// of two's sub-buckets) and +Inf, then _sum, _count and the companion
+// <name>_overflow_total counter — observations at or above 2048s, which
+// the layout can only clamp, so a tail it no longer covers is alertable.
+// Buckets are [lo, hi): an observation exactly at a power of two counts
+// toward the next bound.
+func writeHistogram(w *bufio.Writer, name string, labels []Label, hs *HistogramSnapshot) {
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels, &hdrLe[0]), hs.Under)
+	var cum int64
+	b := hs.Buckets
+	for e := 1; e < hdrSlots; e++ {
+		for ; len(b) > 0 && b[0][0] < int64(e*hdrSub); b = b[1:] {
+			cum += b[0][1]
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels, &hdrLe[e]), cum)
+	}
+	covered := cum
+	for _, p := range b {
+		cum += p[1]
+	}
+	inf := Label{Name: "le", Value: "+Inf"}
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels, &inf), cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(labels, nil), formatFloat(hs.Sum))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(labels, nil), cum)
+	fmt.Fprintf(w, "%s_overflow_total%s %d\n", name, labelString(labels, nil), cum-covered)
 }
 
 // labelString renders {a="x",b="y"} (empty string for no labels). extra,

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"flag"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -28,10 +29,9 @@ func goldenRegistry() *Registry {
 		L("path", `a\b"c`+"\n"))
 	esc.Inc()
 
-	h := r.Histogram("rumor_job_duration_seconds", "Execution latency.",
-		[]float64{0.1, 0.5, 2.5}, L("type", "ode"))
+	h := r.Histogram("rumor_job_duration_seconds", "Execution latency.", L("type", "ode"))
 	for _, v := range []float64{0.05, 0.1, 0.3, 1, 10} {
-		h.Observe(v)
+		h.Record(v)
 	}
 	return r
 }
@@ -58,31 +58,51 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 }
 
-// TestExpositionWellFormed re-parses the golden output line by line: every
-// sample line must be `name{labels} value` with a parseable value, buckets
-// must be cumulative and end at +Inf == _count, and HELP/TYPE must precede
-// their samples.
+// TestExpositionWellFormed re-parses the golden output line by line with
+// checkExposition and pins the histogram's totals.
 func TestExpositionWellFormed(t *testing.T) {
 	var sb strings.Builder
 	if err := goldenRegistry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
+	bucketFinal, countSamples := checkExposition(t, sb.String())
+	if len(bucketFinal) == 0 {
+		t.Fatal("no histogram buckets found")
+	}
+	for series, inf := range bucketFinal {
+		// The +Inf bucket must hold every observation, matching _count.
+		if inf != 5 {
+			t.Errorf("+Inf bucket of %s = %d, want 5 (all observations)", series, inf)
+		}
+	}
+	if got := countSamples[`rumor_job_duration_seconds_count{type="ode"}`]; got != 5 {
+		t.Errorf("_count = %d, want 5 (keys: %v)", got, countSamples)
+	}
+}
 
+// checkExposition is the exposition grammar: every sample line must be
+// `name{labels} value` with a parseable value, HELP/TYPE must precede
+// their samples, a TYPE must be counter, gauge or histogram, and each
+// histogram series' buckets must be cumulative and end at +Inf == _count.
+// It returns the +Inf value per histogram series (keyed by the bucket
+// line's text before le) and every _count sample.
+func checkExposition(t testing.TB, text string) (bucketFinal, countSamples map[string]int64) {
+	t.Helper()
 	var (
-		lastBucket   = map[string]int64{} // series prefix -> last cumulative count
-		bucketFinal  = map[string]int64{} // +Inf value per histogram series
-		countSamples = map[string]int64{}
-		typed        = map[string]bool{}
+		lastBucket = map[string]int64{} // series prefix -> last cumulative count
+		typed      = map[string]string{}
 	)
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
+	bucketFinal = map[string]int64{}
+	countSamples = map[string]int64{}
+	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
-			if len(parts) != 4 {
+			if len(parts) != 4 || !validType(parts[3]) {
 				t.Fatalf("malformed TYPE line: %q", line)
 			}
-			typed[parts[2]] = true
+			typed[parts[2]] = parts[3]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -100,64 +120,119 @@ func TestExpositionWellFormed(t *testing.T) {
 		name := key
 		if i := strings.IndexByte(key, '{'); i >= 0 {
 			name = key[:i]
+			if !strings.HasSuffix(key, "}") || !validLabelSet(key[i+1:len(key)-1]) {
+				t.Fatalf("malformed label set in %q", line)
+			}
+		}
+		if checkName(name) != nil {
+			t.Fatalf("invalid sample name in %q", line)
+		}
+		if typed[name] != "" {
+			continue // a counter or gauge sample, or a family literally named *_bucket
 		}
 		base := name
 		for _, suf := range []string{"_bucket", "_sum", "_count", "_overflow_total"} {
 			base = strings.TrimSuffix(base, suf)
 		}
-		if !typed[name] && !typed[base] {
-			t.Errorf("sample %q before its TYPE line", line)
+		if typed[base] != "histogram" {
+			t.Fatalf("sample %q before its TYPE line", line)
 		}
-		if strings.HasSuffix(name, "_bucket") {
-			series := key[:strings.Index(key, "le=\"")]
+		switch {
+		case strings.HasSuffix(name, "_bucket"):
+			le := strings.LastIndex(key, `le="`)
+			if le < 1 || (key[le-1] != '{' && key[le-1] != ',') {
+				t.Fatalf("bucket line without le: %q", line)
+			}
+			series := key[:le]
 			if int64(val) < lastBucket[series] {
 				t.Errorf("bucket counts not cumulative at %q: %d after %d", line, int64(val), lastBucket[series])
 			}
 			lastBucket[series] = int64(val)
-			if strings.Contains(key, `le="+Inf"`) {
+			if strings.HasSuffix(key, `le="+Inf"}`) {
 				bucketFinal[series] = int64(val)
 			}
-		}
-		if strings.HasSuffix(name, "_count") {
+		case strings.HasSuffix(name, "_count"):
 			countSamples[key] = int64(val)
 		}
 	}
-	if len(bucketFinal) == 0 {
-		t.Fatal("no histogram buckets found")
-	}
 	for series, inf := range bucketFinal {
-		// The +Inf bucket must hold every observation, matching _count.
-		if inf != 5 {
-			t.Errorf("+Inf bucket of %s = %d, want 5 (all observations)", series, inf)
+		i := strings.IndexByte(series, '{')
+		count := strings.TrimSuffix(series[:i], "_bucket") + "_count"
+		if labels := strings.TrimSuffix(series[i+1:], ","); labels != "" {
+			count += "{" + labels + "}"
+		}
+		if got, ok := countSamples[count]; !ok || got != inf {
+			t.Errorf("%s: +Inf bucket %d but _count %d (present %v)", series, inf, got, ok)
 		}
 	}
-	if got := countSamples[`rumor_job_duration_seconds_count{type="ode"}`]; got != 5 {
-		t.Errorf("_count = %d, want 5 (keys: %v)", got, countSamples)
+	return bucketFinal, countSamples
+}
+
+// validLabelSet checks the text between a sample's braces: comma-separated
+// name="value" pairs with valid, distinct names and values that use only
+// the \\, \" and \n escapes.
+func validLabelSet(body string) bool {
+	seen := map[string]bool{}
+	for body != "" {
+		eq := strings.Index(body, `="`)
+		if eq < 0 || checkName(body[:eq]) != nil || seen[body[:eq]] {
+			return false
+		}
+		seen[body[:eq]] = true
+		body = body[eq+2:]
+		i := 0
+		for ; i < len(body) && body[i] != '"'; i++ {
+			switch body[i] {
+			case '\\':
+				if i++; i == len(body) || !strings.ContainsRune(`\"n`, rune(body[i])) {
+					return false
+				}
+			case '\n':
+				return false
+			}
+		}
+		if i == len(body) {
+			return false // unterminated value
+		}
+		body = body[i+1:]
+		if body != "" {
+			if body[0] != ',' {
+				return false
+			}
+			body = body[1:]
+		}
 	}
+	return true
 }
 
 // TestHistogramOverflow verifies over-range observations are counted and
-// exported instead of silently clamping into +Inf: the golden registry's
-// histogram has explicit bounds up to 2.5 and observes a 10.
+// exported instead of silently clamping into +Inf: a 3000 is past the
+// layout's 2048s top.
 func TestHistogramOverflow(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.5, 2.5})
-	for _, v := range []float64{0.05, 0.1, 0.3, 1, 10} {
-		h.Observe(v)
+	r := NewRegistry()
+	h := r.Histogram("rumor_job_duration_seconds", "Execution latency.", L("type", "ode"))
+	for _, v := range []float64{0.05, 0.1, 0.3, 1, 3000} {
+		h.Record(v)
 	}
 	if got := h.Overflow(); got != 1 {
-		t.Errorf("Overflow() = %d, want 1 (only the 10 is past the last bound)", got)
+		t.Errorf("Overflow() = %d, want 1 (only the 3000 is past the top)", got)
 	}
-	h.Observe(2.5) // exactly on the bound: le semantics, not an overflow
+	h.Record(math.Nextafter(2048, 0)) // just under the top: still in range
 	if got := h.Overflow(); got != 1 {
-		t.Errorf("Overflow() after boundary observation = %d, want 1", got)
+		t.Errorf("Overflow() after an in-range observation = %d, want 1", got)
 	}
 
 	var sb strings.Builder
-	if err := goldenRegistry().WritePrometheus(&sb); err != nil {
+	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `rumor_job_duration_seconds_overflow_total{type="ode"} 1`
-	if !strings.Contains(sb.String(), want+"\n") {
-		t.Errorf("exposition missing %q:\n%s", want, sb.String())
+	for _, want := range []string{
+		`rumor_job_duration_seconds_overflow_total{type="ode"} 1`,
+		`rumor_job_duration_seconds_bucket{type="ode",le="2048"} 5`,
+		`rumor_job_duration_seconds_bucket{type="ode",le="+Inf"} 6`,
+	} {
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
 	}
 }

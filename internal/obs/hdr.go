@@ -1,178 +1,145 @@
 package obs
 
 import (
-	"fmt"
 	"math"
+	"sync/atomic"
 )
 
-// HDR is a log-bucketed high-dynamic-range histogram for latency
-// recording (internal/loadgen, the service's saturation window). Unlike
-// the fixed-bucket Histogram — whose ~18 hand-picked bounds are right for
-// a Prometheus scrape but far too coarse for quantile reporting — an HDR
-// covers its whole [Min, Max) value range with buckets of bounded
-// *relative* width: each power of two is subdivided into `sub` linear
-// sub-buckets, so every bucket spans at most a factor (1 + 1/sub) and a
-// quantile read off the histogram is within RelativeError() of the exact
-// sample quantile, at any scale from microseconds to minutes. This is the
-// same log-linear layout as HdrHistogram (Gil Tene's coordinated-omission
-// work), restated over float64 seconds.
+// HDR is the package's histogram: a log-bucketed high-dynamic-range
+// latency recorder behind every Registry.Histogram series, the load
+// generator and the service's saturation window. Each power of two from
+// 2^-20 s (≈0.95µs) to 2^11 s (2048s) is subdivided into 128 linear
+// sub-buckets, so every bucket spans at most a factor (1 + 1/128) and a
+// quantile read off the histogram is within RelativeError() (<0.8%) of the
+// exact sample quantile at any scale from microseconds to minutes. This is
+// the same log-linear layout as HdrHistogram (Gil Tene's
+// coordinated-omission work), restated over float64 seconds. Every HDR in
+// the process shares this one layout: 32 powers of two × 128 = 4096 int64
+// buckets, 32 KiB.
 //
-// Counts are exact integers, so two HDRs with the same layout merge
-// losslessly (Merge): per-worker recorders in the load generator combine
-// into one distribution with no re-sampling error.
+// Counts are exact integers, so HDRs merge losslessly (Merge), and so do
+// the per-node snapshots of them the cluster relay ships
+// (HistogramSnapshot): distributions combine with no re-sampling error.
 //
-// The zero value is not usable; call NewHDR. HDR is NOT safe for
-// concurrent use — record into per-goroutine instances and Merge, or wrap
-// with a lock (the service's saturation window does the latter).
+// Record, Merge and every read are lock-free and safe for concurrent use;
+// a read concurrent with Record sees a near-consistent histogram (the
+// bucket counts never trail Count). Reset is not atomic as a whole. The
+// zero value is not usable; call NewHDR.
 type HDR struct {
-	min, max float64
-	sub      int
-	minExp   int // exponent of the first tracked power of two
-	nExp     int // number of tracked powers of two
-	counts   []int64
-
-	total      int64
-	sum        float64
-	vmin, vmax float64 // exact extremes of in-range + clamped observations
-	under      int64   // observations below min, clamped into the first bucket
-	over       int64   // observations at/above max, clamped into the last bucket
+	counts [hdrBuckets]atomic.Int64
+	total  atomic.Int64
+	under  atomic.Int64 // observations below hdrMin, clamped into bucket 0
+	sum    atomicFloat
+	vmin   atomicFloat // exact extremes of all observations; +Inf when empty
+	vmax   atomicFloat
 }
 
-// DefaultLatencyHDR returns the layout used for end-to-end request
-// latencies: 1µs to ~2048s at under 1% relative error (128 sub-buckets
-// per power of two; ~4k buckets, 32 KiB).
-func DefaultLatencyHDR() *HDR { return NewHDR(1e-6, 2048, 128) }
+const (
+	hdrMinExp  = -20 // first tracked power of two: 2^-20 s
+	hdrMaxExp  = 11  // observations at or above 2^11 s overflow
+	hdrSub     = 128 // linear sub-buckets per power of two
+	hdrSlots   = hdrMaxExp - hdrMinExp + 1
+	hdrBuckets = hdrSlots * hdrSub
 
-// NewHDR builds an HDR covering [min, max) with `sub` linear sub-buckets
-// per power of two. min and max must be positive with min < max; sub must
-// be at least 1 (relative error 1/sub — 128 gives <1%). Malformed layouts
-// panic: a programmer error caught at construction.
-func NewHDR(min, max float64, sub int) *HDR {
-	switch {
-	case !(min > 0) || math.IsInf(min, 0):
-		panic(fmt.Sprintf("obs: HDR min %g must be positive and finite", min))
-	case !(max > min) || math.IsInf(max, 0):
-		panic(fmt.Sprintf("obs: HDR max %g must be finite and above min %g", max, min))
-	case sub < 1:
-		panic(fmt.Sprintf("obs: HDR sub-bucket count %d must be at least 1", sub))
-	}
-	minExp := ilogb2(min)
-	maxExp := ilogb2(max)
-	h := &HDR{
-		min: min, max: max, sub: sub,
-		minExp: minExp,
-		nExp:   maxExp - minExp + 1,
-	}
-	h.counts = make([]int64, h.nExp*sub)
+	hdrMin = 1.0 / (1 << -hdrMinExp)
+	hdrMax = 1 << hdrMaxExp
+)
+
+// The top power of two, [2^11, 2^12), holds no in-range value: every
+// overflow clamps into its last bucket, so Overflow is that bucket's count.
+const hdrOverflow = hdrBuckets - 1
+
+// NewHDR returns an empty histogram.
+func NewHDR() *HDR {
+	h := &HDR{}
+	h.vmin.store(math.Inf(1))
 	return h
 }
 
-// ilogb2 returns floor(log2(v)) for positive finite v.
-func ilogb2(v float64) int {
+// bucketOf maps a non-negative value to its bucket index, clamping
+// out-of-range values into the first/last bucket.
+func bucketOf(v float64) int {
+	switch {
+	case v < hdrMin:
+		return 0
+	case v >= hdrMax:
+		return hdrOverflow
+	}
 	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
-	_ = frac
-	return exp - 1
+	return (exp-1-hdrMinExp)*hdrSub + int((2*frac-1)*hdrSub)
 }
 
-// bucket maps a positive value to its bucket index, clamping out-of-range
-// values into the first/last bucket.
-func (h *HDR) bucket(v float64) int {
-	if v < h.min {
-		return 0
-	}
-	frac, exp := math.Frexp(v) // frac in [0.5, 1)
-	m := 2*frac - 1            // mantissa offset in [0, 1)
-	e := exp - 1 - h.minExp    // power-of-two slot
-	i := e*h.sub + int(m*float64(h.sub))
-	if i >= len(h.counts) {
-		return len(h.counts) - 1
-	}
-	return i
+// bucketBounds returns the [lo, hi) value range of bucket i.
+func bucketBounds(i int) (lo, hi float64) {
+	scale := math.Ldexp(1, hdrMinExp+i/hdrSub)
+	s := float64(i % hdrSub)
+	return scale * (1 + s/hdrSub), scale * (1 + (s+1)/hdrSub)
 }
 
 // Record adds one observation. Non-positive and NaN values clamp into the
 // first bucket (a latency of exactly 0 is a timer-resolution artifact, not
-// a signal); values at or above Max clamp into the last bucket and are
-// additionally counted in Overflow, so a saturated tail is visible rather
-// than silently truncated.
+// a signal); values at or above 2048s clamp into the last bucket and are
+// counted by Overflow, so a saturated tail is visible rather than silently
+// truncated.
 func (h *HDR) Record(v float64) {
 	if math.IsNaN(v) || v < 0 {
 		v = 0
 	}
-	switch {
-	case v < h.min:
-		h.under++
-		h.counts[0]++
-	case v >= h.max:
-		h.over++
-		h.counts[len(h.counts)-1]++
-	default:
-		h.counts[h.bucket(v)]++
+	// Write order is read order reversed: a concurrent reader that loads
+	// total, then under, then the buckets, then the extremes finds the
+	// buckets covering total, under within bucket 0, and the extremes
+	// covering every bucket it counted.
+	h.sum.add(v)
+	h.vmin.storeMin(v)
+	h.vmax.storeMax(v)
+	h.counts[bucketOf(v)].Add(1)
+	if v < hdrMin {
+		h.under.Add(1)
 	}
-	h.total++
-	h.sum += v
-	if h.total == 1 || v < h.vmin {
-		h.vmin = v
-	}
-	if v > h.vmax {
-		h.vmax = v
-	}
+	h.total.Add(1)
 }
 
 // Count returns the number of recorded observations.
-func (h *HDR) Count() int64 { return h.total }
+func (h *HDR) Count() int64 { return h.total.Load() }
 
 // Sum returns the sum of all observations.
-func (h *HDR) Sum() float64 { return h.sum }
+func (h *HDR) Sum() float64 { return h.sum.load() }
 
 // Mean returns the exact arithmetic mean (0 before any observation).
 func (h *HDR) Mean() float64 {
-	if h.total == 0 {
+	n := h.total.Load()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	return h.sum.load() / float64(n)
 }
 
 // Min and Max return the exact extreme observations (0 when empty).
-func (h *HDR) Min() float64 { return h.vmin }
-func (h *HDR) Max() float64 { return h.vmax }
+func (h *HDR) Min() float64 {
+	if h.total.Load() == 0 {
+		return 0
+	}
+	return h.vmin.load()
+}
+func (h *HDR) Max() float64 { return h.vmax.load() }
 
 // Overflow returns the number of observations clamped into the last
-// bucket because they were at or above the layout's Max; Underflow the
-// ones below Min clamped into the first.
-func (h *HDR) Overflow() int64  { return h.over }
-func (h *HDR) Underflow() int64 { return h.under }
+// bucket because they were at or above 2048s; Underflow the ones below
+// 2^-20 s clamped into the first.
+func (h *HDR) Overflow() int64  { return h.counts[hdrOverflow].Load() }
+func (h *HDR) Underflow() int64 { return h.under.Load() }
 
 // RelativeError is the worst-case relative half-width of one bucket: a
 // quantile estimate is within this factor of the exact sample quantile
 // (for in-range values; clamped ones are pinned to the exact Min/Max).
-func (h *HDR) RelativeError() float64 { return 1 / float64(h.sub) }
+func (h *HDR) RelativeError() float64 { return 1.0 / hdrSub }
 
-// bucketBounds returns the [lo, hi) value range of bucket i.
-func (h *HDR) bucketBounds(i int) (lo, hi float64) {
-	e := i / h.sub
-	s := i % h.sub
-	scale := math.Ldexp(1, h.minExp+e) // 2^(minExp+e)
-	lo = scale * (1 + float64(s)/float64(h.sub))
-	hi = scale * (1 + float64(s+1)/float64(h.sub))
-	return lo, hi
-}
-
-// Quantile estimates the p-quantile (p in [0, 1]) as the midpoint of the
-// bucket holding the target rank, clamped to the exact observed [Min,
-// Max]. Returns 0 before any observation. The estimate is within
-// RelativeError of the exact sample quantile; QuantileBounds returns the
-// hard interval.
+// Quantile estimates the p-quantile (p in [0, 1]) as the midpoint of
+// QuantileBounds. Returns 0 before any observation. The estimate is within
+// RelativeError of the exact sample quantile.
 func (h *HDR) Quantile(p float64) float64 {
 	lo, hi := h.QuantileBounds(p)
-	mid := (lo + hi) / 2
-	if mid < h.vmin {
-		mid = h.vmin
-	}
-	if mid > h.vmax {
-		mid = h.vmax
-	}
-	return mid
+	return (lo + hi) / 2
 }
 
 // QuantileBounds returns the value interval [lo, hi] guaranteed to
@@ -180,95 +147,86 @@ func (h *HDR) Quantile(p float64) float64 {
 // bucket holding the target rank, tightened by the exact observed
 // extremes. Returns (0, 0) before any observation.
 func (h *HDR) QuantileBounds(p float64) (lo, hi float64) {
-	if h.total == 0 {
+	total := h.total.Load()
+	if total == 0 {
 		return 0, 0
 	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
+	vmin, vmax := h.vmin.load(), h.vmax.load()
 	// Rank-based definition: the k-th smallest sample with
-	// k = max(1, ceil(p·n)) — p=0 is the minimum, p=1 the maximum.
-	rank := int64(math.Ceil(p * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	// The extreme ranks are the exact tracked extremes — this is what keeps
-	// the p=1 (and p=0) report honest even when the sample was clamped into
-	// an out-of-range bucket.
-	if rank == 1 {
-		return h.vmin, h.vmin
-	}
-	if rank == h.total {
-		return h.vmax, h.vmax
+	// k = max(1, ceil(p·n)) — p=0 is the minimum, p=1 the maximum. The
+	// extreme ranks are the exact tracked extremes, which keeps the p=0 and
+	// p=1 reports honest even for samples clamped out of range.
+	rank := int64(math.Ceil(math.Max(0, math.Min(1, p)) * float64(total)))
+	switch {
+	case rank <= 1:
+		return vmin, vmin
+	case rank >= total:
+		return vmax, vmax
 	}
 	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			lo, hi = h.bucketBounds(i)
-			// The exact extremes tighten the bucket: clamped samples (and
-			// the open-ended last bucket) stay bounded by reality.
-			if lo < h.vmin {
-				lo = h.vmin
-			}
-			if hi > h.vmax {
-				hi = h.vmax
-			}
-			if lo > hi {
-				lo = hi
-			}
-			return lo, hi
+	i := 0
+	for ; i < hdrOverflow; i++ {
+		if cum += h.counts[i].Load(); cum >= rank {
+			break
 		}
 	}
-	return h.vmax, h.vmax // unreachable: cum == total >= rank
+	lo, hi = bucketBounds(i)
+	switch i {
+	case 0: // holds the underflow too, down to the exact minimum
+		lo = vmin
+	case hdrOverflow: // every overflow, up to the exact maximum
+		lo, hi = hdrMax, vmax
+	}
+	lo = math.Max(lo, vmin)
+	hi = math.Min(hi, vmax)
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
 }
 
-// Merge adds other's counts into h. The layouts must be identical
-// (same min, max and sub-bucket count) — counts are exact integers, so
-// the merge is lossless and Quantile over the merged histogram equals
-// Quantile over a single histogram fed both streams.
-func (h *HDR) Merge(other *HDR) error {
+// Merge adds other's observations into h. Counts are exact integers, so
+// the merge is lossless: Quantile over the merged histogram equals
+// Quantile over a single histogram fed both streams. A nil other is a
+// no-op.
+func (h *HDR) Merge(other *HDR) {
 	if other == nil {
-		return nil
+		return
 	}
-	if h.min != other.min || h.max != other.max || h.sub != other.sub {
-		return fmt.Errorf("obs: HDR layout mismatch: [%g, %g)/%d vs [%g, %g)/%d",
-			h.min, h.max, h.sub, other.min, other.max, other.sub)
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if other.total > 0 {
-		if h.total == 0 || other.vmin < h.vmin {
-			h.vmin = other.vmin
-		}
-		if other.vmax > h.vmax {
-			h.vmax = other.vmax
+	// Read in Record's reverse write order, and take total from the
+	// buckets actually read: h stays consistent even while other is being
+	// recorded into.
+	under := other.under.Load()
+	var n int64
+	for i := range other.counts {
+		if c := other.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+			n += c
 		}
 	}
-	h.total += other.total
-	h.sum += other.sum
-	h.under += other.under
-	h.over += other.over
-	return nil
+	h.under.Add(under)
+	h.sum.add(other.sum.load())
+	h.vmin.storeMin(other.vmin.load())
+	h.vmax.storeMax(other.vmax.load())
+	h.total.Add(n)
 }
 
-// Reset zeroes every count, keeping the layout — the saturation window
-// recycles epochs this way instead of reallocating 32 KiB per rotation.
+// Reset zeroes every count — the saturation window recycles epochs this
+// way instead of reallocating 32 KiB per rotation.
 func (h *HDR) Reset() {
 	for i := range h.counts {
-		h.counts[i] = 0
+		h.counts[i].Store(0)
 	}
-	h.total, h.sum = 0, 0
-	h.vmin, h.vmax = 0, 0
-	h.under, h.over = 0, 0
+	h.total.Store(0)
+	h.under.Store(0)
+	h.sum.store(0)
+	h.vmin.store(math.Inf(1))
+	h.vmax.store(0)
 }
 
-// Clone returns an independent copy (same layout, same counts).
+// Clone returns an independent copy.
 func (h *HDR) Clone() *HDR {
-	c := NewHDR(h.min, h.max, h.sub)
-	c.Merge(h) //nolint:errcheck // identical layout by construction
+	c := NewHDR()
+	c.Merge(h)
 	return c
 }

@@ -1,7 +1,7 @@
 // Package obs is the repository's dependency-free observability layer:
 //
-//   - a metrics Registry of atomic counters, gauges and fixed-bucket
-//     histograms, exported in the Prometheus text exposition format
+//   - a metrics Registry of atomic counters, gauges and HDR histograms
+//     (hdr.go), exported in the Prometheus text exposition format
 //     (expfmt.go) and scraped by rumord's GET /metrics;
 //   - log/slog constructors with a shared -log-level/-log-format flag
 //     vocabulary and context propagation, so a request or job id attached
@@ -13,7 +13,7 @@
 // The package deliberately depends only on the standard library; solver
 // packages may import it without pulling in any service machinery. All
 // metric types are safe for concurrent use and their hot paths
-// (Counter.Inc, Gauge.Set, Histogram.Observe) are lock-free.
+// (Counter.Inc, Gauge.Set, HDR.Record) are lock-free.
 package obs
 
 import (
@@ -61,7 +61,7 @@ type series struct {
 	c  *Counter
 	g  *Gauge
 	gf func() float64
-	h  *Histogram
+	h  *HDR
 }
 
 // NewRegistry returns an empty registry.
@@ -102,14 +102,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.register(name, help, "gauge", labels, func(s *series) { s.gf = fn })
 }
 
-// Histogram registers (or returns the existing) histogram series with the
-// given bucket upper bounds (ascending; a +Inf bucket is implicit). A nil
-// buckets slice selects DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	var h *Histogram
+// Histogram registers (or returns the existing) histogram series. Every
+// histogram shares the HDR layout; /metrics renders it at the layout's
+// power-of-two boundaries.
+func (r *Registry) Histogram(name, help string, labels ...Label) *HDR {
+	var h *HDR
 	r.register(name, help, "histogram", labels, func(s *series) {
 		if s.h == nil {
-			s.h = NewHistogram(buckets)
+			s.h = NewHDR()
 		}
 		h = s.h
 	})
@@ -261,131 +261,14 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// DefBuckets are the default latency buckets in seconds, spanning sub-ms
-// HTTP handling up to rumord's 10-minute job-timeout cap.
-var DefBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-	1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-}
-
-// Histogram counts observations into fixed buckets and tracks their sum
-// and maximum. Observations are lock-free; a concurrent scrape sees a
-// near-consistent snapshot (counts may trail the sum by in-flight
-// observations, which Prometheus tolerates by design).
-type Histogram struct {
-	upper  []float64 // ascending bucket upper bounds; +Inf is implicit
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomicFloat
-	max    atomicFloat
-}
-
-// ValidateBuckets checks a histogram bucket layout: the slice must be
-// non-empty, strictly ascending, and every bound finite — the +Inf
-// overflow bucket is implicit, so an explicit +Inf (or any non-finite)
-// bound would silently shadow it, and NewHistogram rejects it here at
-// registration instead. A nil slice is valid (it selects DefBuckets).
-func ValidateBuckets(buckets []float64) error {
-	if buckets == nil {
-		return nil
-	}
-	if len(buckets) == 0 {
-		return fmt.Errorf("histogram buckets empty (pass nil for DefBuckets)")
-	}
-	for i, b := range buckets {
-		if math.IsNaN(b) || math.IsInf(b, 0) {
-			return fmt.Errorf("histogram bucket %d is %g; bounds must be finite (+Inf is implicit)", i, b)
-		}
-		if i > 0 && b <= buckets[i-1] {
-			return fmt.Errorf("histogram buckets not ascending at %d: %g after %g", i, b, buckets[i-1])
-		}
-	}
-	return nil
-}
-
-// NewHistogram builds an unregistered histogram (Registry.Histogram is the
-// usual entry point). A nil buckets slice selects DefBuckets; anything
-// else must satisfy ValidateBuckets, and a malformed layout panics — a
-// programmer error caught at registration, before any observation is
-// misbinned.
-func NewHistogram(buckets []float64) *Histogram {
-	if err := ValidateBuckets(buckets); err != nil {
-		panic(fmt.Sprintf("obs: %v", err))
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	h := &Histogram{
-		upper:  append([]float64(nil), buckets...),
-		counts: make([]atomic.Int64, len(buckets)+1), // last is +Inf
-	}
-	return h
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.upper, v) // first bucket with upper >= v (le semantics)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-	h.max.storeMax(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
-// Max returns the largest observation (0 before any observation).
-func (h *Histogram) Max() float64 { return h.max.load() }
-
-// Overflow returns the number of observations above the highest explicit
-// bucket bound — the ones the fixed layout can only clamp into the +Inf
-// bucket. A nonzero overflow means the bucket layout no longer covers the
-// distribution and quantile reads above it are pinned to Max; the registry
-// exports it as a companion <name>_overflow_total counter so the condition
-// is visible on a scrape instead of silently degrading accuracy.
-func (h *Histogram) Overflow() int64 { return h.counts[len(h.upper)].Load() }
-
-// Quantile estimates the p-quantile (p in [0, 1]) by linear interpolation
-// inside the bucket holding the target rank, the same estimate
-// Prometheus's histogram_quantile computes. Samples in the +Inf overflow
-// bucket clamp to the observed maximum. Returns 0 before any observation.
-func (h *Histogram) Quantile(p float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
-	var cum int64
-	lower := 0.0
-	for i, upper := range h.upper {
-		n := h.counts[i].Load()
-		if float64(cum)+float64(n) >= rank {
-			if n == 0 {
-				return upper
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + frac*(upper-lower)
-		}
-		cum += n
-		lower = upper
-	}
-	return h.max.load()
-}
-
-// atomicFloat is a float64 with lock-free add and max, stored as bits.
+// atomicFloat is a float64 with lock-free add, min and max, stored as bits.
 type atomicFloat struct {
 	bits atomic.Uint64
 }
 
 func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }
+
+func (a *atomicFloat) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 
 func (a *atomicFloat) add(v float64) {
 	for {
@@ -400,6 +283,18 @@ func (a *atomicFloat) storeMax(v float64) {
 	for {
 		old := a.bits.Load()
 		if v <= math.Float64frombits(old) {
+			return
+		}
+		if a.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+func (a *atomicFloat) storeMin(v float64) {
+	for {
+		old := a.bits.Load()
+		if v >= math.Float64frombits(old) {
 			return
 		}
 		if a.bits.CompareAndSwap(old, math.Float64bits(v)) {

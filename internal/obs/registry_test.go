@@ -35,49 +35,73 @@ func TestGauge(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketsAndQuantiles: a registered histogram renders
+// cumulative counts at power-of-two le bounds ([lo, hi) buckets, so a
+// sample exactly at a power of two counts toward the next bound) and
+// reads quantiles within the layout's relative error.
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	r := NewRegistry()
+	h := r.Histogram("lat_seconds", "latency")
 	for _, v := range []float64{0.5, 1, 1.5, 3, 8} {
-		h.Observe(v)
+		h.Record(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.Count() != 5 || h.Sum() != 14 || h.Min() != 0.5 || h.Max() != 8 {
+		t.Fatalf("count/sum/min/max = %d/%g/%g/%g, want 5/14/0.5/8",
+			h.Count(), h.Sum(), h.Min(), h.Max())
 	}
-	if h.Sum() != 14 {
-		t.Errorf("sum = %g, want 14", h.Sum())
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if h.Max() != 8 {
-		t.Errorf("max = %g, want 8", h.Max())
-	}
-	// le-semantics: 1.0 lands in the le="1" bucket.
-	wantCounts := []int64{2, 1, 1, 1} // (≤1], (1,2], (2,4], +Inf
-	for i, want := range wantCounts {
-		if got := h.counts[i].Load(); got != want {
-			t.Errorf("bucket %d count = %d, want %d", i, got, want)
+	for _, want := range []string{
+		`lat_seconds_bucket{le="0.5"} 0`,
+		`lat_seconds_bucket{le="1"} 1`,
+		`lat_seconds_bucket{le="2"} 3`,
+		`lat_seconds_bucket{le="4"} 4`,
+		`lat_seconds_bucket{le="8"} 4`,
+		`lat_seconds_bucket{le="16"} 5`,
+		`lat_seconds_bucket{le="+Inf"} 5`,
+		`lat_seconds_sum 14`,
+		`lat_seconds_count 5`,
+	} {
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
 		}
 	}
-	// Median rank 2.5 falls in the first bucket ((0,1], 2 samples span
-	// ranks 0–2) — no: cumulative 2 < 2.5, so it interpolates in (1,2].
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Errorf("p50 = %g, want within (1, 2]", q)
+	// Rank ceil(0.5·5) = 3 is the 1.5; rank 5 is the exact max.
+	if q := h.Quantile(0.5); math.Abs(q-1.5)/1.5 > h.RelativeError() {
+		t.Errorf("p50 = %g, want 1.5 within %g", q, h.RelativeError())
 	}
-	// p99 rank 4.95 is in the overflow bucket -> clamps to the max.
 	if q := h.Quantile(0.99); q != 8 {
 		t.Errorf("p99 = %g, want 8 (observed max)", q)
 	}
-	if q := NewHistogram(nil).Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", q)
-	}
 }
 
+// TestHistogramDefaultBuckets: every histogram renders the one layout —
+// 32 finite le bounds, 2^-20 … 2^11 s, then +Inf.
 func TestHistogramDefaultBuckets(t *testing.T) {
-	h := NewHistogram(nil)
-	if len(h.upper) != len(DefBuckets) {
-		t.Fatalf("default buckets: %d, want %d", len(h.upper), len(DefBuckets))
+	r := NewRegistry()
+	r.Histogram("a_seconds", "a").Record(math.Inf(1))
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	h.Observe(math.Inf(1))
-	if got := h.counts[len(h.upper)].Load(); got != 1 {
-		t.Errorf("+Inf observation not in overflow bucket")
+	var les []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if i := strings.Index(line, `le="`); i >= 0 {
+			les = append(les, line[i+len(`le="`):strings.LastIndexByte(line, '"')])
+		}
+	}
+	if len(les) != 33 || les[0] != formatFloat(math.Ldexp(1, -20)) || les[31] != "2048" || les[32] != "+Inf" {
+		t.Fatalf("le bounds = %v, want 2^-20 … 2048 then +Inf", les)
+	}
+	for i := 1; i < 32; i++ {
+		if want := formatFloat(math.Ldexp(1, i-20)); les[i] != want {
+			t.Errorf("le[%d] = %s, want %s", i, les[i], want)
+		}
+	}
+	if !strings.Contains(sb.String(), "a_seconds_overflow_total 1\n") {
+		t.Errorf("+Inf observation not counted as overflow:\n%s", sb.String())
 	}
 }
 
@@ -107,7 +131,7 @@ func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits_total", "hits", L("kind", "a"))
 	g := r.Gauge("temp", "gauge under churn")
-	h := r.Histogram("lat_seconds", "latency", []float64{0.01, 0.1, 1}, L("op", "x"))
+	h := r.Histogram("lat_seconds", "latency", L("op", "x"))
 	r.GaugeFunc("derived", "computed at scrape", func() float64 { return float64(c.Value()) })
 
 	const (
@@ -123,7 +147,7 @@ func TestConcurrentScrape(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i%100) / 100)
+				h.Record(float64(i%100) / 100)
 			}
 		}(w)
 	}
@@ -151,58 +175,6 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `hits_total{kind="a"} 16000`) {
 		t.Errorf("final scrape missing settled counter:\n%s", sb.String())
-	}
-}
-
-// TestValidateBuckets is the registration-time layout gate: non-monotonic,
-// empty and non-finite bucket slices must be rejected with a clear error
-// before any observation can be misbinned, while nil stays the DefBuckets
-// shorthand.
-func TestValidateBuckets(t *testing.T) {
-	cases := []struct {
-		name    string
-		buckets []float64
-		ok      bool
-	}{
-		{"nil selects defaults", nil, true},
-		{"single bucket", []float64{1}, true},
-		{"ascending", []float64{0.01, 0.1, 1, 10}, true},
-		{"negative bounds ascending", []float64{-5, -1, 0, 2}, true},
-		{"empty non-nil", []float64{}, false},
-		{"descending", []float64{1, 0.1}, false},
-		{"duplicate bound", []float64{1, 1, 2}, false},
-		{"plateau mid-slice", []float64{0.1, 5, 5, 9}, false},
-		{"explicit +Inf", []float64{1, 2, math.Inf(1)}, false},
-		{"-Inf bound", []float64{math.Inf(-1), 0, 1}, false},
-		{"NaN bound", []float64{1, math.NaN(), 3}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateBuckets(tc.buckets)
-			if tc.ok && err != nil {
-				t.Errorf("ValidateBuckets(%v) = %v, want nil", tc.buckets, err)
-			}
-			if !tc.ok && err == nil {
-				t.Errorf("ValidateBuckets(%v) accepted a malformed layout", tc.buckets)
-			}
-		})
-	}
-}
-
-func TestNewHistogramRejectsBadBuckets(t *testing.T) {
-	for name, buckets := range map[string][]float64{
-		"empty":        {},
-		"non-monotone": {2, 1},
-		"infinite":     {1, math.Inf(1)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected a registration panic")
-				}
-			}()
-			NewHistogram(buckets)
-		})
 	}
 }
 
@@ -249,7 +221,7 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 				ctr.Inc()
 				got[route][c] = ctr
 				r.Gauge("inflight", "in flight", lbl).Add(1)
-				r.Histogram("latency_seconds", "latency", nil, lbl).Observe(0.01)
+				r.Histogram("latency_seconds", "latency", lbl).Record(0.01)
 				r.GaugeFunc("route_up", "route registered", func() float64 { return 1 }, lbl)
 			}(route, c)
 		}

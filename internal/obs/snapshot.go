@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -15,16 +16,18 @@ import (
 // across workers. The wire form is decoupled from the registry's internal
 // types so the two processes only share this codec, not live metrics.
 
-// HistogramSnapshot is the wire form of one histogram series: the bucket
-// layout plus per-bucket (non-cumulative) counts, with the +Inf overflow
-// bucket last, so the receiving side can re-render cumulative buckets or
-// merge layouts bucket-by-bucket.
+// HistogramSnapshot is the wire form of one HDR series: its nonzero
+// buckets as (index, count) pairs in ascending index order, plus the
+// values the buckets cannot carry. The count is implied by the buckets,
+// and every HDR shares one layout, so snapshots merge losslessly
+// bucket-by-bucket. The form is sparse, so a decoded snapshot costs
+// memory in proportion to what was sent.
 type HistogramSnapshot struct {
-	Upper  []float64 `json:"upper"`
-	Counts []int64   `json:"counts"` // len(Upper)+1; last is +Inf
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Max    float64   `json:"max"`
+	Buckets [][2]int64 `json:"buckets,omitempty"`
+	Under   int64      `json:"under,omitempty"` // observations below 2^-20 s
+	Sum     float64    `json:"sum"`
+	Min     float64    `json:"min"`
+	Max     float64    `json:"max"`
 }
 
 // SeriesSnapshot is one sampled series. Exactly one of Counter, Gauge or
@@ -71,17 +74,7 @@ func (r *Registry) Snapshot() Snapshot {
 				v := s.g.Value()
 				ss.Gauge = &v
 			case s.h != nil:
-				hs := &HistogramSnapshot{
-					Upper:  append([]float64(nil), s.h.upper...),
-					Counts: make([]int64, len(s.h.counts)),
-					Sum:    s.h.Sum(),
-					Max:    s.h.Max(),
-				}
-				for i := range s.h.counts {
-					hs.Counts[i] = s.h.counts[i].Load()
-					hs.Count += hs.Counts[i]
-				}
-				ss.Histogram = hs
+				ss.Histogram = s.h.snapshot()
 			default:
 				continue // a GaugeFunc registered with a nil fn; nothing to sample
 			}
@@ -101,48 +94,65 @@ func (r *Registry) Snapshot() Snapshot {
 // coordinator attaches worker="<id>". The caller interleaves this with a
 // live registry render, so HELP/TYPE dedup across calls is the caller's
 // concern; within one snapshot each family emits its pair once.
+//
+// A snapshot arrives from another process, so nothing in it reaches the
+// page unchecked: a family with a name outside the Prometheus charset or
+// a type other than counter, gauge or histogram is skipped, as is a
+// series whose label names fail validLabels or whose value does not match
+// the family type.
 func (snap Snapshot) WritePrometheus(w io.Writer, rename func(string) string, extra ...Label) error {
 	bw := bufio.NewWriter(w)
-	writef := func(format string, args ...any) {
-		fmt.Fprintf(bw, format, args...)
-	}
 	for _, f := range snap {
 		name := f.Name
 		if rename != nil {
 			name = rename(name)
 		}
-		if err := checkName(name); err != nil {
-			continue // a hostile or corrupt relay must not break the scrape
+		if checkName(name) != nil || !validType(f.Type) {
+			continue
 		}
 		if f.Help != "" {
-			writef("# HELP %s %s\n", name, escapeHelp(f.Help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(f.Help))
 		}
-		writef("# TYPE %s %s\n", name, f.Type)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", name, f.Type)
 		for _, s := range f.Series {
 			labels := mergeLabels(s.Labels, extra)
+			if !validLabels(labels) {
+				continue
+			}
 			switch {
-			case s.Counter != nil:
-				writef("%s%s %d\n", name, labelString(labels, nil), *s.Counter)
-			case s.Gauge != nil:
-				writef("%s%s %s\n", name, labelString(labels, nil), formatFloat(*s.Gauge))
-			case s.Histogram != nil && len(s.Histogram.Counts) == len(s.Histogram.Upper)+1:
-				var cum int64
-				for i, upper := range s.Histogram.Upper {
-					cum += s.Histogram.Counts[i]
-					le := Label{Name: "le", Value: formatFloat(upper)}
-					writef("%s_bucket%s %d\n", name, labelString(labels, &le), cum)
-				}
-				cum += s.Histogram.Counts[len(s.Histogram.Upper)]
-				le := Label{Name: "le", Value: "+Inf"}
-				writef("%s_bucket%s %d\n", name, labelString(labels, &le), cum)
-				writef("%s_sum%s %s\n", name, labelString(labels, nil), formatFloat(s.Histogram.Sum))
-				writef("%s_count%s %d\n", name, labelString(labels, nil), cum)
-				writef("%s_overflow_total%s %d\n", name, labelString(labels, nil),
-					s.Histogram.Counts[len(s.Histogram.Upper)])
+			case f.Type == "counter" && s.Counter != nil:
+				fmt.Fprintf(bw, "%s%s %d\n", name, labelString(labels, nil), *s.Counter)
+			case f.Type == "gauge" && s.Gauge != nil:
+				fmt.Fprintf(bw, "%s%s %s\n", name, labelString(labels, nil), formatFloat(*s.Gauge))
+			case f.Type == "histogram" && s.Histogram != nil:
+				writeHistogram(bw, name, labels, s.Histogram)
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// validType reports whether a relayed family type is one the registry
+// renders.
+func validType(typ string) bool {
+	return typ == "counter" || typ == "gauge" || typ == "histogram"
+}
+
+// validLabels reports whether every relayed label name passes checkName,
+// none repeats, and none is le — the renderer's own histogram bucket
+// label.
+func validLabels(labels []Label) bool {
+	for i, l := range labels {
+		if checkName(l.Name) != nil || l.Name == "le" {
+			return false
+		}
+		for _, prev := range labels[:i] {
+			if prev.Name == l.Name {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // WithLabel returns a deep-enough copy of the snapshot with extra appended
@@ -186,11 +196,12 @@ next:
 }
 
 // MergeSnapshots folds snapshots from several processes into fleet-level
-// aggregates: counters and gauges sum, histogram buckets add
-// element-wise when the layouts match (series with mismatched layouts are
-// skipped), and Max takes the max. Series are merged by family name plus
+// aggregates: counters and gauges sum, and histograms merge losslessly
+// bucket-by-bucket, so a fleet quantile equals the quantile of one histogram
+// fed every process's samples. Series are merged by family name plus
 // label signature; families must agree on type or the later snapshot's
-// family is skipped. Gauges sum because the fleet aggregate of
+// family is skipped, and families and series that WritePrometheus would
+// refuse are dropped here too. Gauges sum because the fleet aggregate of
 // goroutines, heap bytes or queue depths is a total, not an average —
 // per-worker values stay visible on the re-exported rumor_worker_* form.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
@@ -203,6 +214,9 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	idx := make(map[key]int) // index into fams[fam].Series
 	for _, snap := range snaps {
 		for _, f := range snap {
+			if checkName(f.Name) != nil || !validType(f.Type) {
+				continue
+			}
 			mf := fams[f.Name]
 			if mf == nil {
 				fams[f.Name] = &FamilySnapshot{Name: f.Name, Help: f.Help, Type: f.Type}
@@ -212,6 +226,9 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 				continue
 			}
 			for _, s := range f.Series {
+				if !validLabels(s.Labels) {
+					continue
+				}
 				k := key{fam: f.Name, sig: labelSignature(s.Labels)}
 				i, ok := idx[k]
 				if !ok {
@@ -242,8 +259,7 @@ func cloneSeries(s SeriesSnapshot) SeriesSnapshot {
 		out.Gauge = &v
 	case s.Histogram != nil:
 		h := *s.Histogram
-		h.Upper = append([]float64(nil), s.Histogram.Upper...)
-		h.Counts = append([]int64(nil), s.Histogram.Counts...)
+		h.Buckets = append([][2]int64(nil), s.Histogram.Buckets...)
 		out.Histogram = &h
 	}
 	return out
@@ -256,22 +272,84 @@ func mergeSeries(dst *SeriesSnapshot, src SeriesSnapshot) {
 	case dst.Gauge != nil && src.Gauge != nil:
 		*dst.Gauge += *src.Gauge
 	case dst.Histogram != nil && src.Histogram != nil:
-		d, s := dst.Histogram, src.Histogram
-		if len(d.Upper) != len(s.Upper) || len(d.Counts) != len(s.Counts) {
-			return
-		}
-		for i, u := range d.Upper {
-			if u != s.Upper[i] {
-				return
-			}
-		}
-		for i := range d.Counts {
-			d.Counts[i] += s.Counts[i]
-		}
-		d.Count += s.Count
-		d.Sum += s.Sum
-		if s.Max > d.Max {
-			d.Max = s.Max
+		dst.Histogram.merge(src.Histogram)
+	}
+}
+
+// snapshot samples h in Record's reverse write order, so the underflow
+// stays within bucket 0 and the extremes cover every bucket read.
+func (h *HDR) snapshot() *HistogramSnapshot {
+	hs := &HistogramSnapshot{Under: h.under.Load()}
+	for i := range h.counts {
+		if n := h.counts[i].Load(); n != 0 {
+			hs.Buckets = append(hs.Buckets, [2]int64{int64(i), n})
 		}
 	}
+	if len(hs.Buckets) > 0 {
+		hs.Sum, hs.Min, hs.Max = h.sum.load(), h.vmin.load(), h.vmax.load()
+	}
+	return hs
+}
+
+// maxRelayCount bounds the observations one decoded histogram may claim.
+// Far above any real worker's count, it keeps every sum the coordinator
+// forms from relayed histograms — across buckets, series and workers —
+// inside int64.
+const maxRelayCount = 1 << 40
+
+// UnmarshalJSON decodes the wire form. A snapshot comes from another
+// process, so malformed parts are dropped rather than trusted: pairs
+// whose index is out of range or not above the previous pair's, pairs
+// with a non-positive count, counts past maxRelayCount, and an underflow
+// above the first bucket's count.
+func (hs *HistogramSnapshot) UnmarshalJSON(b []byte) error {
+	type wire HistogramSnapshot // the same fields without this method
+	var w wire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*hs = HistogramSnapshot{Sum: w.Sum, Min: w.Min, Max: w.Max}
+	var n, first int64
+	next := int64(0)
+	for _, p := range w.Buckets {
+		i, c := p[0], p[1]
+		if i < next || i >= hdrBuckets || c <= 0 || c > maxRelayCount-n {
+			continue
+		}
+		hs.Buckets = append(hs.Buckets, p)
+		n += c
+		next = i + 1
+		if i == 0 {
+			first = c
+		}
+	}
+	hs.Under = max(0, min(w.Under, first))
+	return nil
+}
+
+// merge adds o into hs: a merge-join of the two ascending bucket lists.
+func (hs *HistogramSnapshot) merge(o *HistogramSnapshot) {
+	if len(o.Buckets) == 0 {
+		return
+	}
+	if len(hs.Buckets) == 0 {
+		hs.Min, hs.Max = o.Min, o.Max
+	} else {
+		hs.Min, hs.Max = min(hs.Min, o.Min), max(hs.Max, o.Max)
+	}
+	a, b := hs.Buckets, o.Buckets
+	out := make([][2]int64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0][0] < b[0][0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0][0] > b[0][0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, [2]int64{a[0][0], a[0][1] + b[0][1]}), a[1:], b[1:]
+		}
+	}
+	hs.Buckets = append(append(out, a...), b...)
+	hs.Under += o.Under
+	hs.Sum += o.Sum
 }

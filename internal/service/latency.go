@@ -47,9 +47,9 @@ type JobLatency struct {
 // segmentObserve records one job's segment decomposition into the
 // per-segment histograms.
 func (m *metrics) segmentObserve(queueWait, execute, serialize time.Duration) {
-	m.segments[segQueueWait].Observe(queueWait.Seconds())
-	m.segments[segExecute].Observe(execute.Seconds())
-	m.segments[segSerialize].Observe(serialize.Seconds())
+	m.segments[segQueueWait].Record(queueWait.Seconds())
+	m.segments[segExecute].Record(execute.Seconds())
+	m.segments[segSerialize].Record(serialize.Seconds())
 }
 
 // satWindow is the saturation detector: queue-wait samples feed a sliding
@@ -65,27 +65,21 @@ type satWindow struct {
 
 	mu      sync.Mutex
 	cur     *obs.HDR  // epoch being filled
-	prev    *obs.HDR  // last full epoch; p99 reads merge cur+prev
-	scratch *obs.HDR  // merge target, reused to avoid per-read allocation
+	prev    *obs.HDR  // last full epoch
+	win     *obs.HDR  // cur+prev, kept current so a p99 read is one scan
 	rotated time.Time // when cur last became current
 
 	saturated atomic.Bool
 	flips     atomic.Int64 // healthy->saturated transitions, for tests/metrics
 }
 
-// satQueueWaitHDR is the window's recorder layout: 100µs to 10min (the
-// MaxTimeout cap) at <2% relative error — far finer than the fixed
-// queueWaitBuckets, which matters because the detector compares a p99
-// against a budget that may sit between two coarse bucket bounds.
-func satQueueWaitHDR() *obs.HDR { return obs.NewHDR(1e-4, 600, 64) }
-
 func newSatWindow(budget, window time.Duration) *satWindow {
 	return &satWindow{
-		budget:  budget.Seconds(),
-		epoch:   window / 2,
-		cur:     satQueueWaitHDR(),
-		prev:    satQueueWaitHDR(),
-		scratch: satQueueWaitHDR(),
+		budget: budget.Seconds(),
+		epoch:  window / 2,
+		cur:    obs.NewHDR(),
+		prev:   obs.NewHDR(),
+		win:    obs.NewHDR(),
 	}
 }
 
@@ -96,7 +90,8 @@ func (sw *satWindow) observe(queueWait time.Duration, now time.Time) {
 	sw.mu.Lock()
 	sw.rotateLocked(now)
 	sw.cur.Record(queueWait.Seconds())
-	p99 := sw.windowQuantileLocked(0.99)
+	sw.win.Record(queueWait.Seconds())
+	p99 := sw.win.Quantile(0.99)
 	sw.mu.Unlock()
 
 	over := p99 > sw.budget
@@ -119,21 +114,16 @@ func (sw *satWindow) rotateLocked(now time.Time) {
 	if elapsed < sw.epoch {
 		return
 	}
+	sw.win.Reset()
 	if elapsed >= 2*sw.epoch {
 		sw.cur.Reset()
 		sw.prev.Reset()
 	} else {
 		sw.cur, sw.prev = sw.prev, sw.cur
 		sw.cur.Reset()
+		sw.win.Merge(sw.prev)
 	}
 	sw.rotated = now
-}
-
-func (sw *satWindow) windowQuantileLocked(p float64) float64 {
-	sw.scratch.Reset()
-	sw.scratch.Merge(sw.cur)  //nolint:errcheck // identical layouts by construction
-	sw.scratch.Merge(sw.prev) //nolint:errcheck
-	return sw.scratch.Quantile(p)
 }
 
 // p99 reports the current windowed queue-wait p99 in seconds (0 with no
@@ -141,7 +131,7 @@ func (sw *satWindow) windowQuantileLocked(p float64) float64 {
 func (sw *satWindow) p99() float64 {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sw.windowQuantileLocked(0.99)
+	return sw.win.Quantile(0.99)
 }
 
 // Saturated reports whether the windowed queue-wait p99 currently exceeds

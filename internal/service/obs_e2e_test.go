@@ -85,8 +85,61 @@ func TestE2EMetricsEndpoint(t *testing.T) {
 		prev = v
 		buckets++
 	}
-	if buckets != len(jobDurationBuckets)+1 {
-		t.Errorf("ode bucket lines = %d, want %d", buckets, len(jobDurationBuckets)+1)
+	// The HDR layout's 32 power-of-two bounds, 2^-20 … 2^11 s, plus +Inf.
+	if buckets != 33 {
+		t.Errorf("ode bucket lines = %d, want 33", buckets)
+	}
+}
+
+// TestFleetMergeLossless: two workers relay their ABM step histograms
+// through the heartbeat's JSON wire form, and the coordinator renders
+// rumor_fleet_abm_step_seconds exactly as one registry histogram fed both
+// workers' samples renders (the fine-grained quantile equality is
+// TestMergeSnapshotsLossless in internal/obs).
+func TestFleetMergeLossless(t *testing.T) {
+	e := newE2E(t, Config{Workers: 1, Cluster: ClusterConfig{Enabled: true}})
+	single := obs.NewRegistry()
+	all := single.Histogram("rumor_fleet_abm_step_seconds", "ABM sweep wall time.")
+	for _, w := range []struct {
+		id    string
+		scale float64
+	}{{"w1", 2e-4}, {"w2", 3e-2}} {
+		reg := obs.NewRegistry()
+		h := reg.Histogram("rumor_abm_step_seconds", "ABM sweep wall time.")
+		for i := 1; i <= 2000; i++ {
+			v := w.scale * float64(i%97+1)
+			h.Record(v)
+			all.Record(v)
+		}
+		blob, err := json.Marshal(reg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			t.Fatal(err)
+		}
+		e.svc.storeWorkerTelemetry(w.id, snap, nil)
+	}
+
+	var want strings.Builder
+	if err := single.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	text, _ := e.getRaw("/metrics")
+	for _, line := range strings.Split(want.String(), "\n") {
+		// _sum adds the same samples in another order: float rounding.
+		if strings.HasPrefix(line, "rumor_fleet_abm_step_seconds_sum") {
+			continue
+		}
+		if strings.HasPrefix(line, "rumor_fleet_") && !strings.Contains(text, line+"\n") {
+			t.Errorf("/metrics missing %q", line)
+		}
+	}
+	for _, w := range []string{"w1", "w2"} {
+		if l := `rumor_worker_abm_step_seconds_count{worker="` + w + `"} 2000`; !strings.Contains(text, l+"\n") {
+			t.Errorf("/metrics missing %q", l)
+		}
 	}
 }
 

@@ -197,8 +197,8 @@ func New(cfg Config) (*Service, error) {
 			opts.Logger = cfg.Logger
 		}
 		opts.Hooks = store.Hooks{
-			OnAppend: func(d time.Duration) { s.met.walAppend.Observe(d.Seconds()) },
-			OnFsync:  func(d time.Duration) { s.met.walFsync.Observe(d.Seconds()) },
+			OnAppend: func(d time.Duration) { s.met.walAppend.Record(d.Seconds()) },
+			OnFsync:  func(d time.Duration) { s.met.walFsync.Record(d.Seconds()) },
 		}
 		st, err := store.Open(cfg.StoreDir, opts)
 		if err != nil {
@@ -846,7 +846,7 @@ func (s *Service) progressSink(r *jobRecord, monitor *invariant.Monitor, lg *slo
 			Cost: ev.Cost,
 		})
 		if ev.Stage == obs.StageABM && ev.Elapsed > 0 {
-			s.met.abmStep.Observe(ev.Elapsed.Seconds())
+			s.met.abmStep.Record(ev.Elapsed.Seconds())
 		}
 		if every > 0 && n.Add(1)%every == 0 {
 			lg.Debug("job progress", "stage", ev.Stage, "step", ev.Step,

@@ -83,18 +83,6 @@ type LatencySummary struct {
 	Max   float64 `json:"max"`
 }
 
-// jobDurationBuckets span rumord's execution latencies: sub-millisecond
-// threshold analyses up to the 10-minute timeout cap.
-var jobDurationBuckets = []float64{
-	0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-}
-
-// queueWaitBuckets span the queue dwell time: instant hand-off on an idle
-// pool up to minutes behind a saturated one.
-var queueWaitBuckets = []float64{
-	0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60, 300,
-}
-
 // metrics is the service's instrumentation: every instrument lives in an
 // obs.Registry (scraped at GET /metrics) and doubles as the backing store
 // for the legacy /v1/stats payload, which snapshots the same atomics. The
@@ -112,22 +100,22 @@ type metrics struct {
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
 
-	latency   map[JobType]*obs.Histogram // execution latency per job type
-	queueWait *obs.Histogram
+	latency   map[JobType]*obs.HDR // execution latency per job type
+	queueWait *obs.HDR
 	// queueWaitClass decomposes the queue dwell time by admission class —
 	// the starvation dashboard: interactive dwell must stay flat while the
 	// batch series absorbs the sweep backlog.
-	queueWaitClass map[Class]*obs.Histogram
+	queueWaitClass map[Class]*obs.HDR
 	// shed counts batch submissions refused under saturation (a subset of
 	// rejected).
 	shed *obs.Counter
 	// segments decomposes end-to-end job latency (latency.go).
-	segments map[string]*obs.Histogram
-	abmStep  *obs.Histogram // per-sweep wall time from StageABM events
-	running  *obs.Gauge     // jobs currently executing (busy workers)
+	segments map[string]*obs.HDR
+	abmStep  *obs.HDR   // per-sweep wall time from StageABM events
+	running  *obs.Gauge // jobs currently executing (busy workers)
 
 	httpRequests map[string]*obs.Counter // by method; code recorded per call
-	httpDuration *obs.Histogram
+	httpDuration *obs.HDR
 
 	invariants map[string]*obs.Counter // violations by check name
 	sseClients *obs.Gauge              // live /v1/jobs/{id}/events streams
@@ -138,8 +126,8 @@ type metrics struct {
 
 	// Durable-store instruments (registered unconditionally; all stay zero
 	// for an in-memory service).
-	walAppend        *obs.Histogram
-	walFsync         *obs.Histogram
+	walAppend        *obs.HDR
+	walFsync         *obs.HDR
 	walErrors        *obs.Counter
 	diskHits         *obs.Counter
 	recoveredJobs    *obs.Counter
@@ -150,12 +138,6 @@ type metrics struct {
 	// standalone service).
 	leaseExpirations *obs.Counter
 	requeues         *obs.Counter
-}
-
-// walBuckets span WAL append/fsync latencies: microsecond buffered writes
-// up to ~100ms spinning-disk fsyncs.
-var walBuckets = []float64{
-	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1,
 }
 
 func newMetrics() *metrics {
@@ -173,18 +155,16 @@ func newMetrics() *metrics {
 			"Submissions that had to execute."),
 		cacheEvictions: reg.Counter("rumor_cache_evictions_total",
 			"Result-cache entries evicted by the LRU bound."),
-		latency: map[JobType]*obs.Histogram{},
+		latency: map[JobType]*obs.HDR{},
 		queueWait: reg.Histogram("rumor_queue_wait_seconds",
-			"Dwell time between submission and execution start.", queueWaitBuckets),
+			"Dwell time between submission and execution start."),
 		abmStep: reg.Histogram("rumor_abm_step_seconds",
-			"Wall time of one ABM transition sweep, sampled at the progress cadence.",
-			[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}),
+			"Wall time of one ABM transition sweep, sampled at the progress cadence."),
 		running: reg.Gauge("rumor_jobs_running",
 			"Jobs currently executing on the worker pool."),
 		httpRequests: map[string]*obs.Counter{},
 		httpDuration: reg.Histogram("rumor_http_request_duration_seconds",
-			"HTTP request handling latency.",
-			[]float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}),
+			"HTTP request handling latency."),
 	}
 	for _, st := range []Status{StatusSucceeded, StatusFailed, StatusCancelled} {
 		m.outcomes[st] = reg.Counter("rumor_jobs_finished_total",
@@ -192,14 +172,12 @@ func newMetrics() *metrics {
 	}
 	for _, t := range []JobType{JobODE, JobThreshold, JobABM, JobFBSM} {
 		m.latency[t] = reg.Histogram("rumor_job_duration_seconds",
-			"Job execution latency (cache hits excluded).",
-			jobDurationBuckets, obs.L("type", string(t)))
+			"Job execution latency (cache hits excluded).", obs.L("type", string(t)))
 	}
-	m.queueWaitClass = map[Class]*obs.Histogram{}
+	m.queueWaitClass = map[Class]*obs.HDR{}
 	for _, c := range []Class{ClassInteractive, ClassBatch} {
 		m.queueWaitClass[c] = reg.Histogram("rumor_queue_wait_class_seconds",
-			"Queue dwell time decomposed by admission class.",
-			queueWaitBuckets, obs.L("class", string(c)))
+			"Queue dwell time decomposed by admission class.", obs.L("class", string(c)))
 	}
 	m.shed = reg.Counter("rumor_jobs_shed_total",
 		"Batch submissions refused while the saturation detector reported saturated.")
@@ -211,11 +189,11 @@ func newMetrics() *metrics {
 			"Numerical invariant violations detected by the per-job monitors.",
 			obs.L("check", check))
 	}
-	m.segments = map[string]*obs.Histogram{}
+	m.segments = map[string]*obs.HDR{}
 	for _, seg := range []string{segQueueWait, segExecute, segSerialize} {
 		m.segments[seg] = reg.Histogram("rumor_job_latency_segment_seconds",
 			"End-to-end job latency decomposed into queue-wait/execute/serialize segments (DESIGN.md §14).",
-			queueWaitBuckets, obs.L("segment", seg))
+			obs.L("segment", seg))
 	}
 	m.surfaceQueries = map[string]*obs.Counter{}
 	for _, outcome := range []string{outcomeHit, outcomeFallbackUncovered, outcomeFallbackTolerance} {
@@ -228,10 +206,9 @@ func newMetrics() *metrics {
 	m.sseClients = reg.Gauge("rumor_sse_clients",
 		"Live GET /v1/jobs/{id}/events streams.")
 	m.walAppend = reg.Histogram("rumor_wal_append_seconds",
-		"Wall time of one WAL append (write path; inline fsync included under -wal-sync always).",
-		walBuckets)
+		"Wall time of one WAL append (write path; inline fsync included under -wal-sync always).")
 	m.walFsync = reg.Histogram("rumor_wal_fsync_seconds",
-		"Wall time of one WAL segment fsync.", walBuckets)
+		"Wall time of one WAL segment fsync.")
 	m.walErrors = reg.Counter("rumor_store_wal_errors_total",
 		"Durable-store operations that failed (the job continues in-memory).")
 	m.diskHits = reg.Counter("rumor_store_result_hits_total",
@@ -252,9 +229,9 @@ func newMetrics() *metrics {
 // queueWaitObserve records one queue dwell sample against the aggregate
 // histogram and the job's admission-class series.
 func (m *metrics) queueWaitObserve(c Class, wait time.Duration) {
-	m.queueWait.Observe(wait.Seconds())
+	m.queueWait.Record(wait.Seconds())
 	if h := m.queueWaitClass[c.withDefault()]; h != nil {
-		h.Observe(wait.Seconds())
+		h.Record(wait.Seconds())
 	}
 }
 
@@ -264,7 +241,7 @@ func (m *metrics) queueWaitObserve(c Class, wait time.Duration) {
 func (m *metrics) workerLatency(worker string, elapsed time.Duration) {
 	m.reg.Histogram("rumor_cluster_worker_job_seconds",
 		"Remote job latency from lease grant to result upload, per worker.",
-		jobDurationBuckets, obs.L("worker", worker)).Observe(elapsed.Seconds())
+		obs.L("worker", worker)).Record(elapsed.Seconds())
 }
 
 // registerDerived adds the gauges whose values are read from live service
@@ -382,7 +359,7 @@ func (m *metrics) outcome(status Status) {
 // and queued-cancellations never execute and are not observed).
 func (m *metrics) observe(t JobType, elapsed time.Duration) {
 	if h := m.latency[t]; h != nil {
-		h.Observe(elapsed.Seconds())
+		h.Record(elapsed.Seconds())
 	}
 }
 
@@ -391,7 +368,7 @@ func (m *metrics) httpObserve(method string, code int, elapsed time.Duration) {
 	m.reg.Counter("rumor_http_requests_total",
 		"HTTP requests handled, by method and status code.",
 		obs.L("method", method), obs.L("code", httpCodeLabel(code))).Inc()
-	m.httpDuration.Observe(elapsed.Seconds())
+	m.httpDuration.Record(elapsed.Seconds())
 }
 
 // httpCodeLabel keeps the status-code label bounded to the small set of

@@ -104,7 +104,7 @@ func renameFleetMetric(name string) string {
 //   - each worker's families, renamed rumor_worker_* and labelled with its
 //     id (all workers merged first, so HELP/TYPE appear once per family);
 //   - the fleet aggregate, renamed rumor_fleet_*: counters and gauges
-//     summed, histograms bucket-merged across workers.
+//     summed, histograms merged losslessly across workers.
 //
 // Standalone services (no snapshots) write nothing.
 func (s *Service) writeWorkerMetrics(w io.Writer) error {

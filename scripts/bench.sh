@@ -44,14 +44,15 @@
 #     scales with worker count while the per-job overhead stays small
 #     against solver-bound jobs.
 #   pr8 — telemetry-relay overhead (internal/cluster/worker):
-#       BenchmarkClusterThresholdRelay{Off,On}  the near-zero-compute
+#       BenchmarkClusterThresholdRelayOn  the near-zero-compute
 #                                        threshold workload through one
-#                                        worker node with a fast heartbeat,
-#                                        relay disabled vs full relay
-#                                        (journal + spans + registry
-#                                        snapshot + health sample)
-#     overhead = on ns_per_op / off ns_per_op - 1; the PR 8 claim is < 5%.
-#     Gate against the PR 7 baseline with
+#                                        worker node with a fast heartbeat
+#                                        and the full relay (journal +
+#                                        spans + registry snapshot +
+#                                        health sample)
+#     The relay is always on (its relay-off arm is gone), so the suite
+#     records RelayOn next to the pr7 names. Gate against the PR 7
+#     baseline with
 #     scripts/benchdiff.sh BENCH_PR7.json BENCH_PR8.json (the shared
 #     throughput names must not regress either).
 #   pr6 — solver hot-loop kernels and multi-core scaling:
@@ -148,10 +149,10 @@ pr7)
 	;;
 pr8)
 	out="${2:-BENCH_PR8.json}"
-	note="RelayOff runs the near-zero-compute threshold workload through a 1-node cluster with the telemetry relay disabled, RelayOn with the full relay (worker journal entries, finished stage spans and the health sample on every heartbeat and result upload; registry snapshots throttled to one per 250ms window across channels) at a forced-fast 2ms heartbeat; overhead = on ns_per_op / off ns_per_op - 1, claim < 5%; every name records the fastest of 3 runs to keep shared-host noise out of the comparison. Also re-records the pr7 throughput names so scripts/benchdiff.sh BENCH_PR7.json BENCH_PR8.json gates the relay against the pre-telemetry baseline"
+	note="RelayOn runs the near-zero-compute threshold workload through a 1-node cluster with the full telemetry relay (worker journal entries, finished stage spans and the health sample on every heartbeat and result upload; registry snapshots throttled to one per 250ms window across channels) at a forced-fast 2ms heartbeat; every name records the fastest of 3 runs to keep shared-host noise out of the comparison. Also re-records the pr7 throughput names so scripts/benchdiff.sh BENCH_PR7.json BENCH_PR8.json gates the relay against the pre-telemetry baseline"
 	# -count 3 + the emitter's fastest-run-per-name rule: single samples on
-	# a shared host swing by ±10%, which would drown the 5% claim in noise.
-	go test -run '^$' -bench 'BenchmarkClusterThresholdRelay(Off|On)$' \
+	# a shared host swing by ±10%, which would drown a 5% comparison in noise.
+	go test -run '^$' -bench 'BenchmarkClusterThresholdRelayOn$' \
 		-benchmem -count 3 ./internal/cluster/worker | tee -a "$tmp"
 	go test -run '^$' -bench 'Benchmark(Cluster|Standalone)ODE/|Benchmark(Cluster|Standalone)Threshold$' \
 		-benchmem -count 3 ./internal/cluster/worker | tee -a "$tmp"

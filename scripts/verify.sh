@@ -3,7 +3,8 @@
 #
 #   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...,
 #           and go vet over the rumorbench module
-#   tier 2: go vet ./... && go test -race ./...
+#   tier 2: go vet ./... && go test -race ./..., the benchmark and smoke
+#           runs, and 10s of each obs relay fuzzer
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -69,6 +70,14 @@ if [ "${1:-}" = "-race" ]; then
 	# query-during-construction races run under the package sweep above.
 	echo "== tier 2: surface smoke"
 	go test -race -count 1 -run 'TestSurfaceSmoke' ./internal/loadgen
+	# The relay fuzzers: arbitrary worker JSON through the coordinator's
+	# decode/label/merge/render path against the exposition grammar, and
+	# split-and-merge HDR streams against one HDR fed the whole stream.
+	# Tier 1 replays their checked-in seeds (internal/obs/testdata/fuzz);
+	# here each explores for 10s. Go fuzzes one target per invocation.
+	echo "== tier 2: relay fuzzers"
+	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
+	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
 fi
 
 echo "verify: ok"
