@@ -104,8 +104,9 @@ func BenchmarkAblationHomogeneous(b *testing.B) { benchExperiment(b, "ablH") }
 func BenchmarkValidationABM(b *testing.B) { benchExperiment(b, "valABM") }
 
 // BenchmarkValidationABMSerial runs the Quick Digg-scale ABM cross-validation
-// pinned to one worker — the serial baseline for the fan-out speedup
-// recorded in BENCH_PR1.json (scripts/bench.sh).
+// pinned to one worker — the serial baseline that
+// BenchmarkValidationABMParallel's trial fan-out speedup is measured
+// against.
 func BenchmarkValidationABMSerial(b *testing.B) { benchExperimentWorkers(b, "valABM", 1) }
 
 // BenchmarkValidationABMParallel runs the same workload with one worker per

@@ -123,9 +123,9 @@ func TestMeanRunProgressTrials(t *testing.T) {
 	}
 }
 
-// The instrumentation-overhead pair recorded by scripts/bench.sh pr3: the
-// same quenched sweep with no hook versus a counting hook on the default
-// cadence. The acceptance bound is <5% overhead.
+// BenchmarkRunProgressOff/On price the progress hook: the same quenched
+// sweep with no hook versus a counting hook on the default cadence. The
+// acceptance bound is <5% overhead.
 func benchmarkRunProgress(b *testing.B, prog obs.Progress) {
 	g := testGraph(b)
 	cfg := testConfig(ModeQuenched)

@@ -12,12 +12,12 @@ import (
 	"rumornet/internal/service"
 )
 
-// The BENCH_PR7 suite: sustained job throughput of a clustered coordinator
-// at 1/2/4 in-process worker nodes against the standalone in-process pool
-// at the same widths (jobs/sec = 1e9 / ns_per_op), plus a near-zero-compute
-// threshold pair that isolates the per-job coordinator overhead — the
-// lease, heartbeat and result-upload round trips a remote job pays that an
-// in-process job does not.
+// Cluster throughput benchmarks: sustained job throughput of a clustered
+// coordinator at 1/2/4 in-process worker nodes against the standalone
+// in-process pool at the same widths (jobs/sec = 1e9 / ns_per_op), plus a
+// near-zero-compute threshold pair that isolates the per-job coordinator
+// overhead — the lease, heartbeat and result-upload round trips a remote
+// job pays that an in-process job does not.
 
 // startCluster boots a coordinator with n worker nodes attached over real
 // HTTP, polling tightly so the queue, not the backoff, paces the run.
@@ -139,7 +139,7 @@ func BenchmarkStandaloneThreshold(b *testing.B) {
 	benchThroughput(b, startStandalone(b, 1), thresholdReq)
 }
 
-// BenchmarkClusterThresholdRelayOn is the BENCH_PR8 relay measurement: the
+// BenchmarkClusterThresholdRelayOn prices the telemetry relay: the
 // near-zero-compute threshold workload through one worker node with the
 // heartbeat forced fast, so relay payloads actually ride heartbeats
 // mid-job, not just the result upload — journal entries, finished spans

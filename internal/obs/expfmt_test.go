@@ -175,7 +175,7 @@ func validLabelSet(body string) bool {
 	seen := map[string]bool{}
 	for body != "" {
 		eq := strings.Index(body, `="`)
-		if eq < 0 || checkName(body[:eq]) != nil || seen[body[:eq]] {
+		if eq < 0 || checkLabelName(body[:eq]) != nil || seen[body[:eq]] {
 			return false
 		}
 		seen[body[:eq]] = true

@@ -16,11 +16,11 @@ import (
 	"rumornet/internal/ode"
 )
 
-// The instrumentation-overhead pairs recorded by scripts/bench.sh pr4: the
-// pr3 solver hot loops (32-dim RK4 integration, 10k-node quenched ABM
-// sweep) with no hook versus the full per-checkpoint flight-recorder path
-// the service attaches — stage-span lookup, invariant monitoring and a
-// journal append. The acceptance bound is <5% overhead on both pairs.
+// BenchmarkODEJournalOff/On and BenchmarkABMJournalOff/On price the flight
+// recorder: the solver hot loops of the progress-hook benchmarks (32-dim
+// RK4 integration, 10k-node quenched ABM sweep) with no hook versus the
+// full per-checkpoint flight-recorder path the service attaches —
+// stage-span lookup, invariant monitoring and a journal append. The acceptance bound is <5% overhead on both pairs.
 
 // benchSink replicates Service.progressSink's per-event observability
 // work: one trace span per distinct stage (mutex-guarded map), an

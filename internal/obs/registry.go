@@ -124,7 +124,7 @@ func (r *Registry) register(name, help, typ string, labels []Label, set func(*se
 		panic(fmt.Sprintf("obs: %v", err))
 	}
 	for _, l := range labels {
-		if err := checkName(l.Name); err != nil {
+		if err := checkLabelName(l.Name); err != nil {
 			panic(fmt.Sprintf("obs: label of %s: %v", name, err))
 		}
 	}
@@ -183,21 +183,34 @@ func (r *Registry) families() []familyCopy {
 	return fams
 }
 
-// checkName enforces the Prometheus metric/label name charset
+// checkName enforces the Prometheus metric name charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*.
 func checkName(name string) error {
-	if name == "" {
-		return fmt.Errorf("empty metric or label name")
+	if !validName(name, true) {
+		return fmt.Errorf("invalid metric name %q", name)
 	}
+	return nil
+}
+
+// checkLabelName enforces the Prometheus label name charset
+// [a-zA-Z_][a-zA-Z0-9_]*: a metric name's, less the ':'.
+func checkLabelName(name string) error {
+	if !validName(name, false) {
+		return fmt.Errorf("invalid label name %q", name)
+	}
+	return nil
+}
+
+func validName(name string, colon bool) bool {
 	for i, c := range name {
-		ok := c == '_' || c == ':' ||
+		ok := c == '_' || (colon && c == ':') ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
-			return fmt.Errorf("invalid metric or label name %q", name)
+			return false
 		}
 	}
-	return nil
+	return name != ""
 }
 
 func labelSignature(sorted []Label) string {

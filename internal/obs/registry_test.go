@@ -111,6 +111,7 @@ func TestRegisterPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad metric name": func() { r.Counter("1bad", "") },
 		"bad label name":  func() { r.Counter("ok2", "", L("le$", "x")) },
+		"colon in label":  func() { r.Counter("ok3", "", L("a:b", "x")) },
 		"type conflict":   func() { r.Gauge("ok_name", "") },
 	} {
 		t.Run(name, func(t *testing.T) {

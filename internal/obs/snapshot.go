@@ -138,12 +138,12 @@ func validType(typ string) bool {
 	return typ == "counter" || typ == "gauge" || typ == "histogram"
 }
 
-// validLabels reports whether every relayed label name passes checkName,
-// none repeats, and none is le — the renderer's own histogram bucket
-// label.
+// validLabels reports whether every relayed label name passes
+// checkLabelName, none repeats, and none is le — the renderer's own
+// histogram bucket label.
 func validLabels(labels []Label) bool {
 	for i, l := range labels {
-		if checkName(l.Name) != nil || l.Name == "le" {
+		if checkLabelName(l.Name) != nil || l.Name == "le" {
 			return false
 		}
 		for _, prev := range labels[:i] {

@@ -307,6 +307,7 @@ func TestSnapshotRelayValidation(t *testing.T) {
 			{Labels: []Label{{Name: "a", Value: "1"}, {Name: "a", Value: "2"}}, Gauge: ptrFloat64(2)},
 			{Labels: []Label{{Name: "ok", Value: "v"}}, Gauge: ptrFloat64(3)},
 			{Labels: []Label{{Name: "kind", Value: "counter"}}, Counter: ptrInt64(4)},
+			{Labels: []Label{{Name: "a:b", Value: "v"}}, Gauge: ptrFloat64(5)},
 		}},
 	}
 	for name, s := range map[string]Snapshot{"render": snap, "merge": MergeSnapshots(snap)} {

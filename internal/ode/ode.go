@@ -146,9 +146,10 @@ type Options struct {
 	// count (0 when open-ended, as in SolveAdaptive), the time reached
 	// and the current state. The state slice is reused by the solver and
 	// is only valid during the call. Keeping the hook at a coarse cadence
-	// keeps its overhead well under the ~5% instrumentation budget (see
-	// BENCH_PR3.json); the package stays free of any observability
-	// dependency — internal/core adapts this callback onto obs.Progress.
+	// keeps its overhead well under the ~5% instrumentation budget
+	// (BenchmarkSolveFixedProgressOff/On); the package stays free of any
+	// observability dependency — internal/core adapts this callback onto
+	// obs.Progress.
 	Progress func(step, total int, t float64, y []float64)
 
 	// ProgressEvery is the number of accepted steps between Progress

@@ -82,9 +82,9 @@ func TestSolveAdaptiveProgress(t *testing.T) {
 	}
 }
 
-// The instrumentation-overhead pair recorded by scripts/bench.sh pr3: the
-// same 2000-step RK4 integration with no hook versus a counting hook on
-// the default 256-step cadence. The acceptance bound is <5% overhead.
+// BenchmarkSolveFixedProgressOff/On price the progress hook: the same
+// 2000-step RK4 integration with no hook versus a counting hook on the
+// default 256-step cadence. The acceptance bound is <5% overhead.
 func benchSolveFixed(b *testing.B, opts *Options) {
 	y0 := make([]float64, 32)
 	for i := range y0 {

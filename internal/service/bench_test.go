@@ -112,9 +112,9 @@ func benchJobThroughput(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkJobThroughputWALOff/On are the BENCH_PR5 acceptance pair: the
-// durable store (batched fsync, the default policy) must hold job
-// throughput within a few percent of the in-memory service.
+// BenchmarkJobThroughputWALOff/On price durability: the durable store
+// (batched fsync, the default policy) must hold job throughput within a
+// few percent of the in-memory service.
 func BenchmarkJobThroughputWALOff(b *testing.B) {
 	benchJobThroughput(b, Config{Workers: 2})
 }

@@ -150,6 +150,20 @@ func (s *Service) settle(r *jobRecord, o outcome) Job {
 	r.job.Status = o.status
 	r.job.Error = o.err
 	r.job.FinishedAt = &fin
+	// The Final entry lands under the same lock as the status (lock order
+	// s.mu → journal.mu, as in trimEvictedLocked): a poller that sees the
+	// terminal status replays it, and a follower that reads it finds the
+	// job terminal.
+	msg := "finished: " + string(o.status)
+	if o.err != "" {
+		msg += ": " + o.err
+	} else if o.hit != "" {
+		msg += " (cache hit)"
+	}
+	s.journal.Append(journal.Entry{
+		JobID: r.job.ID, TraceID: r.job.TraceID,
+		Kind: journal.KindLifecycle, Msg: msg, Final: true,
+	})
 	var queueWait, execute, serialize time.Duration
 	if executed {
 		start := *r.job.StartedAt
@@ -189,16 +203,6 @@ func (s *Service) settle(r *jobRecord, o outcome) Job {
 	if executed && job.Worker != "" {
 		s.met.workerLatency(job.Worker, execute+serialize)
 	}
-	msg := "finished: " + string(o.status)
-	if o.err != "" {
-		msg += ": " + o.err
-	} else if o.hit != "" {
-		msg += " (cache hit)"
-	}
-	s.journal.Append(journal.Entry{
-		JobID: job.ID, TraceID: job.TraceID,
-		Kind: journal.KindLifecycle, Msg: msg, Final: true,
-	})
 	if o.hit != "" {
 		r.span.SetAttr("cache_hit", o.hit)
 	}

@@ -60,11 +60,26 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if !follow || sawFinal {
 		return
 	}
-	// A terminal job whose history carries no Final entry had its journal
-	// trimmed (or the final append is microseconds away); ending the replay
-	// here beats waiting for an entry that may never come.
+	// settle appends the Final entry under the lock that publishes the
+	// terminal status, so a terminal job whose history lacks it either
+	// settled after Subscribe — the entry waits on ch — or had its journal
+	// trimmed. Send what is queued and end; never wait for an entry that
+	// may never come.
 	if job, ok := s.Job(id); ok && job.Status.Terminal() {
-		return
+		for {
+			select {
+			case e, open := <-ch:
+				if open {
+					writeSSE(w, e)
+					if !e.Final {
+						continue
+					}
+				}
+			default:
+			}
+			flusher.Flush()
+			return
+		}
 	}
 
 	hb := time.NewTicker(s.cfg.SSEHeartbeat)

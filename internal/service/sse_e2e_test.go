@@ -375,3 +375,73 @@ func TestE2EDebugEventsDump(t *testing.T) {
 			job.TraceID, jobSpan, stageSpan)
 	}
 }
+
+// TestSettleFinalEntryWithStatus pins settle's ordering on a tight loop:
+// a poller that sees a job's terminal status gets the Final entry in the
+// journal replay that ?follow=0 serves, and a follower that reads the
+// Final entry finds the job terminal. With the Final entry appended after
+// the status published, the replay could come back without it — the
+// cause of TestE2ESSEReplayOnly's rare three-versus-two flake.
+func TestSettleFinalEntryWithStatus(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2})
+	tinyScenario(t, s)
+	for i := 1; i <= 200; i++ {
+		job, err := s.Submit(Request{Type: JobThreshold, Scenario: "tiny", Params: Params{Seed: int64(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := job.ID
+		history, ch, cancel := s.journal.Subscribe(id)
+		followed := make(chan Status, 1)
+		go func() {
+			final := func(e journal.Entry) bool {
+				if e.Final {
+					got, _ := s.Job(id)
+					followed <- got.Status
+				}
+				return e.Final
+			}
+			for _, e := range history {
+				if final(e) {
+					return
+				}
+			}
+			for e := range ch {
+				if final(e) {
+					return
+				}
+			}
+			followed <- ""
+		}()
+		for !job.Status.Terminal() {
+			job, _ = s.Job(id)
+		}
+		if replay := s.journal.Replay(id); len(replay) == 0 || !replay[len(replay)-1].Final {
+			t.Fatalf("job %d: %s, but its replay has no Final entry: %+v", i, job.Status, replay)
+		}
+		if st := <-followed; !st.Terminal() {
+			t.Fatalf("job %d: follower read the Final entry while the job was %q", i, st)
+		}
+		cancel()
+	}
+}
+
+// TestSSEFollowWhileSettling opens a following stream the moment each job
+// is submitted, so some subscriptions land while the job settles: every
+// stream must still end with the Final entry.
+func TestSSEFollowWhileSettling(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2})
+	tinyScenario(t, s)
+	h := s.Handler()
+	for i := 1; i <= 300; i++ {
+		job, err := s.Submit(Request{Type: JobThreshold, Scenario: "tiny", Params: Params{Seed: int64(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil))
+		if !strings.Contains(rec.Body.String(), `"final":true`) {
+			t.Fatalf("job %d: stream ended without the Final entry:\n%s", i, rec.Body.String())
+		}
+	}
+}

@@ -65,6 +65,19 @@ func TestSurfaceGoldenBound(t *testing.T) {
 	if len(info.ErrorBound) == 0 {
 		t.Fatal("ready surface reports no error bound")
 	}
+	// Re-POSTing the resident spec answers ready under the same key
+	// without re-running a grid point.
+	submitted := s.Stats().Jobs.Submitted
+	again, err := s.BuildSurface(thresholdSweep(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Key != info.Key || again.Status != surfaceReady {
+		t.Fatalf("rebuild of a resident spec: key %s status %q, want %s ready", again.Key, again.Status, info.Key)
+	}
+	if got := s.Stats().Jobs.Submitted; got != submitted {
+		t.Errorf("rebuild of a resident spec submitted %d grid jobs", got-submitted)
+	}
 
 	// Off-grid probes strictly inside the hull, away from any grid plane.
 	probes := []struct{ eps1, eps2 float64 }{

@@ -37,7 +37,7 @@ func populateWAL(b *testing.B, dir string, n int) {
 }
 
 // BenchmarkRecovery1k measures cold-start replay of a 1k-record WAL — the
-// restart cost the BENCH_PR5 acceptance number tracks.
+// restart cost a durable rumord pays before it serves.
 func BenchmarkRecovery1k(b *testing.B) {
 	dir := b.TempDir()
 	populateWAL(b, dir, 1000)

@@ -3,8 +3,9 @@
 #
 #   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...,
 #           and go vet over the rumorbench module
-#   tier 2: go vet ./... && go test -race ./..., the benchmark and smoke
-#           runs, and 10s of each obs relay fuzzer
+#   tier 2: go vet ./... && go test -race ./..., one iteration of every
+#           benchmark, the rumorbench tests under -race, and 10s of each obs
+#           relay fuzzer
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -25,8 +26,8 @@
 # and the two-class admission queue under concurrent submit/lease/shed)
 # must stay data-race free; -race
 # roughly 10x-es the runtime, so it is a separate gate. Tier 2 also runs
-# every benchmark for exactly one iteration — benchmarks bit-rot silently
-# otherwise (the bench.sh suites only exercise their own subset). Usage:
+# every Go benchmark for exactly one iteration — nothing else runs them,
+# so they would bit-rot silently. Usage:
 #
 #   scripts/verify.sh         # tier 1 only
 #   scripts/verify.sh -race   # tier 1 + tier 2
@@ -54,22 +55,14 @@ if [ "${1:-}" = "-race" ]; then
 	go vet ./...
 	go test -race ./...
 	go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
-	# The rumorload smoke: a ~2s open-loop sweep against an in-process
-	# rumord (one worker, the second phase offered past its capacity),
-	# asserting the artifact schema, nonzero quantiles and the saturation
-	# flip — the load-generator analogue of the E2E suite, kept explicit
-	# here because it is the gate for the latency-SLO plane (DESIGN.md
-	# §14) even though `go test -race ./...` already covers the package.
-	echo "== tier 2: rumorload smoke"
-	go test -race -count 1 -run 'TestSmokeSweep' ./internal/loadgen
-	# The response-surface smoke: build a tiny threshold surface on the
-	# loadtiny scenario over HTTP (grid points run as batch jobs, folded
-	# and persisted), query it with an in-hull/out-of-hull mix, and check
-	# the hit/fallback split — the explicit gate for the serving tier
-	# (DESIGN.md §15); the service-side goroutine-leak and
-	# query-during-construction races run under the package sweep above.
-	echo "== tier 2: surface smoke"
-	go test -race -count 1 -run 'TestSurfaceSmoke' ./internal/loadgen
+	# rumorbench is its own module, so the -race sweep above never reaches
+	# it. Its smoke runs each workload BENCHMARK.json gates for a second
+	# against an in-process rumord — surface hits, cache-hot submits, cold
+	# threshold/ODE/ABM/FBSM jobs — untraced and traced, and checks every
+	# answer's bytes against service.ExecuteRequest. Under -race it is the
+	# gate that found the registry's first-registration race.
+	echo "== tier 2: rumorbench under -race"
+	(cd rumorbench && go test -race -count 1 ./...)
 	# The relay fuzzers: arbitrary worker JSON through the coordinator's
 	# decode/label/merge/render path against the exposition grammar, and
 	# split-and-merge HDR streams against one HDR fed the whole stream.
