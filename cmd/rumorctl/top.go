@@ -88,7 +88,7 @@ func renderTop(out io.Writer, workers []cluster.WorkerInfo, lat latencySummary, 
 	renderLatency(out, lat)
 	renderSurfaceStats(out, surf)
 	if len(workers) == 0 {
-		fmt.Fprintln(out, "no workers registered (standalone daemon, or none have polled yet)")
+		fmt.Fprintln(out, "no workers registered (no worker has polled this coordinator yet)")
 		return nil
 	}
 	fmt.Fprintln(out)

@@ -44,7 +44,8 @@ func fetchWorkers(addr string) ([]cluster.WorkerInfo, error) {
 // runWorkers implements `rumorctl workers`: it fetches the coordinator's
 // worker registry (GET /v1/workers) and renders one table row per worker,
 // including the telemetry sample each worker relays on its heartbeats.
-// Against a standalone daemon the registry is empty — jobs run in-process.
+// Against a standalone daemon it lists the in-process workers, which relay
+// no telemetry.
 func runWorkers(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rumorctl workers", flag.ContinueOnError)
 	addr := fs.String("addr", "http://localhost:8080", "base URL of the rumord coordinator")
@@ -60,7 +61,7 @@ func runWorkers(args []string, out io.Writer) error {
 		return err
 	}
 	if len(workers) == 0 {
-		fmt.Fprintln(out, "no workers registered (standalone daemon, or none have polled yet)")
+		fmt.Fprintln(out, "no workers registered (no worker has polled this coordinator yet)")
 		return nil
 	}
 	return renderWorkers(out, workers)

@@ -45,11 +45,12 @@
 //	rumord -addr :8080 -data-dir /var/lib/rumord &
 //	curl -s localhost:8080/v1/stats | jq .store
 //
-// Clustering: -mode splits the daemon into a coordinator (public API, queue,
-// WAL, result store; no local execution) and stateless workers that lease
-// jobs over the coordinator's internal API, heartbeat progress back, and
-// upload results. -mode standalone (the default) is the single-node pool
-// described above:
+// Clustering: every job runs under a lease (grant, heartbeats, completion).
+// -mode standalone (the default) leases to -workers in-process workers;
+// -mode coordinator (public API, queue, WAL, result store; no in-process
+// workers) leases to stateless -mode worker processes over its internal
+// API, which heartbeat progress back and upload results. Both run each job
+// through the same runner:
 //
 //	rumord -mode coordinator -addr :8080 -data-dir /var/lib/rumord &
 //	rumord -mode worker -coordinator http://localhost:8080 &
@@ -57,9 +58,9 @@
 //	curl -s localhost:8080/v1/workers | jq
 //
 // A worker killed mid-job is harmless: its lease expires (-lease-ttl) and
-// the coordinator requeues the job (at most -max-attempts grants) onto a
-// surviving worker. A SIGTERM'd worker finishes its leased job, uploads the
-// result, deregisters and exits.
+// the coordinator requeues the job (at most -max-attempts grants, counted
+// across restarts) onto a surviving worker. A SIGTERM'd worker finishes its
+// leased job, uploads the result, deregisters and exits.
 package main
 
 import (
@@ -96,7 +97,7 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)) error {
 	fs := flag.NewFlagSet("rumord", flag.ContinueOnError)
 	var (
-		mode         = fs.String("mode", "standalone", `"standalone" (in-process pool), "coordinator" (serve API, lease jobs to workers) or "worker" (execute jobs for -coordinator)`)
+		mode         = fs.String("mode", "standalone", `"standalone" (lease jobs to in-process workers), "coordinator" (serve API, lease jobs to remote workers) or "worker" (execute jobs for -coordinator)`)
 		addr         = fs.String("addr", ":8080", "listen address")
 		workers      = fs.Int("workers", 0, "job-executing goroutines (0: all CPUs)")
 		innerWorkers = fs.Int("inner-workers", 1, "per-job fan-out goroutines for ABM trials (0: all CPUs)")
@@ -118,10 +119,10 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		walSync      = fs.String("wal-sync", "100ms", `WAL durability with -data-dir: "always", "none", or a batched-fsync interval`)
 		storeMax     = fs.Int64("store-max-bytes", 1<<30, "result-store size bound, oldest blobs evicted first (0: unbounded)")
 
-		// Coordinator-mode flags.
-		leaseTTL       = fs.Duration("lease-ttl", 15*time.Second, "coordinator: lease duration; a worker silent this long forfeits its job")
-		maxAttempts    = fs.Int("max-attempts", 3, "coordinator: lease grants per job before it fails terminally (poison-job guard)")
-		workerLiveness = fs.Duration("worker-liveness", 0, "coordinator: window within which a worker must poll or heartbeat to count as live (0: 3x -lease-ttl)")
+		// Lease flags (standalone and coordinator).
+		leaseTTL       = fs.Duration("lease-ttl", 15*time.Second, "lease duration; a worker silent this long forfeits its job")
+		maxAttempts    = fs.Int("max-attempts", 3, "lease grants per job, counted across restarts, before it fails terminally (poison-job guard)")
+		workerLiveness = fs.Duration("worker-liveness", 0, "window within which a remote worker must poll or heartbeat to count as live (0: 3x -lease-ttl)")
 
 		// Worker-mode flags.
 		coordinator = fs.String("coordinator", "", "worker: coordinator base URL, e.g. http://host:8080 (required in -mode worker)")

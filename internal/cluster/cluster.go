@@ -1,10 +1,10 @@
-// Package cluster holds the coordinator-side state machine of distributed
-// rumord: a lease table handing queued jobs to remote workers under fenced,
-// TTL-bounded leases, and a worker registry tracking liveness and
-// throughput per node. internal/service owns the job queue and threads it
-// through this table; internal/cluster/worker is the node that acquires
-// the leases over HTTP. See DESIGN.md §12 for the lease state machine and
-// why fencing tokens make duplicate result uploads safe.
+// Package cluster holds the lease state machine of rumord: a lease table
+// handing queued jobs to workers under fenced, TTL-bounded leases, and a
+// worker registry tracking liveness and throughput per worker.
+// internal/service owns the job queue and threads every job through this
+// table, leased by an in-process worker or by a remote node
+// (internal/cluster/worker). See DESIGN.md §12 for the lease state machine
+// and why fencing tokens make duplicate result uploads safe.
 //
 // The package depends only on the standard library and is deliberately
 // ignorant of jobs' contents: a lease is (job id, worker id, token,
@@ -79,7 +79,8 @@ type Telemetry struct {
 type WorkerInfo struct {
 	ID   string `json:"id"`
 	Addr string `json:"addr,omitempty"`
-	// Live reports a lease poll or heartbeat within the liveness window.
+	// Live reports an in-process worker, or a lease poll or heartbeat
+	// within the liveness window.
 	Live       bool `json:"live"`
 	LeasesHeld int  `json:"leases_held"`
 	// JobsCompleted counts result uploads accepted from this worker.
@@ -101,6 +102,9 @@ type workerState struct {
 	lastSeen  time.Time
 	completed int64
 	tel       *Telemetry
+	// resident marks an in-process worker: it lives as long as the table,
+	// so it is live without polling.
+	resident bool
 }
 
 // Table is the lease table plus worker registry. All methods are safe for
@@ -153,6 +157,14 @@ func (t *Table) touchLocked(workerID, addr string) *workerState {
 	}
 	w.lastSeen = t.now()
 	return w
+}
+
+// Resident registers an in-process worker, which counts as live for the
+// table's whole life.
+func (t *Table) Resident(workerID string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.touchLocked(workerID, "").resident = true
 }
 
 // Grant leases jobID to workerID under a fresh fenced token. Any previous
@@ -299,7 +311,7 @@ func (t *Table) LiveWorkers() int {
 	defer t.mu.Unlock()
 	n := 0
 	for _, w := range t.workers {
-		if now.Sub(w.lastSeen) <= t.liveness {
+		if w.resident || now.Sub(w.lastSeen) <= t.liveness {
 			n++
 		}
 	}
@@ -326,7 +338,7 @@ func (t *Table) Workers() []WorkerInfo {
 		info := WorkerInfo{
 			ID:               id,
 			Addr:             w.addr,
-			Live:             now.Sub(w.lastSeen) <= t.liveness,
+			Live:             w.resident || now.Sub(w.lastSeen) <= t.liveness,
 			LeasesHeld:       held[id],
 			JobsCompleted:    w.completed,
 			LastSeen:         w.lastSeen,

@@ -681,3 +681,26 @@ func TestWorkerDrainFinishesLeasedJob(t *testing.T) {
 		t.Errorf("completed by %q, want the drained worker", done.Worker)
 	}
 }
+
+// TestRemoteCancel cancels a job running on a real worker node: the cancel
+// flag rides the next heartbeat acknowledgement, the node's runner stops
+// the job, and its upload settles it cancelled by the client.
+func TestRemoteCancel(t *testing.T) {
+	h := newCoordinator(t, func(cfg *service.Config) {
+		cfg.Cluster.LeaseTTL = 300 * time.Millisecond
+	})
+	job, err := h.svc.Submit(service.Request{Type: service.JobFBSM, Scenario: "tiny",
+		Params: service.Params{Lambda0: 0.02, Grid: 400000}, TimeoutSec: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.startWorker("w-cancel")
+	h.waitStatus(job.ID, service.StatusRunning)
+	if _, err := h.svc.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	done := h.waitJob(job.ID)
+	if done.Status != service.StatusCancelled || !strings.Contains(done.Error, "cancelled by client") || done.Worker != "w-cancel" {
+		t.Errorf("job = %s (%s) on %q, want cancelled by client on w-cancel", done.Status, done.Error, done.Worker)
+	}
+}

@@ -2,6 +2,7 @@ package worker_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -12,18 +13,27 @@ import (
 	"rumornet/internal/service"
 )
 
-// TestPathParity answers the same requests on two paths — a standalone
-// service with a local worker, and a coordinator with one remote worker —
-// and checks that both paths run one lifecycle: byte-identical results,
-// latency attribution on both sides, and the same lifecycle journal once
-// the cluster-only entries (lease grants, worker-relayed records) are
-// dropped.
+// TestPathParity answers the same requests on three paths — the direct
+// library call service.ExecuteRequest, a standalone service with an
+// in-process worker, and a coordinator with one remote worker — and checks
+// that they return byte-identical results and that both services run one
+// lifecycle: latency attribution on both sides, and the same lifecycle
+// journal once the remote-only entries (lease grants, worker-relayed
+// records) are dropped. The requests spell out every default, so the
+// direct call receives the canonical request the services execute.
 func TestPathParity(t *testing.T) {
+	base := service.Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.02, I0: 0.1, Tf: 150, Points: 500, Seed: 1}
+	ode, abm, fbsm := base, base, base
+	ode.Tf, ode.Points = 40, 50
+	abm.Tf, abm.Trials, abm.Nodes, abm.Dt = 30, 2, 500, 0.5
+	fbsm.Eps1, fbsm.Eps2, fbsm.Tf, fbsm.C1, fbsm.C2, fbsm.EpsMax, fbsm.Grid = 0.05, 0.02, 10, 5, 10, 0.8, 100
 	reqs := []service.Request{
-		{Type: service.JobODE, Scenario: "tiny", Params: service.Params{Lambda0: 0.02, Tf: 40, Points: 50}},
-		{Type: service.JobThreshold, Scenario: "tiny", Params: service.Params{Lambda0: 0.02}},
-		{Type: service.JobABM, Scenario: "tiny", Params: service.Params{Lambda0: 0.02, Trials: 2, Nodes: 500, Tf: 30}},
-		{Type: service.JobFBSM, Scenario: "tiny", Params: service.Params{Lambda0: 0.02, Tf: 10, Grid: 100}},
+		{Type: service.JobODE, Scenario: "tiny", Params: ode},
+		{Type: service.JobThreshold, Scenario: "tiny", Params: base},
+		{Type: service.JobABM, Scenario: "tiny", Params: abm},
+		{Type: service.JobFBSM, Scenario: "tiny", Params: fbsm},
+		{Type: service.JobODE, Scenario: service.BuiltinScenario, Params: ode},
+		{Type: service.JobThreshold, Scenario: service.BuiltinScenario, Params: base},
 	}
 
 	sj := &syncBuffer{}
@@ -41,7 +51,19 @@ func TestPathParity(t *testing.T) {
 	remote.startWorker("w-1")
 
 	for _, req := range reqs {
-		t.Run(string(req.Type), func(t *testing.T) {
+		name := string(req.Type)
+		if req.Scenario != "tiny" {
+			name = req.Scenario + "_" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			sc, err := svc.Scenario(req.Scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := service.ExecuteRequest(context.Background(), sc, req, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var jobs [2]service.Job
 			var lifecycles [2][]string
 			for i, h := range []*harness{local, remote} {
@@ -60,6 +82,9 @@ func TestPathParity(t *testing.T) {
 			}
 			if !bytes.Equal(jobs[0].Result, jobs[1].Result) {
 				t.Errorf("results differ: standalone %d bytes, cluster %d bytes", len(jobs[0].Result), len(jobs[1].Result))
+			}
+			if !bytes.Equal(direct, jobs[0].Result) {
+				t.Errorf("results differ: library call %d bytes, standalone %d bytes", len(direct), len(jobs[0].Result))
 			}
 			if a, b := strings.Join(lifecycles[0], " | "), strings.Join(lifecycles[1], " | "); a != b {
 				t.Errorf("lifecycle journals differ:\n standalone: %s\n cluster:    %s", a, b)

@@ -1,7 +1,8 @@
 // Package worker implements the rumord worker node: a stateless loop that
-// leases jobs from a coordinator (internal/service's internal API), runs
-// them through the same executor standalone mode uses, streams progress
-// back on heartbeats, and uploads the terminal result. Workers hold no
+// leases jobs from a coordinator (internal/service's internal API) and runs
+// each through the same service.Runner a standalone service's in-process
+// workers use, over an HTTP transport that streams progress back on
+// heartbeats and uploads the terminal result. Workers hold no
 // durable state — the coordinator owns the queue, the WAL and the result
 // store — so killing one loses at most the work of its current lease, which
 // the coordinator's reaper requeues after the lease TTL.
@@ -77,9 +78,6 @@ func (o Options) withDefaults() Options {
 			host = "worker"
 		}
 		o.ID = fmt.Sprintf("w-%s-%d", host, os.Getpid())
-	}
-	if o.InnerWorkers < 1 {
-		o.InnerWorkers = 1
 	}
 	if o.PollMin <= 0 {
 		o.PollMin = 50 * time.Millisecond
@@ -220,6 +218,7 @@ func Run(ctx context.Context, opts Options) error {
 	lg := opts.Logger.With("worker", opts.ID)
 	lg.Info("worker started", "coordinator", opts.Coordinator)
 
+	run := service.Runner{Worker: opts.ID, InnerWorkers: opts.InnerWorkers, Heartbeat: opts.Heartbeat}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	delay := opts.PollMin
 	for ctx.Err() == nil {
@@ -235,12 +234,23 @@ func Run(ctx context.Context, opts Options) error {
 			delay = sleepBackoff(ctx, rng, delay, opts)
 		default:
 			delay = opts.PollMin
-			n.runLeased(leased, lg)
+			rt := n.newRemote(leased, lg)
+			sc, err := service.ScenarioFromTable(leased.Scenario)
+			if err != nil {
+				rt.Complete(service.ResultRequest{WorkerID: opts.ID, LeaseToken: leased.LeaseToken,
+					Status: string(service.StatusFailed), Error: err.Error()})
+				break
+			}
+			jobSpan, _ := trace.ParseTraceparent(leased.Traceparent)
+			// The job runs detached from ctx, so a drain (SIGTERM) lets
+			// it finish.
+			run.Run(context.Background(), leased, sc, jobSpan, rt)
 			// Re-poll immediately: a saturated queue keeps the worker busy
 			// back to back.
 		}
 	}
-	deregister(opts)
+	// Say goodbye on drain, best effort.
+	postJSON(opts, 3*time.Second, "/v1/internal/workers/"+opts.ID+"/deregister", struct{}{}, nil)
 	lg.Info("worker stopped")
 	return nil
 }
@@ -262,36 +272,44 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, delay time.Duration, opts
 	return next
 }
 
-// runLeased executes one leased job end to end: heartbeat loop, executor,
-// result upload. The job runs under its own timeout context detached from
-// the worker's run context, so a drain (SIGTERM) lets it finish.
-func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
-	opts := n.opts
+// remote is one lease as the worker node holds it — the
+// service.Transport its runner reports through. Progress events, worker
+// journal entries and finished stage spans buffer here between heartbeats
+// and ride the next heartbeat or the result upload; the buffer is locked
+// because the runner's sink is called from solver goroutines.
+type remote struct {
+	n       *node
+	leased  *service.LeasedJob
+	lg      *slog.Logger
+	tracer  *trace.Tracer
+	monitor *invariant.Monitor
+	start   time.Time
+
+	mu        sync.Mutex
+	events    []service.ProgressEvent
+	journal   []journal.Entry
+	sentSpans int
+	dropped   int
+	// lost needs no lock: the runner calls Complete only after its last
+	// Heartbeat returned.
+	lost bool
+}
+
+func (n *node) newRemote(leased *service.LeasedJob, lg *slog.Logger) *remote {
 	jlg := lg.With("job_id", leased.JobID, "trace_id", leased.TraceID)
 	jlg.Info("job leased", "type", leased.Request.Type,
 		"attempt", leased.Attempt, "max_attempts", leased.MaxAttempts)
-
-	timeout := time.Duration(leased.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = time.Minute
+	rt := &remote{
+		n: n, leased: leased, lg: jlg, start: time.Now(),
+		// Finished stage spans upload incrementally from a per-job ring.
+		tracer: trace.New(jobSpanRingCap),
 	}
-	jobCtx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-
-	// Worker-side tracing: stage spans parented under the coordinator's
-	// job span via the leased traceparent, so the coordinator's
-	// http.request → job.<type> chain and these spans share one trace id.
-	// The tracer is per job; finished spans upload incrementally (cursor
-	// below) on heartbeats, with the tail riding the result.
-	parent, _ := trace.ParseTraceparent(leased.Traceparent)
-	jobTracer := trace.New(jobSpanRingCap)
-
 	// The worker's own invariant monitor: the coordinator re-monitors the
 	// relayed event stream, but the relay buffer is bounded — this count
 	// (relayed in the health sample and the registry snapshot) sees every
 	// event. Entries in the job journal stay the coordinator's call, so a
 	// violation is journaled exactly once.
-	monitor := invariant.New(invariant.Config{}, func(v invariant.Violation) {
+	rt.monitor = invariant.New(invariant.Config{}, func(v invariant.Violation) {
 		n.invCount.Add(1)
 		if c := n.invariants[v.Check]; c != nil {
 			c.Inc()
@@ -299,189 +317,109 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 		jlg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
 			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
 	})
+	rt.addEntry(fmt.Sprintf("executing on worker %q (attempt %d/%d)",
+		n.opts.ID, leased.Attempt, leased.MaxAttempts))
+	return rt
+}
 
-	// Progress events, worker journal entries and the span-upload cursor
-	// buffer here between heartbeats; the sink runs on solver goroutines,
-	// so the buffer is locked.
-	var (
-		mu         sync.Mutex
-		events     []service.ProgressEvent
-		jentries   []journal.Entry
-		stageSpans map[string]*trace.Span
-		sentSpans  int
-		dropped    int
-	)
-	addEntry := func(kind, msg string) {
-		e := journal.Entry{
-			JobID: leased.JobID, TraceID: leased.TraceID,
-			Kind: kind, Msg: msg,
-		}
-		mu.Lock()
-		jentries = append(jentries, e)
-		mu.Unlock()
-	}
-	sink := func(ev obs.Event) {
-		n.lastStage.Store(ev.Stage)
-		// Monitor outside the buffer lock: Observe only touches the
-		// monitor's own latch state.
-		monitor.Observe(ev)
-		if ev.Stage == obs.StageABM && ev.Elapsed > 0 {
-			n.abmStep.Record(ev.Elapsed.Seconds())
-		}
-		mu.Lock()
-		if stageSpans == nil {
-			stageSpans = make(map[string]*trace.Span)
-		}
-		if _, ok := stageSpans[ev.Stage]; !ok {
-			stageSpans[ev.Stage] = jobTracer.StartSpan("stage."+ev.Stage, parent,
-				obs.L("worker", opts.ID), obs.L("job_id", leased.JobID))
-		}
-		if len(events) >= eventBufferCap {
-			events = events[1:]
-			dropped++
-		}
-		events = append(events, service.WireProgress(ev))
-		mu.Unlock()
-	}
-	drain := func() []service.ProgressEvent {
-		mu.Lock()
-		out := events
-		events = nil
-		mu.Unlock()
-		return out
-	}
-	// drainRelay pops the telemetry tail: journal entries plus the spans
-	// finished since the last upload (the ring never wraps at jobSpanRingCap,
-	// so the cursor is a plain offset).
-	drainRelay := func() ([]journal.Entry, []trace.SpanData) {
-		mu.Lock()
-		je := jentries
-		jentries = nil
-		fin := jobTracer.Finished()
-		if sentSpans > len(fin) {
-			sentSpans = len(fin)
-		}
-		spans := fin[sentSpans:]
-		sentSpans = len(fin)
-		mu.Unlock()
-		return je, spans
-	}
-	endStageSpans := func(status string) {
-		mu.Lock()
-		for _, sp := range stageSpans {
-			sp.SetAttr("status", status)
-			sp.End()
-		}
-		stageSpans = nil
-		mu.Unlock()
-	}
+func (rt *remote) addEntry(msg string) {
+	rt.mu.Lock()
+	rt.journal = append(rt.journal, journal.Entry{
+		JobID: rt.leased.JobID, TraceID: rt.leased.TraceID,
+		Kind: journal.KindLifecycle, Msg: msg,
+	})
+	rt.mu.Unlock()
+}
 
-	addEntry(journal.KindLifecycle, fmt.Sprintf(
-		"executing on worker %q (attempt %d/%d)",
-		opts.ID, leased.Attempt, leased.MaxAttempts))
+func (rt *remote) Tracer() *trace.Tracer { return rt.tracer }
 
-	// The heartbeat loop extends the lease and relays buffered progress and
-	// telemetry. A conflict (the coordinator reaped or re-granted the
-	// lease) marks the lease lost and cancels the job: finishing it would
-	// waste cycles on a result the fenced upload is going to reject anyway.
-	hb := opts.Heartbeat
-	if hb <= 0 {
-		hb = time.Duration(leased.LeaseTTLMS) * time.Millisecond / 3
+func (rt *remote) Progress(ev obs.Event) {
+	rt.n.lastStage.Store(ev.Stage)
+	// Monitor outside the buffer lock: Observe only touches the monitor's
+	// own latch state.
+	rt.monitor.Observe(ev)
+	if ev.Stage == obs.StageABM && ev.Elapsed > 0 {
+		rt.n.abmStep.Record(ev.Elapsed.Seconds())
 	}
-	if hb <= 0 {
-		hb = time.Second
+	rt.mu.Lock()
+	if len(rt.events) >= eventBufferCap {
+		rt.events = rt.events[1:]
+		rt.dropped++
 	}
-	var leaseLost bool
-	var lostMu sync.Mutex
-	stopHB := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(hb)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopHB:
-				return
-			case <-t.C:
-			}
-			je, spans := drainRelay()
-			ack, status, err := heartbeat(opts, leased, service.HeartbeatRequest{
-				WorkerID:   opts.ID,
-				LeaseToken: leased.LeaseToken,
-				Events:     drain(),
-				Journal:    je,
-				Spans:      spans,
-				Metrics:    n.relaySnapshot(),
-				Telemetry:  n.telemetry(),
-			})
-			switch {
-			case err != nil:
-				jlg.Warn("heartbeat failed", "error", err.Error())
-			case status == http.StatusConflict || status == http.StatusNotFound:
-				lostMu.Lock()
-				leaseLost = true
-				lostMu.Unlock()
-				jlg.Warn("lease lost; abandoning job", "status", status)
-				cancel()
-				return
-			case ack.Cancel:
-				jlg.Info("cancellation requested by coordinator")
-				cancel()
-			}
-		}
-	}()
+	rt.events = append(rt.events, service.WireProgress(ev))
+	rt.mu.Unlock()
+}
 
-	start := time.Now()
-	sc, err := service.ScenarioFromTable(leased.Scenario)
-	var raw json.RawMessage
-	if err == nil {
-		raw, err = service.ExecuteRequest(jobCtx, sc, leased.Request, opts.InnerWorkers, sink)
+// relay pops everything buffered since the last send: progress events,
+// journal entries and the spans finished since then (the ring never wraps
+// at jobSpanRingCap, so the cursor is a plain offset).
+func (rt *remote) relay() ([]service.ProgressEvent, []journal.Entry, []trace.SpanData) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	ev, je := rt.events, rt.journal
+	rt.events, rt.journal = nil, nil
+	fin := rt.tracer.Finished()
+	if rt.sentSpans > len(fin) {
+		rt.sentSpans = len(fin)
 	}
-	close(stopHB)
-	<-hbDone
+	spans := fin[rt.sentSpans:]
+	rt.sentSpans = len(fin)
+	return ev, je, spans
+}
 
-	st, msg := service.Classify(err, timeout, errors.Is(err, context.Canceled))
-	res := service.ResultRequest{
-		WorkerID:   opts.ID,
-		LeaseToken: leased.LeaseToken,
-		Status:     string(st),
-		Error:      msg,
-		Result:     raw,
-	}
-	if dropped > 0 {
-		jlg.Warn("progress events dropped by the heartbeat buffer", "dropped", dropped)
-	}
-	n.jobsExecuted.Inc()
-	n.lastStage.Store("")
-	endStageSpans(res.Status)
-	addEntry(journal.KindLifecycle, fmt.Sprintf(
-		"executor finished on worker %q: %s", opts.ID, res.Status))
-	// Assemble the final relay after the spans closed and the finish entry
-	// landed, so the result upload carries the complete worker-side tail.
-	res.Events = drain()
-	res.Journal, res.Spans = drainRelay()
-	res.Metrics = n.relaySnapshot()
-	res.Telemetry = n.telemetry()
-
-	lostMu.Lock()
-	lost := leaseLost
-	lostMu.Unlock()
-	if lost {
-		return // the coordinator moved on; a stale upload would 409 anyway
-	}
-	status, err := upload(opts, leased, res)
-	elapsed := time.Since(start)
+// Heartbeat extends the lease over HTTP, shipping the buffered relay. A
+// conflict (the coordinator reaped or re-granted the lease) marks the lease
+// lost: finishing the job would waste cycles on a result the fenced upload
+// is going to reject anyway.
+func (rt *remote) Heartbeat(req service.HeartbeatRequest) (cancel, lost bool) {
+	req.Events, req.Journal, req.Spans = rt.relay()
+	req.Metrics, req.Telemetry = rt.n.relaySnapshot(), rt.n.telemetry()
+	var ack service.HeartbeatAck
+	status, err := postJSON(rt.n.opts, 10*time.Second,
+		"/v1/internal/jobs/"+rt.leased.JobID+"/heartbeat", req, &ack)
 	switch {
 	case err != nil:
-		jlg.Warn("result upload failed", "error", err.Error(),
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond))
+		rt.lg.Warn("heartbeat failed", "error", err.Error())
+	case status == http.StatusConflict || status == http.StatusNotFound:
+		rt.lost = true
+		rt.lg.Warn("lease lost; abandoning job", "status", status)
+		return false, true
+	case ack.Cancel:
+		rt.lg.Info("cancellation requested by coordinator")
+		return true, false
+	}
+	return false, false
+}
+
+// Complete uploads the terminal outcome with the complete worker-side
+// tail: the runner has closed the stage spans, and the finish entry lands
+// before the final relay is assembled.
+func (rt *remote) Complete(res service.ResultRequest) {
+	n := rt.n
+	n.jobsExecuted.Inc()
+	n.lastStage.Store("")
+	rt.addEntry(fmt.Sprintf("executor finished on worker %q: %s", n.opts.ID, res.Status))
+	res.Events, res.Journal, res.Spans = rt.relay()
+	res.Metrics, res.Telemetry = n.relaySnapshot(), n.telemetry()
+
+	if rt.dropped > 0 {
+		rt.lg.Warn("progress events dropped by the heartbeat buffer", "dropped", rt.dropped)
+	}
+	if rt.lost {
+		return // the coordinator moved on; a stale upload would 409 anyway
+	}
+	// A generous timeout: the job is done, and losing the upload to a
+	// worker shutdown would waste it.
+	status, err := postJSON(n.opts, 30*time.Second,
+		"/v1/internal/jobs/"+rt.leased.JobID+"/result", res, nil)
+	elapsed := float64(time.Since(rt.start)) / float64(time.Millisecond)
+	switch {
+	case err != nil:
+		rt.lg.Warn("result upload failed", "error", err.Error(), "elapsed_ms", elapsed)
 	case status == http.StatusConflict:
-		jlg.Warn("result upload rejected: stale lease",
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond))
+		rt.lg.Warn("result upload rejected: stale lease", "elapsed_ms", elapsed)
 	default:
-		jlg.Info("job finished", "status", res.Status,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond))
+		rt.lg.Info("job finished", "status", res.Status, "elapsed_ms", elapsed)
 	}
 }
 
@@ -497,16 +435,13 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 // polls; shutdown waits at most one poll round trip.
 func (n *node) lease() (*service.LeasedJob, error) {
 	opts := n.opts
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
 	req := service.LeaseRequest{WorkerID: opts.ID, Addr: opts.Addr}
 	if snap := n.relaySnapshot(); snap != nil {
 		req.Metrics = snap
 		req.Telemetry = n.telemetry()
 	}
 	var leased service.LeasedJob
-	status, err := postJSON(ctx, opts,
-		opts.Coordinator+"/v1/internal/lease", req, &leased)
+	status, err := postJSON(opts, 15*time.Second, "/v1/internal/lease", req, &leased)
 	if err != nil {
 		return nil, err
 	}
@@ -520,47 +455,19 @@ func (n *node) lease() (*service.LeasedJob, error) {
 	}
 }
 
-// heartbeat extends the job's lease, shipping the buffered progress and
-// telemetry relay. HTTP-level failures return err; application rejections
-// return the status.
-func heartbeat(opts Options, leased *service.LeasedJob, req service.HeartbeatRequest) (service.HeartbeatAck, int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var ack service.HeartbeatAck
-	status, err := postJSON(ctx, opts,
-		fmt.Sprintf("%s/v1/internal/jobs/%s/heartbeat", opts.Coordinator, leased.JobID),
-		req, &ack)
-	return ack, status, err
-}
-
-// upload posts the terminal result. It uses a generous detached context:
-// the job is done, losing the upload to a worker shutdown would waste it.
-func upload(opts Options, leased *service.LeasedJob, res service.ResultRequest) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return postJSON(ctx, opts,
-		fmt.Sprintf("%s/v1/internal/jobs/%s/result", opts.Coordinator, leased.JobID),
-		res, nil)
-}
-
-// deregister says goodbye on drain, best effort.
-func deregister(opts Options) {
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	postJSON(ctx, opts,
-		fmt.Sprintf("%s/v1/internal/workers/%s/deregister", opts.Coordinator, opts.ID),
-		struct{}{}, nil)
-}
-
-// postJSON posts body as JSON and decodes a 2xx response into out (when
-// non-nil and the response has a body). Non-2xx statuses are returned for
-// the caller to interpret, not turned into errors.
-func postJSON(ctx context.Context, opts Options, url string, body, out any) (int, error) {
+// postJSON posts body as JSON to the coordinator path and decodes a 2xx
+// response into out (when non-nil and the response has a body). Non-2xx
+// statuses are returned for the caller to interpret, not turned into
+// errors. Every request runs on a detached context bounded by timeout, so
+// a drain never aborts one in flight.
+func postJSON(opts Options, timeout time.Duration, path string, body, out any) (int, error) {
 	blob, err := json.Marshal(body)
 	if err != nil {
 		return 0, fmt.Errorf("worker: marshal request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(blob))
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, opts.Coordinator+path, bytes.NewReader(blob))
 	if err != nil {
 		return 0, fmt.Errorf("worker: build request: %w", err)
 	}

@@ -132,6 +132,18 @@ func New(ks []int, p []float64) (*Dist, error) {
 	return d, nil
 }
 
+// FromTable rebuilds a distribution from another's exact group table
+// (Degrees and Probs). Unlike New it keeps every probability bit for bit
+// rather than renormalizing, so a distribution shipped to another process
+// yields identical results there. The table must pass Validate.
+func FromTable(ks []int, p []float64) (*Dist, error) {
+	d := &Dist{ks: append([]int(nil), ks...), p: append([]float64(nil), p...)}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // Uniform builds the uniform distribution over the given distinct degrees.
 func Uniform(ks []int) (*Dist, error) {
 	if len(ks) == 0 {
@@ -236,12 +248,12 @@ func (d *Dist) Validate() error {
 		if i > 0 && d.ks[i-1] >= k {
 			return fmt.Errorf("degreedist: degrees not strictly increasing at group %d", i)
 		}
-		if d.p[i] <= 0 || d.p[i] > 1 {
+		if !(d.p[i] > 0 && d.p[i] <= 1) { // also rejects NaN
 			return fmt.Errorf("degreedist: probability %g out of (0,1] at group %d", d.p[i], i)
 		}
 		total += d.p[i]
 	}
-	if math.Abs(total-1) > 1e-9 {
+	if !(math.Abs(total-1) <= 1e-9) {
 		return fmt.Errorf("degreedist: probabilities sum to %g, want 1", total)
 	}
 	return nil

@@ -175,6 +175,38 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestFromTableExact: rebuilding from a distribution's table keeps every
+// probability bit, where New's renormalization may move the last bits, and
+// a malformed table is refused.
+func TestFromTableExact(t *testing.T) {
+	seq := make([]int, 0, 1000)
+	for i := 0; i < 1000; i++ {
+		seq = append(seq, 1+i%7+i%13)
+	}
+	d, err := FromSequence(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromTable(d.Degrees(), d.Probs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < d.N(); i++ {
+		if got.Degree(i) != d.Degree(i) || math.Float64bits(got.Prob(i)) != math.Float64bits(d.Prob(i)) {
+			t.Fatalf("group %d: (%d, %v), want (%d, %v)", i, got.Degree(i), got.Prob(i), d.Degree(i), d.Prob(i))
+		}
+	}
+	for name, p := range map[string][]float64{
+		"nan":    {math.NaN(), 0.5},
+		"sum":    {0.5, 0.6},
+		"length": {1},
+	} {
+		if _, err := FromTable([]int{1, 2}, p); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+}
+
 func TestKFuncs(t *testing.T) {
 	if got := OmegaConstant(3)(99); got != 3 {
 		t.Errorf("OmegaConstant = %v", got)

@@ -15,37 +15,39 @@ import (
 	"rumornet/internal/obs/trace"
 )
 
-// This file is the coordinator side of distributed rumord (DESIGN.md §12).
-// When Config.Cluster.Enabled is set, the Service starts no local workers;
-// instead remote worker nodes (internal/cluster/worker) claim queued jobs
-// over the internal API:
+// This file is the lease protocol (DESIGN.md §12). Every job executes
+// under a lease: a grant (begin) hands it to a worker, heartbeats renew it
+// and a completion (CompleteLease → settle) ends it, and the reaper
+// requeues a job whose lease ran out. A standalone service's in-process
+// workers make these calls directly (runner.go); with Config.Cluster.Enabled
+// the service starts none and remote nodes (internal/cluster/worker) make
+// them over the internal API:
 //
 //	POST /v1/internal/lease                  — claim the next queued job
 //	POST /v1/internal/jobs/{id}/heartbeat    — extend the lease, relay progress
 //	POST /v1/internal/jobs/{id}/result       — upload the terminal outcome
 //	POST /v1/internal/workers/{id}/deregister — graceful goodbye on drain
 //
-// Every grant mints a fenced lease token; heartbeats and uploads carrying a
-// token that is no longer current are rejected with ErrStaleLease (409), so
-// a worker presumed dead cannot corrupt a job that has since been requeued.
-// The public API is unchanged: a lease grant starts the job through the
-// same begin a local worker uses, so leased jobs read as running with live
-// progress (the heartbeat feeds the sink begin wired), and a result upload
-// ends it through the same settle — blob + terminal WAL record land before
-// the terminal status publishes, the durability-before-visibility ordering
-// extended from process crash to node loss.
+// Every grant mints a fenced lease token; heartbeats and completions
+// carrying a token that is no longer current are rejected with
+// ErrStaleLease (409), so a worker presumed dead cannot corrupt a job that
+// has since been requeued. A completion lands a succeeded job's blob and
+// terminal WAL record before the terminal status publishes, the
+// durability-before-visibility ordering extended from process crash to
+// node loss.
 
 // ErrStaleLease marks a heartbeat or result upload whose lease token is no
 // longer current (409): the lease expired and the job was requeued, or the
 // coordinator restarted and all tokens died with it.
 var ErrStaleLease = errors.New("stale lease")
 
-// ClusterConfig parameterizes coordinator mode. The zero value (Enabled ==
-// false) keeps the service standalone: an in-process worker pool and no
-// internal API.
+// ClusterConfig parameterizes the lease protocol. The zero value (Enabled
+// == false) keeps the service standalone: Config.Workers in-process
+// workers and no internal API.
 type ClusterConfig struct {
-	// Enabled switches the service to coordinator mode: no local workers,
-	// jobs execute on remote nodes under leases.
+	// Enabled makes the service a coordinator: it mounts the internal
+	// worker API and starts no in-process workers, so jobs execute on
+	// remote nodes.
 	Enabled bool
 	// LeaseTTL is how long a granted lease lives without a heartbeat
 	// (default 15s). Expiry requeues the job, so the TTL bounds how long a
@@ -92,11 +94,11 @@ type ScenarioTable struct {
 	Probs   []float64 `json:"probs"`
 }
 
-// ScenarioFromTable rebuilds a Scenario from its wire table. Workers call
-// it on every leased job; construction is microseconds against the solver
-// seconds it precedes.
+// ScenarioFromTable rebuilds a Scenario from its wire table, bit for bit.
+// Remote runners call it on every leased job; construction is microseconds
+// against the solver seconds it precedes.
 func ScenarioFromTable(t ScenarioTable) (*Scenario, error) {
-	d, err := degreedist.New(t.Degrees, t.Probs)
+	d, err := degreedist.FromTable(t.Degrees, t.Probs)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", t.Name, err)
 	}
@@ -129,10 +131,9 @@ func scenarioTable(sc *Scenario) ScenarioTable {
 }
 
 // ExecuteRequest runs one resolved request against a scenario and returns
-// the marshalled result payload — the executor worker nodes share with the
-// coordinator's standalone mode, so a job computes the identical bytes
-// wherever it runs. The request must carry canonicalized parameters (a
-// LeasedJob always does).
+// the marshalled result payload — the executor every Runner calls, so a
+// job computes the identical bytes wherever it runs. The request must
+// carry canonicalized parameters (a LeasedJob always does).
 func ExecuteRequest(ctx context.Context, sc *Scenario, req Request, innerWorkers int, prog obs.Progress) (json.RawMessage, error) {
 	if innerWorkers < 1 {
 		innerWorkers = 1
@@ -267,7 +268,7 @@ type ResultRequest struct {
 	Telemetry *cluster.Telemetry `json:"telemetry,omitempty"`
 }
 
-// ClusterStats is the cluster section of /v1/stats on a coordinator.
+// ClusterStats is the lease section of /v1/stats.
 type ClusterStats struct {
 	// Workers counts registered workers seen within the liveness window.
 	Workers      int `json:"workers"`
@@ -279,18 +280,9 @@ type ClusterStats struct {
 	Requeues         int64 `json:"requeues"`
 }
 
-// Workers snapshots the worker registry (empty, never nil, on a standalone
-// service, so GET /v1/workers is well-formed in every mode).
-func (s *Service) Workers() []cluster.WorkerInfo {
-	if s.table == nil {
-		return []cluster.WorkerInfo{}
-	}
-	ws := s.table.Workers()
-	if ws == nil {
-		ws = []cluster.WorkerInfo{}
-	}
-	return ws
-}
+// Workers snapshots the worker registry: the in-process workers of a
+// standalone service, the remote nodes of a coordinator.
+func (s *Service) Workers() []cluster.WorkerInfo { return s.table.Workers() }
 
 // DegradedReasons enumerates why the service should not receive submit
 // traffic, empty when healthy. A load balancer keys off the /readyz status
@@ -300,10 +292,8 @@ func (s *Service) Workers() []cluster.WorkerInfo {
 // (accepted jobs may not survive a crash) are different pages.
 func (s *Service) DegradedReasons() []string {
 	var reasons []string
-	if s.table != nil {
-		if qd := s.queueLen(); qd > 0 && s.table.LiveWorkers() == 0 {
-			reasons = append(reasons, fmt.Sprintf("no live workers, %d jobs queued", qd))
-		}
+	if qd := s.queueLen(); qd > 0 && s.table.LiveWorkers() == 0 {
+		reasons = append(reasons, fmt.Sprintf("no live workers, %d jobs queued", qd))
 	}
 	if n := s.met.walErrors.Value(); n > 0 {
 		reasons = append(reasons, fmt.Sprintf("durable store reported %d append/fsync errors", n))
@@ -314,69 +304,54 @@ func (s *Service) DegradedReasons() []string {
 	return reasons
 }
 
-// Degraded reports the first degradation reason, or "" when healthy.
-func (s *Service) Degraded() string {
-	if reasons := s.DegradedReasons(); len(reasons) > 0 {
-		return reasons[0]
-	}
-	return ""
-}
-
 // DeregisterWorker removes a worker from the registry — the drain goodbye.
 // Its leases, if any remain, expire normally.
 func (s *Service) DeregisterWorker(id string) {
-	if s.table == nil {
-		return
-	}
 	s.table.Deregister(id)
 	s.dropWorkerTelemetry(id)
 	s.cfg.Logger.Info("worker deregistered", "worker", id)
 }
 
-// LeaseNext claims the next queued job for a worker, interactive class
-// first — remote lease ordering honours the same admission priority as the
-// local worker pool. It returns (nil, nil) when both queues are empty (or
-// draining and dry) — the worker backs off and polls again.
+// LeaseNext claims the next queued job for a remote worker, interactive
+// class first — the admission priority in-process workers keep too. It
+// returns (nil, nil) at once when both queues are empty (or draining and
+// dry) — the worker backs off and polls again.
 func (s *Service) LeaseNext(workerID, addr string) (*LeasedJob, error) {
-	if s.table == nil {
-		return nil, fmt.Errorf("%w: not a coordinator", ErrNotFound)
-	}
 	if workerID == "" {
 		return nil, fmt.Errorf("%w: worker_id required", ErrBadRequest)
 	}
 	s.table.Touch(workerID, addr)
+	noWait, cancel := context.WithCancel(context.Background())
+	cancel() // dequeue takes only what is already buffered
 	for {
-		r := s.tryDequeue()
-		if r == nil {
+		r, ok := s.dequeue(noWait)
+		if !ok {
 			return nil, nil
 		}
-		if lj := s.grantLease(r, workerID); lj != nil {
+		id := r.job.ID
+		// A remote job's cancel hook raises the lease's cancel flag, which
+		// the next heartbeat acknowledgement carries to the worker.
+		if lease, ok := s.begin(r, workerID, func() { s.table.RequestCancel(id) }); ok {
+			lj := s.leasedJob(r, lease)
+			lj.Scenario, lj.Traceparent = scenarioTable(r.sc), r.span.Context().Traceparent()
 			return lj, nil
 		}
-		// The job left the queued state while buffered (cancelled);
-		// try the next one.
+		// The job left the queued state while buffered (cancelled, or out
+		// of attempts); try the next one.
 	}
 }
 
-// grantLease starts one dequeued job under a fresh lease for workerID and
-// returns what the worker needs to run it, or nil if the job is no longer
-// queued.
-func (s *Service) grantLease(r *jobRecord, workerID string) *LeasedJob {
-	lease, ok := s.begin(r, workerID, nil)
-	if !ok {
-		return nil
-	}
+// leasedJob describes a granted job to the runner that executes it.
+func (s *Service) leasedJob(r *jobRecord, lease cluster.Lease) *LeasedJob {
 	return &LeasedJob{
 		JobID:       r.job.ID,
 		TraceID:     r.job.TraceID,
 		Request:     r.req,
-		Scenario:    scenarioTable(r.sc),
-		TimeoutMS:   r.timeout.Milliseconds(),
+		TimeoutMS:   (r.timeout + time.Millisecond - 1).Milliseconds(), // rounded up: never 0
 		LeaseToken:  lease.Token,
 		LeaseTTLMS:  s.table.TTL().Milliseconds(),
 		Attempt:     lease.Attempt,
 		MaxAttempts: s.cfg.Cluster.MaxAttempts,
-		Traceparent: r.span.Context().Traceparent(),
 	}
 }
 
@@ -386,9 +361,6 @@ func (s *Service) grantLease(r *jobRecord, workerID string) *LeasedJob {
 // working for a remotely-executing job — and merges the piggybacked
 // telemetry (journal entries, spans, metrics, health sample).
 func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, error) {
-	if s.table == nil {
-		return HeartbeatAck{}, fmt.Errorf("%w: not a coordinator", ErrNotFound)
-	}
 	s.mu.Lock()
 	r, ok := s.jobs[id]
 	if !ok {
@@ -401,7 +373,6 @@ func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, er
 		return HeartbeatAck{}, fmt.Errorf("%w: %v", ErrStaleLease, err)
 	}
 	sink := r.sink
-	cancelled := r.userCancelled
 	jobID, traceID := r.job.ID, r.job.TraceID
 	s.mu.Unlock()
 
@@ -412,21 +383,21 @@ func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, er
 	s.storeWorkerTelemetry(lease.Worker, req.Metrics, req.Telemetry)
 	return HeartbeatAck{
 		LeaseTTLMS: s.table.TTL().Milliseconds(),
-		Cancel:     lease.Cancel || cancelled,
+		Cancel:     lease.Cancel,
 	}, nil
 }
 
-// CompleteLease finalizes a remotely-executed job from its result upload.
-// The fenced release comes first — a stale token cannot finish a job — and
-// settle then lands a succeeded job's blob and terminal WAL record before
-// the terminal status publishes, exactly as for a local run.
+// CompleteLease finalizes a job from its runner's hand-off. The fenced
+// release comes first — a stale token cannot finish a job — and settle then
+// lands a succeeded job's blob and terminal WAL record before the terminal
+// status publishes. An in-process job cancelled without the client asking
+// was cancelled by Close: it gets no WAL finished record, so the job
+// re-runs after a restart.
 func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
-	if s.table == nil {
-		return Job{}, fmt.Errorf("%w: not a coordinator", ErrNotFound)
-	}
-	// Upload arrival closes the execute segment: the coordinator cannot see
-	// inside the worker's wall clock, so lease-grant -> arrival (network
-	// hop included) is what "execute" means in cluster mode (latency.go).
+	// The hand-off closes the execute segment: the service cannot see
+	// inside the runner's wall clock, so grant -> hand-off (marshalling and,
+	// for a remote runner, the network hop included) is what "execute"
+	// means (latency.go).
 	arrive := time.Now()
 	st := Status(res.Status)
 	if !st.Terminal() || !validStatus(st) {
@@ -449,6 +420,7 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	}
 	sink := r.sink
 	monitor := r.monitor
+	byClient := r.userCancelled
 	s.mu.Unlock()
 
 	// The lease is released: the reaper can no longer requeue this job and
@@ -461,13 +433,15 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	s.mergeWorkerRelay(id, r.job.TraceID, res.Journal, res.Spans)
 	s.storeWorkerTelemetry(lease.Worker, res.Metrics, res.Telemetry)
 	if st == StatusSucceeded && r.req.Type == JobODE {
-		// Theorem 5 consistency of the finished trajectory, as in runJob.
+		// Theorem 5 consistency of the finished trajectory; a violation
+		// lands in the journal before the terminal entry.
 		var odeRes ODEResult
 		if json.Unmarshal(res.Result, &odeRes) == nil {
 			monitor.CheckOutcome(odeRes.R0, odeRes.FinalI)
 		}
 	}
-	return s.settle(r, outcome{status: st, err: res.Error, result: res.Result, execEnd: arrive}), nil
+	return s.settle(r, outcome{status: st, err: res.Error, result: res.Result, execEnd: arrive,
+		shutdown: st == StatusCancelled && !byClient && !s.cfg.Cluster.Enabled}), nil
 }
 
 // reaper periodically requeues (or terminally fails) jobs whose lease
@@ -563,7 +537,7 @@ func (s *Service) reap(lease cluster.Lease) (*jobRecord, Status, string) {
 	return r, st, reason
 }
 
-// clusterRoutes mounts the internal worker API (coordinator mode only).
+// clusterRoutes mounts the internal worker API (Cluster.Enabled only).
 func (s *Service) clusterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/internal/lease", s.handleLease)
 	mux.HandleFunc("POST /v1/internal/jobs/{id}/heartbeat", s.handleHeartbeat)

@@ -81,7 +81,7 @@ func (s *Service) Handler() http.Handler {
 		ws := s.Workers()
 		writeJSON(w, http.StatusOK, map[string]any{"workers": ws, "count": len(ws)})
 	})
-	if s.table != nil {
+	if s.cfg.Cluster.Enabled {
 		s.clusterRoutes(mux)
 	}
 	mux.HandleFunc("POST /v1/surfaces", s.handleBuildSurface)

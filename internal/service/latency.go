@@ -14,15 +14,16 @@ import (
 // rumor_job_latency_segment_seconds{segment} and surfaced per job on
 // GET /v1/jobs/{id} so a slow request is attributable at a glance.
 //
-//   - queue_wait: submission accepted -> execution start (local worker
-//     dequeue, or cluster lease grant). Pure contention: it grows without
-//     bound past saturation and is what the saturation detector watches.
-//   - execute: execution start -> solver payload ready (remote: lease
-//     grant -> result upload arrival, which folds in the network hop —
-//     the coordinator cannot see inside the worker's wall clock without
-//     trusting it).
-//   - serialize: payload ready -> terminal status visible to pollers
-//     (JSON marshal, result-blob write, terminal WAL record, publish).
+//   - queue_wait: submission accepted -> lease grant. Pure contention:
+//     it grows without bound past saturation and is what the saturation
+//     detector watches.
+//   - execute: lease grant -> the runner's result hand-off, which folds
+//     in the result's JSON marshal and, for a remote worker, the network
+//     hop — the service cannot see inside the worker's wall clock
+//     without trusting it.
+//   - serialize: hand-off -> terminal status visible to pollers
+//     (completion checks, result-blob write, terminal WAL record,
+//     publish).
 //
 // The segments are measured from the same time.Now() samples that already
 // drive StartedAt/FinishedAt/ElapsedMS, so queue_wait+execute+serialize

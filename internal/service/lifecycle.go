@@ -15,23 +15,21 @@ import (
 
 // The job lifecycle (DESIGN.md §7) is queued → running → terminal. begin is
 // the only queued → running transition and settle the only way into a
-// terminal status; every path that starts or ends a job — local workers,
-// cluster leases, result uploads, the lease reaper, cancellation, cache
-// hits and startup recovery — goes through them, so the bookkeeping each
-// transition owes (WAL records, metrics, journal, spans, logs) is written
-// once.
+// terminal status; every path that starts or ends a job — lease grants,
+// completions, the lease reaper, cancellation, cache hits and startup
+// recovery — goes through them, so the bookkeeping each transition owes
+// (WAL records, metrics, journal, spans, logs) is written once.
 
-// begin moves a dequeued job to running. worker names the node a lease
-// hands the job to, "" for a local worker; cancel stops a local run (nil
-// for a lease). For a lease, begin also counts the attempt, logs it to the
-// WAL and returns the granted lease. It returns false, changing nothing,
-// when the client cancelled the job while it was queued.
-func (s *Service) begin(r *jobRecord, worker string, cancel context.CancelFunc) (cluster.Lease, bool) {
+// begin grants a dequeued job to worker under a fresh lease: it counts the
+// attempt, logs it to the WAL, and installs cancel as the lease's cancel
+// hook. A coordinator journals the grant, so a job's stream shows its hops
+// between nodes. It returns false when the job is no longer startable: the
+// client cancelled it while it was queued (nothing changes), or it has
+// used its attempt budget in earlier grants, possibly in earlier process
+// lives (it settles failed).
+func (s *Service) begin(r *jobRecord, worker string, cancel func()) (cluster.Lease, bool) {
 	lg := s.cfg.Logger.With("job_id", r.job.ID, "type", r.job.Type,
-		"trace_id", r.job.TraceID)
-	if worker != "" {
-		lg = lg.With("worker", worker)
-	}
+		"trace_id", r.job.TraceID, "worker", worker)
 	monitor := invariant.New(s.cfg.Invariants, func(v invariant.Violation) {
 		s.met.invariantViolation(v.Check)
 		s.journal.Append(journal.Entry{
@@ -45,9 +43,20 @@ func (s *Service) begin(r *jobRecord, worker string, cancel context.CancelFunc) 
 	})
 	sink := s.progressSink(r, monitor, lg)
 
+	budget := s.cfg.Cluster.MaxAttempts
 	s.mu.Lock()
 	if r.job.Status != StatusQueued || r.userCancelled {
 		s.mu.Unlock()
+		return cluster.Lease{}, false
+	}
+	if r.attempts >= budget {
+		// Claimed as running, so a concurrent Cancel leaves the job to
+		// this settle.
+		r.job.Status = StatusRunning
+		s.met.running.Inc()
+		s.mu.Unlock()
+		s.settle(r, outcome{status: StatusFailed,
+			err: fmt.Sprintf("not started: the attempt budget is exhausted (%d/%d)", r.attempts, budget)})
 		return cluster.Lease{}, false
 	}
 	start := time.Now()
@@ -55,13 +64,10 @@ func (s *Service) begin(r *jobRecord, worker string, cancel context.CancelFunc) 
 	r.job.StartedAt = &start
 	r.job.Worker = worker
 	r.cancel, r.monitor, r.sink = cancel, monitor, sink
+	r.attempts++
+	lease := s.table.Grant(r.job.ID, worker, r.attempts)
 	s.walStarted(r.job.ID)
-	var lease cluster.Lease
-	if worker != "" {
-		r.attempts++
-		lease = s.table.Grant(r.job.ID, worker, r.attempts)
-		s.walAttempt(r.job.ID, r.attempts)
-	}
+	s.walAttempt(r.job.ID, r.attempts)
 	s.mu.Unlock()
 
 	queueWait := start.Sub(r.job.SubmittedAt)
@@ -70,12 +76,12 @@ func (s *Service) begin(r *jobRecord, worker string, cancel context.CancelFunc) 
 		s.sat.observe(queueWait, start)
 	}
 	s.met.running.Inc()
-	if worker != "" {
+	if s.cfg.Cluster.Enabled {
 		s.journal.Append(journal.Entry{
 			JobID: r.job.ID, TraceID: r.job.TraceID,
 			Kind: journal.KindLease,
 			Msg: fmt.Sprintf("lease granted to worker %q (attempt %d/%d)",
-				worker, lease.Attempt, s.cfg.Cluster.MaxAttempts),
+				worker, lease.Attempt, budget),
 		})
 	}
 	s.journal.Append(journal.Entry{
@@ -86,14 +92,12 @@ func (s *Service) begin(r *jobRecord, worker string, cancel context.CancelFunc) 
 	return lease, true
 }
 
-// Classify maps an executor error to the terminal status and error message
+// classify maps an executor error to the terminal status and error message
 // a job settles with: nil succeeds; a context cancellation is the client's
 // when byClient is set and the shutdown's otherwise; an exceeded deadline
 // fails as a timeout of the job's budget; any other error fails with its
-// text. Standalone execution and worker nodes share it, so a job reads the
-// same wherever it ran. A worker's only cancellation source is the client,
-// so it passes errors.Is(err, context.Canceled).
-func Classify(err error, timeout time.Duration, byClient bool) (Status, string) {
+// text. Every Runner calls it, so a job reads the same wherever it ran.
+func classify(err error, timeout time.Duration, byClient bool) (Status, string) {
 	switch {
 	case err == nil:
 		return StatusSucceeded, ""
@@ -116,20 +120,22 @@ type outcome struct {
 	// hit names the tier that answered a success without executing it:
 	// "memory" or "disk" at submission, "recovered" at startup.
 	hit string
-	// execEnd is when execution ended — the solver payload was ready or
-	// the worker's result arrived — and zero when nothing executed.
+	// execEnd is when execution ended — the runner's result arrived —
+	// and zero when nothing executed.
 	execEnd time.Time
 	// shutdown marks a cancellation by Close. It writes no WAL finished
-	// record, so the next process life re-runs the job.
+	// record, so the next process life re-runs the job, and hands back the
+	// attempt of a run it cut short, so restarts alone never exhaust the
+	// job's budget.
 	shutdown bool
 }
 
 // settle moves a job to its terminal status; it is the only place one is
 // assigned, and each job settles exactly once: its caller owns the job (a
-// local run, a released or reaped lease, recovery) or, for a queued job,
-// has marked it cancelled so begin skips it. A job settled before it was
-// ever visible (a submit-time hit, a job settled by recovery) is inserted
-// into the table here. Returns the terminal snapshot.
+// released or reaped lease, a job begin refused, recovery) or, for a
+// queued job, has marked it cancelled so begin skips it. A job settled
+// before it was ever visible (a submit-time hit, a job settled by
+// recovery) is inserted into the table here. Returns the terminal snapshot.
 func (s *Service) settle(r *jobRecord, o outcome) Job {
 	// Durability before visibility: the result blob and the terminal
 	// record land on disk while the job still reads as non-terminal, so a
@@ -142,6 +148,8 @@ func (s *Service) settle(r *jobRecord, o outcome) Job {
 	}
 	if r.logged && !o.shutdown {
 		s.walFinished(r.job.ID, o.status)
+	} else if r.logged && executed {
+		s.walAttempt(r.job.ID, r.attempts-1)
 	}
 
 	s.mu.Lock()
@@ -197,16 +205,20 @@ func (s *Service) settle(r *jobRecord, o outcome) Job {
 		s.met.observe(r.job.Type, execute+serialize)
 		s.met.segmentObserve(queueWait, execute, serialize)
 	}
-	job := r.snapshot()
-	s.mu.Unlock()
-
-	if executed && job.Worker != "" {
-		s.met.workerLatency(job.Worker, execute+serialize)
-	}
+	// The job span ends before the status publishes too (lock order s.mu
+	// → the tracer's), so a poller that sees the terminal status finds it
+	// in /debug/events.
 	if o.hit != "" {
 		r.span.SetAttr("cache_hit", o.hit)
 	}
-	r.endSpans(o.status)
+	r.span.SetAttr("status", string(o.status))
+	r.span.End()
+	job := r.snapshot()
+	s.mu.Unlock()
+
+	if executed {
+		s.met.workerLatency(job.Worker, execute+serialize)
+	}
 
 	level := slog.LevelInfo
 	if o.status != StatusSucceeded {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,6 +148,9 @@ func TestLifecycleConformance(t *testing.T) {
 			job := h.submit(lcSlow)
 			waitRunning(h.t, h.svc, job.ID)
 			h.close()
+			if j, _ := h.svc.Job(job.ID); !strings.Contains(j.Error, "cancelled by shutdown") {
+				h.t.Errorf("shutdown-cancelled job error %q, want it to name the shutdown", j.Error)
+			}
 			return job.ID
 		}},
 		{"memory_hit", StatusSucceeded, false, func(h *lcHarness) string {
@@ -225,6 +229,52 @@ func TestLifecycleConformance(t *testing.T) {
 				h.t.Fatalf("lease: %v, %v", lj, err)
 			}
 			return job.ID
+		}},
+		{"restart_exhausted_budget", StatusFailed, true, func(h *lcHarness) string {
+			// A restart must not reset the attempt budget: the job leased
+			// once under a 1-attempt budget is not granted again.
+			cfg := lcCluster
+			cfg.Cluster.MaxAttempts = 1
+			cfg.Cluster.LeaseTTL = time.Hour
+			h.open(cfg, true)
+			job := h.submit(lcThreshold)
+			if lj, err := h.svc.LeaseNext("w1", ""); err != nil || lj == nil {
+				h.t.Fatalf("lease: %v, %v", lj, err)
+			}
+			h.close()
+			h.open(cfg, false)
+			h.mark()
+			if lj, err := h.svc.LeaseNext("w1", ""); err != nil || lj != nil {
+				h.t.Fatalf("restarted job leased again (%+v, %v) past its 1-attempt budget", lj, err)
+			}
+			if j, _ := h.svc.Job(job.ID); !strings.Contains(j.Error, "attempt budget is exhausted (1/1)") {
+				h.t.Errorf("exhausted job error %q, want it to name the budget", j.Error)
+			}
+			return job.ID
+		}},
+		{"restart_shutdown_keeps_budget", StatusSucceeded, true, func(h *lcHarness) string {
+			// Shutdowns alone must not spend the attempt budget: each run
+			// Close cancels — the one in flight and the queued one it
+			// starts under a cancelled context — hands its attempt back.
+			// Three restarts under a 1-attempt budget leave both jobs
+			// startable.
+			cfg := Config{Workers: 1, Cluster: ClusterConfig{MaxAttempts: 1}}
+			h.open(cfg, true)
+			slow := h.submit(lcSlow)
+			waitRunning(h.t, h.svc, slow.ID)
+			queued := h.submit(Request{Type: JobODE, Scenario: "tiny", Params: Params{Lambda0: 0.02, Tf: 40}})
+			for life := 2; life <= 4; life++ {
+				h.close()
+				if j, _ := h.svc.Job(queued.ID); !strings.Contains(j.Error, "cancelled by shutdown") {
+					h.t.Fatalf("job queued at Close: %s (%s), want cancelled by shutdown", j.Status, j.Error)
+				}
+				if life == 4 {
+					cfg.Workers = 2 // the slow job no longer blocks the queued one
+				}
+				h.open(cfg, false)
+				waitRunning(h.t, h.svc, slow.ID)
+			}
+			return queued.ID
 		}},
 		{"reaped_user_cancelled", StatusCancelled, true, func(h *lcHarness) string {
 			h.open(lcCluster, true)

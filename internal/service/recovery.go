@@ -64,7 +64,7 @@ func (s *Service) walFinished(id string, status Status) {
 }
 
 // walAttempt logs a job's cumulative lease-grant count so the poison-job
-// attempt budget survives a coordinator restart. Callers hold s.mu.
+// attempt budget survives a restart.
 func (s *Service) walAttempt(id string, attempt int) {
 	if s.store == nil {
 		return

@@ -1,9 +1,9 @@
 // Package service implements rumord's simulation-as-a-service layer: a
-// scenario registry, a bounded asynchronous job queue executing on a fixed
-// worker pool, a content-addressed LRU result cache, per-job timeouts with
-// context cancellation threaded into the solvers (internal/core,
-// internal/control, internal/abm), and operational introspection
-// (health/readiness/stats). See DESIGN.md §7.
+// scenario registry, a bounded asynchronous job queue leased to in-process
+// or remote workers, a content-addressed LRU result cache, per-job
+// timeouts with context cancellation threaded into the solvers
+// (internal/core, internal/control, internal/abm), and operational
+// introspection (health/readiness/stats). See DESIGN.md §7.
 //
 // The package is HTTP-agnostic at its core — Submit/Job/Cancel/Drain are
 // plain methods — with the JSON API bolted on in handlers.go, so the same
@@ -64,15 +64,17 @@ type jobRecord struct {
 	seq     uint64
 	timeout time.Duration
 
-	cancel        context.CancelFunc // non-nil while running locally; nil for leased jobs
+	// cancel is the running lease's cancel hook: it stops an in-process
+	// job's context, or raises a remote lease's cancel flag.
+	cancel        func()
 	userCancelled bool
 	// logged records that the WAL holds the job's submitted record, so
 	// settle owes it a finished record. Set before the job is visible.
 	logged bool
 
-	// attempts counts cluster lease grants (0 for standalone execution);
-	// the reaper terminally fails the job once it reaches
-	// Cluster.MaxAttempts. Recovery restores it from the WAL.
+	// attempts counts lease grants; once it reaches Cluster.MaxAttempts
+	// begin grants no more and the reaper fails an expired lease
+	// terminally. Recovery restores it from the WAL.
 	attempts int
 
 	// prog is the latest solver checkpoint, written by the executing
@@ -88,14 +90,10 @@ type jobRecord struct {
 	// progress stream; violations land in the journal, the metrics and
 	// the log exactly once per check.
 	monitor *invariant.Monitor
-	// sink is the progress sink begin wired for this execution, kept so
-	// tests can inject synthetic events through the full pipeline.
+	// sink is the progress sink begin wired for this execution: the
+	// runner's events reach it directly in process and through heartbeats
+	// from a remote node.
 	sink obs.Progress
-
-	// spanMu guards the per-stage child spans; progress events arrive
-	// from concurrent ABM trial goroutines.
-	spanMu     sync.Mutex
-	stageSpans map[string]*trace.Span
 }
 
 // Service is the resident simulation engine behind cmd/rumord.
@@ -121,18 +119,18 @@ type Service struct {
 	// sat is the queue-wait saturation detector (latency.go); nil when
 	// Config.SaturationBudget disabled it. Set once in New.
 	sat *satWindow
-	// table is the cluster lease table + worker registry (nil unless
-	// Config.Cluster.Enabled). Set once in New, never mutated after. Lock
-	// order: Service.mu before table's internal mutex, and the table never
-	// calls back into the service.
+	// table is the lease table + worker registry every job executes
+	// through. Set once in New, never mutated after. Lock order: Service.mu
+	// before table's internal mutex, and the table never calls back into
+	// the service.
 	table *cluster.Table
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
-	// reaperWG tracks the lease reaper separately from the worker pool:
-	// Drain waits on wg only (the reaper must keep running while remote
-	// workers drain their leases); Close waits on both.
+	// reaperWG tracks the lease reaper separately from the workers: Drain
+	// waits on wg only (the reaper must keep running while remote workers
+	// drain their leases); Close waits on both.
 	reaperWG sync.WaitGroup
 
 	mu      sync.Mutex
@@ -141,8 +139,8 @@ type Service struct {
 	keyJobs map[string][]string // cache key -> jobs whose journal it retains
 	seq     uint64
 	// queues is one bounded channel per admission class, indexed by
-	// classIndex (0 = interactive, 1 = batch). Workers and cluster leases
-	// drain interactive first — a queued batch sweep never delays a queued
+	// classIndex (0 = interactive, 1 = batch). Every lease drains
+	// interactive first — a queued batch sweep never delays a queued
 	// interactive job by more than the job already executing.
 	queues   [2]chan *jobRecord
 	draining bool
@@ -178,10 +176,8 @@ func New(cfg Config) (*Service, error) {
 			make(chan *jobRecord, cfg.QueueDepth),
 			make(chan *jobRecord, cfg.QueueDepth),
 		},
-		surf: newSurfaceManager(),
-	}
-	if cfg.Cluster.Enabled {
-		s.table = cluster.New(cfg.Cluster.LeaseTTL, cfg.Cluster.WorkerLiveness, nil)
+		surf:  newSurfaceManager(),
+		table: cluster.New(cfg.Cluster.LeaseTTL, cfg.Cluster.WorkerLiveness, nil),
 	}
 	if cfg.SaturationBudget > 0 {
 		s.sat = newSatWindow(cfg.SaturationBudget, cfg.SaturationWindow)
@@ -238,15 +234,16 @@ func New(cfg Config) (*Service, error) {
 		s.reloadSurfaces()
 	}
 
-	if s.table != nil {
-		// Coordinator mode: no local workers, remote nodes lease the queue;
-		// the reaper recycles leases their owners stopped renewing.
-		s.reaperWG.Add(1)
-		go s.reaper(cfg.Cluster.ReapInterval)
-	} else {
-		for i := 0; i < cfg.Workers; i++ {
+	// The reaper recycles leases their owners stopped renewing. In-process
+	// workers share the service's life, so they always count as live.
+	s.reaperWG.Add(1)
+	go s.reaper(cfg.Cluster.ReapInterval)
+	if !cfg.Cluster.Enabled {
+		for i := 1; i <= cfg.Workers; i++ {
+			id := fmt.Sprintf("local-%d", i)
+			s.table.Resident(id)
 			s.wg.Add(1)
-			go s.worker()
+			go s.localWorker(id)
 		}
 	}
 	cfg.Logger.Info("service started",
@@ -573,11 +570,6 @@ func (s *Service) Cancel(id string) (Job, error) {
 	if cancel != nil {
 		cancel()
 	}
-	if s.table != nil {
-		// Leased jobs have no local cancel func; the flag rides back on
-		// the next heartbeat ack and the worker stops the job there.
-		s.table.RequestCancel(id)
-	}
 	s.cfg.Logger.Info("job cancellation requested", "job_id", id)
 	return job, nil
 }
@@ -607,13 +599,11 @@ func (s *Service) Stats() Stats {
 			ScenarioReplays:  s.met.scenarioReplays.Value(),
 		}
 	}
-	if s.table != nil {
-		st.Cluster = &ClusterStats{
-			Workers:          s.table.LiveWorkers(),
-			LeasesActive:     s.table.Active(),
-			LeaseExpirations: s.met.leaseExpirations.Value(),
-			Requeues:         s.met.requeues.Value(),
-		}
+	st.Cluster = &ClusterStats{
+		Workers:          s.table.LiveWorkers(),
+		LeasesActive:     s.table.Active(),
+		LeaseExpirations: s.met.leaseExpirations.Value(),
+		Requeues:         s.met.requeues.Value(),
 	}
 	st.Surface = s.surf.stats()
 	return st
@@ -630,27 +620,24 @@ func (s *Service) Ready() bool {
 }
 
 // Drain stops accepting submissions, lets queued and running jobs finish,
-// and returns once the workers exit (or ctx expires, in which case the
-// remaining jobs keep running and Close should follow). On a coordinator
-// "running" means leased: drain additionally waits for remote workers to
-// drain the buffered queue and upload their in-flight results.
+// and returns once the in-process workers exit and every lease is
+// released (or ctx expires, in which case the remaining jobs keep running
+// and Close should follow).
 func (s *Service) Drain(ctx context.Context) error {
 	s.cfg.Logger.Info("drain started")
 	s.stopIntake()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		if s.table != nil {
-			// Closing the queue did not stop remote leasing: a buffered
-			// receive on a closed channel still yields the remaining jobs,
-			// so workers keep claiming until the buffer is dry, and
-			// in-flight uploads keep landing. Poll both down to zero.
-			for s.queueLen() > 0 || s.table.Active() > 0 {
-				select {
-				case <-ctx.Done():
-					return // leave done open; the outer select reports the interrupt
-				case <-time.After(20 * time.Millisecond):
-				}
+		// Closing the queue did not stop remote leasing: a buffered
+		// receive on a closed channel still yields the remaining jobs, so
+		// remote workers keep claiming until the buffer is dry, and
+		// in-flight uploads keep landing. Poll both down to zero.
+		for s.queueLen() > 0 || s.table.Active() > 0 {
+			select {
+			case <-ctx.Done():
+				return // leave done open; the outer select reports the interrupt
+			case <-time.After(20 * time.Millisecond):
 			}
 		}
 		close(done)
@@ -691,130 +678,49 @@ func (s *Service) stopIntake() {
 	}
 }
 
-func (s *Service) worker() {
-	defer s.wg.Done()
+// dequeue claims the next queued job, interactive first: buffered
+// interactive work always overtakes buffered batch work. It blocks until a
+// job arrives and returns ok == false once both queues are closed and dry
+// or ctx ends — under an ended ctx it takes only what is already buffered.
+func (s *Service) dequeue(ctx context.Context) (*jobRecord, bool) {
+	qs := s.queues // a closed-and-dry class drops out as nil: a nil channel never fires
 	for {
-		r, ok := s.dequeue()
-		if !ok {
-			return
-		}
-		s.runJob(r)
-	}
-}
-
-// dequeue claims the next job for a local worker, interactive first: a
-// nonblocking pass over the interactive queue precedes every blocking wait,
-// so buffered interactive work always overtakes buffered batch work. It
-// returns ok == false once both queues are closed and dry.
-func (s *Service) dequeue() (*jobRecord, bool) {
-	inter, batch := s.queues[0], s.queues[1]
-	for inter != nil || batch != nil {
-		if inter != nil {
+		for i, q := range qs {
 			select {
-			case r, ok := <-inter:
-				if !ok {
-					inter = nil
-					continue
+			case r, ok := <-q:
+				if ok {
+					return r, true
 				}
-				return r, true
+				qs[i] = nil
 			default:
 			}
 		}
-		// Nothing interactive buffered: block on both (a nil channel never
-		// fires, which is how a closed-and-dry class drops out).
-		select {
-		case r, ok := <-inter:
-			if !ok {
-				inter = nil
-				continue
-			}
-			return r, true
-		case r, ok := <-batch:
-			if !ok {
-				batch = nil
-				continue
-			}
-			return r, true
+		if qs[0] == nil && qs[1] == nil {
+			return nil, false
 		}
-	}
-	return nil, false
-}
-
-// tryDequeue claims the next buffered job without blocking, interactive
-// first — the cluster lease path (LeaseNext returns "empty" rather than
-// parking the worker's poll).
-func (s *Service) tryDequeue() *jobRecord {
-	for _, q := range s.queues {
 		select {
-		case r, ok := <-q:
+		case r, ok := <-qs[0]:
 			if ok {
-				return r
+				return r, true
 			}
-			// closed and dry: fall through to the other class
-		default:
+			qs[0] = nil
+		case r, ok := <-qs[1]:
+			if ok {
+				return r, true
+			}
+			qs[1] = nil
+		case <-ctx.Done():
+			return nil, false
 		}
 	}
-	return nil
-}
-
-// runJob executes one dequeued job under its timeout and settles it.
-func (s *Service) runJob(r *jobRecord) {
-	ctx, cancel := context.WithTimeout(s.baseCtx, r.timeout)
-	defer cancel()
-	if _, ok := s.begin(r, "", cancel); !ok {
-		return
-	}
-	payload, err := execute(withInnerWorkers(ctx, s.cfg.InnerWorkers), r.sc, r.req, r.sink)
-	execEnd := time.Now() // everything after is the serialize segment
-	var raw json.RawMessage
-	if err == nil {
-		raw, err = json.Marshal(payload)
-		// Theorem 5 consistency of the finished trajectory; any violation
-		// lands in the journal before the terminal entry.
-		if res, ok := payload.(*ODEResult); ok && err == nil {
-			r.monitor.CheckOutcome(res.R0, res.FinalI)
-		}
-	}
-	s.mu.Lock()
-	byClient := r.userCancelled
-	s.mu.Unlock()
-	st, msg := Classify(err, r.timeout, byClient)
-	s.settle(r, outcome{status: st, err: msg, result: raw, execEnd: execEnd,
-		shutdown: st == StatusCancelled && !byClient})
-}
-
-// stageSpan opens the per-stage child span the first time a stage reports;
-// FBSM's repeated forward/backward sweeps share one span per stage. Safe
-// for concurrent progress emitters.
-func (r *jobRecord) stageSpan(tr *trace.Tracer, stage string) {
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	if r.stageSpans == nil {
-		r.stageSpans = make(map[string]*trace.Span)
-	}
-	if _, ok := r.stageSpans[stage]; !ok {
-		r.stageSpans[stage] = tr.StartSpan("stage."+stage, r.span.Context())
-	}
-}
-
-// endSpans closes the stage spans and then the job span.
-func (r *jobRecord) endSpans(status Status) {
-	r.spanMu.Lock()
-	for _, sp := range r.stageSpans {
-		sp.End()
-	}
-	r.stageSpans = nil
-	r.spanMu.Unlock()
-	r.span.SetAttr("status", string(status))
-	r.span.End()
 }
 
 // progressSink adapts solver progress events onto the job record (for
 // GET /v1/jobs/{id}), the flight-recorder journal (replayed and streamed by
-// GET /v1/jobs/{id}/events), the invariant monitor, the per-stage trace
-// spans, the metrics registry, and — every ProgressLogEvery-th event — the
-// structured log. Solvers may call it from worker goroutines; everything it
-// touches is atomic or internally locked.
+// GET /v1/jobs/{id}/events), the invariant monitor, the metrics registry,
+// and — every ProgressLogEvery-th event — the structured log; the Runner
+// opens the stage spans. Solvers may call it from worker goroutines;
+// everything it touches is atomic or internally locked.
 func (s *Service) progressSink(r *jobRecord, monitor *invariant.Monitor, lg *slog.Logger) obs.Progress {
 	var n atomic.Int64
 	every := int64(s.cfg.ProgressLogEvery)
@@ -829,13 +735,6 @@ func (s *Service) progressSink(r *jobRecord, monitor *invariant.Monitor, lg *slo
 			UpdatedAt: time.Now(),
 		}
 		r.prog.Store(jp)
-		// Standalone mode opens coordinator-local stage spans; in cluster
-		// mode the executing worker times its own stage spans and uploads
-		// them with the heartbeat/result relay, so opening a second set
-		// here would double every stage in the trace.
-		if s.table == nil {
-			r.stageSpan(s.tracer, ev.Stage)
-		}
 		// Monitor first: a violation's journal entry then precedes the
 		// checkpoint that triggered it in the replay, reading causally.
 		monitor.Observe(ev)

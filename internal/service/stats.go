@@ -87,7 +87,7 @@ type LatencySummary struct {
 // obs.Registry (scraped at GET /metrics) and doubles as the backing store
 // for the legacy /v1/stats payload, which snapshots the same atomics. The
 // per-type and per-status maps are built once here and read-only afterwards,
-// so the hot paths (submit, runJob) touch only lock-free instruments —
+// so the hot paths (submit, settle) touch only lock-free instruments —
 // replacing the former whole-struct mutex.
 type metrics struct {
 	reg *obs.Registry
@@ -235,12 +235,12 @@ func (m *metrics) queueWaitObserve(c Class, wait time.Duration) {
 	}
 }
 
-// workerLatency records one remote job execution (lease grant to result
-// upload) against the per-worker histogram, created on the worker's first
+// workerLatency records one job execution (lease grant to hand-off)
+// against the per-worker histogram, created on the worker's first
 // completion (obs.Registry instruments are get-or-create by name+labels).
 func (m *metrics) workerLatency(worker string, elapsed time.Duration) {
 	m.reg.Histogram("rumor_cluster_worker_job_seconds",
-		"Remote job latency from lease grant to result upload, per worker.",
+		"Job latency from lease grant to result hand-off, per worker.",
 		obs.L("worker", worker)).Record(elapsed.Seconds())
 }
 
@@ -309,14 +309,12 @@ func (m *metrics) registerDerived(s *Service) {
 	m.reg.GaugeFunc("rumor_trace_spans_finished",
 		"Finished spans resident in the trace ring.",
 		func() float64 { return float64(len(s.tracer.Finished())) })
-	if s.table != nil {
-		m.reg.GaugeFunc("rumor_cluster_workers",
-			"Cluster workers seen within the liveness window.",
-			func() float64 { return float64(s.table.LiveWorkers()) })
-		m.reg.GaugeFunc("rumor_cluster_leases_active",
-			"Jobs currently leased to cluster workers.",
-			func() float64 { return float64(s.table.Active()) })
-	}
+	m.reg.GaugeFunc("rumor_cluster_workers",
+		"Workers (in-process or remote) live within the liveness window.",
+		func() float64 { return float64(s.table.LiveWorkers()) })
+	m.reg.GaugeFunc("rumor_cluster_leases_active",
+		"Jobs currently leased to workers.",
+		func() float64 { return float64(s.table.Active()) })
 	if s.store != nil {
 		m.reg.GaugeFunc("rumor_store_results",
 			"Result blobs resident in the durable store.",

@@ -40,7 +40,8 @@ const (
 // restamped server-side — JobID and TraceID are forced to the leased job's
 // values and Seq is reallocated by the journal — so a worker can annotate
 // only the job it holds a valid lease for (the caller has already fenced
-// the token).
+// the token). The Final mark is the coordinator's alone: a relayed one
+// would close the job's event streams early.
 func (s *Service) mergeWorkerRelay(jobID, traceID string, entries []journal.Entry, spans []trace.SpanData) {
 	if len(entries) > maxRelayJournal {
 		entries = entries[:maxRelayJournal]
@@ -49,6 +50,7 @@ func (s *Service) mergeWorkerRelay(jobID, traceID string, entries []journal.Entr
 		e.JobID = jobID
 		e.TraceID = traceID
 		e.Seq = 0
+		e.Final = false
 		s.journal.Append(e)
 	}
 	if len(spans) > maxRelaySpans {
@@ -71,7 +73,7 @@ func (s *Service) storeWorkerTelemetry(workerID string, snap obs.Snapshot, tel *
 		s.workerSnaps[workerID] = snap
 		s.telMu.Unlock()
 	}
-	if tel != nil && s.table != nil {
+	if tel != nil {
 		s.table.SetTelemetry(workerID, *tel)
 	}
 }

@@ -4,7 +4,7 @@
 #   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...,
 #           and go vet over the rumorbench module
 #   tier 2: go vet ./... && go test -race ./..., one iteration of every
-#           benchmark, the rumorbench tests under -race, and 10s of each obs
+#           benchmark, the rumorbench tests under -race, and 10s of each
 #           relay fuzzer
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
@@ -13,12 +13,13 @@
 # tests, which exercise journal fan-out, live subscribers and mid-stream
 # cancellation under the detector), the durable store (internal/store:
 # WAL appends racing the batched-fsync flusher, concurrent blob Put/Get/GC,
-# and the service's crash-recovery E2E) and the cluster layer (internal/
-# cluster's lease table under concurrent grant/extend/expire, plus the
-# coordinator/worker crash matrix in internal/cluster/worker — worker
-# kill mid-job, coordinator restart with leased jobs, poison-job
-# exhaustion, both drain directions — and the telemetry relay layered on
-# it: worker-side span/journal/snapshot buffers racing the heartbeat
+# and the service's crash-recovery E2E) and the lease layer every job runs
+# under (internal/cluster's lease table under concurrent
+# grant/extend/expire; in-process workers leasing, heartbeating and
+# completing against the service; and the crash matrix for remote workers
+# in internal/cluster/worker — worker kill mid-job, coordinator restart
+# with leased jobs, poison-job exhaustion, both drain directions — and the
+# telemetry relay layered on it: worker-side span/journal/snapshot buffers racing the heartbeat
 # goroutine, the coordinator's relay merge racing /metrics scrapes and
 # SSE followers, and the rumorctl -follow live tail against a real
 # cluster) and the response-surface tier (internal/service's construction
@@ -64,13 +65,16 @@ if [ "${1:-}" = "-race" ]; then
 	echo "== tier 2: rumorbench under -race"
 	(cd rumorbench && go test -race -count 1 ./...)
 	# The relay fuzzers: arbitrary worker JSON through the coordinator's
-	# decode/label/merge/render path against the exposition grammar, and
-	# split-and-merge HDR streams against one HDR fed the whole stream.
-	# Tier 1 replays their checked-in seeds (internal/obs/testdata/fuzz);
-	# here each explores for 10s. Go fuzzes one target per invocation.
+	# decode/label/merge/render path against the exposition grammar,
+	# split-and-merge HDR streams against one HDR fed the whole stream,
+	# and arbitrary heartbeat and result bodies against a leased job's
+	# fencing and relay caps. Tier 1 replays their checked-in seeds
+	# (testdata/fuzz under internal/obs and internal/service); here each
+	# explores for 10s. Go fuzzes one target per invocation.
 	echo "== tier 2: relay fuzzers"
 	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
+	go test -run '^$' -fuzz '^FuzzWorkerRelay$' -fuzztime 10s ./internal/service
 fi
 
 echo "verify: ok"
