@@ -87,11 +87,12 @@ func dumpSpans(t *testing.T, svc *service.Service) []trace.SpanData {
 // TestClusterObservabilityEndToEnd runs one job through a real worker node
 // and checks the three relay planes land on the coordinator:
 //
-//   - tracing: the worker's stage.* spans carry the job's trace id and
-//     parent onto the coordinator's job.<type> span — one coherent trace;
-//   - journal: GET /v1/jobs/{id}/events replays the worker's lifecycle
-//     entries inside the job's stream, trace-correlated and before the
-//     terminal entry;
+//   - tracing: the stage.* spans the coordinator derives from the worker's
+//     events carry the job's trace id and parent onto the coordinator's
+//     job.<type> span — one coherent trace;
+//   - journal: GET /v1/jobs/{id}/events replays the lease grant to the
+//     worker and its relayed progress inside the job's stream,
+//     trace-correlated and before the terminal entry;
 //   - metrics: GET /metrics re-exports the worker's registry under
 //     rumor_worker_*{worker="..."} plus rumor_fleet_* aggregates, and
 //     GET /v1/workers carries the telemetry sample.
@@ -132,7 +133,7 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Tracing: one trace spanning both processes. The coordinator owns
-	// job.ode; the worker uploaded stage.ode parented under it.
+	// job.ode and opened stage.ode under it from the worker's events.
 	spans := dumpSpans(t, h.svc)
 	var jobSpan, stageSpan *trace.SpanData
 	for i := range spans {
@@ -151,7 +152,7 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("no job.ode span with trace %s among %d spans", job.TraceID, len(spans))
 	}
 	if stageSpan == nil {
-		t.Fatalf("no worker stage.* span with trace %s — the relay dropped the spans", job.TraceID)
+		t.Fatalf("no stage.* span with trace %s — the relayed events opened none", job.TraceID)
 	}
 	if stageSpan.ParentID != jobSpan.SpanID {
 		t.Errorf("stage span parent = %s, want the job span %s", stageSpan.ParentID, jobSpan.SpanID)
@@ -160,21 +161,22 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("stage span attrs = %v, want worker and job attribution", stageSpan.Attrs)
 	}
 
-	// Journal: the SSE replay carries the worker's lifecycle entries inside
-	// the job's stream, trace-correlated, with the terminal entry last.
+	// Journal: the SSE replay carries the lease grant and the worker's
+	// relayed progress inside the job's stream, trace-correlated, with the
+	// terminal entry last.
 	code, body = h.getBody("/v1/jobs/" + job.ID + "/events?follow=0")
 	if code != http.StatusOK {
 		t.Fatalf("events replay: %d %s", code, body)
 	}
 	stream := string(body)
-	execIdx := strings.Index(stream, `executing on worker \"w-obs\"`)
-	finishIdx := strings.Index(stream, `executor finished on worker \"w-obs\": succeeded`)
+	grantIdx := strings.Index(stream, `lease granted to worker \"w-obs\"`)
+	progIdx := strings.LastIndex(stream, `"kind":"progress"`)
 	finalIdx := strings.Index(stream, `"final":true`)
-	if execIdx < 0 || finishIdx < 0 {
-		t.Fatalf("replay missing worker lifecycle entries:\n%s", stream)
+	if grantIdx < 0 || progIdx < 0 {
+		t.Fatalf("replay missing the lease grant or relayed progress:\n%s", stream)
 	}
-	if finalIdx < 0 || finishIdx > finalIdx {
-		t.Errorf("worker entries not ordered before the terminal entry:\n%s", stream)
+	if finalIdx < 0 || grantIdx > progIdx || progIdx > finalIdx {
+		t.Errorf("grant, progress and terminal entry out of order:\n%s", stream)
 	}
 	if !strings.Contains(stream, fmt.Sprintf(`"trace_id":"%s"`, job.TraceID)) {
 		t.Errorf("replay entries not trace-correlated to %s:\n%s", job.TraceID, stream)

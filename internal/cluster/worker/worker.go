@@ -7,10 +7,11 @@
 // store — so killing one loses at most the work of its current lease, which
 // the coordinator's reaper requeues after the lease TTL.
 //
-// Each node is also a telemetry source (DESIGN.md §13): it keeps its own
-// metric registry (solver histograms, job counters, Go runtime gauges),
-// times per-stage trace spans parented under the coordinator's job span,
-// and journals worker-local lifecycle events — all piggybacked on the
+// Each node is also a telemetry source (DESIGN.md §13). Per job it relays
+// only the progress events, each stamped with its offset into the lease,
+// from which the coordinator derives the job's journal and stage spans.
+// Per node it keeps its own metric registry (solver histograms, job
+// counters, Go runtime gauges) and a health sample. Both piggyback on the
 // requests it already makes (heartbeats, result uploads, and between jobs
 // the lease poll), so observability costs no extra round trips and needs
 // no listening port on the worker.
@@ -35,8 +36,6 @@ import (
 	"rumornet/internal/cluster"
 	"rumornet/internal/obs"
 	"rumornet/internal/obs/invariant"
-	"rumornet/internal/obs/journal"
-	"rumornet/internal/obs/trace"
 	"rumornet/internal/service"
 )
 
@@ -102,14 +101,10 @@ func (o Options) withDefaults() Options {
 
 // eventBufferCap bounds the progress events buffered between heartbeats; a
 // chatty solver overwrites nothing downstream (the coordinator's journal is
-// a ring anyway), so beyond the cap the oldest buffered events are dropped
-// and counted.
+// a ring anyway), so beyond the cap the oldest buffered event that does
+// not open a stage is dropped and counted. Every stage the job entered
+// still reaches the coordinator with its start time.
 const eventBufferCap = 512
-
-// jobSpanRingCap bounds the per-job span ring. A job finishes a handful of
-// stage spans; the headroom absorbs pathological stage churn without the
-// incremental-upload cursor ever seeing an overwrite.
-const jobSpanRingCap = 64
 
 // snapshotEvery throttles the registry-snapshot relay. The snapshot is by
 // far the largest telemetry payload (every family, marshaled worker-side
@@ -241,10 +236,9 @@ func Run(ctx context.Context, opts Options) error {
 					Status: string(service.StatusFailed), Error: err.Error()})
 				break
 			}
-			jobSpan, _ := trace.ParseTraceparent(leased.Traceparent)
 			// The job runs detached from ctx, so a drain (SIGTERM) lets
 			// it finish.
-			run.Run(context.Background(), leased, sc, jobSpan, rt)
+			run.Run(context.Background(), leased, sc, rt)
 			// Re-poll immediately: a saturated queue keeps the worker busy
 			// back to back.
 		}
@@ -273,37 +267,38 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, delay time.Duration, opts
 }
 
 // remote is one lease as the worker node holds it — the
-// service.Transport its runner reports through. Progress events, worker
-// journal entries and finished stage spans buffer here between heartbeats
-// and ride the next heartbeat or the result upload; the buffer is locked
-// because the runner's sink is called from solver goroutines.
+// service.Transport its runner reports through. Progress events buffer
+// here between heartbeats and ride the next heartbeat or the result
+// upload; the buffer is locked because the runner's sink is called from
+// solver goroutines.
 type remote struct {
 	n       *node
 	leased  *service.LeasedJob
 	lg      *slog.Logger
-	tracer  *trace.Tracer
 	monitor *invariant.Monitor
 	start   time.Time
 
-	mu        sync.Mutex
-	events    []service.ProgressEvent
-	journal   []journal.Entry
-	sentSpans int
-	dropped   int
+	mu      sync.Mutex
+	events  []bufferedEvent
+	stages  map[string]bool // stages whose first event was buffered
+	dropped int
 	// lost needs no lock: the runner calls Complete only after its last
 	// Heartbeat returned.
 	lost bool
+}
+
+// bufferedEvent is a relayed event and whether it is its stage's first,
+// which the buffer never drops.
+type bufferedEvent struct {
+	ev    service.ProgressEvent
+	opens bool
 }
 
 func (n *node) newRemote(leased *service.LeasedJob, lg *slog.Logger) *remote {
 	jlg := lg.With("job_id", leased.JobID, "trace_id", leased.TraceID)
 	jlg.Info("job leased", "type", leased.Request.Type,
 		"attempt", leased.Attempt, "max_attempts", leased.MaxAttempts)
-	rt := &remote{
-		n: n, leased: leased, lg: jlg, start: time.Now(),
-		// Finished stage spans upload incrementally from a per-job ring.
-		tracer: trace.New(jobSpanRingCap),
-	}
+	rt := &remote{n: n, leased: leased, lg: jlg, start: time.Now(), stages: map[string]bool{}}
 	// The worker's own invariant monitor: the coordinator re-monitors the
 	// relayed event stream, but the relay buffer is bounded — this count
 	// (relayed in the health sample and the registry snapshot) sees every
@@ -317,21 +312,8 @@ func (n *node) newRemote(leased *service.LeasedJob, lg *slog.Logger) *remote {
 		jlg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
 			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
 	})
-	rt.addEntry(fmt.Sprintf("executing on worker %q (attempt %d/%d)",
-		n.opts.ID, leased.Attempt, leased.MaxAttempts))
 	return rt
 }
-
-func (rt *remote) addEntry(msg string) {
-	rt.mu.Lock()
-	rt.journal = append(rt.journal, journal.Entry{
-		JobID: rt.leased.JobID, TraceID: rt.leased.TraceID,
-		Kind: journal.KindLifecycle, Msg: msg,
-	})
-	rt.mu.Unlock()
-}
-
-func (rt *remote) Tracer() *trace.Tracer { return rt.tracer }
 
 func (rt *remote) Progress(ev obs.Event) {
 	rt.n.lastStage.Store(ev.Stage)
@@ -342,29 +324,41 @@ func (rt *remote) Progress(ev obs.Event) {
 		rt.n.abmStep.Record(ev.Elapsed.Seconds())
 	}
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if len(rt.events) >= eventBufferCap {
-		rt.events = rt.events[1:]
-		rt.dropped++
+		rt.dropOldest()
 	}
-	rt.events = append(rt.events, service.WireProgress(ev))
-	rt.mu.Unlock()
+	opens := !rt.stages[ev.Stage]
+	rt.stages[ev.Stage] = true
+	rt.events = append(rt.events, bufferedEvent{service.WireProgress(ev, time.Since(rt.start)), opens})
 }
 
-// relay pops everything buffered since the last send: progress events,
-// journal entries and the spans finished since then (the ring never wraps
-// at jobSpanRingCap, so the cursor is a plain offset).
-func (rt *remote) relay() ([]service.ProgressEvent, []journal.Entry, []trace.SpanData) {
+// dropOldest drops the oldest buffered event that does not open a stage,
+// or the oldest one if every event does. Drops move the stage openers to
+// the front of the buffer, so the search is as short as the stage count.
+func (rt *remote) dropOldest() {
+	i := 0
+	for i < len(rt.events) && rt.events[i].opens {
+		i++
+	}
+	if i == len(rt.events) {
+		i = 0
+	}
+	copy(rt.events[1:i+1], rt.events[:i])
+	rt.events = rt.events[1:]
+	rt.dropped++
+}
+
+// relay pops the progress events buffered since the last send.
+func (rt *remote) relay() []service.ProgressEvent {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ev, je := rt.events, rt.journal
-	rt.events, rt.journal = nil, nil
-	fin := rt.tracer.Finished()
-	if rt.sentSpans > len(fin) {
-		rt.sentSpans = len(fin)
+	out := make([]service.ProgressEvent, len(rt.events))
+	for i, b := range rt.events {
+		out[i] = b.ev
 	}
-	spans := fin[rt.sentSpans:]
-	rt.sentSpans = len(fin)
-	return ev, je, spans
+	rt.events = nil
+	return out
 }
 
 // Heartbeat extends the lease over HTTP, shipping the buffered relay. A
@@ -372,7 +366,7 @@ func (rt *remote) relay() ([]service.ProgressEvent, []journal.Entry, []trace.Spa
 // lost: finishing the job would waste cycles on a result the fenced upload
 // is going to reject anyway.
 func (rt *remote) Heartbeat(req service.HeartbeatRequest) (cancel, lost bool) {
-	req.Events, req.Journal, req.Spans = rt.relay()
+	req.Events = rt.relay()
 	req.Metrics, req.Telemetry = rt.n.relaySnapshot(), rt.n.telemetry()
 	var ack service.HeartbeatAck
 	status, err := postJSON(rt.n.opts, 10*time.Second,
@@ -391,15 +385,13 @@ func (rt *remote) Heartbeat(req service.HeartbeatRequest) (cancel, lost bool) {
 	return false, false
 }
 
-// Complete uploads the terminal outcome with the complete worker-side
-// tail: the runner has closed the stage spans, and the finish entry lands
-// before the final relay is assembled.
+// Complete uploads the terminal outcome with the events buffered since the
+// last heartbeat.
 func (rt *remote) Complete(res service.ResultRequest) {
 	n := rt.n
 	n.jobsExecuted.Inc()
 	n.lastStage.Store("")
-	rt.addEntry(fmt.Sprintf("executor finished on worker %q: %s", n.opts.ID, res.Status))
-	res.Events, res.Journal, res.Spans = rt.relay()
+	res.Events = rt.relay()
 	res.Metrics, res.Telemetry = n.relaySnapshot(), n.telemetry()
 
 	if rt.dropped > 0 {

@@ -268,10 +268,16 @@ func New(capacity int) *Tracer {
 	return &Tracer{ring: make([]SpanData, 0, capacity)}
 }
 
-// StartSpan begins a span. A valid parent links the span into the parent's
-// trace; an invalid (zero) parent starts a fresh trace. attrs are attached
-// up front.
+// StartSpan begins a span now. A valid parent links the span into the
+// parent's trace; an invalid (zero) parent starts a fresh trace. attrs are
+// attached up front.
 func (t *Tracer) StartSpan(name string, parent SpanContext, attrs ...obs.Label) *Span {
+	return t.StartSpanAt(name, parent, time.Now(), attrs...)
+}
+
+// StartSpanAt is StartSpan for a span that began at start — an event
+// observed before the tracer learned of it.
+func (t *Tracer) StartSpanAt(name string, parent SpanContext, start time.Time, attrs ...obs.Label) *Span {
 	if t == nil {
 		return nil
 	}
@@ -289,7 +295,7 @@ func (t *Tracer) StartSpan(name string, parent SpanContext, attrs ...obs.Label) 
 		name:   name,
 		sc:     sc,
 		parent: parentID,
-		start:  time.Now(),
+		start:  start,
 		attrs:  attrs,
 	}
 }
@@ -317,15 +323,6 @@ func (t *Tracer) export(data SpanData) {
 	t.next = (t.next + 1) % cap(t.ring)
 	t.filled = true
 	t.dropped++
-}
-
-// Import adds externally finished spans — uploaded by a worker node with
-// its heartbeat or result — to the ring as if they had ended locally, in
-// the order given (oldest first keeps ring eviction sensible).
-func (t *Tracer) Import(spans []SpanData) {
-	for _, sp := range spans {
-		t.export(sp)
-	}
 }
 
 // Finished returns the retained finished spans, oldest first.

@@ -181,3 +181,60 @@ func TestTracerConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTraceparent feeds arbitrary strings to ParseTraceparent, the decoder
+// of client trace context. Nothing may panic, and a rejected input yields
+// the zero context. An accepted header is Valid and well formed: lowercase
+// hex fields of 2, 32, 16 and 2 digits with non-zero ids, which
+// Traceparent renders back byte for byte — a padded or future-version
+// header, which the parser accepts per W3C, renders as its version-00
+// form. The uppercase, all-zero-id and resized variants of an accepted
+// header are rejected. Seeds: testdata/fuzz.
+func FuzzTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, ok := ParseTraceparent(in)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q yielded %+v", in, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q yielded an invalid context", in)
+		}
+		parts := strings.Split(strings.TrimSpace(in), "-")
+		for i, n := range []int{2, 32, 16, 2} {
+			if len(parts[i]) != n || strings.Trim(parts[i], "0123456789abcdef") != "" {
+				t.Fatalf("accepted %q: field %d is not %d lowercase hex digits", in, i, n)
+			}
+		}
+		out := sc.Traceparent()
+		if want := strings.Join(append([]string{"00"}, parts[1:4]...), "-"); out != want {
+			t.Fatalf("%q renders as %q, want %q", in, out, want)
+		}
+		if parts[0] == "00" && in == strings.TrimSpace(in) && out != in {
+			t.Fatalf("version-00 header %q renders as %q", in, out)
+		}
+
+		tid, sid, flags := parts[1], parts[2], parts[3]
+		for _, bad := range []string{
+			strings.ToUpper(out),
+			"00-" + strings.Repeat("0", 32) + "-" + sid + "-" + flags,
+			"00-" + tid + "-" + strings.Repeat("0", 16) + "-" + flags,
+			"00-" + tid[1:] + "-" + sid + "-" + flags,
+			"00-" + tid + "0-" + sid + "-" + flags,
+			"00-" + tid + "-" + sid[1:] + "-" + flags,
+			"00-" + tid + "-" + sid + "0-" + flags,
+			"00-" + tid + "-" + sid + "-" + flags[1:],
+			"00-" + tid + "-" + sid + "-" + flags + "0",
+			"0-" + tid + "-" + sid + "-" + flags,
+		} {
+			if bad == out {
+				continue // all-digit header: uppercasing changes nothing
+			}
+			if _, ok := ParseTraceparent(bad); ok {
+				t.Fatalf("variant %q of accepted %q was accepted", bad, in)
+			}
+		}
+	})
+}

@@ -12,7 +12,6 @@ import (
 	"rumornet/internal/degreedist"
 	"rumornet/internal/obs"
 	"rumornet/internal/obs/journal"
-	"rumornet/internal/obs/trace"
 )
 
 // This file is the lease protocol (DESIGN.md §12). Every job executes
@@ -146,8 +145,12 @@ func ExecuteRequest(ctx context.Context, sc *Scenario, req Request, innerWorkers
 }
 
 // ProgressEvent is the wire form of one solver checkpoint (obs.Event),
-// relayed coordinator-ward in heartbeat and result payloads.
+// relayed coordinator-ward in heartbeat and result payloads — the only
+// job-scoped record a lease relays. AtUS is when the checkpoint happened,
+// in microseconds since the runner received the lease; the coordinator
+// places it on its own clock (relayEvents).
 type ProgressEvent struct {
+	AtUS      int64   `json:"at_us,omitempty"`
 	Stage     string  `json:"stage,omitempty"`
 	Step      int     `json:"step,omitempty"`
 	Total     int     `json:"total,omitempty"`
@@ -159,9 +162,11 @@ type ProgressEvent struct {
 	MassErr   float64 `json:"mass_err,omitempty"`
 }
 
-// WireProgress converts a solver checkpoint to its wire form.
-func WireProgress(ev obs.Event) ProgressEvent {
+// WireProgress converts a solver checkpoint to its wire form; at is when
+// it was emitted, counted from when the runner received the lease.
+func WireProgress(ev obs.Event, at time.Duration) ProgressEvent {
 	return ProgressEvent{
+		AtUS:  at.Microseconds(),
 		Stage: ev.Stage, Step: ev.Step, Total: ev.Total, T: ev.T,
 		Value: ev.Value, Cost: ev.Cost,
 		ElapsedUS: ev.Elapsed.Microseconds(),
@@ -206,31 +211,18 @@ type LeasedJob struct {
 	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
 	Attempt     int    `json:"attempt"`
 	MaxAttempts int    `json:"max_attempts"`
-	// Traceparent is the W3C context of the coordinator's job span. The
-	// worker parents its stage spans under it, so the coordinator's
-	// http.request → job.<type> chain and the worker's stage.* spans share
-	// one trace id end to end (DESIGN.md §13).
-	Traceparent string `json:"traceparent,omitempty"`
 }
 
 // HeartbeatRequest is the body of POST /v1/internal/jobs/{id}/heartbeat.
-// Beyond the lease extension it is the telemetry relay: solver checkpoints
-// (Events), worker-side journal entries, finished spans, a registry
-// snapshot and a runtime-health sample all piggyback on the beat — no
-// extra round trips, and a worker that can heartbeat can always report.
+// Beyond the lease extension it is the telemetry relay: the job's solver
+// checkpoints (Events), from which the coordinator derives the job's
+// progress, journal and stage spans, and the node's registry snapshot and
+// runtime-health sample all piggyback on the beat — no extra round trips,
+// and a worker that can heartbeat can always report.
 type HeartbeatRequest struct {
 	WorkerID   string          `json:"worker_id"`
 	LeaseToken string          `json:"lease_token"`
 	Events     []ProgressEvent `json:"events,omitempty"`
-	// Journal carries worker-local lifecycle entries for this job; the
-	// coordinator merges them into the job's flight recorder (their JobID,
-	// TraceID and Seq are restamped server-side — a worker cannot write
-	// into another job's journal).
-	Journal []journal.Entry `json:"journal,omitempty"`
-	// Spans are finished worker-side spans, uploaded incrementally; the
-	// coordinator imports them into its span ring so /debug/events shows
-	// one coherent trace for a remotely-executed job.
-	Spans []trace.SpanData `json:"spans,omitempty"`
 	// Metrics is a snapshot of the worker's metric registry, re-exported by
 	// the coordinator as rumor_worker_*{worker="..."} plus rumor_fleet_*
 	// aggregates.
@@ -256,14 +248,12 @@ type ResultRequest struct {
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 	// Events is the tail of progress events since the last heartbeat,
-	// applied before the job finalizes so the journal is complete.
+	// applied before the job finalizes so the journal and the stage spans
+	// are complete. Most jobs end before their first heartbeat, so for
+	// them this is every event.
 	Events []ProgressEvent `json:"events,omitempty"`
-	// Journal, Spans, Metrics and Telemetry are the final telemetry relay —
-	// the same piggyback as HeartbeatRequest, so a job that finishes inside
-	// one heartbeat interval still delivers its worker-side trace and
-	// journal tail with the result.
-	Journal   []journal.Entry    `json:"journal,omitempty"`
-	Spans     []trace.SpanData   `json:"spans,omitempty"`
+	// Metrics and Telemetry are the final node relay, the same piggyback
+	// as HeartbeatRequest.
 	Metrics   obs.Snapshot       `json:"metrics,omitempty"`
 	Telemetry *cluster.Telemetry `json:"telemetry,omitempty"`
 }
@@ -333,7 +323,7 @@ func (s *Service) LeaseNext(workerID, addr string) (*LeasedJob, error) {
 		// the next heartbeat acknowledgement carries to the worker.
 		if lease, ok := s.begin(r, workerID, func() { s.table.RequestCancel(id) }); ok {
 			lj := s.leasedJob(r, lease)
-			lj.Scenario, lj.Traceparent = scenarioTable(r.sc), r.span.Context().Traceparent()
+			lj.Scenario = scenarioTable(r.sc)
 			return lj, nil
 		}
 		// The job left the queued state while buffered (cancelled, or out
@@ -357,10 +347,11 @@ func (s *Service) leasedJob(r *jobRecord, lease cluster.Lease) *LeasedJob {
 
 // ExtendLease validates the token, pushes the lease deadline out, relays
 // the carried progress events through the job's sink — so SSE streams,
-// GET /v1/jobs/{id} progress, invariant monitoring and metrics all keep
-// working for a remotely-executing job — and merges the piggybacked
-// telemetry (journal entries, spans, metrics, health sample).
+// GET /v1/jobs/{id} progress, stage spans, invariant monitoring and
+// metrics all keep working for a remotely-executing job — and stores the
+// piggybacked node telemetry (metrics, health sample).
 func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, error) {
+	arrive := time.Now()
 	s.mu.Lock()
 	r, ok := s.jobs[id]
 	if !ok {
@@ -372,14 +363,10 @@ func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, er
 		s.mu.Unlock()
 		return HeartbeatAck{}, fmt.Errorf("%w: %v", ErrStaleLease, err)
 	}
-	sink := r.sink
-	jobID, traceID := r.job.ID, r.job.TraceID
+	sink, started := r.sink, *r.job.StartedAt
 	s.mu.Unlock()
 
-	for _, ev := range req.Events {
-		sink(ev.toObs())
-	}
-	s.mergeWorkerRelay(jobID, traceID, req.Journal, req.Spans)
+	relayEvents(sink, started, arrive, req.Events)
 	s.storeWorkerTelemetry(lease.Worker, req.Metrics, req.Telemetry)
 	return HeartbeatAck{
 		LeaseTTLMS: s.table.TTL().Milliseconds(),
@@ -418,19 +405,15 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 		s.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: %v", ErrStaleLease, err)
 	}
-	sink := r.sink
+	sink, started := r.sink, *r.job.StartedAt
 	monitor := r.monitor
 	byClient := r.userCancelled
 	s.mu.Unlock()
 
 	// The lease is released: the reaper can no longer requeue this job and
 	// no other worker can claim it, so finalization below is single-writer.
-	for _, ev := range res.Events {
-		sink(ev.toObs())
-	}
-	// Merge the final telemetry relay before the Final journal entry lands,
-	// so an SSE replay reads worker-side entries in causal order.
-	s.mergeWorkerRelay(id, r.job.TraceID, res.Journal, res.Spans)
+	// The tail lands before the Final journal entry, in causal order.
+	relayEvents(sink, started, arrive, res.Events)
 	s.storeWorkerTelemetry(lease.Worker, res.Metrics, res.Telemetry)
 	if st == StatusSucceeded && r.req.Type == JobODE {
 		// Theorem 5 consistency of the finished trajectory; a violation
@@ -442,6 +425,23 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	}
 	return s.settle(r, outcome{status: st, err: res.Error, result: res.Result, execEnd: arrive,
 		shutdown: st == StatusCancelled && !byClient && !s.cfg.Cluster.Enabled}), nil
+}
+
+// relayEvents feeds a remote runner's events to the attempt's sink, each
+// at started + at_us clamped to [started, arrive]: nothing a runner reports
+// happened before the grant or after the request carrying it arrived.
+// Most jobs end before their first heartbeat; without at_us their events
+// would all land at the result's arrival, and their stage spans would
+// have no length.
+func relayEvents(sink eventSink, started, arrive time.Time, evs []ProgressEvent) {
+	window := arrive.Sub(started).Microseconds()
+	for _, ev := range evs {
+		at := arrive
+		if ev.AtUS < window {
+			at = started.Add(time.Duration(max(ev.AtUS, 0)) * time.Microsecond)
+		}
+		sink(ev.toObs(), at)
+	}
 }
 
 // reaper periodically requeues (or terminally fails) jobs whose lease
@@ -518,6 +518,8 @@ func (s *Service) reap(lease cluster.Lease) (*jobRecord, Status, string) {
 			r.job.Status = StatusQueued
 			r.job.StartedAt = nil
 			r.job.Worker = ""
+			// The next attempt opens fresh stage spans.
+			r.stages.end("requeued")
 			s.met.requeues.Inc()
 			s.journal.Append(journal.Entry{
 				JobID: lease.JobID, TraceID: r.job.TraceID,

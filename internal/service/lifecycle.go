@@ -11,6 +11,7 @@ import (
 	"rumornet/internal/cluster"
 	"rumornet/internal/obs/invariant"
 	"rumornet/internal/obs/journal"
+	"rumornet/internal/obs/trace"
 )
 
 // The job lifecycle (DESIGN.md §7) is queued → running → terminal. begin is
@@ -41,7 +42,9 @@ func (s *Service) begin(r *jobRecord, worker string, cancel func()) (cluster.Lea
 		lg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
 			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
 	})
-	sink := s.progressSink(r, monitor, lg)
+	stages := &stageSpans{tracer: s.tracer, parent: r.span.Context(), worker: worker, jobID: r.job.ID,
+		spans: map[string]*trace.Span{}}
+	sink := s.progressSink(r, stages, monitor, lg)
 
 	budget := s.cfg.Cluster.MaxAttempts
 	s.mu.Lock()
@@ -63,7 +66,7 @@ func (s *Service) begin(r *jobRecord, worker string, cancel func()) (cluster.Lea
 	r.job.Status = StatusRunning
 	r.job.StartedAt = &start
 	r.job.Worker = worker
-	r.cancel, r.monitor, r.sink = cancel, monitor, sink
+	r.cancel, r.monitor, r.sink, r.stages = cancel, monitor, sink, stages
 	r.attempts++
 	lease := s.table.Grant(r.job.ID, worker, r.attempts)
 	s.walStarted(r.job.ID)
@@ -205,9 +208,10 @@ func (s *Service) settle(r *jobRecord, o outcome) Job {
 		s.met.observe(r.job.Type, execute+serialize)
 		s.met.segmentObserve(queueWait, execute, serialize)
 	}
-	// The job span ends before the status publishes too (lock order s.mu
-	// → the tracer's), so a poller that sees the terminal status finds it
-	// in /debug/events.
+	// The stage spans and then the job span end before the status
+	// publishes too (lock order s.mu → the spans' → the tracer's), so a
+	// poller that sees the terminal status finds them in /debug/events.
+	r.stages.end(string(o.status))
 	if o.hit != "" {
 		r.span.SetAttr("cache_hit", o.hit)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rumornet/internal/obs"
-	"rumornet/internal/obs/trace"
 )
 
 // Transport carries one lease's traffic from the Runner executing it to
@@ -15,9 +14,8 @@ import (
 // nodes run the same Runner: localTransport calls the Service directly,
 // internal/cluster/worker speaks the internal HTTP API.
 type Transport interface {
-	// Tracer records the runner's stage spans.
-	Tracer() *trace.Tracer
-	// Progress receives every solver checkpoint as it is emitted.
+	// Progress receives every solver checkpoint as it is emitted; the
+	// service derives the job's journal and stage spans from them.
 	Progress(ev obs.Event)
 	// Heartbeat renews the lease. cancel reports that the client cancelled
 	// the job; lost that the lease is no longer honoured, so the job's
@@ -34,7 +32,7 @@ var errCancelledByClient = errors.New("cancelled by client")
 
 // Runner executes leased jobs for one worker.
 type Runner struct {
-	// Worker names the worker in stage spans and in the lease calls.
+	// Worker names the worker in the lease calls.
 	Worker string
 	// InnerWorkers bounds each job's internal fan-out (values below 1 mean 1).
 	InnerWorkers int
@@ -44,12 +42,11 @@ type Runner struct {
 
 // Run executes one leased job on scenario sc to its hand-off:
 // ExecuteRequest → classify → Transport.Complete, renewing the lease until
-// execution ends. Its stage spans are children of jobSpan. parent bounds
-// the job besides its own timeout; the job counts as cancelled by the
-// client when parent or a heartbeat acknowledgement stops it with
-// errCancelledByClient, and by shutdown when parent ends for any other
-// reason.
-func (rn Runner) Run(parent context.Context, lj *LeasedJob, sc *Scenario, jobSpan trace.SpanContext, tr Transport) {
+// execution ends. parent bounds the job besides its own timeout; the job
+// counts as cancelled by the client when parent or a heartbeat
+// acknowledgement stops it with errCancelledByClient, and by shutdown when
+// parent ends for any other reason.
+func (rn Runner) Run(parent context.Context, lj *LeasedJob, sc *Scenario, tr Transport) {
 	timeout := time.Duration(lj.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = time.Minute
@@ -59,36 +56,11 @@ func (rn Runner) Run(parent context.Context, lj *LeasedJob, sc *Scenario, jobSpa
 	ctx, cancelTimeout := context.WithTimeout(ctx, timeout)
 	defer cancelTimeout()
 
-	// Stage spans are parented under the service's job span, so one trace
-	// covers the job wherever it runs. Progress events arrive from
-	// concurrent ABM trial goroutines, hence the lock.
-	tracer := tr.Tracer()
-	var mu sync.Mutex
-	var stages map[string]*trace.Span
-	sink := func(ev obs.Event) {
-		mu.Lock()
-		if _, ok := stages[ev.Stage]; !ok {
-			if stages == nil {
-				stages = make(map[string]*trace.Span)
-			}
-			stages[ev.Stage] = tracer.StartSpan("stage."+ev.Stage, jobSpan,
-				obs.L("worker", rn.Worker), obs.L("job_id", lj.JobID))
-		}
-		mu.Unlock()
-		tr.Progress(ev)
-	}
-
 	hbDone := rn.heartbeat(lj, tr, stop)
-	raw, err := ExecuteRequest(ctx, sc, lj.Request, rn.InnerWorkers, sink)
+	raw, err := ExecuteRequest(ctx, sc, lj.Request, rn.InnerWorkers, tr.Progress)
 	hbDone()
 
 	st, msg := classify(err, timeout, errors.Is(context.Cause(ctx), errCancelledByClient))
-	mu.Lock()
-	for _, sp := range stages {
-		sp.SetAttr("status", string(st))
-		sp.End()
-	}
-	mu.Unlock()
 	tr.Complete(ResultRequest{WorkerID: rn.Worker, LeaseToken: lj.LeaseToken,
 		Status: string(st), Error: msg, Result: raw})
 }
@@ -139,12 +111,10 @@ func (rn Runner) heartbeat(lj *LeasedJob, tr Transport, stop context.CancelCause
 type localTransport struct {
 	s    *Service
 	id   string
-	sink obs.Progress
+	sink eventSink
 }
 
-func (t localTransport) Tracer() *trace.Tracer { return t.s.tracer }
-
-func (t localTransport) Progress(ev obs.Event) { t.sink(ev) }
+func (t localTransport) Progress(ev obs.Event) { t.sink(ev, time.Now()) }
 
 func (t localTransport) Heartbeat(req HeartbeatRequest) (cancel, lost bool) {
 	ack, err := t.s.ExtendLease(t.id, req)
@@ -178,8 +148,7 @@ func (s *Service) localWorker(id string) {
 		}
 		ctx, stop := context.WithCancelCause(s.baseCtx)
 		if lease, ok := s.begin(r, id, func() { stop(errCancelledByClient) }); ok {
-			rn.Run(ctx, s.leasedJob(r, lease), r.sc, r.span.Context(),
-				localTransport{s: s, id: r.job.ID, sink: r.sink})
+			rn.Run(ctx, s.leasedJob(r, lease), r.sc, localTransport{s: s, id: r.job.ID, sink: r.sink})
 		}
 		stop(nil)
 	}

@@ -90,10 +90,12 @@ type jobRecord struct {
 	// progress stream; violations land in the journal, the metrics and
 	// the log exactly once per check.
 	monitor *invariant.Monitor
-	// sink is the progress sink begin wired for this execution: the
+	// sink is the progress sink begin wired for this attempt: the
 	// runner's events reach it directly in process and through heartbeats
-	// from a remote node.
-	sink obs.Progress
+	// from a remote node. It opens the attempt's stage spans, which settle
+	// or a requeue ends.
+	sink   eventSink
+	stages *stageSpans
 }
 
 // Service is the resident simulation engine behind cmd/rumord.
@@ -715,16 +717,22 @@ func (s *Service) dequeue(ctx context.Context) (*jobRecord, bool) {
 	}
 }
 
-// progressSink adapts solver progress events onto the job record (for
-// GET /v1/jobs/{id}), the flight-recorder journal (replayed and streamed by
-// GET /v1/jobs/{id}/events), the invariant monitor, the metrics registry,
-// and — every ProgressLogEvery-th event — the structured log; the Runner
-// opens the stage spans. Solvers may call it from worker goroutines;
-// everything it touches is atomic or internally locked.
-func (s *Service) progressSink(r *jobRecord, monitor *invariant.Monitor, lg *slog.Logger) obs.Progress {
+// eventSink receives one job attempt's progress events, each with the
+// time it happened.
+type eventSink func(ev obs.Event, at time.Time)
+
+// progressSink adapts one attempt's solver progress events onto the job
+// record (for GET /v1/jobs/{id}), the stage spans, the flight-recorder
+// journal (replayed and streamed by GET /v1/jobs/{id}/events), the
+// invariant monitor, the metrics registry, and — every
+// ProgressLogEvery-th event — the structured log. Every path feeds it: an
+// in-process runner directly, a remote one through relayEvents. Solvers
+// may call it from worker goroutines; everything it touches is atomic or
+// internally locked.
+func (s *Service) progressSink(r *jobRecord, stages *stageSpans, monitor *invariant.Monitor, lg *slog.Logger) eventSink {
 	var n atomic.Int64
 	every := int64(s.cfg.ProgressLogEvery)
-	return func(ev obs.Event) {
+	return func(ev obs.Event, at time.Time) {
 		jp := &JobProgress{
 			Stage:     ev.Stage,
 			Step:      ev.Step,
@@ -735,6 +743,7 @@ func (s *Service) progressSink(r *jobRecord, monitor *invariant.Monitor, lg *slo
 			UpdatedAt: time.Now(),
 		}
 		r.prog.Store(jp)
+		stages.open(ev.Stage, at)
 		// Monitor first: a violation's journal entry then precedes the
 		// checkpoint that triggered it in the replay, reading causally.
 		monitor.Observe(ev)
@@ -752,4 +761,53 @@ func (s *Service) progressSink(r *jobRecord, monitor *invariant.Monitor, lg *slo
 				"total", ev.Total, "t", ev.T, "value", ev.Value, "cost", ev.Cost)
 		}
 	}
+}
+
+// stageSpans are the stage.<name> spans of one job attempt, parented under
+// the job span: the sink opens one on the first event of each known
+// obs.Stage* name, at that event's time, and settle or a requeue ends
+// them. An ended set opens no more, so a late event of an abandoned
+// attempt leaves no span open.
+type stageSpans struct {
+	tracer *trace.Tracer
+	parent trace.SpanContext
+	worker string
+	jobID  string
+
+	mu    sync.Mutex
+	spans map[string]*trace.Span // nil once ended
+}
+
+// knownStages are the stage names that open a span; a remote worker cannot
+// open any other.
+var knownStages = map[string]bool{
+	obs.StageODE: true, obs.StageFBSM: true, obs.StageFBSMForward: true,
+	obs.StageFBSMBackward: true, obs.StageABM: true, obs.StageABMTrials: true,
+}
+
+func (st *stageSpans) open(stage string, at time.Time) {
+	if !knownStages[stage] {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.spans == nil || st.spans[stage] != nil {
+		return
+	}
+	st.spans[stage] = st.tracer.StartSpanAt("stage."+stage, st.parent, at,
+		obs.L("worker", st.worker), obs.L("job_id", st.jobID))
+}
+
+// end ends the open spans with status; a nil or ended set is a no-op.
+func (st *stageSpans) end(status string) {
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, sp := range st.spans {
+		sp.SetAttr("status", status)
+		sp.End()
+	}
+	st.spans = nil
 }

@@ -192,7 +192,7 @@ func TestE2ETraceSSEAndInvariantInjection(t *testing.T) {
 	if sink == nil {
 		t.Fatal("running job has no progress sink")
 	}
-	sink(obs.Event{Stage: obs.StageODE, Step: 1, T: 1, Value: 0.5, MassErr: 1})
+	sink(obs.Event{Stage: obs.StageODE, Step: 1, T: 1, Value: 0.5, MassErr: 1}, time.Now())
 
 	viol := nextSSE(t, ch, 10*time.Second, func(ev sseEvent) bool { return ev.event == string(journal.KindInvariant) })
 	en := viol.entry(t)

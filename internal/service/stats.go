@@ -48,8 +48,9 @@ type Stats struct {
 	// -data-dir; omitted for a fully in-memory service.
 	Store *StoreStats `json:"store,omitempty"`
 
-	// Cluster reports the lease table and worker registry on a coordinator;
-	// omitted in standalone mode.
+	// Cluster reports the lease table and worker registry: the remote
+	// nodes of a coordinator, the in-process workers of a standalone
+	// service. Every job runs under a lease, so it is always present.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 
 	// Surface reports the response-surface serving tier (surface.go):

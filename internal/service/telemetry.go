@@ -7,57 +7,17 @@ import (
 
 	"rumornet/internal/cluster"
 	"rumornet/internal/obs"
-	"rumornet/internal/obs/journal"
-	"rumornet/internal/obs/trace"
 )
 
-// This file is the coordinator side of the cluster telemetry relay
-// (DESIGN.md §13). Workers piggyback three kinds of observability payload
-// on the requests they already make (heartbeats and result uploads):
-//
-//   - journal entries: worker-local lifecycle events merged into the job's
-//     flight recorder, so GET /v1/jobs/{id}/events replays one complete
-//     stream whether the job ran locally or on a node;
-//   - finished spans: imported into the coordinator's span ring, so
-//     /debug/events shows the coordinator's http.request → job.<type>
-//     chain and the worker's stage.* spans as one trace;
-//   - a registry snapshot + health sample: stored per worker, re-exported
-//     on GET /metrics as rumor_worker_*{worker="..."} plus rumor_fleet_*
-//     aggregates, and served on GET /v1/workers.
-
-// Relay bounds: a single heartbeat cannot grow the journal or span ring by
-// more than this, no matter what a buggy (or hostile) worker sends. The
-// truncation is head-biased for spans (newest kept: the tail of the upload
-// is the most recent work) and tail-biased for journal entries (oldest
-// kept: replay order stays causal).
-const (
-	maxRelayJournal = 256
-	maxRelaySpans   = 256
-)
-
-// mergeWorkerRelay folds a worker's uploaded journal entries and finished
-// spans into the coordinator's own observability state. Entry identity is
-// restamped server-side — JobID and TraceID are forced to the leased job's
-// values and Seq is reallocated by the journal — so a worker can annotate
-// only the job it holds a valid lease for (the caller has already fenced
-// the token). The Final mark is the coordinator's alone: a relayed one
-// would close the job's event streams early.
-func (s *Service) mergeWorkerRelay(jobID, traceID string, entries []journal.Entry, spans []trace.SpanData) {
-	if len(entries) > maxRelayJournal {
-		entries = entries[:maxRelayJournal]
-	}
-	for _, e := range entries {
-		e.JobID = jobID
-		e.TraceID = traceID
-		e.Seq = 0
-		e.Final = false
-		s.journal.Append(e)
-	}
-	if len(spans) > maxRelaySpans {
-		spans = spans[len(spans)-maxRelaySpans:]
-	}
-	s.tracer.Import(spans)
-}
+// This file is the node half of the cluster telemetry relay (DESIGN.md
+// §13). A lease relays one job-scoped record, its progress events, from
+// which the attempt's sink derives the job's progress, journal and stage
+// spans on every path (relayEvents, progressSink). What a worker relays
+// about itself rides the requests it already makes (lease polls,
+// heartbeats and result uploads): a registry snapshot and a health sample,
+// stored per worker, re-exported on GET /metrics as
+// rumor_worker_*{worker="..."} plus rumor_fleet_* aggregates, and served
+// on GET /v1/workers.
 
 // storeWorkerTelemetry records a worker's relayed registry snapshot (for
 // the /metrics re-export) and health sample (for GET /v1/workers).

@@ -5,7 +5,7 @@
 #           and go vet over the rumorbench module
 #   tier 2: go vet ./... && go test -race ./..., one iteration of every
 #           benchmark, the rumorbench tests under -race, and 10s of each
-#           relay fuzzer
+#           decoder fuzzer
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -19,10 +19,10 @@
 # completing against the service; and the crash matrix for remote workers
 # in internal/cluster/worker — worker kill mid-job, coordinator restart
 # with leased jobs, poison-job exhaustion, both drain directions — and the
-# telemetry relay layered on it: worker-side span/journal/snapshot buffers racing the heartbeat
-# goroutine, the coordinator's relay merge racing /metrics scrapes and
-# SSE followers, and the rumorctl -follow live tail against a real
-# cluster) and the response-surface tier (internal/service's construction
+# telemetry relay layered on it: the worker's event and snapshot buffers
+# racing the heartbeat goroutine, the coordinator's relayed events opening
+# stage spans and journal entries while /metrics scrapes and SSE followers
+# read, and the rumorctl -follow live tail against a real cluster) and the response-surface tier (internal/service's construction
 # fan-out racing Close, interpolated queries racing an in-flight build,
 # and the two-class admission queue under concurrent submit/lease/shed)
 # must stay data-race free; -race
@@ -64,17 +64,22 @@ if [ "${1:-}" = "-race" ]; then
 	# gate that found the registry's first-registration race.
 	echo "== tier 2: rumorbench under -race"
 	(cd rumorbench && go test -race -count 1 ./...)
-	# The relay fuzzers: arbitrary worker JSON through the coordinator's
+	# The decoder fuzzers: arbitrary worker JSON through the coordinator's
 	# decode/label/merge/render path against the exposition grammar,
 	# split-and-merge HDR streams against one HDR fed the whole stream,
-	# and arbitrary heartbeat and result bodies against a leased job's
-	# fencing and relay caps. Tier 1 replays their checked-in seeds
-	# (testdata/fuzz under internal/obs and internal/service); here each
-	# explores for 10s. Go fuzzes one target per invocation.
-	echo "== tier 2: relay fuzzers"
+	# arbitrary heartbeat and result bodies against a leased job's
+	# fencing, span and journal bounds, client traceparent headers
+	# against the W3C shape, and result-blob frames against their
+	# checksum. Tier 1 replays their checked-in seeds (testdata/fuzz under
+	# internal/obs, internal/obs/trace, internal/service and
+	# internal/store); here each explores for 10s. Go fuzzes one target
+	# per invocation.
+	echo "== tier 2: decoder fuzzers"
 	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzWorkerRelay$' -fuzztime 10s ./internal/service
+	go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 10s ./internal/obs/trace
+	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
 fi
 
 echo "verify: ok"
