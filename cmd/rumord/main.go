@@ -74,13 +74,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"rumornet/internal/cli"
 	"rumornet/internal/cluster/worker"
 	"rumornet/internal/obs"
+	"rumornet/internal/par"
 	"rumornet/internal/service"
 	"rumornet/internal/store"
 )
@@ -196,6 +196,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		return cli.Usagef("-poll-max = %s must be at least -poll-min = %s", *pollMax, *pollMin)
 	}
 
+	// -inner-workers 0 means all CPUs in every mode; resolve it once.
+	inner := par.Default(*innerWorkers)
+
 	// A worker node is a client, not a server: no API listener, no store,
 	// no queue. It loops leasing jobs from the coordinator until ctx
 	// cancels, then finishes its current job, deregisters and exits. Its
@@ -203,24 +206,13 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 	// coordinator on heartbeats; -debug-addr additionally serves the same
 	// registry and pprof locally for on-node debugging.
 	if *mode == "worker" {
-		inner := *innerWorkers
-		if inner == 0 {
-			inner = runtime.NumCPU()
-		}
 		reg := obs.NewRegistry()
 		if *debugAddr != "" {
 			dln, err := net.Listen("tcp", *debugAddr)
 			if err != nil {
 				return fmt.Errorf("debug listen: %w", err)
 			}
-			dmux := http.NewServeMux()
-			dmux.HandleFunc("/debug/pprof/", pprof.Index)
-			dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			dmux.Handle("/metrics", obs.Handler(reg))
-			dsrv := &http.Server{Handler: dmux}
+			dsrv := &http.Server{Handler: debugMux(obs.Handler(reg), nil)}
 			defer dsrv.Close()
 			fmt.Fprintf(out, "rumord: debug listener on %s (pprof + metrics)\n", dln.Addr())
 			go dsrv.Serve(dln)
@@ -276,7 +268,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 	}
 	svc, err := service.New(service.Config{
 		Workers:          *workers,
-		InnerWorkers:     *innerWorkers,
+		InnerWorkers:     inner,
 		QueueDepth:       *queueDepth,
 		CacheEntries:     *cacheSize,
 		DefaultTimeout:   *timeout,
@@ -331,7 +323,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		if err != nil {
 			return fmt.Errorf("debug listen: %w", err)
 		}
-		dsrv = &http.Server{Handler: debugMux(svc)}
+		dsrv = &http.Server{Handler: debugMux(svc.MetricsHandler(), svc.EventsDumpHandler())}
 		defer dsrv.Close()
 		fmt.Fprintf(out, "rumord: debug listener on %s (pprof + metrics + events)\n", dln.Addr())
 		go dsrv.Serve(dln)
@@ -367,15 +359,18 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 
 // debugMux wires the pprof handlers onto an explicit mux (avoiding the
 // package's http.DefaultServeMux side registration) next to a mirror of
-// the Prometheus endpoint and the flight-recorder/span dump.
-func debugMux(svc *service.Service) *http.ServeMux {
+// the Prometheus endpoint and, when events is non-nil (not on a worker),
+// the flight-recorder/span dump.
+func debugMux(metrics, events http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/metrics", svc.MetricsHandler())
-	mux.Handle("/debug/events", svc.EventsDumpHandler())
+	mux.Handle("/metrics", metrics)
+	if events != nil {
+		mux.Handle("/debug/events", events)
+	}
 	return mux
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -228,12 +229,18 @@ func TestDaemonLifecycle(t *testing.T) {
 // graceful-shutdown path.
 func bootDaemon(t *testing.T, extra ...string) (string, chan error, context.CancelFunc) {
 	t.Helper()
+	return bootDaemonTo(t, io.Discard, extra...)
+}
+
+// bootDaemonTo is bootDaemon with the daemon's output sent to out.
+func bootDaemonTo(t *testing.T, out io.Writer, extra ...string) (string, chan error, context.CancelFunc) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	addrCh := make(chan net.Addr, 1)
 	errCh := make(chan error, 1)
 	args := append([]string{"-addr", "127.0.0.1:0", "-drain-grace", "10s"}, extra...)
 	go func() {
-		errCh <- run(ctx, args, io.Discard, func(a net.Addr) { addrCh <- a })
+		errCh <- run(ctx, args, out, func(a net.Addr) { addrCh <- a })
 	}()
 	select {
 	case a := <-addrCh:
@@ -516,5 +523,97 @@ func TestListenFailure(t *testing.T) {
 	err = run(context.Background(), []string{"-addr", ln.Addr().String()}, io.Discard, nil)
 	if err == nil || cli.Code(err) != 1 {
 		t.Fatalf("bind to occupied port: err %v, want runtime failure", err)
+	}
+}
+
+// TestInnerWorkersZeroMeansAllCPUs pins "-inner-workers 0: all CPUs" in
+// every mode: standalone and coordinator log the resolved fan-out in their
+// JSON "service started" record, and a worker prints it on startup. The
+// worker's -debug-addr listener serves pprof and its own /metrics but no
+// /debug/events (a worker keeps no flight recorder).
+func TestInnerWorkersZeroMeansAllCPUs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	want := runtime.GOMAXPROCS(0)
+	var coordinator string
+	for _, mode := range []string{"standalone", "coordinator"} {
+		var out syncBuffer
+		base, errCh, cancel := bootDaemonTo(t, &out, "-mode", mode, "-inner-workers", "0", "-log-format", "json")
+		defer func() {
+			cancel()
+			if err := <-errCh; err != nil {
+				t.Errorf("%s: shutdown: %v", mode, err)
+			}
+		}()
+		if mode == "coordinator" {
+			coordinator = base
+		}
+		found := false
+		for _, line := range strings.Split(out.String(), "\n") {
+			rec := struct {
+				Msg          string `json:"msg"`
+				InnerWorkers int    `json:"inner_workers"`
+			}{InnerWorkers: -1}
+			if json.Unmarshal([]byte(line), &rec) != nil || rec.Msg != "service started" {
+				continue
+			}
+			found = true
+			if rec.InnerWorkers != want {
+				t.Errorf("%s: service started with inner_workers %v, want %d (GOMAXPROCS)", mode, rec.InnerWorkers, want)
+			}
+		}
+		if !found {
+			t.Errorf("%s: no \"service started\" record in:\n%s", mode, out.String())
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var out syncBuffer
+	started := make(chan struct{})
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run(ctx, []string{"-mode", "worker", "-coordinator", coordinator, "-inner-workers", "0",
+			"-debug-addr", "127.0.0.1:0", "-poll-min", "5ms", "-poll-max", "50ms"},
+			&out, func(net.Addr) { close(started) })
+	}()
+	defer func() {
+		cancel()
+		if err := <-errCh; err != nil {
+			t.Errorf("worker: shutdown: %v", err)
+		}
+	}()
+	select {
+	case <-started:
+	case err := <-errCh:
+		t.Fatalf("worker exited before starting: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never started")
+	}
+	logged := out.String()
+	if wantLine := fmt.Sprintf("(inner-workers %d)", want); !strings.Contains(logged, wantLine) {
+		t.Errorf("worker output missing %q:\n%s", wantLine, logged)
+	}
+	var debugAddr string
+	i := strings.Index(logged, "debug listener on ")
+	if i < 0 {
+		t.Fatalf("worker debug listener address not printed:\n%s", logged)
+	}
+	if _, err := fmt.Sscanf(logged[i:], "debug listener on %s", &debugAddr); err != nil {
+		t.Fatalf("worker debug listener address not printed: %v\n%s", err, logged)
+	}
+	for path, code := range map[string]int{
+		"/metrics":             http.StatusOK,
+		"/debug/pprof/cmdline": http.StatusOK,
+		"/debug/events":        http.StatusNotFound,
+	} {
+		resp, err := http.Get("http://" + debugAddr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Errorf("worker debug %s: status %d, want %d", path, resp.StatusCode, code)
+		}
 	}
 }

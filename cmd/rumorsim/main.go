@@ -29,7 +29,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"os"
-	"sort"
 
 	"rumornet/internal/abm"
 	"rumornet/internal/cli"
@@ -178,7 +177,7 @@ func crossValidateABM(dist *degreedist.Dist, lamScale float64, omega degreedist.
 	if nodes < 2 {
 		return fmt.Errorf("abm-nodes = %d too small", nodes)
 	}
-	seq := sampleDegrees(dist, nodes, rng)
+	seq := dist.Sample(nodes, rng)
 	g, err := graph.ConfigurationModel(seq, rng)
 	if err != nil {
 		return fmt.Errorf("abm graph: %w", err)
@@ -218,26 +217,6 @@ func crossValidateABM(dist *degreedist.Dist, lamScale float64, omega degreedist.
 	}
 	fmt.Println(chart)
 	return nil
-}
-
-// sampleDegrees draws an out-degree sequence from the distribution by
-// inverse-CDF sampling.
-func sampleDegrees(d *degreedist.Dist, n int, rng *rand.Rand) []int {
-	cdf := make([]float64, d.N())
-	var cum float64
-	for i := 0; i < d.N(); i++ {
-		cum += d.Prob(i)
-		cdf[i] = cum
-	}
-	seq := make([]int, n)
-	for i := range seq {
-		g := sort.SearchFloat64s(cdf, rng.Float64())
-		if g >= d.N() {
-			g = d.N() - 1
-		}
-		seq[i] = d.Degree(g)
-	}
-	return seq
 }
 
 func buildDist(edges string, gamma float64, kmin, kmax int, rng *rand.Rand) (*degreedist.Dist, string, error) {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"rumornet/internal/graph"
@@ -204,6 +205,27 @@ func (d *Dist) MaxDegree() int { return d.ks[len(d.ks)-1] }
 
 // MinDegree returns the smallest degree in the support.
 func (d *Dist) MinDegree() int { return d.ks[0] }
+
+// Sample draws an i.i.d. degree sequence of length n by inverse-CDF
+// sampling, one rng.Float64 per draw: the sequence the agent-based
+// simulations wire into a configuration-model graph.
+func (d *Dist) Sample(n int, rng *rand.Rand) []int {
+	cdf := make([]float64, len(d.p))
+	var cum float64
+	for i, p := range d.p {
+		cum += p
+		cdf[i] = cum
+	}
+	seq := make([]int, n)
+	for i := range seq {
+		g := sort.SearchFloat64s(cdf, rng.Float64())
+		if g >= len(d.ks) {
+			g = len(d.ks) - 1
+		}
+		seq[i] = d.ks[g]
+	}
+	return seq
+}
 
 // Truncate returns a new distribution keeping only the first maxGroups
 // lowest-degree groups, renormalized. It returns the receiver if it already

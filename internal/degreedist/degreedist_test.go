@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +299,60 @@ func TestQuickPowerLawMeanMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceSample is the inverse-CDF degree sampler the service and
+// rumorsim each carried before Sample replaced both copies, kept verbatim
+// as the golden reference.
+func referenceSample(d *Dist, n int, rng *rand.Rand) []int {
+	cdf := make([]float64, d.N())
+	var cum float64
+	for i := 0; i < d.N(); i++ {
+		cum += d.Prob(i)
+		cdf[i] = cum
+	}
+	seq := make([]int, n)
+	for i := range seq {
+		g := sort.SearchFloat64s(cdf, rng.Float64())
+		if g >= d.N() {
+			g = d.N() - 1
+		}
+		seq[i] = d.Degree(g)
+	}
+	return seq
+}
+
+// TestSampleMatchesReference requires Sample to draw exactly the reference
+// sequence for the same seed, so ABM graphs (and every byte of an ABM job
+// result) do not move, and the draws to follow P(k).
+func TestSampleMatchesReference(t *testing.T) {
+	pl, err := TruncatedPowerLaw(2.2, 1, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := FromSequence([]int{1, 2, 2, 5, 5, 5, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dist{pl, seq} {
+		for seed := int64(1); seed <= 3; seed++ {
+			got := d.Sample(20000, rand.New(rand.NewSource(seed)))
+			want := referenceSample(d, 20000, rand.New(rand.NewSource(seed)))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: draw %d = %d, reference %d", seed, i, got[i], want[i])
+				}
+			}
+			count := make(map[int]int)
+			for _, k := range got {
+				count[k]++
+			}
+			for i := 0; i < d.N(); i++ {
+				if f := float64(count[d.Degree(i)]) / 20000; math.Abs(f-d.Prob(i)) > 0.02 {
+					t.Errorf("seed %d: k=%d drawn with frequency %.4f, P(k) = %.4f", seed, d.Degree(i), f, d.Prob(i))
+				}
+			}
+		}
 	}
 }

@@ -13,31 +13,6 @@ import (
 	"strconv"
 )
 
-// Add adds src to dst element-wise and stores the result in dst.
-// It panics if the slices have different lengths.
-func Add(dst, src []float64) {
-	mustSameLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// Sub subtracts src from dst element-wise and stores the result in dst.
-// It panics if the slices have different lengths.
-func Sub(dst, src []float64) {
-	mustSameLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// Scale multiplies every element of dst by c.
-func Scale(dst []float64, c float64) {
-	for i := range dst {
-		dst[i] *= c
-	}
-}
-
 // AddScaled computes dst += c*src element-wise (the BLAS "axpy" operation).
 // It panics if the slices have different lengths.
 func AddScaled(dst []float64, c float64, src []float64) {
@@ -54,17 +29,6 @@ func Fill(dst []float64, v float64) {
 	}
 }
 
-// Dot returns the inner product of a and b.
-// It panics if the slices have different lengths.
-func Dot(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
 // Sum returns the sum of the elements of a.
 func Sum(a []float64) float64 {
 	var sum float64
@@ -72,38 +36,6 @@ func Sum(a []float64) float64 {
 		sum += v
 	}
 	return sum
-}
-
-// Norm2 returns the Euclidean (L2) norm of a.
-func Norm2(a []float64) float64 {
-	var sum float64
-	for _, v := range a {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// NormInf returns the maximum-magnitude (L-infinity) norm of a.
-func NormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
-// Dist2 returns the Euclidean distance between a and b.
-// It panics if the slices have different lengths.
-func Dist2(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var sum float64
-	for i, v := range a {
-		d := v - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }
 
 // DistInf returns the L-infinity distance between a and b.

@@ -6,33 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAdd(t *testing.T) {
-	dst := []float64{1, 2, 3}
-	Add(dst, []float64{10, 20, 30})
-	want := []float64{11, 22, 33}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("Add = %v, want %v", dst, want)
-	}
-}
-
-func TestSub(t *testing.T) {
-	dst := []float64{11, 22, 33}
-	Sub(dst, []float64{1, 2, 3})
-	want := []float64{10, 20, 30}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("Sub = %v, want %v", dst, want)
-	}
-}
-
-func TestScale(t *testing.T) {
-	dst := []float64{1, -2, 3}
-	Scale(dst, -2)
-	want := []float64{-2, 4, -6}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("Scale = %v, want %v", dst, want)
-	}
-}
-
 func TestAddScaled(t *testing.T) {
 	dst := []float64{1, 1, 1}
 	AddScaled(dst, 0.5, []float64{2, 4, 6})
@@ -52,28 +25,15 @@ func TestFill(t *testing.T) {
 	}
 }
 
-func TestDotSumNorms(t *testing.T) {
-	a := []float64{3, 4}
-	if got := Dot(a, a); got != 25 {
-		t.Errorf("Dot = %v, want 25", got)
-	}
-	if got := Sum(a); got != 7 {
+func TestSum(t *testing.T) {
+	if got := Sum([]float64{3, 4}); got != 7 {
 		t.Errorf("Sum = %v, want 7", got)
-	}
-	if got := Norm2(a); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := NormInf([]float64{-9, 4}); got != 9 {
-		t.Errorf("NormInf = %v, want 9", got)
 	}
 }
 
 func TestDistances(t *testing.T) {
 	a := []float64{0, 0}
 	b := []float64{3, 4}
-	if got := Dist2(a, b); got != 5 {
-		t.Errorf("Dist2 = %v, want 5", got)
-	}
 	if got := DistInf(a, b); got != 4 {
 		t.Errorf("DistInf = %v, want 4", got)
 	}
@@ -172,41 +132,13 @@ func TestEqualWithinLengthMismatch(t *testing.T) {
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add with mismatched lengths did not panic")
+			t.Fatal("AddScaled with mismatched lengths did not panic")
 		}
 	}()
-	Add([]float64{1}, []float64{1, 2})
+	AddScaled([]float64{1}, 2, []float64{1, 2})
 }
 
-// Property: Dot is symmetric and Norm2(a)^2 == Dot(a, a).
-func TestQuickDotProperties(t *testing.T) {
-	f := func(a, b []float64) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		a, b = a[:n], b[:n]
-		if !AllFinite(a) || !AllFinite(b) {
-			return true // skip pathological random inputs
-		}
-		// Keep magnitudes bounded so float round-off stays predictable.
-		for i := range a {
-			a[i] = math.Mod(a[i], 1e3)
-			b[i] = math.Mod(b[i], 1e3)
-		}
-		d1, d2 := Dot(a, b), Dot(b, a)
-		if d1 != d2 {
-			return false
-		}
-		n2 := Norm2(a)
-		return math.Abs(n2*n2-Dot(a, a)) <= 1e-6*(1+math.Abs(Dot(a, a)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: AddScaled(dst, 1, src) is the same as Add(dst, src).
+// Property: AddScaled(dst, 1, src) is element-wise addition.
 func TestQuickAddScaledMatchesAdd(t *testing.T) {
 	f := func(a, b []float64) bool {
 		n := len(a)
@@ -214,10 +146,14 @@ func TestQuickAddScaledMatchesAdd(t *testing.T) {
 			n = len(b)
 		}
 		a, b = a[:n], b[:n]
-		x, y := Clone(a), Clone(a)
-		Add(x, b)
-		AddScaled(y, 1, b)
-		return EqualWithin(x, y, 0)
+		x := Clone(a)
+		AddScaled(x, 1, b)
+		for i, v := range b {
+			if math.Float64bits(x[i]) != math.Float64bits(a[i]+v) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

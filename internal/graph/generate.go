@@ -56,17 +56,26 @@ func BarabasiAlbert(n, mAttach int, rng *rand.Rand) (*Graph, error) {
 		targets = append(targets, 0, v)
 	}
 
+	// picks keeps the distinct targets in draw order: wiring them in map
+	// order would make the edge order, and with it every later draw from
+	// targets, differ from run to run under the same seed.
 	chosen := make(map[int]struct{}, mAttach)
+	picks := make([]int, 0, mAttach)
 	for u := mAttach + 1; u < n; u++ {
 		clear(chosen)
-		for len(chosen) < mAttach {
+		picks = picks[:0]
+		for len(picks) < mAttach {
 			v := targets[rng.Intn(len(targets))]
 			if v == u {
 				continue
 			}
+			if _, dup := chosen[v]; dup {
+				continue
+			}
 			chosen[v] = struct{}{}
+			picks = append(picks, v)
 		}
-		for v := range chosen {
+		for _, v := range picks {
 			if err := g.AddUndirected(u, v); err != nil {
 				return nil, err
 			}

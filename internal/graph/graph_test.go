@@ -140,6 +140,32 @@ func TestErdosRenyi(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertDeterministic requires two builds from the same seed
+// to wire the same edges in the same order: the attachment step draws from
+// the edge-endpoint list, so an edge order that varied between runs would
+// change the whole graph (and the extV figure built on it).
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	a, err := BarabasiAlbert(3000, 5, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BarabasiAlbert(3000, 5, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < a.NumNodes(); u++ {
+		na, nb := a.OutNeighbors(u), b.OutNeighbors(u)
+		if len(na) != len(nb) {
+			t.Fatalf("node %d: out-degree %d vs %d under the same seed", u, len(na), len(nb))
+		}
+		for i := range na {
+			if na[i] != nb[i] {
+				t.Fatalf("node %d: neighbour %d is %d vs %d under the same seed", u, i, na[i], nb[i])
+			}
+		}
+	}
+}
+
 func TestBarabasiAlbert(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const (

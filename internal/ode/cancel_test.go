@@ -25,15 +25,6 @@ func TestSolveFixedNilCtxCompletes(t *testing.T) {
 	}
 }
 
-func TestSolveAdaptiveCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := SolveAdaptive(expDecay, []float64{1}, 0, 10, &AdaptiveOptions{Options: Options{Ctx: ctx}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveAdaptive with cancelled ctx: %v, want context.Canceled", err)
-	}
-}
-
 // TestSolveFixedCancelledNearFinalStep pins the poll-on-final-step rule:
 // a cancellation that lands after the last 256-step cadence boundary but
 // before the final partial step must still abort the run. With 300 steps

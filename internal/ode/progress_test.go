@@ -51,34 +51,12 @@ func TestSolveFixedProgressFinalStepOffCadence(t *testing.T) {
 		ProgressEvery: 7,
 		Progress:      func(step, total int, _ float64, _ []float64) { last = step },
 	}
-	_, err := SolveFixed(decayRHS, []float64{1}, 0, 1, 0.01, &Euler{}, opts)
+	_, err := SolveFixed(decayRHS, []float64{1}, 0, 1, 0.01, &RK4{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if last != 100 {
 		t.Errorf("final checkpoint step = %d, want 100 even though 100 %% 7 != 0", last)
-	}
-}
-
-func TestSolveAdaptiveProgress(t *testing.T) {
-	var calls int
-	opts := &AdaptiveOptions{
-		Options: Options{
-			ProgressEvery: 1,
-			Progress: func(step, total int, _ float64, _ []float64) {
-				if total != 0 {
-					t.Errorf("adaptive total = %d, want 0 (open-ended)", total)
-				}
-				calls++
-			},
-		},
-	}
-	sol, err := SolveAdaptive(decayRHS, []float64{1, 0.5}, 0, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != sol.Len()-1 {
-		t.Errorf("progress calls = %d, want one per accepted step (%d)", calls, sol.Len()-1)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"rumornet/internal/abm"
@@ -514,7 +513,7 @@ func executeABM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) 
 		}
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	g, err := graph.ConfigurationModel(sampleDegrees(dist, p.Nodes, rng), rng)
+	g, err := graph.ConfigurationModel(dist.Sample(p.Nodes, rng), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -583,27 +582,6 @@ func executeFBSM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress)
 		Eps1:       pol.Schedule.Eps1,
 		Eps2:       pol.Schedule.Eps2,
 	}, nil
-}
-
-// sampleDegrees draws an out-degree sequence by inverse-CDF sampling
-// (mirrors cmd/rumorsim; kept local to avoid the service depending on a
-// main package).
-func sampleDegrees(d *degreedist.Dist, n int, rng *rand.Rand) []int {
-	cdf := make([]float64, d.N())
-	var cum float64
-	for i := 0; i < d.N(); i++ {
-		cum += d.Prob(i)
-		cdf[i] = cum
-	}
-	seq := make([]int, n)
-	for i := range seq {
-		g := sort.SearchFloat64s(cdf, rng.Float64())
-		if g >= d.N() {
-			g = d.N() - 1
-		}
-		seq[i] = d.Degree(g)
-	}
-	return seq
 }
 
 // innerWorkersKey carries the per-job fan-out bound through the executor's

@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
-#   tier 1: gofmt -l . (must print nothing), go build ./... && go test ./...,
-#           and go vet over the rumorbench module
-#   tier 2: go vet ./... && go test -race ./..., one iteration of every
+#   tier 1: gofmt -l . (must print nothing), go build ./... && go vet ./...
+#           && go test ./..., and go vet over the rumorbench module
+#   tier 2: go test -race ./..., one iteration of every
 #           benchmark, the rumorbench tests under -race, and 10s of each
 #           decoder fuzzer
 #
@@ -36,7 +36,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: format + build + test"
+echo "== tier 1: format + build + vet + test"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "verify: gofmt would reformat:" >&2
@@ -44,6 +44,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go build ./...
+go vet ./...
 go test ./...
 # rumorbench is its own module (its go.mod replaces rumornet with ../), so
 # the root ./... never compiles it, yet it calls service.New, Config and
@@ -52,8 +53,7 @@ go test ./...
 (cd rumorbench && go vet ./...)
 
 if [ "${1:-}" = "-race" ]; then
-	echo "== tier 2: vet + race + bench smoke"
-	go vet ./...
+	echo "== tier 2: race + bench smoke"
 	go test -race ./...
 	go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 	# rumorbench is its own module, so the -race sweep above never reaches
