@@ -29,7 +29,7 @@
 //	curl -s http://127.0.0.1:6060/debug/events | jq .spans
 //
 // Every job records its lifecycle, solver checkpoints and invariant
-// violations into a per-job ring (-journal entries deep, optionally mirrored
+// violations into a per-job ring (at most -journal entries, optionally mirrored
 // as JSON lines to -journal-file, rotated at -journal-max-bytes);
 // GET /v1/jobs/{id}/events replays the ring and follows live over
 // Server-Sent Events with -sse-heartbeat keep-alives. Incoming W3C
@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		seed         = fs.Int64("seed", 1, "seed for the built-in synthetic Digg2009 scenario")
 		debugAddr    = fs.String("debug-addr", "", "optional second listener serving /debug/pprof/, /metrics and /debug/events (empty: disabled)")
 		progEvery    = fs.Int("progress-log-every", 25, "solver progress events between debug-level log records per job (0: disable)")
-		journalSize  = fs.Int("journal", 256, "per-job flight-recorder ring capacity in entries")
+		journalSize  = fs.Int("journal", 256, "maximum flight-recorder entries retained per job")
 		journalFile  = fs.String("journal-file", "", "append every journal entry as a JSON line to this file (empty: disabled)")
 		journalMax   = fs.Int64("journal-max-bytes", 64<<20, "rotate -journal-file to .1 once it would exceed this size (0: never rotate)")
 		sseHeartbeat = fs.Duration("sse-heartbeat", 15*time.Second, "idle keep-alive cadence of the /v1/jobs/{id}/events stream")

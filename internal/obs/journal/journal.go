@@ -1,5 +1,5 @@
-// Package journal is a per-job flight recorder: a fixed-size ring buffer
-// of timestamped events for every job the service runs, with replay,
+// Package journal is a per-job flight recorder: a bounded ring buffer of
+// timestamped events for every job the service runs, with replay,
 // live subscription (backing rumord's SSE endpoint), an optional JSONL
 // sink for durable capture, and explicit removal so evicted jobs leave no
 // payload behind. See DESIGN.md §9 for the retention rules.
@@ -66,10 +66,10 @@ type subscriber struct {
 
 // jobLog is the per-job ring plus its live subscribers.
 type jobLog struct {
-	ring []Entry // capacity perJob, filled circularly
-	next int     // write position once len(ring) == cap
+	ring []Entry // grows by append up to perJob entries, then filled circularly
+	next int     // write position once len(ring) == perJob
 	seq  uint64
-	subs map[*subscriber]struct{}
+	subs map[*subscriber]struct{} // nil until the first Subscribe
 }
 
 // Journal is the service-wide flight recorder. The zero value is not
@@ -89,10 +89,11 @@ type Journal struct {
 const subBuffer = 256
 
 // New returns a journal retaining up to perJob entries per job (minimum 8;
-// smaller values are raised). sink, when non-nil, additionally receives
-// every entry as one JSON line; writes are serialized under the journal
-// lock and errors are ignored (the sink is best-effort capture, the ring
-// is the source of truth).
+// smaller values are raised). A job's ring grows with the entries it is
+// given, so a short job holds only what it wrote. sink, when non-nil,
+// additionally receives every entry as one JSON line; writes are
+// serialized under the journal lock and errors are ignored (the sink is
+// best-effort capture, the ring is the source of truth).
 func New(perJob int, sink io.Writer) *Journal {
 	if perJob < 8 {
 		perJob = 8
@@ -103,7 +104,7 @@ func New(perJob int, sink io.Writer) *Journal {
 func (j *Journal) logFor(id string) *jobLog {
 	l := j.jobs[id]
 	if l == nil {
-		l = &jobLog{ring: make([]Entry, 0, j.perJob), subs: make(map[*subscriber]struct{})}
+		l = &jobLog{}
 		j.jobs[id] = l
 	}
 	return l
@@ -123,11 +124,11 @@ func (j *Journal) Append(e Entry) {
 	l := j.logFor(e.JobID)
 	l.seq++
 	e.Seq = l.seq
-	if len(l.ring) < cap(l.ring) {
+	if len(l.ring) < j.perJob {
 		l.ring = append(l.ring, e)
 	} else {
 		l.ring[l.next] = e
-		l.next = (l.next + 1) % cap(l.ring)
+		l.next = (l.next + 1) % j.perJob
 	}
 	if j.sink != nil {
 		if blob, err := json.Marshal(e); err == nil {
@@ -144,10 +145,12 @@ func (j *Journal) Append(e Entry) {
 	j.mu.Unlock()
 }
 
-// replayLocked returns the retained entries oldest-first. Callers hold j.mu.
+// replayLocked returns the retained entries oldest-first. Once the ring
+// has wrapped, l.next is its oldest entry; before, l.next is 0 and the ring
+// is already in order. Callers hold j.mu.
 func (l *jobLog) replayLocked() []Entry {
 	out := make([]Entry, 0, len(l.ring))
-	if len(l.ring) == cap(l.ring) && l.next > 0 {
+	if l.next > 0 {
 		out = append(out, l.ring[l.next:]...)
 		out = append(out, l.ring[:l.next]...)
 	} else {
@@ -178,6 +181,9 @@ func (j *Journal) Subscribe(jobID string) (history []Entry, ch <-chan Entry, can
 	j.mu.Lock()
 	l := j.logFor(jobID)
 	history = l.replayLocked()
+	if l.subs == nil {
+		l.subs = make(map[*subscriber]struct{})
+	}
 	l.subs[s] = struct{}{}
 	j.mu.Unlock()
 

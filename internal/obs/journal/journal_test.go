@@ -230,3 +230,45 @@ func TestConcurrentAppendSubscribe(t *testing.T) {
 		t.Errorf("ring len = %d, want 64", j.Len("j-0"))
 	}
 }
+
+// TestRingGrowsWithUse pins the growing ring at a depth that is not a
+// power of two, where append overshoots the depth: the ring still keeps
+// exactly perJob entries and replays them oldest-first, and a short job
+// holds only about what it wrote.
+func TestRingGrowsWithUse(t *testing.T) {
+	j := New(10, nil)
+	const total = 25
+	for i := 1; i <= total; i++ {
+		j.Append(Entry{JobID: "long", Kind: KindProgress, Step: i})
+	}
+	if n := j.Len("long"); n != 10 {
+		t.Fatalf("Len = %d, want the depth 10", n)
+	}
+	got := j.Replay("long")
+	if len(got) != 10 {
+		t.Fatalf("replay = %d entries, want 10", len(got))
+	}
+	for i, e := range got {
+		wantSeq := uint64(total - 10 + 1 + i)
+		if e.Seq != wantSeq || e.Step != int(wantSeq) {
+			t.Fatalf("entry %d: Seq=%d Step=%d, want %d (oldest-first)", i, e.Seq, e.Step, wantSeq)
+		}
+	}
+
+	for i := 1; i <= 3; i++ {
+		j.Append(Entry{JobID: "short", Kind: KindLifecycle, Step: i})
+	}
+	j.mu.Lock()
+	short := j.jobs["short"]
+	ringCap, subs := cap(short.ring), short.subs
+	j.mu.Unlock()
+	if ringCap > 8 {
+		t.Errorf("3-entry ring has capacity %d, want ≤ 8", ringCap)
+	}
+	if subs != nil {
+		t.Error("a job nobody subscribed to allocated a subscriber map")
+	}
+	if got := j.Replay("short"); len(got) != 3 || got[0].Seq != 1 || got[2].Seq != 3 {
+		t.Errorf("short replay: %+v", got)
+	}
+}

@@ -50,10 +50,11 @@ type Config struct {
 	// debug level (default 25; progress is still always visible on
 	// GET /v1/jobs/{id} regardless). Negative disables progress logging.
 	ProgressLogEvery int
-	// JournalEntries is the per-job capacity of the flight-recorder ring
-	// (default 256): once a job has emitted more events, the oldest are
-	// overwritten and GET /v1/jobs/{id}/events replays only the tail,
-	// revealed by gaps in the seq numbers.
+	// JournalEntries is the maximum number of flight-recorder entries
+	// retained per job (default 256). A job's ring grows with the entries
+	// it writes; once a job has emitted more, the oldest are overwritten
+	// and GET /v1/jobs/{id}/events replays only the tail, revealed by gaps
+	// in the seq numbers.
 	JournalEntries int
 	// JournalSink, when non-nil, additionally receives every journal entry
 	// as one JSON line (rumord's -journal-file). Writes happen inline on

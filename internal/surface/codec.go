@@ -53,12 +53,17 @@ func (s *Surface) Encode() ([]byte, error) {
 			off += 8
 		}
 	}
+	return frame(payload), nil
+}
+
+// frame wraps a payload in the SRF1 header: magic, CRC and length.
+func frame(payload []byte) []byte {
 	out := make([]byte, srfHeader+len(payload))
 	copy(out, srfMagic)
 	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, srfCastagnoli))
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(payload)))
 	copy(out[srfHeader:], payload)
-	return out, nil
+	return out
 }
 
 // Decode parses and validates a framed surface, recomputing error

@@ -61,8 +61,8 @@ type Spec struct {
 }
 
 // Validate checks structural invariants: at least one axis and field,
-// unique names, strictly increasing finite axis values, and the grid
-// within MaxPoints.
+// unique names, strictly increasing finite axis values whose span is
+// finite, and the grid within MaxPoints.
 func (sp *Spec) Validate() error {
 	if sp.JobType == "" {
 		return errors.New("surface: spec has no job type")
@@ -74,6 +74,7 @@ func (sp *Spec) Validate() error {
 		return fmt.Errorf("surface: %d axes exceeds the maximum %d", len(sp.Axes), MaxAxes)
 	}
 	names := make(map[string]bool, len(sp.Axes))
+	points := 1
 	for _, ax := range sp.Axes {
 		if ax.Name == "" {
 			return errors.New("surface: axis with empty name")
@@ -93,6 +94,16 @@ func (sp *Spec) Validate() error {
 				return fmt.Errorf("surface: axis %q values not strictly increasing at %d", ax.Name, i)
 			}
 		}
+		// Eval divides by cell widths; a span beyond the float64 range
+		// would make them infinite and the answers NaN.
+		if span := ax.Values[len(ax.Values)-1] - ax.Values[0]; math.IsInf(span, 0) {
+			return fmt.Errorf("surface: axis %q spans more than the float64 range", ax.Name)
+		}
+		// Checked per axis, so the product cannot overflow and wrap back
+		// under the cap.
+		if points *= len(ax.Values); points > MaxPoints {
+			return fmt.Errorf("surface: grid has more than %d points", MaxPoints)
+		}
 	}
 	if len(sp.Fields) == 0 {
 		return errors.New("surface: spec has no output fields")
@@ -106,9 +117,6 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("surface: duplicate field %q", f)
 		}
 		fields[f] = true
-	}
-	if n := sp.Points(); n > MaxPoints {
-		return fmt.Errorf("surface: grid has %d points, maximum is %d", n, MaxPoints)
 	}
 	return nil
 }

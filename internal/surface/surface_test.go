@@ -314,6 +314,17 @@ func TestSpecValidate(t *testing.T) {
 		{"too many points", func(s *Spec) {
 			s.Axes = []Axis{{Name: "a", Values: big}, {Name: "b", Values: big}}
 		}},
+		{"point count wraps to zero", func(s *Spec) {
+			wide := make([]float64, 256)
+			for i := range wide {
+				wide[i] = float64(i)
+			}
+			s.Axes = nil
+			for a := 0; a < MaxAxes; a++ { // 256^8 = 2^64
+				s.Axes = append(s.Axes, Axis{Name: string(rune('a' + a)), Values: wide})
+			}
+		}},
+		{"span overflows", func(s *Spec) { s.Axes[0].Values = []float64{-math.MaxFloat64, math.MaxFloat64} }},
 	}
 	for _, tc := range cases {
 		s := Spec{JobType: ok.JobType, Fields: append([]string(nil), ok.Fields...)}

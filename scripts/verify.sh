@@ -69,17 +69,19 @@ if [ "${1:-}" = "-race" ]; then
 	# split-and-merge HDR streams against one HDR fed the whole stream,
 	# arbitrary heartbeat and result bodies against a leased job's
 	# fencing, span and journal bounds, client traceparent headers
-	# against the W3C shape, and result-blob frames against their
-	# checksum. Tier 1 replays their checked-in seeds (testdata/fuzz under
-	# internal/obs, internal/obs/trace, internal/service and
-	# internal/store); here each explores for 10s. Go fuzzes one target
-	# per invocation.
+	# against the W3C shape, result-blob frames against their checksum,
+	# and surface artifacts (raw and re-framed with a valid CRC) against
+	# their own round trip. Tier 1 replays their checked-in seeds
+	# (testdata/fuzz under internal/obs, internal/obs/trace,
+	# internal/service, internal/store and internal/surface); here each
+	# explores for 10s. Go fuzzes one target per invocation.
 	echo "== tier 2: decoder fuzzers"
 	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzWorkerRelay$' -fuzztime 10s ./internal/service
 	go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 10s ./internal/obs/trace
 	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
+	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s ./internal/surface
 fi
 
 echo "verify: ok"
