@@ -36,9 +36,6 @@ type Options struct {
 	// Tol is the convergence tolerance on the relative L1 change of both
 	// controls between sweeps (default 1e-4).
 	Tol float64
-	// Relax is the control-update relaxation θ ∈ (0, 1]:
-	// u ← (1−θ)u + θ·clamp(u*) (default 0.5).
-	Relax float64
 	// Adjoint selects the co-state system (default AdjointExact).
 	Adjoint Adjoint
 	// Eps1Max and Eps2Max are the admissible-control upper bounds of
@@ -73,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-4
-	}
-	if o.Relax <= 0 || o.Relax > 1 {
-		o.Relax = 0.5
 	}
 	if o.Adjoint == 0 {
 		o.Adjoint = AdjointExact
@@ -157,11 +151,11 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 
 	// Per-run arena shared by every backward sweep: the ψ/φ row tables, the
 	// co-state initial condition, the interpolation buffer consumed by the
-	// co-state RHS, the λ and φ/⟨k⟩ tables it reads, and the RK4 stepper
-	// scratch are all allocated once here instead of once per sweep (and,
-	// for the interpolation buffer, once per RHS evaluation). MaxIter
-	// sweeps then run allocation-free apart from the recorded trajectories
-	// themselves.
+	// co-state RHS, the λ and φ/⟨k⟩ tables it reads, the RK4 stepper
+	// scratch and the control mixer's history are all allocated once here
+	// instead of once per sweep (and, for the interpolation buffer, once
+	// per RHS evaluation). MaxIter sweeps then run allocation-free apart
+	// from the recorded trajectories themselves.
 	arena := newSweepArena(m, ng)
 
 	// Rebadge the forward integration's StageODE checkpoints so a consumer
@@ -204,9 +198,10 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 			sweepCost = breakdownOnGrid(m, tr, sched, opts.Cost).Total
 		}
 
-		// (3) Control update: clamped stationary point (18)–(19) with
-		// relaxation.
-		var change, norm float64
+		// (3) Control update: G(u) is the clamped stationary point
+		// (18)–(19) at every grid node, and the mixer turns (u, G(u))
+		// into the next iterate, clamped back into the control box.
+		mix := arena.mix
 		for j := 0; j < ng; j++ {
 			y := tr.Y[j]
 			var (
@@ -228,11 +223,15 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 			if i2 > 0 {
 				star2 = phiI / (2 * opts.Cost.C2 * i2)
 			}
-			star1 = floats.Clamp(star1, 0, opts.Eps1Max)
-			star2 = floats.Clamp(star2, 0, opts.Eps2Max)
-
-			new1 := (1-opts.Relax)*sched.Eps1[j] + opts.Relax*star1
-			new2 := (1-opts.Relax)*sched.Eps2[j] + opts.Relax*star2
+			mix.u[j], mix.u[ng+j] = sched.Eps1[j], sched.Eps2[j]
+			mix.g[j] = floats.Clamp(star1, 0, opts.Eps1Max)
+			mix.g[ng+j] = floats.Clamp(star2, 0, opts.Eps2Max)
+		}
+		next := mix.update()
+		var change, norm float64
+		for j := 0; j < ng; j++ {
+			new1 := floats.Clamp(next[j], 0, opts.Eps1Max)
+			new2 := floats.Clamp(next[ng+j], 0, opts.Eps2Max)
 			change += math.Abs(new1-sched.Eps1[j]) + math.Abs(new2-sched.Eps2[j])
 			norm += math.Abs(new1) + math.Abs(new2)
 			sched.Eps1[j] = new1
@@ -276,6 +275,7 @@ type sweepArena struct {
 	lam      []float64   // λ(k_i) per group
 	kphi     []float64   // φ(k_i)/⟨k⟩ per group
 	st       *ode.RK4    // backward-integration stepper scratch
+	mix      *anderson   // control-update history and least-squares scratch
 }
 
 func newSweepArena(m *core.Model, ng int) *sweepArena {
@@ -288,6 +288,7 @@ func newSweepArena(m *core.Model, ng int) *sweepArena {
 		lam:  make([]float64, n),
 		kphi: make([]float64, n),
 		st:   ode.NewRK4(2 * n),
+		mix:  newAnderson(2 * ng),
 	}
 	meanK := m.MeanDegree()
 	for i := 0; i < n; i++ {

@@ -8,7 +8,8 @@
 // The solver is the standard forward–backward sweep method (FBSM): iterate
 // a forward state integration, a backward co-state integration with the
 // transversality conditions ψ_i(tf) = 0, φ_i(tf) = 1, and the clamped
-// stationary-point control update of Equations (18)–(19), with relaxation.
+// stationary-point control update of Equations (18)–(19), accelerated by
+// safeguarded Anderson mixing over successive sweeps.
 //
 // The package also provides the paper's comparison baseline: a heuristic
 // feedback controller that reacts only to the current infection state

@@ -67,8 +67,8 @@ type Config struct {
 	// CheckNegative fires (default 1e-9).
 	NegTol float64
 	// DivergeAfter is how many consecutive residual increases flag a
-	// diverging FBSM iteration (default 5 — the relaxed sweep oscillates
-	// by one or two on hard problems without being lost).
+	// diverging FBSM iteration (default 5 — on hard problems the residual
+	// rises for a sweep or two without the iteration being lost).
 	DivergeAfter int
 	// R0ExtinctI is the final infected fraction a subcritical (r0 ≤ 1)
 	// run may end with before CheckR0Outcome fires (default 0.05 —

@@ -241,10 +241,22 @@ type Request struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
+// resultVersion is the version of the bytes a job type's result
+// serializes to. Bump a type's version with any change that moves those
+// bytes, so results stored by older code become cache misses instead of
+// being served as fresh answers; the other types keep their keys.
+func resultVersion(t JobType) int {
+	if t == JobFBSM {
+		return 2 // safeguarded Anderson control update
+	}
+	return 1
+}
+
 // cacheKey content-addresses a request: SHA-256 over the job type, the
-// scenario table fingerprint, and the canonicalized (defaults-resolved)
-// parameters. The timeout is deliberately excluded — it bounds the
-// computation, it does not change the result.
+// scenario table fingerprint, the type's result version (above 1 only)
+// and the canonicalized (defaults-resolved) parameters. The timeout is
+// deliberately excluded — it bounds the computation, it does not change
+// the result.
 func cacheKey(t JobType, scenarioFingerprint string, p Params) string {
 	blob, err := json.Marshal(p)
 	if err != nil { // Params is plain numbers; cannot happen
@@ -252,6 +264,9 @@ func cacheKey(t JobType, scenarioFingerprint string, p Params) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s\x00", t, scenarioFingerprint)
+	if v := resultVersion(t); v > 1 {
+		fmt.Fprintf(h, "v%d\x00", v)
+	}
 	h.Write(blob)
 	return hex.EncodeToString(h.Sum(nil))
 }

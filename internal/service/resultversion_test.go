@@ -1,0 +1,133 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"testing"
+
+	"rumornet/internal/store"
+)
+
+// The solve benchmark's ODE and FBSM requests (rumorbench/requests.go,
+// seed 1), fully specified so each is its own canonical form.
+var (
+	versionODEParams = Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.02, I0: 0.1, Tf: 40,
+		Points: 50, Seed: 1}
+	versionFBSMParams = Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02, Lambda0: 0.05, I0: 0.1, Tf: 20,
+		Points: 500, Seed: 1, C1: 5, C2: 10, EpsMax: 0.6, Grid: 120}
+)
+
+// Keys of those requests on the built-in scenario before FBSM results
+// moved to version 2 (the safeguarded Anderson control update).
+const (
+	v1ODEKey  = "91caa31ac7c24b6320c492e9959e08cc80e78a01083435c7d67b7f440607ca7e"
+	v1FBSMKey = "ede303b2723565a76a6f67b6135fff3a7a24c325002507fe5f204555ea26007c"
+)
+
+func builtinScenario(t *testing.T, svc *Service) *Scenario {
+	t.Helper()
+	sc, err := svc.Scenario(BuiltinScenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestCacheKeyResultVersion pins the key layout: a type at result version
+// 1 keeps the key it always had, and a bumped type gets a new one.
+func TestCacheKeyResultVersion(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	fp := builtinScenario(t, svc).Fingerprint
+	for _, tc := range []struct {
+		typ JobType
+		p   Params
+	}{{JobODE, versionODEParams}, {JobFBSM, versionFBSMParams}} {
+		if got := tc.p.withDefaults(tc.typ); got != tc.p {
+			t.Fatalf("%s params are not canonical: %+v", tc.typ, got)
+		}
+	}
+	if got := cacheKey(JobODE, fp, versionODEParams); got != v1ODEKey {
+		t.Errorf("ode key = %s, want the version-1 key %s", got, v1ODEKey)
+	}
+	if got := cacheKey(JobFBSM, fp, versionFBSMParams); got == v1FBSMKey {
+		t.Errorf("fbsm key is still the version-1 key %s", got)
+	}
+}
+
+// TestStaleResultNotServed restarts a durable service over a store that
+// holds results written under version-1 keys (a restart warms the memory
+// cache from every stored blob): the ODE blob is still served, and the
+// FBSM request is recomputed instead.
+func TestStaleResultNotServed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SyncMode: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odeBlob := []byte(`{"stale":"ode"}`)
+	fbsmBlob := []byte(`{"stale":"fbsm"}`)
+	if err := st.PutResult(v1ODEKey, odeBlob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(v1FBSMKey, fbsmBlob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := New(storeConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	ode, err := svc.Submit(Request{Type: JobODE, Params: versionODEParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ode.CacheHit || !bytes.Equal(ode.Result, odeBlob) {
+		t.Errorf("ode: cache_hit %v, result %s — want the stored blob", ode.CacheHit, ode.Result)
+	}
+
+	fbsm, err := svc.Submit(Request{Type: JobFBSM, Params: versionFBSMParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fbsm.CacheHit {
+		t.Fatalf("fbsm: the version-1 blob %s was served", fbsm.Result)
+	}
+	fbsm = waitJob(t, svc, fbsm.ID)
+	mustSucceed(t, fbsm)
+	if bytes.Equal(fbsm.Result, fbsmBlob) {
+		t.Error("fbsm: recomputed result equals the stale blob")
+	}
+}
+
+// TestFBSMSweepCount runs the solve benchmark's FBSM request and bounds
+// its sweeps: the accelerated update converges in 12, where the fixed
+// half-step relaxation it replaced needed 31.
+func TestFBSMSweepCount(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	raw, err := ExecuteRequest(context.Background(), builtinScenario(t, svc),
+		Request{Type: JobFBSM, Params: versionFBSMParams}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res FBSMResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Iterations > 16 {
+		t.Errorf("converged %v after %d sweeps, want convergence within 16", res.Converged, res.Iterations)
+	}
+}

@@ -70,11 +70,13 @@ if [ "${1:-}" = "-race" ]; then
 	# arbitrary heartbeat and result bodies against a leased job's
 	# fencing, span and journal bounds, client traceparent headers
 	# against the W3C shape, result-blob frames against their checksum,
-	# and surface artifacts (raw and re-framed with a valid CRC) against
-	# their own round trip. Tier 1 replays their checked-in seeds
-	# (testdata/fuzz under internal/obs, internal/obs/trace,
-	# internal/service, internal/store and internal/surface); here each
-	# explores for 10s. Go fuzzes one target per invocation.
+	# surface artifacts (raw and re-framed with a valid CRC) against
+	# their own round trip, and control-schedule files (rumorctl
+	# -load-json) against schedule validation. Tier 1 replays their
+	# checked-in seeds (testdata/fuzz under internal/obs,
+	# internal/obs/trace, internal/service, internal/store,
+	# internal/surface and internal/control); here each explores for 10s.
+	# Go fuzzes one target per invocation.
 	echo "== tier 2: decoder fuzzers"
 	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
@@ -82,6 +84,7 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 10s ./internal/obs/trace
 	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
 	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s ./internal/surface
+	go test -run '^$' -fuzz '^FuzzReadScheduleJSON$' -fuzztime 10s ./internal/control
 fi
 
 echo "verify: ok"
