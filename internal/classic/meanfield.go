@@ -50,7 +50,7 @@ func (d DKMeanField) Solve(y0, tMax float64) (*ode.Solution, error) {
 	opts := &ode.Options{
 		Stop: func(_ float64, s []float64) bool { return s[1] < 1e-8 },
 	}
-	sol, err := ode.SolveFixed(d.RHS, ic, 0, tMax, tMax/200000, &ode.RK4{}, opts)
+	sol, err := ode.SolveFixed(ode.NewRK4(len(ic)).Bind(d.RHS), ic, 0, tMax, tMax/200000, opts)
 	if err != nil {
 		return nil, fmt.Errorf("classic: mean field: %w", err)
 	}

@@ -50,7 +50,7 @@ func EvaluateCostCtx(ctx context.Context, m *core.Model, ic []float64, sched *Sc
 	if err := sched.Validate(); err != nil {
 		return bd, nil, err
 	}
-	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0)
+	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0, nil)
 	if err != nil {
 		return bd, nil, err
 	}
@@ -90,8 +90,9 @@ func breakdownOnGrid(m *core.Model, tr *core.Trajectory, sched *Schedule, cost C
 // simulateOnGrid integrates the controlled model with RK4 using exactly the
 // schedule's grid steps, so trajectory samples align with schedule nodes.
 // prog, when non-nil, receives in-flight checkpoints every progressEvery
-// steps (0 means the default cadence).
-func simulateOnGrid(ctx context.Context, m *core.Model, ic []float64, sched *Schedule, prog obs.Progress, progressEvery int) (*core.Trajectory, error) {
+// steps (0 means the default cadence). reuse, when non-nil, is an earlier
+// result whose storage this run overwrites (core.SimOptions.Reuse).
+func simulateOnGrid(ctx context.Context, m *core.Model, ic []float64, sched *Schedule, prog obs.Progress, progressEvery int, reuse *core.Trajectory) (*core.Trajectory, error) {
 	if len(ic) != m.StateDim() {
 		return nil, fmt.Errorf("control: initial condition dimension %d, want %d", len(ic), m.StateDim())
 	}
@@ -103,6 +104,7 @@ func simulateOnGrid(ctx context.Context, m *core.Model, ic []float64, sched *Sch
 		Eps2At:        sched.Eps2At,
 		Progress:      prog,
 		ProgressEvery: progressEvery,
+		Reuse:         reuse,
 	})
 	if err != nil {
 		return nil, err

@@ -1,0 +1,188 @@
+package control
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"testing"
+
+	"rumornet/internal/ode"
+)
+
+// benchFBSMOptions are the solve benchmark's FBSM job options on
+// diggControlModel (tf 20, UniformIC(0.1)).
+func benchFBSMOptions() Options {
+	return Options{Grid: 120, Eps1Max: 0.6, Eps2Max: 0.6, Cost: Cost{C1: 5, C2: 10}}
+}
+
+// wavySchedule is a non-constant schedule over the grid, so the co-state
+// terms differ at every stage time.
+func wavySchedule(tb testing.TB, tf float64, grid int) *Schedule {
+	tb.Helper()
+	sched, err := NewConstantSchedule(tf, grid, 0, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for j, t := range sched.T {
+		sched.Eps1[j] = 0.3 + 0.25*math.Sin(0.7*t+0.3*float64(j%5))
+		sched.Eps2[j] = 0.2 + 0.15*math.Cos(1.3*t)
+	}
+	return sched
+}
+
+// TestCostateStepMatchesRK4 integrates the co-state of the solve
+// benchmark's FBSM job under a non-constant schedule with the co-state
+// kernel and with ode.RK4 over referenceCostateRHS, for both adjoints and
+// two terminal weights, and requires every sample to agree bit for bit.
+// One run uses a step that does not divide tf, so its final step is
+// shortened.
+func TestCostateStepMatchesRK4(t *testing.T) {
+	m := diggControlModel(t)
+	ic, err := m.UniformIC(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tf, grid = 20.0, 120
+	sched := wavySchedule(t, tf, grid)
+	tr, err := simulateOnGrid(context.Background(), m, ic, sched, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.N()
+	k := newCostateStep(m)
+	for _, adj := range []Adjoint{AdjointExact, AdjointDiagonal} {
+		for _, tc := range []struct {
+			weight, h float64
+		}{
+			{1, sched.T[1] - sched.T[0]},
+			{8, tf / (grid - 0.3)},
+		} {
+			opts := benchFBSMOptions()
+			opts.Adjoint, opts.TerminalWeight = adj, tc.weight
+			opts = opts.withDefaults()
+			z0 := make([]float64, 2*n)
+			for i := 0; i < n; i++ {
+				z0[n+i] = tc.weight
+			}
+			want, err := ode.SolveFixed(ode.NewRK4(2*n).Bind(referenceCostateRHS(m, tr, sched, opts)), z0, 0, tf, tc.h, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.reset(tr, sched, opts)
+			got, err := ode.SolveFixed(k.step, z0, 0, tf, tc.h, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("adjoint %d, w=%g: %d samples, reference %d", adj, tc.weight, got.Len(), want.Len())
+			}
+			for j := range want.Y {
+				for i, w := range want.Y[j] {
+					if math.Float64bits(got.Y[j][i]) != math.Float64bits(w) {
+						t.Fatalf("adjoint %d, w=%g: sample %d (τ=%g) z[%d] = %x, RK4 %x (not bit-identical)",
+							adj, tc.weight, j, want.T[j], i, got.Y[j][i], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCostateStepZeroAlloc pins the kernel's steady state: a step
+// allocates nothing.
+func TestCostateStepZeroAlloc(t *testing.T) {
+	m := diggControlModel(t)
+	ic, err := m.UniformIC(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := wavySchedule(t, 20, 120)
+	tr, err := simulateOnGrid(context.Background(), m, ic, sched, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := newCostateStep(m)
+	k.reset(tr, sched, benchFBSMOptions().withDefaults())
+	z, dst := make([]float64, m.StateDim()), make([]float64, m.StateDim())
+	if allocs := testing.AllocsPerRun(100, func() { k.step(3.1, z, 1.0/6, dst) }); allocs != 0 {
+		t.Errorf("co-state step allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestOptimizeAllocFlat shows the sweeps reuse their trajectories: an
+// Optimize run of the solve benchmark's FBSM job allocates about the same
+// whether it stops after 2 sweeps or runs the 12 it takes to converge.
+func TestOptimizeAllocFlat(t *testing.T) {
+	m := diggControlModel(t)
+	ic, err := m.UniformIC(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(maxIter int) (uint64, int) {
+		opts := benchFBSMOptions()
+		opts.MaxIter = maxIter
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pol, err := Optimize(m, ic, 20, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, pol.Iterations
+	}
+	alloc(2) // warm up anything allocated once per process
+	short, shortIters := alloc(2)
+	long, longIters := alloc(12)
+	t.Logf("%d sweeps: %d B, %d sweeps: %d B", shortIters, short, longIters, long)
+	if shortIters != 2 || longIters <= 2 {
+		t.Fatalf("ran %d and %d sweeps, want 2 and more", shortIters, longIters)
+	}
+	if long > short+64<<10 {
+		t.Errorf("%d sweeps allocate %d B, %d sweeps %d B: %d B more, want < 64 KiB",
+			longIters, long, shortIters, short, long-short)
+	}
+}
+
+// BenchmarkCostateStep times one RK4 step of the solve benchmark's FBSM
+// co-state (848 groups, exact adjoint): "kernel" is the fused step the
+// backward sweep runs, "reference" ode.RK4 over referenceCostateRHS, which
+// recomputes the t-only terms at every stage. BenchmarkBackwardSweep times
+// a whole sweep.
+func BenchmarkCostateStep(b *testing.B) {
+	m := diggControlModel(b)
+	ic, err := m.UniformIC(0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := wavySchedule(b, 20, 120)
+	tr, err := simulateOnGrid(context.Background(), m, ic, sched, nil, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := benchFBSMOptions().withDefaults()
+	k := newCostateStep(m)
+	k.reset(tr, sched, opts)
+	z, dst := make([]float64, m.StateDim()), make([]float64, m.StateDim())
+	for i := range z {
+		z[i] = 0.5 + 0.001*float64(i%17)
+	}
+	h := sched.T[1] - sched.T[0]
+	for _, bc := range []struct {
+		name string
+		step ode.Step
+	}{
+		{"kernel", k.step},
+		{"reference", ode.NewRK4(m.StateDim()).Bind(referenceCostateRHS(m, tr, sched, opts))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			tau := 0.0
+			for i := 0; i < b.N; i++ {
+				bc.step(tau, z, h, dst)
+				if tau += h; tau > 19 {
+					tau = 0
+				}
+			}
+		})
+	}
+}

@@ -47,7 +47,7 @@ func HamiltonianSeries(m *core.Model, ic []float64, pol *Policy, opts Options) (
 	}
 	sched := pol.Schedule
 	ctx := context.Background()
-	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0)
+	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("control: hamiltonian forward pass: %w", err)
 	}

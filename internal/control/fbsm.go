@@ -149,13 +149,12 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 	ng := len(sched.T)
 	policy := &Policy{}
 
-	// Per-run arena shared by every backward sweep: the ψ/φ row tables, the
-	// co-state initial condition, the interpolation buffer consumed by the
-	// co-state RHS, the λ and φ/⟨k⟩ tables it reads, the RK4 stepper
-	// scratch and the control mixer's history are all allocated once here
-	// instead of once per sweep (and, for the interpolation buffer, once
-	// per RHS evaluation). MaxIter sweeps then run allocation-free apart
-	// from the recorded trajectories themselves.
+	// Per-run arena shared by every sweep: the forward and co-state
+	// trajectories, the ψ/φ row tables, the co-state initial condition,
+	// the co-state kernel's tables and scratch and the control mixer's
+	// history are all allocated once here instead of once per sweep, so
+	// an Optimize run allocates the same whatever its sweep count
+	// (TestOptimizeAllocFlat).
 	arena := newSweepArena(m, ng)
 
 	// Rebadge the forward integration's StageODE checkpoints so a consumer
@@ -177,10 +176,11 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		}
 
 		// (1) Forward sweep: state under current controls.
-		tr, err := simulateOnGrid(ctx, m, ic, sched, fwdProg, opts.ProgressEvery)
+		tr, err := simulateOnGrid(ctx, m, ic, sched, fwdProg, opts.ProgressEvery, arena.fwd)
 		if err != nil {
 			return nil, fmt.Errorf("control: forward sweep %d: %w", iter, err)
 		}
+		arena.fwd = tr
 
 		// (2) Backward sweep: co-states with transversality
 		// ψ(tf) = 0, φ(tf) = w.
@@ -266,110 +266,36 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 	return policy, nil
 }
 
-// sweepArena holds the buffers a backward sweep needs, allocated once per
-// Optimize run and reused across all MaxIter sweeps.
+// sweepArena holds the buffers the sweeps need, allocated once per
+// Optimize run and reused across all MaxIter sweeps. The final policy's
+// trajectory comes from a fresh evaluation, never from here.
 type sweepArena struct {
-	psi, phi [][]float64 // ψ/φ row tables over the schedule grid
-	z0       []float64   // transversality condition
-	ybuf     []float64   // tr.AtInto scratch for the co-state RHS
-	lam      []float64   // λ(k_i) per group
-	kphi     []float64   // φ(k_i)/⟨k⟩ per group
-	st       *ode.RK4    // backward-integration stepper scratch
-	mix      *anderson   // control-update history and least-squares scratch
+	fwd      *core.Trajectory // forward trajectory, overwritten by every sweep
+	bwd      *ode.Solution    // co-state trajectory, overwritten by every sweep
+	psi, phi [][]float64      // ψ/φ row tables over the schedule grid
+	z0       []float64        // transversality condition
+	costate  *costateStep     // co-state step kernel and its scratch
+	mix      *anderson        // control-update history and least-squares scratch
 }
 
 func newSweepArena(m *core.Model, ng int) *sweepArena {
-	n := m.N()
-	a := &sweepArena{
-		psi:  make([][]float64, ng),
-		phi:  make([][]float64, ng),
-		z0:   make([]float64, 2*n),
-		ybuf: make([]float64, 2*n),
-		lam:  make([]float64, n),
-		kphi: make([]float64, n),
-		st:   ode.NewRK4(2 * n),
-		mix:  newAnderson(2 * ng),
+	return &sweepArena{
+		psi:     make([][]float64, ng),
+		phi:     make([][]float64, ng),
+		z0:      make([]float64, m.StateDim()),
+		costate: newCostateStep(m),
+		mix:     newAnderson(2 * ng),
 	}
-	meanK := m.MeanDegree()
-	for i := 0; i < n; i++ {
-		a.lam[i] = m.Lambda(i)
-		a.kphi[i] = m.Varphi(i) / meanK
-	}
-	return a
 }
 
 // backwardSweep integrates the co-state system from tf to 0 and returns
 // ψ[j][i], φ[j][i] aligned with the schedule grid. The returned rows alias
-// arena.psi/arena.phi and the sweep's solution buffer; they are valid until
-// the next sweep reuses the arena.
+// the arena's co-state trajectory; they are valid until the next sweep
+// reuses the arena.
 func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options, arena *sweepArena) (psi, phi [][]float64, err error) {
 	n := m.N()
 	ng := len(sched.T)
 	tf := sched.Horizon()
-	c1, c2 := opts.Cost.C1, opts.Cost.C2
-
-	// The terms that depend on t alone — the interpolated state, ε1, ε2,
-	// Θ and the hoisted −2c1ε1², −2c2ε2² — are memoized on the last t
-	// the RHS saw. An RK4 step evaluates its two midpoint stages at the
-	// same t, and its last stage at the t where the next step begins, so
-	// half the evaluations reuse them. The memo is keyed on the exact
-	// float t, and every product keeps its grouping, so the co-states are
-	// bit-identical to recomputing everything per call (see
-	// TestOptimizeMatchesReference).
-	y := arena.ybuf
-	var e1, e2, theta, a1, a2 float64
-	lastT := math.NaN()
-
-	// Packed co-state z = [ψ_1..ψ_n, φ_1..φ_n] as a function of reversed
-	// time τ = tf − t: dz/dτ = −g(tf − τ, z). The state interpolation
-	// reuses one arena buffer — the sweep's RHS is evaluated four times per
-	// RK4 step over the whole grid, so a per-call clone here used to be the
-	// dominant allocation of the entire FBSM iteration.
-	costateRHS := func(tau float64, z, dz []float64) {
-		if t := tf - tau; t != lastT {
-			lastT = t
-			tr.AtInto(t, y)
-			e1 = sched.Eps1At(t)
-			e2 = sched.Eps2At(t)
-			theta = m.Theta(y)
-			a1 = -2 * c1 * e1 * e1
-			a2 = -2 * c2 * e2 * e2
-		}
-		// Every slice below has length n, so the loops run without
-		// bounds checks.
-		ys, yi := y[:n:n], y[n:][:n:n]
-		zs, zi := z[:n:n], z[n:][:n:n]
-		ds, di := dz[:n:n], dz[n:][:n:n]
-		lam, kphi := arena.lam[:n:n], arena.kphi[:n:n]
-
-		if opts.Adjoint == AdjointExact {
-			// Cross-group coupling Σ_j (ψ_j − φ_j) λ_j S_j.
-			var coupling float64
-			for j, s := range ys {
-				coupling += (zs[j] - zi[j]) * lam[j] * s
-			}
-			for i, s := range ys {
-				l := lam[i]
-				// dψ_i/dt = −2c1ε1²S_i + ψ_i(λΘ + ε1) − φ_iλΘ
-				dpsi := a1*s + zs[i]*(l*theta+e1) - zi[i]*l*theta
-				// dφ_i/dt = −2c2ε2²I_i + (φ(k_i)/⟨k⟩)Σ_j(ψ_j−φ_j)λ_jS_j + φ_iε2
-				dphi := a2*yi[i] + kphi[i]*coupling + zi[i]*e2
-				// Reversed time flips the sign.
-				ds[i] = -dpsi
-				di[i] = -dphi
-			}
-			return
-		}
-		// AdjointDiagonal — the paper's Equation (16).
-		for i, s := range ys {
-			l := lam[i]
-			dpsi := a1*s + zs[i]*(l*theta+e1) - zi[i]*l*theta
-			kterm := kphi[i] * l * s
-			dphi := a2*yi[i] + zs[i]*kterm - zi[i]*(kterm-e2)
-			ds[i] = -dpsi
-			di[i] = -dphi
-		}
-	}
 
 	// Transversality: ψ(tf) = 0, φ(tf) = TerminalWeight.
 	z0 := arena.z0
@@ -378,7 +304,7 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 		z0[n+i] = opts.TerminalWeight
 	}
 	h := sched.T[1] - sched.T[0]
-	oopts := &ode.Options{Record: 1, Ctx: ctx}
+	oopts := &ode.Options{Record: 1, Ctx: ctx, Reuse: arena.bwd}
 	if opts.Progress != nil {
 		prog := opts.Progress
 		oopts.ProgressEvery = opts.ProgressEvery
@@ -388,10 +314,12 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 			prog(obs.Event{Stage: obs.StageFBSMBackward, Step: step, Total: total, T: tf - tau})
 		}
 	}
-	sol, err := ode.SolveFixed(costateRHS, z0, 0, tf, h, arena.st, oopts)
+	arena.costate.reset(tr, sched, opts)
+	sol, err := ode.SolveFixed(arena.costate.step, z0, 0, tf, h, oopts)
 	if err != nil {
 		return nil, nil, err
 	}
+	arena.bwd = sol
 	if sol.Len() != ng {
 		return nil, nil, errors.New("control: co-state samples misaligned with grid")
 	}

@@ -31,7 +31,7 @@ func reducedGradient(t *testing.T, m *core.Model, ic []float64, sched *Schedule,
 	t.Helper()
 	opts = opts.withDefaults()
 	ctx := context.Background()
-	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0)
+	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,23 +39,18 @@ func diggControlModel(tb testing.TB) *core.Model {
 	return m
 }
 
-// referenceBackwardSweep is backwardSweep before its co-state RHS was
-// fused — per-call interpolation and Θ, per-group divisions and the
-// Adjoint switch inside the loop — kept verbatim as the golden reference.
-func referenceBackwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options, arena *sweepArena) (psi, phi [][]float64, err error) {
+// referenceCostateRHS is the co-state right-hand side before it was fused —
+// per-call interpolation and Θ, per-group divisions and the Adjoint switch
+// inside the loop — kept verbatim as the golden reference. It is the
+// packed co-state z = [ψ_1..ψ_n, φ_1..φ_n] as a function of reversed time
+// τ = tf − t: dz/dτ = −g(tf − τ, z).
+func referenceCostateRHS(m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options) ode.Func {
 	n := m.N()
-	ng := len(sched.T)
 	tf := sched.Horizon()
 	meanK := m.MeanDegree()
-
-	// Packed co-state z = [ψ_1..ψ_n, φ_1..φ_n] as a function of reversed
-	// time τ = tf − t: dz/dτ = −g(tf − τ, z). The state interpolation
-	// reuses one arena buffer — the sweep's RHS is evaluated four times per
-	// RK4 step over the whole grid, so a per-call clone here used to be the
-	// dominant allocation of the entire FBSM iteration.
-	costateRHS := func(tau float64, z, dz []float64) {
+	y := make([]float64, 2*n)
+	return func(tau float64, z, dz []float64) {
 		t := tf - tau
-		y := arena.ybuf
 		tr.AtInto(t, y)
 		e1 := sched.Eps1At(t)
 		e2 := sched.Eps2At(t)
@@ -90,6 +85,14 @@ func referenceBackwardSweep(ctx context.Context, m *core.Model, tr *core.Traject
 			dz[n+i] = -dphi
 		}
 	}
+}
+
+// referenceBackwardSweep is backwardSweep on ode.RK4 over
+// referenceCostateRHS: the golden reference for the whole sweep.
+func referenceBackwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options, arena *sweepArena) (psi, phi [][]float64, err error) {
+	n := m.N()
+	ng := len(sched.T)
+	tf := sched.Horizon()
 
 	// Transversality: ψ(tf) = 0, φ(tf) = TerminalWeight.
 	z0 := arena.z0
@@ -108,7 +111,8 @@ func referenceBackwardSweep(ctx context.Context, m *core.Model, tr *core.Traject
 			prog(obs.Event{Stage: obs.StageFBSMBackward, Step: step, Total: total, T: tf - tau})
 		}
 	}
-	sol, err := ode.SolveFixed(costateRHS, z0, 0, tf, h, arena.st, oopts)
+	rhs := referenceCostateRHS(m, tr, sched, opts)
+	sol, err := ode.SolveFixed(ode.NewRK4(2*n).Bind(rhs), z0, 0, tf, h, oopts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,8 +120,7 @@ func referenceBackwardSweep(ctx context.Context, m *core.Model, tr *core.Traject
 		return nil, nil, errors.New("control: co-state samples misaligned with grid")
 	}
 
-	// Unreverse: co-state at grid node j is the backward sample ng-1-j. The
-	// row tables live in the arena; only the headers are rewritten here.
+	// Unreverse: co-state at grid node j is the backward sample ng-1-j.
 	psi, phi = arena.psi, arena.phi
 	for j := 0; j < ng; j++ {
 		z := sol.Y[ng-1-j]
@@ -129,8 +132,9 @@ func referenceBackwardSweep(ctx context.Context, m *core.Model, tr *core.Traject
 
 // TestOptimizeMatchesReference runs the whole FBSM iteration twice, once
 // on backwardSweep and once on the reference kernel, and requires the same
-// policy: the memoized t-terms and hoisted invariants must not move a
-// single bit of the schedule, its cost or the iteration count.
+// policy: the fused co-state kernel, its once-per-stage-time terms and the
+// reused trajectories must not move a single bit of the schedule, its cost
+// or the iteration count.
 func TestOptimizeMatchesReference(t *testing.T) {
 	small := controlModel(t)
 	diggM := diggControlModel(t)
@@ -195,7 +199,7 @@ func BenchmarkBackwardSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0)
+	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

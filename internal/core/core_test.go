@@ -515,28 +515,6 @@ func TestTrajectoryAccessors(t *testing.T) {
 	}
 }
 
-func TestControlledRHSMatchesConstant(t *testing.T) {
-	m := extinctModel(t)
-	ic, err := m.UniformIC(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := m.Params()
-	ctrl := m.ControlledRHS(
-		func(float64) float64 { return p.Eps1 },
-		func(float64) float64 { return p.Eps2 },
-	)
-	a := make([]float64, m.StateDim())
-	b := make([]float64, m.StateDim())
-	m.RHS(0, ic, a)
-	ctrl(0, ic, b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("component %d: constant %v vs controlled %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestSimulateWithProjection(t *testing.T) {
 	m := epidemicModel(t)
 	ic, err := m.UniformIC(0.3)

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"rumornet/internal/degreedist"
-	"rumornet/internal/ode"
 )
 
 // Params holds the epidemic and countermeasure rates of System (1)
@@ -158,15 +157,6 @@ func (m *Model) Theta(y []float64) float64 {
 // constant countermeasures (Eps1, Eps2). It implements ode.Func.
 func (m *Model) RHS(t float64, y, dydt []float64) {
 	m.rhs(y, dydt, m.p.Eps1, m.p.Eps2)
-}
-
-// ControlledRHS returns an ode.Func whose countermeasure rates are the
-// time-varying controls eps1(t), eps2(t) — the dynamic control system of
-// Section IV.
-func (m *Model) ControlledRHS(eps1, eps2 func(t float64) float64) ode.Func {
-	return func(t float64, y, dydt []float64) {
-		m.rhs(y, dydt, eps1(t), eps2(t))
-	}
 }
 
 // rhs is the fused hot loop of System (1): a first sweep accumulates the Θ

@@ -21,7 +21,10 @@
 //   - fbsm_divergence: the forward–backward sweep's relative control
 //     change (Event.Value on fbsm iterations) should trend down; K
 //     consecutive increases flag a non-converging Pontryagin iteration
-//     (Section IV / Eq. (13)–(19)).
+//     (Section IV / Eq. (13)–(19)). A sweep whose objective J
+//     (Event.Cost) still fell is making progress, so its rise does not
+//     count: a slowly converging sweep can grow its control change for
+//     dozens of sweeps while J falls all the way.
 //   - r0_outcome: Theorem 5 — r0 ≤ 1 implies extinction, so a final
 //     infected fraction materially above zero contradicts the threshold
 //     theory (Eq. (5) defines r0).
@@ -68,7 +71,9 @@ type Config struct {
 	NegTol float64
 	// DivergeAfter is how many consecutive residual increases flag a
 	// diverging FBSM iteration (default 5 — on hard problems the residual
-	// rises for a sweep or two without the iteration being lost).
+	// rises for a sweep or two without the iteration being lost). A rise
+	// counts only when the sweep's objective did not fall either; events
+	// without a cost (Cost 0) count every rise.
 	DivergeAfter int
 	// R0ExtinctI is the final infected fraction a subcritical (r0 ≤ 1)
 	// run may end with before CheckR0Outcome fires (default 0.05 —
@@ -113,11 +118,12 @@ type Monitor struct {
 	cfg    Config
 	onViol func(Violation)
 
-	mu      sync.Mutex
-	fired   map[string]bool
-	prevRes float64
-	resSeen bool
-	incRuns int
+	mu       sync.Mutex
+	fired    map[string]bool
+	prevRes  float64
+	prevCost float64 // the previous sweep's J, 0 when it carried none
+	resSeen  bool
+	incRuns  int
 }
 
 // New builds a monitor calling onViolation for each first-per-check
@@ -174,7 +180,11 @@ func (m *Monitor) Observe(ev obs.Event) {
 				fmt.Sprintf("ABM infected fraction %.6g outside [0, 1] at t=%.4g", ev.Value, ev.T), ev)
 		}
 	case obs.StageFBSM:
-		if m.resSeen && ev.Value > m.prevRes {
+		rose := m.resSeen && ev.Value > m.prevRes
+		if ev.Cost != 0 && m.prevCost != 0 && ev.Cost < m.prevCost {
+			rose = false // J still falls: the sweep made progress
+		}
+		if rose {
 			m.incRuns++
 			if m.incRuns >= m.cfg.DivergeAfter {
 				m.violateLocked(CheckDivergence,
@@ -184,7 +194,7 @@ func (m *Monitor) Observe(ev obs.Event) {
 		} else {
 			m.incRuns = 0
 		}
-		m.prevRes = ev.Value
+		m.prevRes, m.prevCost = ev.Value, ev.Cost
 		m.resSeen = true
 	}
 }

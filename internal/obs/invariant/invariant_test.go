@@ -113,6 +113,40 @@ func TestFBSMDivergence(t *testing.T) {
 	}
 }
 
+// TestFBSMDivergenceFallingCost pins the cost rule: a control change that
+// rises while the objective falls is progress, not divergence. The first
+// Fig. 4(c) horizon grows its change for 42 sweeps while J falls from
+// 315.5 to 312.8, and converges.
+func TestFBSMDivergenceFallingCost(t *testing.T) {
+	m, vs := collect(Config{})
+	res, cost := 1e-3, 315.5
+	for i := 0; i < 43; i++ {
+		m.Observe(obs.Event{Stage: obs.StageFBSM, Step: i + 1, Value: res, Cost: cost})
+		res *= 1.05
+		cost -= 0.065
+	}
+	if len(*vs) != 0 {
+		t.Fatalf("42 rising residuals with falling J flagged: %+v", *vs)
+	}
+
+	// Five rises with J flat or rising are divergence.
+	m, vs = collect(Config{})
+	res, cost = 1e-3, 312.8
+	for i := 0; i < 6; i++ {
+		m.Observe(obs.Event{Stage: obs.StageFBSM, Step: i + 1, Value: res, Cost: cost})
+		res *= 1.05
+		if i%2 == 1 {
+			cost += 0.01
+		}
+	}
+	if len(*vs) != 1 || (*vs)[0].Check != CheckDivergence {
+		t.Fatalf("5 rising residuals with non-falling J: violations %+v, want one fbsm_divergence", *vs)
+	}
+	if (*vs)[0].Event.Step != 6 {
+		t.Errorf("flagged at iteration %d, want 6", (*vs)[0].Event.Step)
+	}
+}
+
 func TestR0OutcomeRespectsThreshold(t *testing.T) {
 	m, vs := collect(Config{R0ExtinctI: 0.1})
 	m.CheckOutcome(0.9, 0.09) // below the tail threshold: fine

@@ -72,7 +72,7 @@ func benchODE(b *testing.B, opts *ode.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ode.SolveFixed(decayRHS, y0, 0, 2, 0.001, &ode.RK4{}, opts); err != nil {
+		if _, err := ode.SolveFixed((&ode.RK4{}).Bind(decayRHS), y0, 0, 2, 0.001, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

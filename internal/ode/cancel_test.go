@@ -9,14 +9,14 @@ import (
 func TestSolveFixedCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SolveFixed(expDecay, []float64{1}, 0, 10, 1e-4, &RK4{}, &Options{Ctx: ctx})
+	_, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 10, 1e-4, &Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveFixed with cancelled ctx: %v, want context.Canceled", err)
 	}
 }
 
 func TestSolveFixedNilCtxCompletes(t *testing.T) {
-	sol, err := SolveFixed(expDecay, []float64{1}, 0, 2, 1e-3, &RK4{}, &Options{Ctx: nil})
+	sol, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 2, 1e-3, &Options{Ctx: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSolveFixedCancelledNearFinalStep(t *testing.T) {
 		}
 		dydt[0] = -y[0]
 	}
-	sol, err := SolveFixed(f, []float64{1}, 0, 1, h, NewRK4(1), &Options{Ctx: ctx})
+	sol, err := SolveFixed(NewRK4(1).Bind(f), []float64{1}, 0, 1, h, &Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation near tf: err = %v, want context.Canceled", err)
 	}

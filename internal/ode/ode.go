@@ -1,19 +1,25 @@
 // Package ode integrates initial-value problems for systems of ordinary
-// differential equations with the classic fourth-order Runge–Kutta method
-// at a fixed step, written from scratch on the standard library (Go has no
-// mature scientific stack).
+// differential equations at a fixed step, written from scratch on the
+// standard library (Go has no mature scientific stack).
 //
-// Fixed-step RK4 is the package's only solver: the heterogeneous SIR rumor
-// model (internal/core), the Pontryagin forward–backward sweep solver
-// (internal/control), the Daley–Kendall mean field (internal/classic) and
-// the spatial model (internal/spatial) are all smooth and non-stiff at the
-// paper's parameter scales, and every one of them integrates through
-// SolveFixed.
+// SolveFixed owns the step loop: the time grid, cancellation, projection,
+// the finiteness check, progress, stop conditions and the recorded
+// trajectory. It advances the state through a Step, one fixed-size step of
+// some integrator. The classic fourth-order Runge–Kutta method, RK4, is the
+// package's only integrator: RK4.Bind turns any right-hand side into a
+// Step, and the Daley–Kendall mean field (internal/classic) and the spatial
+// model (internal/spatial) integrate that way. The two hot systems bring
+// their own RK4 step kernels instead — System (1) in internal/core and its
+// co-state in internal/control — which fuse the four stages into one pass
+// each over the groups and stay bit-identical to RK4 over their plain
+// right-hand sides (DESIGN.md §11). Every system here is smooth and
+// non-stiff at the paper's parameter scales.
 //
 // Concurrency: an RK4 stepper carries per-call scratch buffers and is NOT
-// safe for concurrent use. Steppers are cheap to construct — when fanning
-// integrations across goroutines (see internal/par and
-// internal/experiments), create one per goroutine rather than sharing one.
+// safe for concurrent use, and neither is a Step bound to one. Steppers are
+// cheap to construct — when fanning integrations across goroutines (see
+// internal/par and internal/experiments), create one per goroutine rather
+// than sharing one.
 package ode
 
 import (
@@ -29,12 +35,20 @@ import (
 // not retain either slice.
 type Func func(t float64, y []float64, dydt []float64)
 
+// Step advances a system by one fixed step: it writes into dst the state
+// at t+h given the state y at t. dst and y have the same length and do not
+// alias. A Step may keep scratch between calls, so it is not safe for
+// concurrent use.
+type Step func(t float64, y []float64, h float64, dst []float64)
+
 // Solution is a sampled trajectory of an ODE system. T holds the sample
 // times in increasing order and Y[i] the state at T[i]. Each Y[i] is an
 // independent copy; callers may mutate them freely.
 type Solution struct {
 	T []float64
 	Y [][]float64
+
+	buf []float64 // SolveFixed's backing array: the rows, then two state buffers
 }
 
 // Len returns the number of samples in the trajectory.
@@ -63,26 +77,43 @@ func (s *Solution) At(t float64) []float64 {
 
 // AtInto is At without the allocation: it writes the interpolated state
 // into dst, which must have the state dimension. Hot loops that evaluate a
-// trajectory at many times — the FBSM co-state sweep above all — call this
-// with a reused buffer so interpolation costs no allocation per call.
+// trajectory at many times call this with a reused buffer so
+// interpolation costs no allocation per call.
 func (s *Solution) AtInto(t float64, dst []float64) {
-	n := len(s.T)
-	if n == 0 {
+	if len(s.T) == 0 {
 		panic("ode: AtInto on empty Solution")
 	}
 	if len(dst) != len(s.Y[0]) {
 		panic(fmt.Sprintf("ode: AtInto dst dimension %d, want %d", len(dst), len(s.Y[0])))
 	}
-	if t <= s.T[0] {
-		copy(dst, s.Y[0])
+	lo, hi, w := s.Bracket(t)
+	if lo == hi {
+		copy(dst, s.Y[lo])
 		return
+	}
+	ylo, yhi := s.Y[lo], s.Y[hi]
+	for i := range dst {
+		dst[i] = ylo[i] + w*(yhi[i]-ylo[i])
+	}
+}
+
+// Bracket locates t among the samples for linear interpolation: the state
+// at t is Y[lo] + w·(Y[hi] − Y[lo]), with hi = lo+1 inside the sampled
+// range. A time outside it clamps to the nearest endpoint, reported as
+// lo == hi and w == 0; the state there is Y[lo] itself.
+func (s *Solution) Bracket(t float64) (lo, hi int, w float64) {
+	n := len(s.T)
+	if n == 0 {
+		panic("ode: Bracket on empty Solution")
+	}
+	if t <= s.T[0] {
+		return 0, 0, 0
 	}
 	if t >= s.T[n-1] {
-		copy(dst, s.Y[n-1])
-		return
+		return n - 1, n - 1, 0
 	}
 	// Binary search for the bracketing interval.
-	lo, hi := 0, n-1
+	lo, hi = 0, n-1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if s.T[mid] <= t {
@@ -91,15 +122,10 @@ func (s *Solution) AtInto(t float64, dst []float64) {
 			hi = mid
 		}
 	}
-	span := s.T[hi] - s.T[lo]
-	w := 0.0
-	if span > 0 {
+	if span := s.T[hi] - s.T[lo]; span > 0 {
 		w = (t - s.T[lo]) / span
 	}
-	ylo, yhi := s.Y[lo], s.Y[hi]
-	for i := range dst {
-		dst[i] = ylo[i] + w*(yhi[i]-ylo[i])
-	}
+	return lo, hi, w
 }
 
 // Series extracts component j of the state as a time series aligned with T.
@@ -154,6 +180,13 @@ type Options struct {
 	// ProgressEvery is the number of steps between Progress calls
 	// (default 256, matching the context-poll cadence).
 	ProgressEvery int
+
+	// Reuse, if non-nil, is a Solution returned by an earlier SolveFixed
+	// whose storage this run overwrites and returns when it is large
+	// enough, so a caller that integrates the same grid over and over (the
+	// FBSM sweeps) allocates its trajectory once. The earlier solution's
+	// samples are invalid afterwards.
+	Reuse *Solution
 }
 
 func (o *Options) maxSteps() int {
@@ -168,6 +201,20 @@ func (o *Options) record() int {
 		return 1
 	}
 	return o.Record
+}
+
+// reuse returns Options.Reuse emptied for a run of maxSamples samples of
+// dimension n, or nil when there is none or it is too small.
+func (o *Options) reuse(maxSamples, n int) *Solution {
+	if o == nil || o.Reuse == nil {
+		return nil
+	}
+	s := o.Reuse
+	if cap(s.T) < maxSamples || cap(s.Y) < maxSamples || len(s.buf) < (maxSamples+2)*n {
+		return nil
+	}
+	s.T, s.Y = s.T[:0], s.Y[:0]
+	return s
 }
 
 func (o *Options) project(y []float64) {
@@ -203,12 +250,12 @@ func (o *Options) cancelled(t float64) error {
 }
 
 // RK4 is the classic fourth-order Runge–Kutta method, the package's only
-// stepper. It sizes its scratch once — at construction via NewRK4, or
+// integrator. It sizes its scratch once — at construction via NewRK4, or
 // lazily on the first Step — and the hot path performs no allocation
 // afterwards: the only per-step sizing cost is a length compare that
-// re-allocates solely when the system dimension changes. SolveFixed
-// pre-sizes the stepper before entering its loop, so a solve does zero
-// allocations per step.
+// re-allocates solely when the system dimension changes. A stepper built
+// with NewRK4 for the system's dimension therefore steps a whole solve
+// without allocating.
 type RK4 struct {
 	k1, k2, k3, k4, tmp []float64
 }
@@ -268,6 +315,13 @@ func (r *RK4) Step(f Func, t float64, y []float64, h float64, dst []float64) {
 	}
 }
 
+// Bind returns the Step that advances y' = f(t, y) with this stepper.
+func (r *RK4) Bind(f Func) Step {
+	return func(t float64, y []float64, h float64, dst []float64) {
+		r.Step(f, t, y, h, dst)
+	}
+}
+
 // stage writes tmp = y + c·k, the trial state of one Runge–Kutta stage.
 // All three slices have len(y).
 func stage(tmp, y []float64, c float64, k []float64) {
@@ -278,18 +332,19 @@ func stage(tmp, y []float64, c float64, k []float64) {
 	}
 }
 
-// SolveFixed integrates y' = f(t, y) from (t0, y0) to tf with constant step
-// h using the given RK4 stepper (nil: a fresh one), returning the sampled
-// trajectory. The final step is shortened so the trajectory ends exactly at
-// tf. y0 is not modified.
+// SolveFixed integrates from (t0, y0) to tf with constant step h,
+// advancing the state with step, and returns the sampled trajectory. The
+// final step is shortened so the trajectory ends exactly at tf. y0 is not
+// modified.
 //
-// The step loop is allocation-free: the stepper is pre-sized before the
-// loop, the double-buffered state is reused across steps, and every
-// retained sample is a row of one flat backing array sized up front from
-// the step count and Record cadence. The total allocation count of a solve
-// is therefore a small constant, independent of the number of steps (see
-// TestSolveFixedStepLoopZeroAlloc).
-func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st *RK4, opts *Options) (*Solution, error) {
+// The step loop is allocation-free: the double-buffered state and every
+// retained sample are rows of one flat backing array sized up front from
+// the step count and Record cadence, and step is expected to keep its own
+// scratch (RK4 sized by NewRK4 does). The total allocation count of a
+// solve is therefore a small constant, independent of the number of steps
+// (see TestSolveFixedStepLoopZeroAlloc), and zero bytes of trajectory when
+// Options.Reuse supplies the storage.
+func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Solution, error) {
 	if tf <= t0 {
 		return nil, fmt.Errorf("ode: non-positive time span [%g, %g]", t0, tf)
 	}
@@ -297,12 +352,6 @@ func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st *RK4, opts *Options)
 		return nil, fmt.Errorf("ode: non-positive step size %g", h)
 	}
 	n := len(y0)
-	if st == nil {
-		st = &RK4{}
-	}
-	// Size the scratch now so the loop below never hits the stepper's
-	// lazy-allocation path.
-	st.Resize(n)
 	steps := int(math.Ceil((tf - t0) / h))
 	if ms := opts.maxSteps(); steps > ms {
 		return nil, fmt.Errorf("ode: %d steps exceed MaxSteps=%d", steps, ms)
@@ -310,13 +359,18 @@ func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st *RK4, opts *Options)
 	rec := opts.record()
 
 	// Exact sample budget: the initial state, every rec-th step, the final
-	// step, and at most one extra off-cadence Stop sample.
+	// step, and at most one extra off-cadence Stop sample. Two more rows
+	// of the backing array hold the current and next state.
 	maxSamples := steps/rec + 3
-	sol := &Solution{
-		T: make([]float64, 0, maxSamples),
-		Y: make([][]float64, 0, maxSamples),
+	sol := opts.reuse(maxSamples, n)
+	if sol == nil {
+		sol = &Solution{
+			T:   make([]float64, 0, maxSamples),
+			Y:   make([][]float64, 0, maxSamples),
+			buf: make([]float64, (maxSamples+2)*n),
+		}
 	}
-	backing := make([]float64, maxSamples*n)
+	backing := sol.buf
 	record := func(t float64, y []float64) {
 		j := len(sol.Y)
 		var row []float64
@@ -330,8 +384,9 @@ func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st *RK4, opts *Options)
 		sol.Y = append(sol.Y, row)
 	}
 
-	y := floats.Clone(y0)
-	next := make([]float64, n)
+	y := backing[maxSamples*n : (maxSamples+1)*n : (maxSamples+1)*n]
+	next := backing[(maxSamples+1)*n : (maxSamples+2)*n : (maxSamples+2)*n]
+	copy(y, y0)
 	t := t0
 	record(t, y)
 
@@ -348,13 +403,13 @@ func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st *RK4, opts *Options)
 				return sol, err
 			}
 		}
-		step := h
-		if t+step > tf {
-			step = tf - t
+		dt := h
+		if t+dt > tf {
+			dt = tf - t
 		}
-		st.Step(f, t, y, step, next)
+		step(t, y, dt, next)
 		y, next = next, y
-		t += step
+		t += dt
 		if i == steps-1 {
 			t = tf
 		}

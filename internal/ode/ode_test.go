@@ -2,6 +2,7 @@ package ode
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +33,7 @@ func harmonic(_ float64, y, dydt []float64) {
 
 func TestSolveFixedExpDecay(t *testing.T) {
 	t.Run("rk4", func(t *testing.T) {
-		sol, err := SolveFixed(expDecay, []float64{1}, 0, 2, 1e-3, &RK4{}, nil)
+		sol, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 2, 1e-3, nil)
 		if err != nil {
 			t.Fatalf("SolveFixed: %v", err)
 		}
@@ -48,7 +49,7 @@ func TestSolveFixedExpDecay(t *testing.T) {
 }
 
 func TestSolveFixedLogistic(t *testing.T) {
-	sol, err := SolveFixed(logistic, []float64{0.01}, 0, 10, 1e-3, &RK4{}, nil)
+	sol, err := SolveFixed((&RK4{}).Bind(logistic), []float64{0.01}, 0, 10, 1e-3, nil)
 	if err != nil {
 		t.Fatalf("SolveFixed: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestSolveFixedLogistic(t *testing.T) {
 func TestSolveFixedHarmonicEnergy(t *testing.T) {
 	// RK4 should conserve the oscillator energy to high accuracy over a
 	// few periods with a small step.
-	sol, err := SolveFixed(harmonic, []float64{1, 0}, 0, 4*math.Pi, 1e-3, &RK4{}, nil)
+	sol, err := SolveFixed((&RK4{}).Bind(harmonic), []float64{1, 0}, 0, 4*math.Pi, 1e-3, nil)
 	if err != nil {
 		t.Fatalf("SolveFixed: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestSolveFixedHarmonicEnergy(t *testing.T) {
 func TestConvergenceOrder(t *testing.T) {
 	t.Run("rk4", func(t *testing.T) {
 		errAt := func(h float64) float64 {
-			sol, err := SolveFixed(logistic, []float64{0.2}, 0, 2, h, &RK4{}, nil)
+			sol, err := SolveFixed((&RK4{}).Bind(logistic), []float64{0.2}, 0, 2, h, nil)
 			if err != nil {
 				t.Fatalf("SolveFixed(h=%v): %v", h, err)
 			}
@@ -100,7 +101,7 @@ func TestConvergenceOrder(t *testing.T) {
 // from y(0) = (0, 1) and checks y(10) against its closed form
 // (sin 10, cos 10).
 func TestSolveFixedOscillatorClosedForm(t *testing.T) {
-	sol, err := SolveFixed(harmonic, []float64{0, 1}, 0, 10, 1e-4, &RK4{}, &Options{Record: 100})
+	sol, err := SolveFixed((&RK4{}).Bind(harmonic), []float64{0, 1}, 0, 10, 1e-4, &Options{Record: 100})
 	if err != nil {
 		t.Fatalf("SolveFixed: %v", err)
 	}
@@ -115,7 +116,7 @@ func TestSolveFixedOscillatorClosedForm(t *testing.T) {
 
 func TestStopCondition(t *testing.T) {
 	opts := &Options{Stop: func(_ float64, y []float64) bool { return y[0] < 0.5 }}
-	sol, err := SolveFixed(expDecay, []float64{1}, 0, 10, 1e-3, &RK4{}, opts)
+	sol, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 10, 1e-3, opts)
 	if err != nil {
 		t.Fatalf("SolveFixed: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestProjection(t *testing.T) {
 	// Project clamps the state at 0.8; the trajectory must never exceed it.
 	growth := func(_ float64, y, dydt []float64) { dydt[0] = 1 }
 	opts := &Options{Project: func(y []float64) { floats.ClampAll(y, 0, 0.8) }}
-	sol, err := SolveFixed(growth, []float64{0}, 0, 2, 1e-2, &RK4{}, opts)
+	sol, err := SolveFixed((&RK4{}).Bind(growth), []float64{0}, 0, 2, 1e-2, opts)
 	if err != nil {
 		t.Fatalf("SolveFixed: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestProjection(t *testing.T) {
 }
 
 func TestRecordThinning(t *testing.T) {
-	sol, err := SolveFixed(expDecay, []float64{1}, 0, 1, 1e-3, &RK4{}, &Options{Record: 100})
+	sol, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 1, 1e-3, &Options{Record: 100})
 	if err != nil {
 		t.Fatalf("SolveFixed: %v", err)
 	}
@@ -192,16 +193,16 @@ func TestSolutionSeries(t *testing.T) {
 }
 
 func TestErrorCases(t *testing.T) {
-	if _, err := SolveFixed(expDecay, []float64{1}, 1, 0, 0.1, &RK4{}, nil); err == nil {
+	if _, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 1, 0, 0.1, nil); err == nil {
 		t.Error("reversed span: want error")
 	}
-	if _, err := SolveFixed(expDecay, []float64{1}, 0, 1, -0.1, &RK4{}, nil); err == nil {
+	if _, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 1, -0.1, nil); err == nil {
 		t.Error("negative step: want error")
 	}
-	if _, err := SolveFixed(expDecay, []float64{1}, 0, 1e6, 1e-6, &RK4{}, &Options{MaxSteps: 100}); err == nil {
+	if _, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 0, 1e6, 1e-6, &Options{MaxSteps: 100}); err == nil {
 		t.Error("MaxSteps exceeded: want error")
 	}
-	if _, err := SolveFixed(expDecay, []float64{1}, 2, 2, 0.1, &RK4{}, nil); err == nil {
+	if _, err := SolveFixed((&RK4{}).Bind(expDecay), []float64{1}, 2, 2, 0.1, nil); err == nil {
 		t.Error("zero span: want error")
 	}
 }
@@ -209,7 +210,7 @@ func TestErrorCases(t *testing.T) {
 func TestNonFiniteDetection(t *testing.T) {
 	blowup := func(_ float64, y, dydt []float64) { dydt[0] = y[0] * y[0] }
 	// y' = y^2 with y(0)=1 blows up at t=1.
-	_, err := SolveFixed(blowup, []float64{1}, 0, 2, 1e-4, &RK4{}, nil)
+	_, err := SolveFixed((&RK4{}).Bind(blowup), []float64{1}, 0, 2, 1e-4, nil)
 	if err == nil {
 		t.Error("finite-time blowup: want non-finite state error")
 	}
@@ -221,8 +222,8 @@ func TestQuickLinearity(t *testing.T) {
 	f := func(y0raw, craw uint16) bool {
 		y0 := 0.1 + float64(y0raw)/65535*10 // in [0.1, 10.1]
 		c := 0.1 + float64(craw)/65535*5    // in [0.1, 5.1]
-		s1, err1 := SolveFixed(expDecay, []float64{y0}, 0, 1, 1e-3, &RK4{}, nil)
-		s2, err2 := SolveFixed(expDecay, []float64{c * y0}, 0, 1, 1e-3, &RK4{}, nil)
+		s1, err1 := SolveFixed((&RK4{}).Bind(expDecay), []float64{y0}, 0, 1, 1e-3, nil)
+		s2, err2 := SolveFixed((&RK4{}).Bind(expDecay), []float64{c * y0}, 0, 1, 1e-3, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -240,7 +241,7 @@ func TestQuickLinearity(t *testing.T) {
 func TestQuickTimeShiftInvariance(t *testing.T) {
 	f := func(shiftRaw uint16) bool {
 		t0 := float64(shiftRaw) / 65535 * 100
-		s, err := SolveFixed(logistic, []float64{0.3}, t0, t0+1, 1e-3, &RK4{}, nil)
+		s, err := SolveFixed((&RK4{}).Bind(logistic), []float64{0.3}, t0, t0+1, 1e-3, nil)
 		if err != nil {
 			return false
 		}
@@ -297,7 +298,7 @@ func TestSolveFixedStepLoopZeroAlloc(t *testing.T) {
 	}
 	solve := func(tf float64) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := SolveFixed(expDecay, y0, 0, tf, 1e-3, NewRK4(len(y0)), &Options{Record: 1 << 30}); err != nil {
+			if _, err := SolveFixed(NewRK4(len(y0)).Bind(expDecay), y0, 0, tf, 1e-3, &Options{Record: 1 << 30}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -306,6 +307,47 @@ func TestSolveFixedStepLoopZeroAlloc(t *testing.T) {
 	if long != short {
 		t.Errorf("allocs grew with step count: %v (100 steps) vs %v (10000 steps); step loop is not alloc-free",
 			short, long)
+	}
+}
+
+// TestSolveFixedReuse pins Options.Reuse: a large enough earlier solution
+// is overwritten in place and returned, with the samples a fresh solve
+// gives and no trajectory allocation; one too small is left alone.
+func TestSolveFixedReuse(t *testing.T) {
+	y0 := []float64{1, 2, 3}
+	step := NewRK4(len(y0)).Bind(expDecay)
+	want, err := SolveFixed(step, y0, 0, 1, 0.01, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := SolveFixed(step, []float64{5, 6, 7}, 0, 1, 0.01, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SolveFixed(step, y0, 0, 1, 0.01, &Options{Reuse: prev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != prev {
+		t.Error("a large enough Reuse was not the returned solution")
+	}
+	if !reflect.DeepEqual(got.T, want.T) || !reflect.DeepEqual(got.Y, want.Y) {
+		t.Error("a reused solution's samples differ from a fresh solve's")
+	}
+	opts := &Options{Reuse: got}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := SolveFixed(step, y0, 0, 1, 0.01, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("a reused solve allocates %v times, want at most the record closure", allocs)
+	}
+	small, err := SolveFixed(step, y0, 0, 0.1, 0.01, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := SolveFixed(step, y0, 0, 1, 0.01, &Options{Reuse: small}); err != nil || got == small {
+		t.Errorf("a too-small Reuse: got the same solution %v (err %v), want a fresh one", got == small, err)
 	}
 }
 
@@ -341,7 +383,7 @@ func BenchmarkSolveFixedDiggScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveFixed(expDecay, y0, 0, 1, 1e-3, st, nil); err != nil {
+		if _, err := SolveFixed(st.Bind(expDecay), y0, 0, 1, 1e-3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestSolveFixedProgress(t *testing.T) {
 			lastT = tm
 		},
 	}
-	_, err := SolveFixed(decayRHS, []float64{1, 2}, 0, 1, 0.01, &RK4{}, opts)
+	_, err := SolveFixed((&RK4{}).Bind(decayRHS), []float64{1, 2}, 0, 1, 0.01, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSolveFixedProgressFinalStepOffCadence(t *testing.T) {
 		ProgressEvery: 7,
 		Progress:      func(step, total int, _ float64, _ []float64) { last = step },
 	}
-	_, err := SolveFixed(decayRHS, []float64{1}, 0, 1, 0.01, &RK4{}, opts)
+	_, err := SolveFixed((&RK4{}).Bind(decayRHS), []float64{1}, 0, 1, 0.01, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func benchSolveFixed(b *testing.B, opts *Options) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveFixed(decayRHS, y0, 0, 2, 0.001, &RK4{}, opts); err != nil {
+		if _, err := SolveFixed((&RK4{}).Bind(decayRHS), y0, 0, 2, 0.001, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,0 +1,67 @@
+package service
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"testing"
+)
+
+// pinnedDigests holds the sha256 of ExecuteRequest's bytes for fixed
+// requests on the built-in scenario, keyed by job type and the type's
+// resultVersion. A solver change that moves a result byte without bumping
+// that version fails here; a deliberate bump adds the new version's digest
+// next to the old one.
+var pinnedDigests = []struct {
+	name    string
+	req     Request
+	version int
+	digest  string
+}{
+	{"ode", Request{Type: JobODE, Params: versionODEParams}, 1,
+		"9fb8dc2d2713150dac0fd5520f569381588eb8b3a59084a690f21fa1762c1891"},
+	{"abm", Request{Type: JobABM, Params: Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.05,
+		I0: 0.1, Tf: 10, Points: 500, Seed: 1, Trials: 1, Nodes: 20000, Dt: 0.5}}, 1,
+		"fe2f4d783deec24ace20277d7ec87f0d832d2e8735e6c0d6fa5cce2e080801f0"},
+	{"fbsm", Request{Type: JobFBSM, Params: versionFBSMParams}, 2,
+		"f573658b4dcf5fb357a654407ed01e4733157d4ca1f61355fef6167e26f3ad72"},
+	{"fbsm+target", Request{Type: JobFBSM, Params: Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02,
+		Lambda0: 0.05, I0: 0.1, Tf: 20, Points: 500, Seed: 1, C1: 5, C2: 10, EpsMax: 0.6, Grid: 120,
+		Target: 0.00005}}, 2,
+		"219f117b2d5a3b24f0ddaeb9d9334916d602982a95fee1611f5816afe9687f8c"},
+}
+
+// TestResultDigestsPinned enforces the resultVersion rule: every pinned
+// request must still serialize to the bytes recorded for its type's
+// current result version. It runs only on amd64, where Go never contracts
+// a multiply and an add into one FMA; other architectures may legally
+// round differently.
+func TestResultDigestsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("result digests are pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sc := builtinScenario(t, svc)
+	for _, tc := range pinnedDigests {
+		if got := resultVersion(tc.req.Type); got != tc.version {
+			t.Errorf("%s: resultVersion is %d, digest pinned at %d", tc.name, got, tc.version)
+			continue
+		}
+		if got := tc.req.Params.withDefaults(tc.req.Type); got != tc.req.Params {
+			t.Fatalf("%s params are not canonical: %+v", tc.name, got)
+		}
+		raw, err := ExecuteRequest(context.Background(), sc, tc.req, 1, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sum := sha256.Sum256(raw)
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("%s: result sha256 %s, pinned %s at result version %d", tc.name, got, tc.digest, tc.version)
+		}
+	}
+}

@@ -171,7 +171,7 @@ func (m *Model) Simulate(ic []float64, tf, step float64) (*ode.Solution, error) 
 	if total := int(tf / step); total > 2000 {
 		rec = total / 2000
 	}
-	sol, err := ode.SolveFixed(m.RHS, ic, 0, tf, step, &ode.RK4{}, &ode.Options{Record: rec})
+	sol, err := ode.SolveFixed(ode.NewRK4(len(ic)).Bind(m.RHS), ic, 0, tf, step, &ode.Options{Record: rec})
 	if err != nil {
 		return nil, fmt.Errorf("spatial: simulate: %w", err)
 	}

@@ -101,9 +101,18 @@ func (s *Store) PutResult(key string, payload []byte) error {
 
 // GetResult reads and checksum-verifies one result. A missing key returns
 // (nil, false); a corrupt file is quarantined (deleted and counted) and
-// reported as a miss, so the caller transparently recomputes.
+// reported as a miss, so the caller transparently recomputes. The index
+// answers a key it does not hold without touching the disk — a cold
+// submit's lookup is a map probe — so a blob placed in the results tree
+// behind the store's back is not served until the store is reopened.
 func (s *Store) GetResult(key string) ([]byte, bool) {
 	if !blobKeyPattern.MatchString(key) {
+		return nil, false
+	}
+	s.bmu.Lock()
+	_, indexed := s.blobs[key]
+	s.bmu.Unlock()
+	if !indexed {
 		return nil, false
 	}
 	buf, err := os.ReadFile(s.blobPath(key))

@@ -169,6 +169,53 @@ func TestGCAtOpen(t *testing.T) {
 	}
 }
 
+// TestGetResultMissSkipsDisk pins that the index answers misses. A
+// corrupt file planted under an unknown key is neither read nor
+// quarantined by a lookup (a read would delete it and count a bad blob),
+// and a valid blob planted behind the open store is served only after a
+// reopen indexes it.
+func TestGetResultMissSkipsDisk(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{})
+	if err := s.PutResult(key(1), []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	path := s.blobPath(key(2))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("not a blob frame"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if payload, ok := s.GetResult(key(2)); ok || payload != nil {
+		t.Fatalf("unknown key = (%q, %v), want a miss", payload, ok)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("a miss touched the planted file: %v", err)
+	}
+	if st := s.Snapshot(); st.BadBlobs != 0 {
+		t.Fatalf("bad blobs = %d after a miss, want 0", st.BadBlobs)
+	}
+
+	framed, err := os.ReadFile(s.blobPath(key(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetResult(key(2)); ok {
+		t.Fatal("a blob planted behind the open store was served")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTest(t, dir, Options{})
+	if got, ok := r.GetResult(key(2)); !ok || string(got) != "one" {
+		t.Fatalf("after reopen: (%q, %v), want the planted blob", got, ok)
+	}
+}
+
 // TestScanIgnoresStrayFiles drops a non-blob file into the results tree;
 // the index must skip it and never delete it.
 func TestScanIgnoresStrayFiles(t *testing.T) {

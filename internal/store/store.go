@@ -11,7 +11,10 @@
 // See DESIGN.md §10 for the formats and recovery semantics.
 //
 // The package depends only on the standard library; rumord owns the
-// single writer (the store takes no cross-process lock).
+// single writer (the store takes no cross-process lock). The store owns its
+// directory: it indexes the results tree at Open and trusts that index
+// afterwards, so files another process adds or removes while it is open
+// are not seen until the next Open.
 package store
 
 import (
