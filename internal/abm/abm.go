@@ -11,10 +11,12 @@
 //     chosen so that the expected force over a configuration-model graph
 //     equals the mean-field force λ(k_v)·Θ (see DESIGN.md). Differences
 //     from the ODE quantify the quenched-network correction the paper's
-//     model ignores.
+//     model ignores. Each step pushes that pressure from the infected
+//     nodes along their out-lists, so the run never reads an in-list.
 //
 // The per-step transition sweep is sharded across worker goroutines
-// (Config.Workers). Every Monte-Carlo transition draw comes from a
+// (Config.Workers); the quenched push before it is one serial pass in
+// ascending node id. Every Monte-Carlo transition draw comes from a
 // counter-based generator keyed by (run seed, step, node) rather than a
 // shared sequential stream, so a run's output is bit-identical for every
 // worker count — and runs that differ only in their Blocked set stay
@@ -149,9 +151,10 @@ func (r *Result) PeakI() float64 {
 // Θ deltas summed in shard order are bit-identical at any parallelism.
 const shardSize = 2048
 
-// sweepPlan is the precomputed per-run geometry of the transition sweep:
-// a degree-bucketed visit order per shard for the annealed draw phase, and
-// CSR in-adjacency for the quenched force evaluation.
+// sweepPlan is the precomputed per-run geometry of the annealed transition
+// sweep: a degree-bucketed visit order per shard for the draw phase. The
+// quenched sweep needs no plan — it walks its shard in node order and reads
+// the pressure the step's push pass left in press.
 //
 // The plan depends only on the graph, never on the worker count or the RNG,
 // so it cannot perturb the deterministic trajectory. Determinism of the
@@ -168,58 +171,50 @@ type sweepPlan struct {
 	// id). Consecutive equal-degree nodes form a bucket: they share the
 	// λ(k) lookup and one 1−exp(−λ(k)Θ·Δt) infection probability, so the
 	// annealed sweep pays one exp per (bucket, step) instead of one per
-	// (node, step). Built only for ModeAnnealed: the quenched force is
-	// per-node anyway, and there the node-ordered walk's adjacency
-	// locality is worth more than a shared λ register.
+	// (node, step).
 	order []int32
-	// inOff/inAdj are the CSR in-adjacency: the in-neighbors of v are
-	// inAdj[inOff[v]:inOff[v+1]], in the same order as graph.InNeighbors —
-	// one flat array streamed in node order instead of a per-node slice
-	// chase. Built only for ModeQuenched.
-	inOff []int32
-	inAdj []int32
 }
 
-func newSweepPlan(g *graph.Graph, mode Mode) *sweepPlan {
+func newSweepPlan(g *graph.Graph) *sweepPlan {
 	n := g.NumNodes()
-	p := &sweepPlan{deg: make([]int32, n)}
+	p := &sweepPlan{deg: make([]int32, n), order: make([]int32, n)}
 	for v := 0; v < n; v++ {
 		p.deg[v] = int32(g.OutDegree(v))
+		p.order[v] = int32(v)
 	}
-	if mode == ModeAnnealed {
-		p.order = make([]int32, n)
-		for v := range p.order {
-			p.order[v] = int32(v)
-		}
-		for lo := 0; lo < n; lo += shardSize {
-			hi := min(lo+shardSize, n)
-			seg := p.order[lo:hi]
-			sort.Slice(seg, func(a, b int) bool {
-				da, db := p.deg[seg[a]], p.deg[seg[b]]
-				if da != db {
-					return da < db
-				}
-				return seg[a] < seg[b]
-			})
-		}
-	}
-	if mode == ModeQuenched {
-		p.inOff = make([]int32, n+1)
-		var m int
-		for v := 0; v < n; v++ {
-			m += len(g.InNeighbors(v))
-			p.inOff[v+1] = int32(m)
-		}
-		p.inAdj = make([]int32, m)
-		for v := 0; v < n; v++ {
-			at := p.inOff[v]
-			for _, u := range g.InNeighbors(v) {
-				p.inAdj[at] = int32(u)
-				at++
+	for lo := 0; lo < n; lo += shardSize {
+		hi := min(lo+shardSize, n)
+		seg := p.order[lo:hi]
+		sort.Slice(seg, func(a, b int) bool {
+			da, db := p.deg[seg[a]], p.deg[seg[b]]
+			if da != db {
+				return da < db
 			}
-		}
+			return seg[a] < seg[b]
+		})
 	}
 	return p
+}
+
+// pushPressure sets press[v] to the quenched pressure on v: the sum of
+// omegaOverDeg[u] over v's arcs from infected sources u. It pushes each
+// infected node's per-arc weight to its out-neighbors, sources in ascending
+// id and a parallel arc once per copy, so every sum runs in ascending
+// source order. On a configuration-model graph that is the order of v's
+// in-list, so the sum is bit for bit what a pull over InNeighbors(v) gives
+// (DESIGN.md §11). The pass is serial, so no worker count can change the
+// summation order.
+func pushPressure(g *graph.Graph, state []State, omegaOverDeg, press []float64) {
+	clear(press)
+	for u, st := range state {
+		if st != Infected {
+			continue
+		}
+		w := omegaOverDeg[u]
+		for _, v := range g.OutNeighbors(u) {
+			press[v] += w
+		}
+	}
 }
 
 // splitmix64 is the SplitMix64 output mixer (Steele, Lea & Flood 2014): a
@@ -384,7 +379,15 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 	}
 	workers := par.Default(cfg.Workers)
 	deltas := make([]delta, par.NumShards(n, shardSize))
-	plan := newSweepPlan(g, cfg.Mode)
+	var (
+		plan  *sweepPlan
+		press []float64 // quenched: Σ ω(k_u)/k_u over v's infected in-arcs
+	)
+	if cfg.Mode == ModeAnnealed {
+		plan = newSweepPlan(g)
+	} else {
+		press = make([]float64, n)
+	}
 
 	// Hoist the progress decision out of the step loop; the hook path costs
 	// nothing when no one is listening.
@@ -406,6 +409,8 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 		var theta float64
 		if cfg.Mode == ModeAnnealed {
 			theta = thetaSum / (nf * meanK)
+		} else {
+			pushPressure(g, state, omegaOverDeg, press)
 		}
 
 		err := par.ForEachShard(workers, n, shardSize, func(shard, lo, hi int) error {
@@ -476,21 +481,16 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 					}
 				}
 			} else {
-				// Quenched: the force is per-node (each v sees its own
-				// infected in-neighborhood), so there is nothing for a
-				// degree bucket to share; a single node-ordered pass keeps
-				// the CSR adjacency stream and state[] accesses sequential.
+				// Quenched: the force is per-node (each v reads its own
+				// pushed pressure), so there is nothing for a degree bucket
+				// to share; a single node-ordered pass keeps the state[] and
+				// press[] accesses sequential.
 				for v := lo; v < hi; v++ {
 					st := state[v]
 					next[v] = st
 					switch st {
 					case Susceptible:
-						var local float64
-						for _, u := range plan.inAdj[plan.inOff[v]:plan.inOff[v+1]] {
-							if state[u] == Infected {
-								local += omegaOverDeg[u]
-							}
-						}
+						local := press[v]
 						pInf, pStop := 0.0, pRec1
 						if local != 0 {
 							// local == 0 needs no exp: 1−exp(0) is exactly

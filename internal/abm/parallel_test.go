@@ -174,10 +174,12 @@ func BenchmarkMeanRun(b *testing.B) {
 }
 
 // referenceRun is the pre-refactor transition sweep, kept verbatim as the
-// golden reference for the degree-bucketed path: one serial pass in node
-// order, per-node λ/ω lookups and exp() calls, deltas accumulated inline.
-// Run must reproduce it byte for byte — the bucketed visit order may not
-// change a single draw, branch outcome, or the Θ summation order.
+// golden reference for the degree-bucketed path and the quenched push: one
+// serial pass in node order, per-node λ/ω lookups and exp() calls, the
+// quenched pressure pulled over InNeighbors, deltas accumulated inline.
+// Run must reproduce it byte for byte — neither the bucketed visit order
+// nor the push may change a single draw, branch outcome, or the Θ
+// summation order.
 func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Result {
 	t.Helper()
 	n := g.NumNodes()
@@ -338,34 +340,88 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 }
 
 // TestBucketedSweepMatchesReference is the golden equivalence regression
-// for the degree-bucketed sweep: same graph, same seeds → byte-equal
-// trajectories against the pre-refactor per-node path, in both contact
-// modes, with and without a blocked set, at every worker count.
+// for the degree-bucketed annealed sweep and the quenched push: same graph,
+// same seeds → byte-equal trajectories against the pre-refactor per-node
+// path, which pulls each node's pressure over InNeighbors, in both contact
+// modes, with and without a blocked set, at every worker count. On the
+// configuration-model graph the push adds the same terms in the same order
+// as the pull. The Barabási–Albert graph's in-lists are not in ascending
+// source order, so there a pushed pressure may differ from the pulled one
+// in its last bit; the trajectories still agree because no transition draw
+// falls between the two.
 func TestBucketedSweepMatchesReference(t *testing.T) {
-	g := testGraph(t)
-	blocked, err := g.TopKByOutDegree(150)
+	ba, err := graph.BarabasiAlbert(10000, 3, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{ModeAnnealed, ModeQuenched} {
-		cfg := testConfig(mode)
-		cfg.Steps = 40
-		for _, withBlocked := range []bool{false, true} {
-			cfg.Blocked = nil
-			if withBlocked {
-				cfg.Blocked = blocked
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"configuration-model", testGraph(t)}, {"barabasi-albert", ba}} {
+		g := gc.g
+		blocked, err := g.TopKByOutDegree(150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{ModeAnnealed, ModeQuenched} {
+			cfg := testConfig(mode)
+			cfg.Steps = 40
+			for _, withBlocked := range []bool{false, true} {
+				cfg.Blocked = nil
+				if withBlocked {
+					cfg.Blocked = blocked
+				}
+				want := referenceRun(t, g, cfg, rand.New(rand.NewSource(314)))
+				for _, workers := range []int{1, 4} {
+					cfg.Workers = workers
+					got, err := Run(g, cfg, rand.New(rand.NewSource(314)))
+					if err != nil {
+						t.Fatalf("%s mode=%d workers=%d: %v", gc.name, mode, workers, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s mode=%d blocked=%v workers=%d: trajectory diverges from the pre-refactor reference",
+							gc.name, mode, withBlocked, workers)
+					}
+				}
 			}
-			want := referenceRun(t, g, cfg, rand.New(rand.NewSource(314)))
-			for _, workers := range []int{1, 4} {
-				cfg.Workers = workers
-				got, err := Run(g, cfg, rand.New(rand.NewSource(314)))
-				if err != nil {
-					t.Fatalf("mode=%d workers=%d: %v", mode, workers, err)
+		}
+	}
+}
+
+// TestPushedPressureMatchesPull checks the quenched push term by term: on
+// configuration-model graphs every node's pushed pressure has the bits of
+// the pull over its in-list, the sum the sweep computed before the push.
+func TestPushedPressureMatchesPull(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seq, err := graph.PowerLawDegreeSequence(5000, 1.8, 1, 60, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := graph.ConfigurationModel(seq, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumNodes()
+		state := make([]State, n)
+		omegaOverDeg := make([]float64, n)
+		for u := range state {
+			state[u] = State(1 + rng.Intn(3))
+			if k := g.OutDegree(u); k > 0 {
+				omegaOverDeg[u] = math.Sqrt(float64(k)) / (1 + math.Sqrt(float64(k))) / float64(k)
+			}
+		}
+		press := make([]float64, n)
+		pushPressure(g, state, omegaOverDeg, press)
+		for v := 0; v < n; v++ {
+			var pull float64
+			for _, u := range g.InNeighbors(v) {
+				if state[u] == Infected {
+					pull += omegaOverDeg[u]
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("mode=%d blocked=%v workers=%d: bucketed trajectory diverges from the pre-refactor reference",
-						mode, withBlocked, workers)
-				}
+			}
+			if math.Float64bits(press[v]) != math.Float64bits(pull) {
+				t.Fatalf("seed %d node %d: pushed pressure %v, pulled %v", seed, v, press[v], pull)
 			}
 		}
 	}

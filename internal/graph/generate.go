@@ -136,7 +136,8 @@ var ErrDegreeSequence = errors.New("graph: unrealizable degree sequence")
 // random across nodes, which matches a follower graph where popularity and
 // activity are uncorrelated. Self-loops are re-drawn a bounded number of
 // times and then dropped; parallel arcs are kept (the mean-field model only
-// consumes degrees).
+// consumes degrees). The graph's in-lists are laid out on their first read
+// (see Graph), so callers that only walk out-lists never build them.
 func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
 	n := len(outDeg)
 	if n == 0 {
@@ -148,12 +149,12 @@ func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
 	}
 	// Draw every target first, node by node in the order an edge-at-a-time
 	// build would add them. The kept targets of node u then form one
-	// contiguous run of tgt, which is exactly u's out-list, and a
-	// counting pass lays out the in-lists in the same order AddEdge would
-	// append to them (see TestConfigurationModelMatchesReference).
+	// contiguous run of tgt, which is exactly u's out-list. The in-lists
+	// are left for Graph to lay out on their first read, in the order
+	// AddEdge would have appended them (see
+	// TestConfigurationModelMatchesReference).
 	tgt := make([]int, 0, stubs)
 	outCnt := make([]int, n)
-	inCnt := make([]int, n)
 	for u, d := range outDeg {
 		if d < 0 {
 			return nil, fmt.Errorf("%w: negative degree %d at node %d", ErrDegreeSequence, d, u)
@@ -168,39 +169,18 @@ func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
 			}
 			tgt = append(tgt, v)
 			outCnt[u]++
-			inCnt[v]++
 		}
 	}
 
-	// Each adjacency list is a window of one flat backing, capped so that
-	// a later AddEdge reallocates instead of overwriting its neighbour.
-	// Nodes without arcs keep nil lists, as under AddEdge.
-	g := New(n)
-	g.m = len(tgt)
-	inPos := make([]int, n) // next free slot of each in-window
+	// Each out-list is a window of one flat backing, capped so that a later
+	// AddEdge reallocates instead of overwriting its neighbour. Nodes
+	// without arcs keep nil lists, as under AddEdge.
+	g := &Graph{out: make([][]int, n), m: len(tgt)}
 	off := 0
-	for v, c := range inCnt {
-		inPos[v] = off
-		off += c
-	}
-	src := make([]int, len(tgt))
-	off = 0
 	for u, c := range outCnt {
-		if c == 0 {
-			continue
-		}
-		out := tgt[off : off+c : off+c]
-		g.out[u] = out
-		off += c
-		for _, v := range out {
-			src[inPos[v]] = u
-			inPos[v]++
-		}
-	}
-	for v, c := range inCnt {
 		if c > 0 {
-			end := inPos[v] // one past v's window once it is filled
-			g.in[v] = src[end-c : end : end]
+			g.out[u] = tgt[off : off+c : off+c]
+			off += c
 		}
 	}
 	return g, nil

@@ -13,15 +13,26 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Graph is a directed multigraph with a fixed node count. The zero value is
 // not usable; construct with New. Methods that return adjacency slices
 // return internal views that must not be mutated.
+//
+// Graphs built with New and AddEdge keep their in-lists up to date as arcs
+// arrive. ConfigurationModel builds only the out-lists; the in-lists are
+// laid out on the first read (InNeighbors, InDegree, TotalDegree(s) and
+// the metrics that walk in-edges), so a caller that never reads them never
+// pays for them. Concurrent readers of such a graph are safe; AddEdge, as
+// on every graph, is not safe to call concurrently with anything else.
 type Graph struct {
 	out [][]int
-	in  [][]int
-	m   int
+	// in is nil until inOnce runs buildIn for a graph that ConfigurationModel
+	// left without in-lists; read it only through ins.
+	in     [][]int
+	inOnce sync.Once
+	m      int
 }
 
 // New returns an empty directed graph on n nodes.
@@ -52,8 +63,9 @@ func (g *Graph) AddEdge(u, v int) error {
 	if err := g.check(v); err != nil {
 		return err
 	}
+	in := g.ins()
 	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
+	in[v] = append(in[v], u)
 	g.m++
 	return nil
 }
@@ -70,16 +82,16 @@ func (g *Graph) AddUndirected(u, v int) error {
 func (g *Graph) OutNeighbors(u int) []int { return g.out[u] }
 
 // InNeighbors returns the sources of edges entering u as an internal view.
-func (g *Graph) InNeighbors(u int) []int { return g.in[u] }
+func (g *Graph) InNeighbors(u int) []int { return g.ins()[u] }
 
 // OutDegree returns the number of edges leaving u.
 func (g *Graph) OutDegree(u int) int { return len(g.out[u]) }
 
 // InDegree returns the number of edges entering u.
-func (g *Graph) InDegree(u int) int { return len(g.in[u]) }
+func (g *Graph) InDegree(u int) int { return len(g.ins()[u]) }
 
 // TotalDegree returns InDegree(u) + OutDegree(u).
-func (g *Graph) TotalDegree(u int) int { return len(g.in[u]) + len(g.out[u]) }
+func (g *Graph) TotalDegree(u int) int { return len(g.ins()[u]) + len(g.out[u]) }
 
 // OutDegrees returns the out-degree sequence as a fresh slice.
 func (g *Graph) OutDegrees() []int {
@@ -92,11 +104,60 @@ func (g *Graph) OutDegrees() []int {
 
 // TotalDegrees returns the total-degree sequence as a fresh slice.
 func (g *Graph) TotalDegrees() []int {
+	in := g.ins()
 	ds := make([]int, len(g.out))
 	for u := range g.out {
-		ds[u] = len(g.out[u]) + len(g.in[u])
+		ds[u] = len(g.out[u]) + len(in[u])
 	}
 	return ds
+}
+
+// ins returns every node's in-list, building them on the first call for a
+// graph that ConfigurationModel left without them. Every in-list read goes
+// through here.
+func (g *Graph) ins() [][]int {
+	g.inOnce.Do(g.buildIn)
+	return g.in
+}
+
+// buildIn lays out the in-lists from the out-lists with one counting pass:
+// sources in ascending id, and a source's parallel arcs next to each other
+// in its out-list order — the order AddEdge would have appended them in when
+// the arcs were added source by source. Each list is a capped window of one
+// flat backing, so a later AddEdge reallocates instead of overwriting its
+// neighbour; nodes without in-arcs keep nil lists, as under AddEdge.
+func (g *Graph) buildIn() {
+	if g.in != nil {
+		return // New allocated them and AddEdge keeps them current
+	}
+	n := len(g.out)
+	end := make([]int, n) // end[v] ends v's window once every source is placed
+	for _, out := range g.out {
+		for _, v := range out {
+			end[v]++
+		}
+	}
+	off := 0
+	for v, c := range end {
+		end[v] = off
+		off += c
+	}
+	src := make([]int, off)
+	for u, out := range g.out {
+		for _, v := range out {
+			src[end[v]] = u
+			end[v]++
+		}
+	}
+	in := make([][]int, n)
+	start := 0
+	for v, e := range end {
+		if e > start {
+			in[v] = src[start:e:e]
+		}
+		start = e
+	}
+	g.in = in
 }
 
 // Simplify returns a copy of g with self-loops and duplicate arcs removed.

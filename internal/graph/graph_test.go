@@ -625,18 +625,39 @@ func TestQuickBetweennessNonNegative(t *testing.T) {
 	}
 }
 
+// BenchmarkConfigurationModelDiggScale builds a Digg-sized graph. "out"
+// is the build alone, which lays out only the out-lists; "out+in" also
+// reads every in-list, so it includes the in-list layout the first read
+// triggers.
 func BenchmarkConfigurationModelDiggScale(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	seq, err := PowerLawDegreeSequence(71367, 2.05, 1, 995, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ConfigurationModel(seq, rng); err != nil {
-			b.Fatal(err)
+	for _, readIn := range []bool{false, true} {
+		name := "out"
+		if readIn {
+			name = "out+in"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := ConfigurationModel(seq, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if readIn {
+					var m int
+					for v := 0; v < g.NumNodes(); v++ {
+						m += len(g.InNeighbors(v))
+					}
+					if m != g.NumEdges() {
+						b.Fatalf("in-lists hold %d arcs, want %d", m, g.NumEdges())
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -45,6 +45,7 @@ func (g *Graph) KCore() []int {
 	}
 	bin[0] = 0
 
+	in := g.ins()
 	core := make([]int, n)
 	copy(core, deg)
 	lowered := func(v int) {
@@ -67,7 +68,7 @@ func (g *Graph) KCore() []int {
 				lowered(v)
 			}
 		}
-		for _, v := range g.in[u] {
+		for _, v := range in[u] {
 			if core[v] > core[u] {
 				lowered(v)
 			}
@@ -211,6 +212,7 @@ func (g *Graph) GlobalClustering(samples int, rng *rand.Rand) float64 {
 // with the size of the largest component.
 func (g *Graph) WeaklyConnectedComponents() (labels []int, largest int) {
 	n := g.NumNodes()
+	in := g.ins()
 	labels = make([]int, n)
 	for i := range labels {
 		labels[i] = -1
@@ -234,7 +236,7 @@ func (g *Graph) WeaklyConnectedComponents() (labels []int, largest int) {
 					queue = append(queue, w)
 				}
 			}
-			for _, w := range g.in[v] {
+			for _, w := range in[v] {
 				if labels[w] < 0 {
 					labels[w] = comp
 					queue = append(queue, w)
@@ -250,13 +252,14 @@ func (g *Graph) WeaklyConnectedComponents() (labels []int, largest int) {
 }
 
 func (g *Graph) undirectedNeighborSet(u int) map[int]struct{} {
-	nbrs := make(map[int]struct{}, len(g.out[u])+len(g.in[u]))
+	in := g.ins()[u]
+	nbrs := make(map[int]struct{}, len(g.out[u])+len(in))
 	for _, v := range g.out[u] {
 		if v != u {
 			nbrs[v] = struct{}{}
 		}
 	}
-	for _, v := range g.in[u] {
+	for _, v := range in {
 		if v != u {
 			nbrs[v] = struct{}{}
 		}
@@ -279,11 +282,12 @@ func (g *Graph) DegreeAssortativity() (float64, error) {
 	if g.m == 0 {
 		return 0, errors.New("graph: assortativity of an empty graph")
 	}
+	in := g.ins()
 	var sx, sy, sxx, syy, sxy float64
 	for u := range g.out {
 		du := float64(len(g.out[u]))
 		for _, v := range g.out[u] {
-			dv := float64(len(g.in[v]))
+			dv := float64(len(in[v]))
 			sx += du
 			sy += dv
 			sxx += du * du

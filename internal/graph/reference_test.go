@@ -3,6 +3,7 @@ package graph_test
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rumornet/internal/digg"
@@ -126,6 +127,96 @@ func TestConfigurationModelAddEdgeAfterBuild(t *testing.T) {
 	if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotIn, wantIn) {
 		t.Errorf("AddEdge(1, 2) after the build changed other lists:\nout %v\nwant %v\nin %v\nwant %v",
 			gotOut, wantOut, gotIn, wantIn)
+	}
+}
+
+// TestConfigurationModelConcurrentInLists has 8 goroutines make the first
+// in-list reads of a fresh configuration-model graph at once. The lists
+// are laid out on that first read; every reader must see the lists of the
+// AddEdge-built reference, and -race must stay quiet.
+func TestConfigurationModelConcurrentInLists(t *testing.T) {
+	seq, err := digg.SampleDegreeSequence(2000, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceConfigurationModel(seq, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantIn := adjacency(want)
+	g, err := graph.ConfigurationModel(seq, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([][][]int, readers)
+	degs := make([][]int, readers)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			in := make([][]int, g.NumNodes())
+			deg := make([]int, g.NumNodes())
+			// Half the readers start from the last node, so the first read
+			// is not always of node 0.
+			for i := range in {
+				v := i
+				if r%2 == 1 {
+					v = len(in) - 1 - i
+				}
+				deg[v] = g.InDegree(v)
+				in[v] = g.InNeighbors(v)
+			}
+			got[r], degs[r] = in, deg
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	for r := range got {
+		if !reflect.DeepEqual(got[r], wantIn) {
+			t.Errorf("reader %d: in-lists differ from the reference", r)
+		}
+		for v, d := range degs[r] {
+			if d != len(wantIn[v]) {
+				t.Errorf("reader %d: InDegree(%d) = %d, reference %d", r, v, d, len(wantIn[v]))
+				break
+			}
+		}
+	}
+}
+
+// TestConfigurationModelAddEdgeBeforeInLists adds an arc to a fresh
+// configuration-model graph before anything has read an in-list: the
+// graph must hold the reference's lists plus the new arc, appended last.
+func TestConfigurationModelAddEdgeBeforeInLists(t *testing.T) {
+	seq := []int{3, 0, 2, 5, 1, 4}
+	want, err := referenceConfigurationModel(seq, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ConfigurationModel(seq, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]int{{1, 2}, {3, 3}, {5, 0}} {
+		if err := want.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotOut, gotIn := adjacency(g)
+	wantOut, wantIn := adjacency(want)
+	if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotIn, wantIn) {
+		t.Errorf("AddEdge before the first in-list read:\nout %v\nwant %v\nin %v\nwant %v",
+			gotOut, wantOut, gotIn, wantIn)
+	}
+	if g.NumEdges() != want.NumEdges() {
+		t.Errorf("%d arcs, reference %d", g.NumEdges(), want.NumEdges())
 	}
 }
 

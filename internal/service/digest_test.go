@@ -21,8 +21,7 @@ var pinnedDigests = []struct {
 }{
 	{"ode", Request{Type: JobODE, Params: versionODEParams}, 1,
 		"9fb8dc2d2713150dac0fd5520f569381588eb8b3a59084a690f21fa1762c1891"},
-	{"abm", Request{Type: JobABM, Params: Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.05,
-		I0: 0.1, Tf: 10, Points: 500, Seed: 1, Trials: 1, Nodes: 20000, Dt: 0.5}}, 1,
+	{"abm", Request{Type: JobABM, Params: versionABMParams}, 1,
 		"fe2f4d783deec24ace20277d7ec87f0d832d2e8735e6c0d6fa5cce2e080801f0"},
 	{"fbsm", Request{Type: JobFBSM, Params: versionFBSMParams}, 2,
 		"f573658b4dcf5fb357a654407ed01e4733157d4ca1f61355fef6167e26f3ad72"},

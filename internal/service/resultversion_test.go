@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"rumornet/internal/store"
 )
 
-// The solve benchmark's ODE and FBSM requests (rumorbench/requests.go,
+// The solve benchmark's ODE, ABM and FBSM requests (rumorbench/requests.go,
 // seed 1), fully specified so each is its own canonical form.
 var (
 	versionODEParams = Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.02, I0: 0.1, Tf: 40,
 		Points: 50, Seed: 1}
+	versionABMParams = Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.05, I0: 0.1, Tf: 10,
+		Points: 500, Seed: 1, Trials: 1, Nodes: 20000, Dt: 0.5}
 	versionFBSMParams = Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02, Lambda0: 0.05, I0: 0.1, Tf: 20,
 		Points: 500, Seed: 1, C1: 5, C2: 10, EpsMax: 0.6, Grid: 120}
 )
@@ -129,5 +132,35 @@ func TestFBSMSweepCount(t *testing.T) {
 	}
 	if !res.Converged || res.Iterations > 16 {
 		t.Errorf("converged %v after %d sweeps, want convergence within 16", res.Converged, res.Iterations)
+	}
+}
+
+// TestABMRequestAlloc bounds what the solve benchmark's ABM request
+// allocates. The quenched sweep pushes pressure along out-lists, so
+// neither the run nor the configuration-model build lays out in-lists:
+// the request allocates about 6 MB, where building in-lists and an int32
+// copy of them took about 12 MB.
+func TestABMRequestAlloc(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sc := builtinScenario(t, svc)
+	req := Request{Type: JobABM, Params: versionABMParams}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ExecuteRequest(context.Background(), sc, req, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm up anything allocated once per process
+	got := run()
+	t.Logf("ABM request allocates %d B", got)
+	if got > 7<<20 {
+		t.Errorf("ABM request allocates %d B, want ≤ 7 MiB", got)
 	}
 }

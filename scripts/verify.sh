@@ -3,9 +3,9 @@
 #
 #   tier 1: gofmt -l . (must print nothing), go build ./... && go vet ./...
 #           && go test ./..., and go vet over the rumorbench module
-#   tier 2: go test -race ./..., one iteration of every
-#           benchmark, the rumorbench tests under -race, and 10s of each
-#           decoder fuzzer
+#   tier 2: go test -race ./..., the concurrent in-list test under
+#           -race -count=10, one iteration of every benchmark, the
+#           rumorbench tests under -race, and 10s of each decoder fuzzer
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -55,6 +55,10 @@ go test ./...
 if [ "${1:-}" = "-race" ]; then
 	echo "== tier 2: race + bench smoke"
 	go test -race ./...
+	# Configuration-model graphs lay out their in-lists on the first read,
+	# under a sync.Once; run the test whose 8 goroutines make that first
+	# read at once ten times, so a broken guard has ten chances to race.
+	go test -race -count=10 -run '^TestConfigurationModelConcurrentInLists$' ./internal/graph
 	go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 	# rumorbench is its own module, so the -race sweep above never reaches
 	# it. Its smoke runs each workload BENCHMARK.json gates for a second
