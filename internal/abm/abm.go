@@ -217,6 +217,28 @@ func pushPressure(g *graph.Graph, state []State, omegaOverDeg, press []float64) 
 	}
 }
 
+// thresholds returns a susceptible node's transition thresholds for one
+// step with infection exponent x = force·Δt and immunization probability
+// pRec1: a draw below pInf = 1 − e^−x infects it, one below
+// pStop = pInf + (1 − pInf)·pRec1 immunizes it.
+func thresholds(x, pRec1 float64) (pInf, pStop float64) {
+	pInf = 1 - math.Exp(-x)
+	return pInf, pInf + (1-pInf)*pRec1
+}
+
+// stopBound is a bound on thresholds' pStop that needs no exp, so a
+// quenched step can leave a node whose draw is at or above it susceptible
+// without computing its thresholds. For x ≥ 0, pStop ≤ pInf + pRec1 ≤
+// x + pRec1 in exact arithmetic, since 1 − e^−x ≤ x. A draw is below 1,
+// so the bound only decides anything where x + pRec1 < 1; there math.Exp's
+// error under 1 ulp and the roundings of pInf and pStop add under 1e-15 to
+// pStop, and the two roundings of x + pRec1 take under 3e-16 off the sum.
+// The 1e-9 margin covers both by six orders of magnitude
+// (TestStopBoundAbovePStop).
+func stopBound(x, pRec1 float64) float64 {
+	return x + pRec1 + 1e-9
+}
+
 // splitmix64 is the SplitMix64 output mixer (Steele, Lea & Flood 2014): a
 // bijective avalanche function whose sequential stream passes BigCrush.
 func splitmix64(x uint64) uint64 {
@@ -429,9 +451,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 					d0 := plan.deg[v0]
 					// Identical bits to the per-node path: force and pInf
 					// depend only on the degree, frozen Θ and Δt.
-					force := lambda[v0] * theta
-					pInf := 1 - math.Exp(-force*cfg.Dt)
-					pStop := pInf + (1-pInf)*pRec1
+					pInf, pStop := thresholds(lambda[v0]*theta*cfg.Dt, pRec1)
 					for ; j < len(ord); j++ {
 						v := int(ord[j])
 						if plan.deg[v] != d0 {
@@ -490,18 +510,21 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 					next[v] = st
 					switch st {
 					case Susceptible:
-						local := press[v]
+						u := transitionRand(baseSeed, step, v)
 						pInf, pStop := 0.0, pRec1
-						if local != 0 {
+						if local := press[v]; local != 0 {
 							// local == 0 needs no exp: 1−exp(0) is exactly
 							// 0, so pInf = 0 and the immunization threshold
 							// reduces to pRec1 — bit-identical to computing
-							// it.
-							force := lambda[v] * local / meanK
-							pInf = 1 - math.Exp(-force*cfg.Dt)
-							pStop = pInf + (1-pInf)*pRec1
+							// it. Nor does a draw at or above stopBound,
+							// which the node survives whatever exp returns.
+							x := lambda[v] * local / meanK * cfg.Dt
+							if u >= stopBound(x, pRec1) {
+								break
+							}
+							pInf, pStop = thresholds(x, pRec1)
 						}
-						switch u := transitionRand(baseSeed, step, v); {
+						switch {
 						case u < pInf:
 							next[v] = Infected
 							d.dS--

@@ -351,3 +351,34 @@ func TestExplicitSeedsValidation(t *testing.T) {
 		t.Error("all seeds blocked: want error")
 	}
 }
+
+// TestStopBoundAbovePStop checks the premise of the quenched step's exp
+// skip: for every infection exponent x ≥ 0 and immunization probability
+// pRec1, the computed pStop lies below stopBound(x, pRec1), so a draw at or
+// above the bound leaves the node susceptible whatever exp returns. It
+// runs edge values of both and a million random pairs, log-uniform and
+// uniform.
+func TestStopBoundAbovePStop(t *testing.T) {
+	edges := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-17, 1e-16, 1.1102230246251565e-16,
+		1e-9, 1e-3, 0.1, 0.5, 1 - 1e-9, math.Nextafter(1, 0), 1, 2, 700, 1e300, math.Inf(1)}
+	check := func(x, pRec1 float64) {
+		if _, pStop := thresholds(x, pRec1); !(pStop < stopBound(x, pRec1)) {
+			t.Fatalf("x=%g, pRec1=%g: pStop %v not below the bound %v", x, pRec1, pStop, stopBound(x, pRec1))
+		}
+	}
+	for _, x := range edges {
+		for _, p := range edges {
+			if p <= 1 {
+				check(x, p)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 1_000_000; i++ {
+		x, p := rng.Float64(), rng.Float64()
+		if i%2 == 0 {
+			x, p = math.Pow(10, -20*rng.Float64()), math.Pow(10, -20*rng.Float64())
+		}
+		check(x, p)
+	}
+}

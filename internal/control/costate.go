@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rumornet/internal/core"
+	"rumornet/internal/floats"
 )
 
 // costateStep is the RK4 step kernel of the co-state system the backward
@@ -23,9 +24,18 @@ import (
 // Every element sees the same operations in the same order as ode.RK4 over
 // the plain co-state right-hand side, so the co-states are bit-identical to
 // it (TestCostateStepMatchesRK4; DESIGN.md §11).
+//
+// On amd64 hosts with AVX the interpolation in fill and the exact
+// adjoint's stage passes run an assembly body over the first n &^ 3
+// groups, four groups per instruction, and their Go loops finish the rest.
+// The bodies make the same IEEE operations in the same order, with no
+// fused multiply-add, and add their lanes to each sum in ascending group
+// order, so they leave every bit as the Go loops do (FuzzCostateKernels).
+// The diagonal adjoint, which only the ablA ablation runs, stays in Go.
 type costateStep struct {
 	n          int
 	exact      bool // AdjointExact; otherwise AdjointDiagonal
+	avx        bool // run the AVX bodies; floats.HasAVX, tests may clear it
 	c1, c2     float64
 	lam, kphi  []float64 // λ(k_i) and φ(k_i)/⟨k⟩ per group
 	phi        []float64 // φ(k_i) per group, for Θ
@@ -61,6 +71,7 @@ func newCostateStep(m *core.Model) *costateStep {
 		k1:    buf[3*n : 5*n : 5*n],
 		k2:    buf[5*n : 7*n : 7*n],
 		k3:    buf[7*n : 9*n : 9*n],
+		avx:   floats.HasAVX(),
 	}
 	for j := range k.at {
 		k.at[j].y = buf[9*n+2*j*n : 9*n+2*(j+1)*n : 9*n+2*(j+1)*n]
@@ -99,20 +110,36 @@ func (k *costateStep) fill(at *stageTerms, t float64) {
 			sum += phi[i] * v
 		}
 	} else {
-		for i, v := range ylo[:n] {
-			y[i] = v + w*(yhi[i]-v)
-		}
-		yi, ilo, ihi := y[n:2*n:2*n], ylo[n:2*n:2*n], yhi[n:2*n:2*n]
-		for i, v := range ilo {
-			inf := v + w*(ihi[i]-v)
-			yi[i] = inf
-			sum += phi[i] * inf
-		}
+		sum = interp(k.avx, y, ylo, yhi, phi, w)
 	}
 	e1, e2 := k.sched.Eps1At(t), k.sched.Eps2At(t)
 	at.t, at.e1, at.e2, at.theta = t, e1, e2, sum/k.meanK
 	at.a1 = -2 * k.c1 * e1 * e1
 	at.a2 = -2 * k.c2 * e2 * e2
+}
+
+// interp writes y = ylo + w·(yhi − ylo), packed like the state, and
+// returns Θ's numerator Σ φ_i·I_i of it. n is len(phi); avx runs the AVX
+// body over the first n &^ 3 groups.
+func interp(avx bool, y, ylo, yhi, phi []float64, w float64) float64 {
+	n := len(phi)
+	ys, slo, shi := y[:n:n], ylo[:n:n], yhi[:n:n]
+	yi, ilo, ihi := y[n:2*n:2*n], ylo[n:2*n:2*n], yhi[n:2*n:2*n]
+	i, sum := 0, 0.0
+	if avx {
+		i, sum = n&^3, interpAVX(y, ylo, yhi, phi, w)
+	}
+	for j := i; j < n; j++ {
+		v := slo[j]
+		ys[j] = v + w*(shi[j]-v)
+	}
+	for ; i < n; i++ {
+		v := ilo[i]
+		inf := v + w*(ihi[i]-v)
+		yi[i] = inf
+		sum += phi[i] * inf
+	}
+	return sum
 }
 
 // step is an ode.Step in reversed time: it writes z(τ+h) into dst.
@@ -146,7 +173,8 @@ func (k *costateStep) step(tau float64, z []float64, h float64, dst []float64) {
 // ko, and returns the coupling sum of the next stage's co-state z + cn·ko
 // against the state at next. The four loops differ only in how they read
 // the stage co-state and in the adjoint's dφ_i/dt; each keeps the t-only
-// terms in locals so the compiler holds them in registers.
+// terms in locals so the compiler holds them in registers. The exact
+// adjoint's loops start where their AVX body stopped.
 func (k *costateStep) pass(z, kp []float64, c float64, at *stageTerms, coupling float64, ko []float64, cn float64, next *stageTerms) float64 {
 	n := k.n
 	zs, zi := z[:n:n], z[n:2*n:2*n]
@@ -155,11 +183,14 @@ func (k *costateStep) pass(z, kp []float64, c float64, at *stageTerms, coupling 
 	ns := next.y[:n:n]
 	lam, kphi := k.lam[:n:n], k.kphi[:n:n]
 	e1, e2, theta, a1, a2 := at.e1, at.e2, at.theta, at.a1, at.a2
-	var acc float64
+	i, acc := 0, 0.0
 	switch {
 	case kp == nil && k.exact:
-		for i, s := range ys {
-			l, u, v := lam[i], zs[i], zi[i]
+		if k.avx {
+			i, acc = n&^3, costateFirstAVX(z, at.y, ko, next.y, lam, kphi, e1, e2, theta, a1, a2, coupling, cn)
+		}
+		for ; i < n; i++ {
+			s, l, u, v := ys[i], lam[i], zs[i], zi[i]
 			// dψ_i/dt = −2c1ε1²S_i + ψ_i(λΘ + ε1) − φ_iλΘ
 			dpsi := a1*s + u*(l*theta+e1) - v*l*theta
 			// dφ_i/dt = −2c2ε2²I_i + (φ(k_i)/⟨k⟩)Σ_j(ψ_j−φ_j)λ_jS_j + φ_iε2
@@ -179,8 +210,11 @@ func (k *costateStep) pass(z, kp []float64, c float64, at *stageTerms, coupling 
 		}
 	case k.exact:
 		ps, pi := kp[:n:n], kp[n:2*n:2*n]
-		for i, s := range ys {
-			l, u, v := lam[i], zs[i]+c*ps[i], zi[i]+c*pi[i]
+		if k.avx {
+			i, acc = n&^3, costateNextAVX(z, kp, at.y, ko, next.y, lam, kphi, c, e1, e2, theta, a1, a2, coupling, cn)
+		}
+		for ; i < n; i++ {
+			s, l, u, v := ys[i], lam[i], zs[i]+c*ps[i], zi[i]+c*pi[i]
 			dpsi := a1*s + u*(l*theta+e1) - v*l*theta
 			dphi := a2*yi[i] + kphi[i]*coupling + v*e2
 			os[i], oi[i] = -dpsi, -dphi
@@ -213,8 +247,13 @@ func (k *costateStep) last(z []float64, h float64, at *stageTerms, coupling floa
 	e1, e2, theta, a1, a2 := at.e1, at.e2, at.theta, at.a1, at.a2
 	h6, h3 := h/6, h/3
 	exact := k.exact
-	for i, s := range ys {
-		l, u, v := lam[i], zs[i]+h*k3s[i], zi[i]+h*k3i[i]
+	i := 0
+	if exact && k.avx {
+		i = n &^ 3
+		costateLastAVX(z, k.k1, k.k2, k.k3, at.y, dst, lam, kphi, h, e1, e2, theta, a1, a2, coupling, h6, h3)
+	}
+	for ; i < n; i++ {
+		s, l, u, v := ys[i], lam[i], zs[i]+h*k3s[i], zi[i]+h*k3i[i]
 		dpsi := a1*s + u*(l*theta+e1) - v*l*theta
 		var dphi float64
 		if exact {

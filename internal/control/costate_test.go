@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"rumornet/internal/floats"
+	"rumornet/internal/floats/floatstest"
 	"rumornet/internal/ode"
 )
 
@@ -69,6 +71,7 @@ func TestCostateStepMatchesRK4(t *testing.T) {
 				t.Fatal(err)
 			}
 			k.reset(tr, sched, opts)
+			t.Logf("adjoint %d, w=%g: AVX bodies: %v", adj, tc.weight, k.avx)
 			got, err := ode.SolveFixed(k.step, z0, 0, tf, tc.h, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -145,9 +148,10 @@ func TestOptimizeAllocFlat(t *testing.T) {
 
 // BenchmarkCostateStep times one RK4 step of the solve benchmark's FBSM
 // co-state (848 groups, exact adjoint): "kernel" is the fused step the
-// backward sweep runs, "reference" ode.RK4 over referenceCostateRHS, which
-// recomputes the t-only terms at every stage. BenchmarkBackwardSweep times
-// a whole sweep.
+// backward sweep runs (its AVX bodies where the host has AVX), "generic"
+// the same kernel with its Go loops only, and "reference" ode.RK4 over
+// referenceCostateRHS, which recomputes the t-only terms at every stage.
+// BenchmarkBackwardSweep times a whole sweep.
 func BenchmarkCostateStep(b *testing.B) {
 	m := diggControlModel(b)
 	ic, err := m.UniformIC(0.1)
@@ -160,8 +164,10 @@ func BenchmarkCostateStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := benchFBSMOptions().withDefaults()
-	k := newCostateStep(m)
+	k, g := newCostateStep(m), newCostateStep(m)
 	k.reset(tr, sched, opts)
+	g.reset(tr, sched, opts)
+	g.avx = false
 	z, dst := make([]float64, m.StateDim()), make([]float64, m.StateDim())
 	for i := range z {
 		z[i] = 0.5 + 0.001*float64(i%17)
@@ -172,6 +178,7 @@ func BenchmarkCostateStep(b *testing.B) {
 		step ode.Step
 	}{
 		{"kernel", k.step},
+		{"generic", g.step},
 		{"reference", ode.NewRK4(m.StateDim()).Bind(referenceCostateRHS(m, tr, sched, opts))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -185,4 +192,53 @@ func BenchmarkCostateStep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzCostateKernels runs each co-state pass that has an AVX body — the
+// interpolation in fill and the exact adjoint's first, middle and last
+// stage passes — with its Go loop alone and with its AVX body plus the Go
+// tail, on the same inputs, and requires the same bits in every output and
+// returned sum. n runs from 1 to 64 groups, so every tail length and the
+// bodies with no group of four are covered; guard words after each output
+// catch a write past it.
+func FuzzCostateKernels(f *testing.F) {
+	for _, n := range []uint8{1, 2, 3, 4, 5, 7} {
+		f.Add(n-1, uint64(n), []byte(nil))
+	}
+	for i, v := range floatstest.Specials {
+		for _, at := range []int{1, 9, 128, 149} { // z's ψ_2 and φ_3, λ_3, Θ
+			f.Add(uint8(6), uint64(i), floatstest.Patch(at, v))
+		}
+	}
+	f.Fuzz(func(t *testing.T, n8 uint8, seed uint64, patch []byte) {
+		if !floats.HasAVX() {
+			t.Skip("no AVX on this host: the co-state passes run their Go loops only")
+		}
+		n := 1 + int(n8)%64
+		v := floatstest.Vectors(seed, patch, 2*n, 2*n, 2*n, 2*n, 2*n, 2*n, 2*n, 2*n, 2*n, n, n, n, 10)
+		z, kp, y, ns, ylo, yhi, k1, k2, k3 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
+		lam, kphi, phi, sc := v[9], v[10], v[11], v[12]
+		at := stageTerms{y: y, e1: sc[0], e2: sc[1], theta: sc[2], a1: sc[3], a2: sc[4]}
+		coupling, c, cn, h, w := sc[5], sc[6], sc[7], sc[8], sc[9]
+		next := stageTerms{y: ns}
+		run := func(avx bool) []float64 {
+			k := &costateStep{n: n, exact: true, avx: avx, lam: lam, kphi: kphi, k1: k1, k2: k2, k3: k3}
+			buf, out := floatstest.Outputs(4, 2*n)
+			s0 := interp(avx, out[0], ylo, yhi, phi, w)
+			s1 := k.pass(z, nil, 0, &at, coupling, out[1], cn, &next)
+			s2 := k.pass(z, kp, c, &at, coupling, out[2], cn, &next)
+			k.last(z, h, &at, coupling, out[3])
+			if j := floatstest.Overrun(buf, 2*n); j >= 0 {
+				t.Fatalf("avx=%v, n=%d: output %d written past its end", avx, n, j)
+			}
+			return append(buf, s0, s1, s2)
+		}
+		want, got := run(false), run(true)
+		for i := range want {
+			if !floatstest.Same(got[i], want[i]) {
+				t.Fatalf("n=%d: word %d of the outputs [interpolation | first stage | middle stage | last stage], each 2n values and %d guard words, then the sums: AVX %x, Go %x",
+					n, i, floatstest.Guard, got[i], want[i])
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"rumornet/internal/core"
 	"rumornet/internal/degreedist"
 	"rumornet/internal/digg"
+	"rumornet/internal/floats"
 	"rumornet/internal/obs"
 	"rumornet/internal/ode"
 )
@@ -151,6 +152,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 		// A raised terminal weight, as OptimizeToTarget sets it.
 		{"digg-weighted", diggM, 0.1, 12, Options{Grid: 90, MaxIter: 250, Eps1Max: 0.6, Eps2Max: 0.6, Cost: Cost{C1: 5, C2: 10}, TerminalWeight: 8}},
 	}
+	t.Logf("kernels' AVX bodies: %v", floats.HasAVX())
 	for _, tc := range cases {
 		for _, adj := range []Adjoint{AdjointExact, AdjointDiagonal} {
 			opts := tc.opts

@@ -1,5 +1,7 @@
 package core
 
+import "rumornet/internal/floats"
+
 // stepper is System (1)'s own RK4 step kernel. ode.RK4 over Model.RHS makes
 // about thirteen passes over the 2n-vector per step: two per RHS
 // evaluation, one per stage build and one for the combination. The kernel
@@ -14,10 +16,18 @@ package core
 // (λ_i·S_i)·Θ, and the combination ((((y + h/6·k1) + h/3·k2) + h/3·k3) +
 // h/6·k4) — so the steps are bit-identical to it (TestModelStepMatchesRK4;
 // DESIGN.md §11).
+//
+// On amd64 hosts with AVX each stage pass runs an assembly body over the
+// first n &^ 3 groups, four groups per instruction, and its Go loop
+// finishes the rest. The bodies make the same IEEE operations in the same
+// order, with no fused multiply-add, and add their lanes to the Θ sum in
+// ascending group order, so they leave every bit as the Go loops do
+// (FuzzStageKernels).
 type stepper struct {
 	m          *Model
 	buf        []float64 // k1, k2 and k3 back to back
 	k1, k2, k3 []float64 // stage derivatives, packed like the state
+	avx        bool      // run the AVX bodies; floats.HasAVX, tests may clear it
 
 	// eps1At and eps2At are the scheduled countermeasures; nil means the
 	// model's constant rate.
@@ -38,6 +48,7 @@ func (m *Model) newStepper(eps1At, eps2At func(float64) float64, scratch []float
 		k1:     scratch[0*d : 1*d : 1*d],
 		k2:     scratch[1*d : 2*d : 2*d],
 		k3:     scratch[2*d : 3*d : 3*d],
+		avx:    floats.HasAVX(),
 		eps1At: eps1At,
 		eps2At: eps2At,
 	}
@@ -59,11 +70,6 @@ func (st *stepper) eps(t float64) (e1, e2 float64) {
 func (st *stepper) step(t float64, y []float64, h float64, dst []float64) {
 	m := st.m
 	n := m.n
-	ys, yi := y[:n:n], y[n:2*n:2*n]
-	ds, di := dst[:n:n], dst[n:2*n:2*n]
-	k1s, k1i := st.k1[:n:n], st.k1[n:2*n:2*n]
-	k2s, k2i := st.k2[:n:n], st.k2[n:2*n:2*n]
-	k3s, k3i := st.k3[:n:n], st.k3[n:2*n:2*n]
 	lam, phi := m.lambda[:n:n], m.varphi[:n:n]
 	alpha, meanK := m.p.Alpha, m.meanK
 	half := h / 2
@@ -72,55 +78,92 @@ func (st *stepper) step(t float64, y []float64, h float64, dst []float64) {
 	e1c, e2c := st.eps(t + h)
 
 	var acc float64
-	for i, v := range yi {
+	for i, v := range y[n : 2*n : 2*n] {
 		acc += phi[i] * v
 	}
 	theta := acc / meanK
 
 	// Stage 1 at y; the next stage is y + h/2·k1.
-	acc = 0
-	for i, s := range ys {
-		inf := yi[i]
-		force := lam[i] * s * theta
-		ks := alpha - force - e1a*s
-		ki := force - e2a*inf
-		k1s[i], k1i[i] = ks, ki
-		acc += phi[i] * (inf + half*ki)
-	}
-	theta = acc / meanK
-
+	theta = stageFirst(st.avx, y, st.k1, lam, phi, alpha, theta, e1a, e2a, half) / meanK
 	// Stage 2 at y + h/2·k1; the next stage is y + h/2·k2.
-	acc = 0
-	for i, v := range ys {
-		s, inf := v+half*k1s[i], yi[i]+half*k1i[i]
-		force := lam[i] * s * theta
-		ks := alpha - force - e1b*s
-		ki := force - e2b*inf
-		k2s[i], k2i[i] = ks, ki
-		acc += phi[i] * (yi[i] + half*ki)
-	}
-	theta = acc / meanK
-
+	theta = stageNext(st.avx, y, st.k1, st.k2, lam, phi, half, alpha, theta, e1b, e2b, half) / meanK
 	// Stage 3 at y + h/2·k2; the next stage is y + h·k3.
-	acc = 0
-	for i, v := range ys {
-		s, inf := v+half*k2s[i], yi[i]+half*k2i[i]
-		force := lam[i] * s * theta
-		ks := alpha - force - e1b*s
-		ki := force - e2b*inf
-		k3s[i], k3i[i] = ks, ki
-		acc += phi[i] * (yi[i] + h*ki)
-	}
-	theta = acc / meanK
-
+	theta = stageNext(st.avx, y, st.k2, st.k3, lam, phi, half, alpha, theta, e1b, e2b, h) / meanK
 	// Stage 4 at y + h·k3, and the combination.
+	stageLast(st.avx, y, st.k1, st.k2, st.k3, dst, lam, h, alpha, theta, e1c, e2c)
+}
+
+// The stage passes. y, the stage derivatives k and dst are packed
+// [S_1..S_n, I_1..I_n]; lam and phi hold λ(k_i) and φ(k_i), and n is their
+// length. avx runs the AVX body over the first n &^ 3 groups; the Go loop
+// does the rest.
+
+// stageFirst writes k = f(y) under the rates e1, e2 and the coupling theta,
+// and returns the Θ numerator Σ φ_i·(I_i + cn·k_i^I) of the next stage's
+// state.
+func stageFirst(avx bool, y, k, lam, phi []float64, alpha, theta, e1, e2, cn float64) float64 {
+	n := len(lam)
+	ys, yi := y[:n:n], y[n:2*n:2*n]
+	ks, ki := k[:n:n], k[n:2*n:2*n]
+	phi = phi[:n:n]
+	i, acc := 0, 0.0
+	if avx {
+		i, acc = n&^3, stageFirstAVX(y, k, lam, phi, alpha, theta, e1, e2, cn)
+	}
+	for ; i < n; i++ {
+		s, inf := ys[i], yi[i]
+		force := lam[i] * s * theta
+		vs := alpha - force - e1*s
+		vi := force - e2*inf
+		ks[i], ki[i] = vs, vi
+		acc += phi[i] * (inf + cn*vi)
+	}
+	return acc
+}
+
+// stageNext is stageFirst at the stage state y + c·kp, writing ko.
+func stageNext(avx bool, y, kp, ko, lam, phi []float64, c, alpha, theta, e1, e2, cn float64) float64 {
+	n := len(lam)
+	ys, yi := y[:n:n], y[n:2*n:2*n]
+	ps, pi := kp[:n:n], kp[n:2*n:2*n]
+	os, oi := ko[:n:n], ko[n:2*n:2*n]
+	phi = phi[:n:n]
+	i, acc := 0, 0.0
+	if avx {
+		i, acc = n&^3, stageNextAVX(y, kp, ko, lam, phi, c, alpha, theta, e1, e2, cn)
+	}
+	for ; i < n; i++ {
+		s, inf := ys[i]+c*ps[i], yi[i]+c*pi[i]
+		force := lam[i] * s * theta
+		vs := alpha - force - e1*s
+		vi := force - e2*inf
+		os[i], oi[i] = vs, vi
+		acc += phi[i] * (yi[i] + cn*vi)
+	}
+	return acc
+}
+
+// stageLast evaluates the fourth stage at y + h·k3 and writes the RK4
+// combination of y and k1..k4 into dst.
+func stageLast(avx bool, y, k1, k2, k3, dst, lam []float64, h, alpha, theta, e1, e2 float64) {
+	n := len(lam)
+	ys, yi := y[:n:n], y[n:2*n:2*n]
+	k1s, k1i := k1[:n:n], k1[n:2*n:2*n]
+	k2s, k2i := k2[:n:n], k2[n:2*n:2*n]
+	k3s, k3i := k3[:n:n], k3[n:2*n:2*n]
+	ds, di := dst[:n:n], dst[n:2*n:2*n]
 	h6, h3 := h/6, h/3
-	for i, v := range ys {
-		w := yi[i]
+	i := 0
+	if avx {
+		i = n &^ 3
+		stageLastAVX(y, k1, k2, k3, dst, lam, h, alpha, theta, e1, e2, h6, h3)
+	}
+	for ; i < n; i++ {
+		v, w := ys[i], yi[i]
 		s, inf := v+h*k3s[i], w+h*k3i[i]
 		force := lam[i] * s * theta
-		ks := alpha - force - e1c*s
-		ki := force - e2c*inf
+		ks := alpha - force - e1*s
+		ki := force - e2*inf
 		ds[i] = v + h6*k1s[i] + h3*k2s[i] + h3*k3s[i] + h6*ks
 		di[i] = w + h6*k1i[i] + h3*k2i[i] + h3*k3i[i] + h6*ki
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"rumornet/internal/floats"
+	"rumornet/internal/floats/floatstest"
 	"rumornet/internal/ode"
 )
 
@@ -66,7 +68,9 @@ func TestModelStepMatchesRK4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ode.SolveFixed(m.newStepper(e1, e2, nil).step, ic, 0, tf, h, nil)
+		st := m.newStepper(e1, e2, nil)
+		t.Logf("%s: AVX bodies: %v", tc.name, st.avx)
+		got, err := ode.SolveFixed(st.step, ic, 0, tf, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,6 +94,13 @@ func TestModelStepMatchesRK4(t *testing.T) {
 	}
 }
 
+// goStepper is the model's step kernel with its Go loops only.
+func goStepper(m *Model) *stepper {
+	st := m.newStepper(nil, nil, nil)
+	st.avx = false
+	return st
+}
+
 // TestModelStepZeroAlloc pins the kernel's steady state: a step allocates
 // nothing, scheduled controls included.
 func TestModelStepZeroAlloc(t *testing.T) {
@@ -106,8 +117,9 @@ func TestModelStepZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkModelStep times one RK4 step of the 995-group model under
-// constant controls: "kernel" is the fused step SimulateCtx runs, "rk4"
-// the generic ode.RK4 over Model.RHS it replaced.
+// constant controls: "kernel" is the fused step SimulateCtx runs (its AVX
+// bodies where the host has AVX), "generic" the same kernel with its Go
+// loops only, and "rk4" the generic ode.RK4 over Model.RHS it replaced.
 func BenchmarkModelStep(b *testing.B) {
 	m := diggScaleModel(b)
 	ic, err := m.UniformIC(0.1)
@@ -120,6 +132,7 @@ func BenchmarkModelStep(b *testing.B) {
 		step ode.Step
 	}{
 		{"kernel", m.newStepper(nil, nil, nil).step},
+		{"generic", goStepper(m).step},
 		{"rk4", ode.NewRK4(m.StateDim()).Bind(m.RHS)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -129,4 +142,46 @@ func BenchmarkModelStep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzStageKernels runs each stage pass of the model's step kernel with its
+// Go loop alone and with its AVX body plus the Go tail, on the same inputs,
+// and requires the same bits in every output and returned Θ sum. n runs
+// from 1 to 64 groups, so every tail length and the bodies with no group of
+// four are covered; guard words after each output catch a write past it.
+func FuzzStageKernels(f *testing.F) {
+	for _, n := range []uint8{1, 2, 3, 4, 5, 7} {
+		f.Add(n-1, uint64(n), []byte(nil))
+	}
+	for i, v := range floatstest.Specials {
+		for _, at := range []int{1, 9, 58, 71} { // y's S_2 and I_3, λ_3, Θ
+			f.Add(uint8(6), uint64(i), floatstest.Patch(at, v))
+		}
+	}
+	f.Fuzz(func(t *testing.T, n8 uint8, seed uint64, patch []byte) {
+		if !floats.HasAVX() {
+			t.Skip("no AVX on this host: the stage passes run their Go loops only")
+		}
+		n := 1 + int(n8)%64
+		v := floatstest.Vectors(seed, patch, 2*n, 2*n, 2*n, 2*n, n, n, 7)
+		y, k1, k2, k3, lam, phi := v[0], v[1], v[2], v[3], v[4], v[5]
+		alpha, theta, e1, e2, c, cn, h := v[6][0], v[6][1], v[6][2], v[6][3], v[6][4], v[6][5], v[6][6]
+		run := func(avx bool) []float64 {
+			buf, out := floatstest.Outputs(3, 2*n)
+			s1 := stageFirst(avx, y, out[0], lam, phi, alpha, theta, e1, e2, cn)
+			s2 := stageNext(avx, y, k1, out[1], lam, phi, c, alpha, theta, e1, e2, cn)
+			stageLast(avx, y, k1, k2, k3, out[2], lam, h, alpha, theta, e1, e2)
+			if j := floatstest.Overrun(buf, 2*n); j >= 0 {
+				t.Fatalf("avx=%v, n=%d: output %d written past its end", avx, n, j)
+			}
+			return append(buf, s1, s2)
+		}
+		want, got := run(false), run(true)
+		for i := range want {
+			if !floatstest.Same(got[i], want[i]) {
+				t.Fatalf("n=%d: word %d of the outputs [stage 1 | stages 2–3 | stage 4], each 2n values and %d guard words, then the sums: AVX %x, Go %x",
+					n, i, floatstest.Guard, got[i], want[i])
+			}
+		}
+	})
 }

@@ -170,3 +170,12 @@ func mustSameLen(a, b int) {
 		panic("floats: length mismatch: " + strconv.Itoa(a) + " vs " + strconv.Itoa(b))
 	}
 }
+
+// hasAVX is read once: CPUID can trap to the hypervisor on a virtual host.
+var hasAVX = cpuAVX()
+
+// HasAVX reports whether this process may run amd64 AVX (256-bit VEX)
+// instructions: the CPU has AVX and the OS saves the YMM registers. It is
+// false on every other architecture. The solver kernels read it when they
+// are built to choose between their AVX and Go bodies.
+func HasAVX() bool { return hasAVX }

@@ -2,10 +2,12 @@
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
 #   tier 1: gofmt -l . (must print nothing), go build ./... && go vet ./...
-#           && go test ./..., and go vet over the rumorbench module
+#           && go test ./..., go vet over the rumorbench module, and
+#           GOARCH=arm64 go vet ./... for the Go-only kernel path
 #   tier 2: go test -race ./..., the concurrent in-list test under
 #           -race -count=10, one iteration of every benchmark, the
-#           rumorbench tests under -race, and 10s of each decoder fuzzer
+#           rumorbench tests under -race, and 10s of each decoder and
+#           kernel fuzzer
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -51,6 +53,11 @@ go test ./...
 # ExecuteRequest: vet it so an API change that breaks the benchmark fails
 # here rather than at benchmark time.
 (cd rumorbench && go vet ./...)
+# The solver kernels have amd64 AVX bodies; every other architecture
+# builds only their Go loops and the stubs beside them. Vet one such
+# target, so a body declared for amd64 alone fails here, not on the first
+# arm64 build.
+GOARCH=arm64 go vet ./...
 
 if [ "${1:-}" = "-race" ]; then
 	echo "== tier 2: race + bench smoke"
@@ -89,6 +96,12 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
 	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s ./internal/surface
 	go test -run '^$' -fuzz '^FuzzReadScheduleJSON$' -fuzztime 10s ./internal/control
+	# The kernel fuzzers: each AVX body of the RK4 stage passes (System (1)
+	# and its exact co-state) against its Go loop on the same inputs, bit
+	# for bit. Tier 1 runs their seed corpus; both skip without AVX.
+	echo "== tier 2: kernel fuzzers"
+	go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s ./internal/core
+	go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s ./internal/control
 fi
 
 echo "verify: ok"
