@@ -16,10 +16,15 @@ import (
 // Like the forward kernel in internal/core, it makes one fused pass per
 // stage: pass s rebuilds the stage co-state z + c·k_{s−1} in registers,
 // writes k_s, and accumulates the exact adjoint's coupling sum
-// Σ_j (ψ_j − φ_j) λ_j S_j of the next stage's co-state; the fourth pass
-// writes the combination instead. The terms that depend on t alone are
-// computed once per distinct stage time: the two midpoint stages share
-// theirs, and the last stage's are the next step's first.
+// Σ_j (ψ_j − φ_j) λ_j S_j of the next stage's co-state. The fourth pass
+// writes the combination instead, and with it the coupling sum of the
+// result against the state at the step's end time, which the next step
+// opens with, and the result's finiteness check. The terms that depend on
+// t alone are computed once per distinct stage time: the two midpoint
+// stages share theirs, and the last stage's are the next step's first. A
+// step sums its opening coupling in a pass of its own only when it does
+// not take over both from the previous step: its first, and any whose z
+// is not the previous step's dst.
 //
 // Every element sees the same operations in the same order as ode.RK4 over
 // the plain co-state right-hand side, so the co-states are bit-identical to
@@ -48,6 +53,11 @@ type costateStep struct {
 	sched *Schedule
 
 	at [3]stageTerms // at the step's start, midpoint and end times
+
+	// carried is the previous step's dst and carry its exact coupling sum
+	// against at[2]; carried is nil when there is none.
+	carried *float64
+	carry   float64
 }
 
 // stageTerms holds the t-only factors of the co-state derivative at one
@@ -93,6 +103,7 @@ func (k *costateStep) reset(tr *core.Trajectory, sched *Schedule, opts Options) 
 	for j := range k.at {
 		k.at[j].t = math.NaN()
 	}
+	k.carried = nil
 }
 
 // fill computes the t-only terms at t: the forward state interpolated as
@@ -142,11 +153,13 @@ func interp(avx bool, y, ylo, yhi, phi []float64, w float64) float64 {
 	return sum
 }
 
-// step is an ode.Step in reversed time: it writes z(τ+h) into dst.
-func (k *costateStep) step(tau float64, z []float64, h float64, dst []float64) {
+// step is an ode.Step in reversed time: it writes z(τ+h) into dst and
+// reports whether it is finite.
+func (k *costateStep) step(tau float64, z []float64, h float64, dst []float64) bool {
 	half := h / 2
 	t0, tm, t1 := k.tf-tau, k.tf-(tau+half), k.tf-(tau+h)
-	if k.at[2].t == t0 {
+	handoff := k.at[2].t == t0
+	if handoff {
 		k.at[0], k.at[2] = k.at[2], k.at[0]
 	} else {
 		k.fill(&k.at[0], t0)
@@ -155,17 +168,32 @@ func (k *costateStep) step(tau float64, z []float64, h float64, dst []float64) {
 	k.fill(&k.at[2], t1)
 
 	var coupling float64
-	if k.exact {
-		n := k.n
-		zs, zi, ys, lam := z[:n:n], z[n:2*n:2*n], k.at[0].y[:n:n], k.lam[:n:n]
-		for j, s := range ys {
-			coupling += (zs[j] - zi[j]) * lam[j] * s
-		}
+	switch {
+	case !k.exact:
+	case handoff && &z[0] == k.carried:
+		coupling = k.carry
+	default:
+		coupling = openingCoupling(z, k.at[0].y, k.lam)
 	}
 	coupling = k.pass(z, nil, 0, &k.at[0], coupling, k.k1, half, &k.at[1])
 	coupling = k.pass(z, k.k1, half, &k.at[1], coupling, k.k2, half, &k.at[1])
 	coupling = k.pass(z, k.k2, half, &k.at[1], coupling, k.k3, h, &k.at[2])
-	k.last(z, h, &k.at[2], coupling, dst)
+	coupling, finite := k.last(z, h, &k.at[2], coupling, dst)
+	k.carried, k.carry = &dst[0], coupling
+	return finite
+}
+
+// openingCoupling is the exact adjoint's opening pass: the coupling sum
+// Σ_j ((ψ_j − φ_j)·λ_j)·S_j of the co-state z against the state y, in
+// ascending group order. n is len(lam).
+func openingCoupling(z, y, lam []float64) float64 {
+	n := len(lam)
+	zs, zi, ys := z[:n:n], z[n:2*n:2*n], y[:n:n]
+	var acc float64
+	for j, s := range ys {
+		acc += (zs[j] - zi[j]) * lam[j] * s
+	}
+	return acc
 }
 
 // pass is one of the first three stages: it evaluates the derivative at the
@@ -234,8 +262,12 @@ func (k *costateStep) pass(z, kp []float64, c float64, at *stageTerms, coupling 
 }
 
 // last is the fourth stage at z + h·k3 under at, fused with the RK4
-// combination into dst.
-func (k *costateStep) last(z []float64, h float64, at *stageTerms, coupling float64, dst []float64) {
+// combination into dst. It returns the exact adjoint's coupling sum of dst
+// against at's state, summed in ascending group order as the opening pass
+// sums it (0 for the diagonal adjoint), and whether every element of dst
+// is finite: v·0 is ±0 for a finite v and NaN otherwise, and NaN survives
+// every sum.
+func (k *costateStep) last(z []float64, h float64, at *stageTerms, coupling float64, dst []float64) (float64, bool) {
 	n := k.n
 	zs, zi := z[:n:n], z[n:2*n:2*n]
 	ys, yi := at.y[:n:n], at.y[n:2*n:2*n]
@@ -247,10 +279,10 @@ func (k *costateStep) last(z []float64, h float64, at *stageTerms, coupling floa
 	e1, e2, theta, a1, a2 := at.e1, at.e2, at.theta, at.a1, at.a2
 	h6, h3 := h/6, h/3
 	exact := k.exact
-	i := 0
+	i, acc, fin := 0, 0.0, 0.0
 	if exact && k.avx {
 		i = n &^ 3
-		costateLastAVX(z, k.k1, k.k2, k.k3, at.y, dst, lam, kphi, h, e1, e2, theta, a1, a2, coupling, h6, h3)
+		acc, fin = costateLastAVX(z, k.k1, k.k2, k.k3, at.y, dst, lam, kphi, h, e1, e2, theta, a1, a2, coupling, h6, h3)
 	}
 	for ; i < n; i++ {
 		s, l, u, v := ys[i], lam[i], zs[i]+h*k3s[i], zi[i]+h*k3i[i]
@@ -262,7 +294,13 @@ func (k *costateStep) last(z []float64, h float64, at *stageTerms, coupling floa
 			kterm := kphi[i] * l * s
 			dphi = a2*yi[i] + u*kterm - v*(kterm-e2)
 		}
-		ds[i] = zs[i] + h6*k1s[i] + h3*k2s[i] + h3*k3s[i] + h6*-dpsi
-		di[i] = zi[i] + h6*k1i[i] + h3*k2i[i] + h3*k3i[i] + h6*-dphi
+		d := zs[i] + h6*k1s[i] + h3*k2s[i] + h3*k3s[i] + h6*-dpsi
+		f := zi[i] + h6*k1i[i] + h3*k2i[i] + h3*k3i[i] + h6*-dphi
+		ds[i], di[i] = d, f
+		if exact {
+			acc += (d - f) * l * s
+		}
+		fin += d*0 + f*0
 	}
+	return acc, fin == 0
 }

@@ -190,21 +190,28 @@ done:
 	RET
 
 // COMBINE writes ((((z + h/6·k1) + h/3·k2) + h/3·k3) + h/6·K) to dst at
-// index I, with z, k1, k2, k3 and dst at SI, R11, R12, R13 and DI,
-// h/6 = Y14 and h/3 = Y6. Y0 and Y1 are scratch; it overwrites K.
-#define COMBINE(I, K) \
-	VMULPD  (R11)(I*8), Y14, Y0; \
-	VADDPD  (SI)(I*8), Y0, Y0; \
-	VMULPD  (R12)(I*8), Y6, Y1; \
-	VADDPD  Y1, Y0, Y0; \
-	VMULPD  (R13)(I*8), Y6, Y1; \
-	VADDPD  Y1, Y0, Y0; \
+// index I and leaves it in D, with z, k1, k2, k3 and dst at SI, R11, R12,
+// R13 and DI, h/6 = Y14 and h/3 = Y15. Y5 is scratch; it overwrites K.
+#define COMBINE(I, K, D) \
+	VMULPD  (R11)(I*8), Y14, D; \
+	VADDPD  (SI)(I*8), D, D; \
+	VMULPD  (R12)(I*8), Y15, Y5; \
+	VADDPD  Y5, D, D; \
+	VMULPD  (R13)(I*8), Y15, Y5; \
+	VADDPD  Y5, D, D; \
 	VMULPD  Y14, K, K; \
-	VADDPD  K, Y0, Y0; \
-	VMOVUPD Y0, (DI)(I*8)
+	VADDPD  K, D, D; \
+	VMOVUPD D, (DI)(I*8)
 
-// func costateLastAVX(z, k1, k2, k3, y, dst, lam, kphi []float64, h, e1, e2, theta, a1, a2, coupling, h6, h3 float64)
-TEXT ·costateLastAVX(SB), NOSPLIT, $0-264
+// FINITE adds V − V to the finiteness accumulator Y7, with T as scratch:
+// like the Go loop's v·0, it is 0 for a finite v and NaN otherwise. Lane
+// order does not matter here, since the sum is 0 or NaN.
+#define FINITE(V, T) \
+	VSUBPD V, V, T; \
+	VADDPD T, Y7, Y7
+
+// func costateLastAVX(z, k1, k2, k3, y, dst, lam, kphi []float64, h, e1, e2, theta, a1, a2, coupling, h6, h3 float64) (next, fin float64)
+TEXT ·costateLastAVX(SB), NOSPLIT, $0-280
 	MOVQ         z_base+0(FP), SI
 	MOVQ         k1_base+24(FP), R11
 	MOVQ         k2_base+48(FP), R12
@@ -214,25 +221,43 @@ TEXT ·costateLastAVX(SB), NOSPLIT, $0-264
 	MOVQ         lam_base+144(FP), R9
 	MOVQ         lam_len+152(FP), BX
 	MOVQ         kphi_base+168(FP), R10
-	VBROADCASTSD h+192(FP), Y7
 	BROADCAST(e1+200(FP), e2+208(FP), theta+216(FP), a1+224(FP), a2+232(FP), coupling+240(FP))
 	VBROADCASTSD h6+248(FP), Y14
-	VBROADCASTSD h3+256(FP), Y6
+	VBROADCASTSD h3+256(FP), Y15
+	VXORPD       Y6, Y6, Y6
+	VXORPD       Y7, Y7, Y7
 	START
 
 loop:
-	// The stage co-state z + h·k3.
-	VMULPD (R13)(AX*8), Y7, Y0
-	VADDPD (SI)(AX*8), Y0, Y0
-	VMULPD (R13)(BX*8), Y7, Y1
-	VADDPD (SI)(BX*8), Y1, Y1
+	// The stage co-state z + h·k3; h is reloaded each block, as every
+	// other register is taken.
+	VBROADCASTSD h+192(FP), Y5
+	VMULPD       (R13)(AX*8), Y5, Y0
+	VADDPD       (SI)(AX*8), Y0, Y0
+	VMULPD       (R13)(BX*8), Y5, Y1
+	VADDPD       (SI)(BX*8), Y1, Y1
 	DERIV
-	VXORPD signbit<>(SB), Y3, Y3
-	VXORPD signbit<>(SB), Y4, Y4
-	COMBINE(AX, Y3)
-	COMBINE(BX, Y4)
+	VXORPD       signbit<>(SB), Y3, Y3
+	VXORPD       signbit<>(SB), Y4, Y4
+	COMBINE(AX, Y3, Y0)
+	COMBINE(BX, Y4, Y1)
+	FINITE(Y0, Y3)
+	FINITE(Y1, Y4)
+
+	// The next step's coupling term ((ψ − φ)·λ)·S of dst against y.
+	VSUBPD Y1, Y0, Y0
+	VMULPD Y2, Y0, Y0
+	VMULPD (R8)(AX*8), Y0, Y0
+	ADDLANES(Y0, X0)
 	NEXT
 
 done:
+	// Fold the finiteness lanes.
+	VEXTRACTF128 $1, Y7, X5
+	VADDPD       X5, X7, X7
+	VPERMILPD    $1, X7, X5
+	VADDSD       X5, X7, X7
 	VZEROUPPER
+	VMOVSD       X6, next+264(FP)
+	VMOVSD       X7, fin+272(FP)
 	RET

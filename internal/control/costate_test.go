@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rumornet/internal/floats"
@@ -151,6 +152,11 @@ func TestOptimizeAllocFlat(t *testing.T) {
 // backward sweep runs (its AVX bodies where the host has AVX), "generic"
 // the same kernel with its Go loops only, and "reference" ode.RK4 over
 // referenceCostateRHS, which recomputes the t-only terms at every stage.
+// Each step starts from the previous step's result at the previous step's
+// end time, as in a sweep, so the kernels open with the coupling sum their
+// last pass carried; when τ wraps, the co-state restarts from its initial
+// value, as a sweep does, and the step sums its opening coupling (the
+// hand-off never spans the wrap, so neither does the carry).
 // BenchmarkBackwardSweep times a whole sweep.
 func BenchmarkCostateStep(b *testing.B) {
 	m := diggControlModel(b)
@@ -168,9 +174,9 @@ func BenchmarkCostateStep(b *testing.B) {
 	k.reset(tr, sched, opts)
 	g.reset(tr, sched, opts)
 	g.avx = false
-	z, dst := make([]float64, m.StateDim()), make([]float64, m.StateDim())
-	for i := range z {
-		z[i] = 0.5 + 0.001*float64(i%17)
+	z0 := make([]float64, m.StateDim())
+	for i := range z0 {
+		z0[i] = 0.5 + 0.001*float64(i%17)
 	}
 	h := sched.T[1] - sched.T[0]
 	for _, bc := range []struct {
@@ -182,12 +188,15 @@ func BenchmarkCostateStep(b *testing.B) {
 		{"reference", ode.NewRK4(m.StateDim()).Bind(referenceCostateRHS(m, tr, sched, opts))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			z, dst := floats.Clone(z0), make([]float64, len(z0))
 			b.ReportAllocs()
 			tau := 0.0
 			for i := 0; i < b.N; i++ {
 				bc.step(tau, z, h, dst)
+				z, dst = dst, z
 				if tau += h; tau > 19 {
 					tau = 0
+					copy(z, z0)
 				}
 			}
 		})
@@ -198,9 +207,11 @@ func BenchmarkCostateStep(b *testing.B) {
 // interpolation in fill and the exact adjoint's first, middle and last
 // stage passes — with its Go loop alone and with its AVX body plus the Go
 // tail, on the same inputs, and requires the same bits in every output and
-// returned sum. n runs from 1 to 64 groups, so every tail length and the
-// bodies with no group of four are covered; guard words after each output
-// catch a write past it.
+// returned sum. Each run also requires the last stage's carried coupling to
+// be the opening pass's sum over its output, bit for bit, and its
+// finiteness report to be floats.AllFinite's. n runs from 1 to 64 groups,
+// so every tail length and the bodies with no group of four are covered;
+// guard words after each output catch a write past it.
 func FuzzCostateKernels(f *testing.F) {
 	for _, n := range []uint8{1, 2, 3, 4, 5, 7} {
 		f.Add(n-1, uint64(n), []byte(nil))
@@ -227,18 +238,75 @@ func FuzzCostateKernels(f *testing.F) {
 			s0 := interp(avx, out[0], ylo, yhi, phi, w)
 			s1 := k.pass(z, nil, 0, &at, coupling, out[1], cn, &next)
 			s2 := k.pass(z, kp, c, &at, coupling, out[2], cn, &next)
-			k.last(z, h, &at, coupling, out[3])
+			s3, finite := k.last(z, h, &at, coupling, out[3])
 			if j := floatstest.Overrun(buf, 2*n); j >= 0 {
 				t.Fatalf("avx=%v, n=%d: output %d written past its end", avx, n, j)
 			}
-			return append(buf, s0, s1, s2)
+			if finite != floats.AllFinite(out[3]) {
+				t.Fatalf("avx=%v, n=%d: the last stage reports finite=%v, AllFinite of its output %v",
+					avx, n, finite, !finite)
+			}
+			if opener := openingCoupling(out[3], y, lam); !floatstest.Same(s3, opener) {
+				t.Fatalf("avx=%v, n=%d: the last stage's carried coupling %x, the opening pass over its output %x",
+					avx, n, s3, opener)
+			}
+			return append(buf, s0, s1, s2, s3)
 		}
 		want, got := run(false), run(true)
 		for i := range want {
 			if !floatstest.Same(got[i], want[i]) {
-				t.Fatalf("n=%d: word %d of the outputs [interpolation | first stage | middle stage | last stage], each 2n values and %d guard words, then the sums: AVX %x, Go %x",
+				t.Fatalf("n=%d: word %d of the outputs [interpolation | first stage | middle stage | last stage], each 2n values and %d guard words, then the four sums: AVX %x, Go %x",
 					n, i, floatstest.Guard, got[i], want[i])
 			}
 		}
 	})
+}
+
+// TestCostateStepNonFinite puts a NaN into the schedule's ε1 at one grid
+// node mid-horizon and requires the co-state kernel (AVX bodies where the
+// host has them, and Go loops alone) and ode.RK4 over referenceCostateRHS
+// to stop with the same error at the same τ, with the same partial
+// trajectory, for both adjoints: the kernel's finiteness report, folded
+// into its last pass, stands in for floats.AllFinite.
+func TestCostateStepNonFinite(t *testing.T) {
+	m := diggControlModel(t)
+	ic, err := m.UniformIC(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tf, grid = 20.0, 120
+	sched := wavySchedule(t, tf, grid)
+	tr, err := simulateOnGrid(context.Background(), m, ic, sched, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Eps1[grid/3] = math.NaN()
+	n := m.N()
+	h := sched.T[1] - sched.T[0]
+	for _, adj := range []Adjoint{AdjointExact, AdjointDiagonal} {
+		opts := benchFBSMOptions()
+		opts.Adjoint = adj
+		opts = opts.withDefaults()
+		z0 := make([]float64, 2*n)
+		for i := 0; i < n; i++ {
+			z0[n+i] = opts.TerminalWeight
+		}
+		want, wantErr := ode.SolveFixed(ode.NewRK4(2*n).Bind(referenceCostateRHS(m, tr, sched, opts)), z0, 0, tf, h, nil)
+		if wantErr == nil || !strings.Contains(wantErr.Error(), "non-finite at t=") {
+			t.Fatalf("adjoint %d: RK4 error %v, want a non-finite state", adj, wantErr)
+		}
+		for _, avx := range []bool{floats.HasAVX(), false} {
+			k := newCostateStep(m)
+			k.reset(tr, sched, opts)
+			k.avx = avx
+			got, err := ode.SolveFixed(k.step, z0, 0, tf, h, nil)
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("adjoint %d, avx=%v: error %v, RK4 %v", adj, avx, err, wantErr)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("adjoint %d, avx=%v: %d samples before the error, RK4 %d", adj, avx, got.Len(), want.Len())
+			}
+		}
+		t.Logf("adjoint %d: %v", adj, wantErr)
+	}
 }

@@ -203,16 +203,20 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		// into the next iterate, clamped back into the control box.
 		mix := arena.mix
 		for j := 0; j < ng; j++ {
+			// Rows of length n, so the loop runs without bounds checks
+			// (the compiler cannot see that y[n:2*n] has length n).
 			y := tr.Y[j]
+			ys, yi := y[:n:n], y[n:][:n:n]
+			psiRow, phiRow := psi[j][:n:n], phi[j][:n:n]
 			var (
 				psiS, s2 float64
 				phiI, i2 float64
 			)
-			for i := 0; i < n; i++ {
-				s, inf := y[i], y[n+i]
-				psiS += psi[j][i] * s
+			for i, s := range ys {
+				inf := yi[i]
+				psiS += psiRow[i] * s
 				s2 += s * s
-				phiI += phi[j][i] * inf
+				phiI += phiRow[i] * inf
 				i2 += inf * inf
 			}
 			star1 := 0.0

@@ -130,6 +130,7 @@ func (m *Model) SimulateCtx(ctx context.Context, ic []float64, tf float64, opts 
 		out = &Trajectory{m: m}
 	}
 	st := m.newStepper(eps1At, eps2At, out.scratch)
+	st.clamp = opts != nil && opts.Project
 	out.scratch = st.buf
 
 	if opts != nil && opts.Progress != nil {
@@ -156,15 +157,6 @@ func (m *Model) SimulateCtx(ctx context.Context, ic []float64, tf float64, opts 
 				Stage: obs.StageODE, Step: step, Total: total, T: t,
 				Value: m.Theta(y), MinI: minI, MassErr: massErr - alpha*t,
 			})
-		}
-	}
-	if opts != nil && opts.Project {
-		n := m.n
-		oopts.Project = func(y []float64) {
-			for i := 0; i < n; i++ {
-				y[i] = floats.Clamp(y[i], 0, 1)
-				y[n+i] = floats.Clamp(y[n+i], 0, 1-y[i])
-			}
 		}
 	}
 

@@ -121,7 +121,7 @@ done:
 
 // COMBINE writes ((((y + h/6·k1) + h/3·k2) + h/3·k3) + h/6·K) to dst at
 // index I, with y, k1, k2, k3 and dst at SI, DI, R9, R10 and R11, h/6 = Y12
-// and h/3 = Y14. Y4 and Y5 are scratch; it overwrites K.
+// and h/3 = Y14, and leaves it in Y4. Y5 is scratch; it overwrites K.
 #define COMBINE(I, K) \
 	VMULPD  (DI)(I*8), Y12, Y4; \
 	VADDPD  (SI)(I*8), Y4, Y4; \
@@ -133,8 +133,15 @@ done:
 	VADDPD  K, Y4, Y4; \
 	VMOVUPD Y4, (R11)(I*8)
 
-// func stageLastAVX(y, k1, k2, k3, dst, lam []float64, h, alpha, theta, e1, e2, h6, h3 float64)
-TEXT ·stageLastAVX(SB), NOSPLIT, $0-200
+// FINITE adds Y4 − Y4 to the finiteness accumulator Y15: like the Go
+// loop's v·0, it is 0 for a finite v and NaN otherwise. Lane order does not
+// matter here, since the sum is 0 or NaN.
+#define FINITE \
+	VSUBPD Y4, Y4, Y5; \
+	VADDPD Y5, Y15, Y15
+
+// func stageLastAVX(y, k1, k2, k3, dst, lam, phi []float64, h, alpha, theta, e1, e2, h6, h3 float64) (num, fin float64)
+TEXT ·stageLastAVX(SB), NOSPLIT, $0-240
 	MOVQ         y_base+0(FP), SI
 	MOVQ         k1_base+24(FP), DI
 	MOVQ         k2_base+48(FP), R9
@@ -142,13 +149,16 @@ TEXT ·stageLastAVX(SB), NOSPLIT, $0-200
 	MOVQ         dst_base+96(FP), R11
 	MOVQ         lam_base+120(FP), R8
 	MOVQ         lam_len+128(FP), BX
-	VBROADCASTSD h+144(FP), Y13
-	VBROADCASTSD alpha+152(FP), Y8
-	VBROADCASTSD theta+160(FP), Y9
-	VBROADCASTSD e1+168(FP), Y10
-	VBROADCASTSD e2+176(FP), Y11
-	VBROADCASTSD h6+184(FP), Y12
-	VBROADCASTSD h3+192(FP), Y14
+	MOVQ         phi_base+144(FP), R12
+	VBROADCASTSD h+168(FP), Y13
+	VBROADCASTSD alpha+176(FP), Y8
+	VBROADCASTSD theta+184(FP), Y9
+	VBROADCASTSD e1+192(FP), Y10
+	VBROADCASTSD e2+200(FP), Y11
+	VBROADCASTSD h6+208(FP), Y12
+	VBROADCASTSD h3+216(FP), Y14
+	VXORPD       Y7, Y7, Y7
+	VXORPD       Y15, Y15, Y15
 	START
 
 loop:
@@ -159,9 +169,22 @@ loop:
 	VADDPD (SI)(BX*8), Y1, Y1
 	DERIV
 	COMBINE(AX, Y3)
+	FINITE
 	COMBINE(BX, Y2)
+	FINITE
+
+	// The next step's Θ numerator: φ_i·I_i of dst.
+	VMULPD (R12)(AX*8), Y4, Y5
+	ADDLANES(Y5, X5)
 	NEXT
 
 done:
+	// Fold the finiteness lanes.
+	VEXTRACTF128 $1, Y15, X5
+	VADDPD       X5, X15, X15
+	VPERMILPD    $1, X15, X5
+	VADDSD       X5, X15, X15
 	VZEROUPPER
+	VMOVSD       X7, num+224(FP)
+	VMOVSD       X15, fin+232(FP)
 	RET

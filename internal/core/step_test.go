@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rumornet/internal/floats"
@@ -120,13 +121,14 @@ func TestModelStepZeroAlloc(t *testing.T) {
 // constant controls: "kernel" is the fused step SimulateCtx runs (its AVX
 // bodies where the host has AVX), "generic" the same kernel with its Go
 // loops only, and "rk4" the generic ode.RK4 over Model.RHS it replaced.
+// Each step starts from the previous step's result, as in SolveFixed, so
+// the kernels open with the Θ numerator their last pass carried.
 func BenchmarkModelStep(b *testing.B) {
 	m := diggScaleModel(b)
 	ic, err := m.UniformIC(0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]float64, m.StateDim())
 	for _, bc := range []struct {
 		name string
 		step ode.Step
@@ -136,9 +138,11 @@ func BenchmarkModelStep(b *testing.B) {
 		{"rk4", ode.NewRK4(m.StateDim()).Bind(m.RHS)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			y, dst := floats.Clone(ic), make([]float64, len(ic))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bc.step(0, ic, 0.05, dst)
+				bc.step(0, y, 0.05, dst)
+				y, dst = dst, y
 			}
 		})
 	}
@@ -146,9 +150,12 @@ func BenchmarkModelStep(b *testing.B) {
 
 // FuzzStageKernels runs each stage pass of the model's step kernel with its
 // Go loop alone and with its AVX body plus the Go tail, on the same inputs,
-// and requires the same bits in every output and returned Θ sum. n runs
-// from 1 to 64 groups, so every tail length and the bodies with no group of
-// four are covered; guard words after each output catch a write past it.
+// and requires the same bits in every output and returned Θ sum. Each run
+// also requires stage 4's carried Θ numerator to be the opening pass's sum
+// over its output, bit for bit, and its finiteness report to be
+// floats.AllFinite's. n runs from 1 to 64 groups, so every tail length and
+// the bodies with no group of four are covered; guard words after each
+// output catch a write past it.
 func FuzzStageKernels(f *testing.F) {
 	for _, n := range []uint8{1, 2, 3, 4, 5, 7} {
 		f.Add(n-1, uint64(n), []byte(nil))
@@ -170,18 +177,130 @@ func FuzzStageKernels(f *testing.F) {
 			buf, out := floatstest.Outputs(3, 2*n)
 			s1 := stageFirst(avx, y, out[0], lam, phi, alpha, theta, e1, e2, cn)
 			s2 := stageNext(avx, y, k1, out[1], lam, phi, c, alpha, theta, e1, e2, cn)
-			stageLast(avx, y, k1, k2, k3, out[2], lam, h, alpha, theta, e1, e2)
+			s3, finite := stageLast(avx, y, k1, k2, k3, out[2], lam, phi, h, alpha, theta, e1, e2)
 			if j := floatstest.Overrun(buf, 2*n); j >= 0 {
 				t.Fatalf("avx=%v, n=%d: output %d written past its end", avx, n, j)
 			}
-			return append(buf, s1, s2)
+			if finite != floats.AllFinite(out[2]) {
+				t.Fatalf("avx=%v, n=%d: stage 4 reports finite=%v, AllFinite of its output %v",
+					avx, n, finite, !finite)
+			}
+			if opener := thetaNumerator(out[2], phi); !floatstest.Same(s3, opener) {
+				t.Fatalf("avx=%v, n=%d: stage 4's carried Θ numerator %x, the opening pass over its output %x",
+					avx, n, s3, opener)
+			}
+			return append(buf, s1, s2, s3)
 		}
 		want, got := run(false), run(true)
 		for i := range want {
 			if !floatstest.Same(got[i], want[i]) {
-				t.Fatalf("n=%d: word %d of the outputs [stage 1 | stages 2–3 | stage 4], each 2n values and %d guard words, then the sums: AVX %x, Go %x",
+				t.Fatalf("n=%d: word %d of the outputs [stage 1 | stages 2–3 | stage 4], each 2n values and %d guard words, then the three sums: AVX %x, Go %x",
 					n, i, floatstest.Guard, got[i], want[i])
 			}
 		}
 	})
+}
+
+// clampSimplex is SimulateCtx's projection without the stepper: S_i into
+// [0, 1] and I_i into [0, 1 − S_i].
+func clampSimplex(n int) func(y []float64) {
+	return func(y []float64) {
+		for i := 0; i < n; i++ {
+			y[i] = floats.Clamp(y[i], 0, 1)
+			y[n+i] = floats.Clamp(y[n+i], 0, 1-y[i])
+		}
+	}
+}
+
+// TestSimulateProjectMatchesRK4 starts SimulateCtx with Project outside
+// the simplex (S_i + I_i = 1.3), so the clamp changes the state, and
+// requires every sample to match ode.RK4 over Model.RHS followed by the
+// same clamp, bit for bit, at Record 1 (each step writes its sample's row)
+// and Record 3 (the state double-buffers). The kernel's last pass sums the
+// next step's Θ numerator before the clamp runs, so a step that kept that
+// sum instead of the clamped state's would open the next step with the Θ
+// of the unclamped state.
+func TestSimulateProjectMatchesRK4(t *testing.T) {
+	m := diggScaleModel(t)
+	n := m.N()
+	ic := make([]float64, 2*n)
+	for i := 0; i < n; i++ {
+		ic[i], ic[n+i] = 0.7, 0.6
+	}
+	const tf, h = 10.0, 0.05
+	for _, rec := range []int{1, 3} {
+		clamped := 0
+		clamp, rk := clampSimplex(n), ode.NewRK4(2*n)
+		ref := func(tt float64, y []float64, h float64, dst []float64) bool {
+			rk.Step(m.RHS, tt, y, h, dst)
+			before := floats.Clone(dst)
+			clamp(dst)
+			for i := range dst {
+				if dst[i] != before[i] {
+					clamped++
+					break
+				}
+			}
+			return floats.AllFinite(dst)
+		}
+		want, err := ode.SolveFixed(ref, ic, 0, tf, h, &ode.Options{Record: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clamped == 0 {
+			t.Fatal("the clamp never changed the state; the comparison proved little")
+		}
+		got, err := m.Simulate(ic, tf, &SimOptions{Step: h, Record: rec, Project: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("Record %d: %d samples, RK4 %d", rec, got.Len(), want.Len())
+		}
+		for j := range want.Y {
+			for i, w := range want.Y[j] {
+				if math.Float64bits(got.Y[j][i]) != math.Float64bits(w) {
+					t.Fatalf("Record %d: sample %d (t=%g) y[%d] = %x, RK4 and clamp %x (not bit-identical)",
+						rec, j, want.T[j], i, got.Y[j][i], w)
+				}
+			}
+		}
+		t.Logf("Record %d: the clamp changed the state after %d of %d steps", rec, clamped, int(tf/h))
+	}
+}
+
+// TestModelStepNonFinite injects a NaN countermeasure rate from t = 3 on
+// and requires the model's step kernel, its Go loops alone and ode.RK4
+// over the same right-hand side to stop with the same error at the same t,
+// with the same partial trajectory: the kernel's finiteness report, folded
+// into its last pass, stands in for floats.AllFinite.
+func TestModelStepNonFinite(t *testing.T) {
+	m := diggScaleModel(t)
+	ic, err := m.UniformIC(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps1 := func(tt float64) float64 {
+		if tt > 3 {
+			return math.NaN()
+		}
+		return 0.1
+	}
+	rhs := func(tt float64, y, dydt []float64) { m.rhs(y, dydt, eps1(tt), m.p.Eps2) }
+	want, wantErr := ode.SolveFixed(ode.NewRK4(m.StateDim()).Bind(rhs), ic, 0, 10, 0.05, nil)
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "non-finite at t=") {
+		t.Fatalf("RK4: error %v, want a non-finite state", wantErr)
+	}
+	generic := m.newStepper(eps1, nil, nil)
+	generic.avx = false
+	for _, st := range []*stepper{m.newStepper(eps1, nil, nil), generic} {
+		got, err := ode.SolveFixed(st.step, ic, 0, 10, 0.05, nil)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("avx=%v: error %v, RK4 %v", st.avx, err, wantErr)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("avx=%v: %d samples before the error, RK4 %d", st.avx, got.Len(), want.Len())
+		}
+	}
+	t.Log(wantErr)
 }

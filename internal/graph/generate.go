@@ -155,14 +155,15 @@ func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
 	// TestConfigurationModelMatchesReference).
 	tgt := make([]int, 0, stubs)
 	outCnt := make([]int, n)
+	draw := newUniformDraw(rng, n) // rng.Intn(n), draw for draw
 	for u, d := range outDeg {
 		if d < 0 {
 			return nil, fmt.Errorf("%w: negative degree %d at node %d", ErrDegreeSequence, d, u)
 		}
 		for e := 0; e < d; e++ {
-			v := rng.Intn(n)
+			v := draw.next()
 			for retry := 0; v == u && retry < 8; retry++ {
-				v = rng.Intn(n)
+				v = draw.next()
 			}
 			if v == u {
 				continue // drop stubborn self-loop

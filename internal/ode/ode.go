@@ -2,8 +2,8 @@
 // differential equations at a fixed step, written from scratch on the
 // standard library (Go has no mature scientific stack).
 //
-// SolveFixed owns the step loop: the time grid, cancellation, projection,
-// the finiteness check, progress, stop conditions and the recorded
+// SolveFixed owns the step loop: the time grid, cancellation, the
+// finiteness check, progress, stop conditions and the recorded
 // trajectory. It advances the state through a Step, one fixed-size step of
 // some integrator. The classic fourth-order Runge–Kutta method, RK4, is the
 // package's only integrator: RK4.Bind turns any right-hand side into a
@@ -36,10 +36,17 @@ import (
 type Func func(t float64, y []float64, dydt []float64)
 
 // Step advances a system by one fixed step: it writes into dst the state
-// at t+h given the state y at t. dst and y have the same length and do not
-// alias. A Step may keep scratch between calls, so it is not safe for
-// concurrent use.
-type Step func(t float64, y []float64, h float64, dst []float64)
+// at t+h given the state y at t, and reports whether every element of dst
+// is finite. dst and y have the same length and do not alias. A Step may
+// keep scratch between calls, so it is not safe for concurrent use.
+//
+// A Step may also carry a value from one call to the next: a sum over dst
+// that its last pass computes anyway, which the next call reuses instead
+// of summing again when its y is that same dst. SolveFixed passes each
+// step's dst, untouched, as the next step's y; a Step that outlives one
+// integration must drop its carry before the next starts, since that one
+// may begin from the same slice holding a new state.
+type Step func(t float64, y []float64, h float64, dst []float64) bool
 
 // Solution is a sampled trajectory of an ODE system. T holds the sample
 // times in increasing order and Y[i] the state at T[i]. Each Y[i] is an
@@ -138,13 +145,8 @@ func (s *Solution) Series(j int) []float64 {
 }
 
 // Options configures an integration run. The zero value is usable: it means
-// "no projection, no stop condition, default step limits".
+// "no stop condition, default step limits".
 type Options struct {
-	// Project, if non-nil, is applied to the state after every step. It is
-	// used by the SIR model to keep densities inside the simplex against
-	// round-off drift.
-	Project func(y []float64)
-
 	// Ctx, if non-nil, is polled during the integration; once it is
 	// cancelled the solver abandons the run and returns the partial
 	// solution together with an error wrapping ctx.Err(). This is how job
@@ -157,7 +159,8 @@ type Options struct {
 	Ctx context.Context
 
 	// Stop, if non-nil, terminates the integration early when it returns
-	// true. The sample at which it fired is included in the solution.
+	// true. The sample at which it fired is included in the solution. It
+	// must not modify y, which the next step reads as it is.
 	Stop func(t float64, y []float64) bool
 
 	// MaxSteps bounds the number of steps (default 10_000_000).
@@ -170,7 +173,8 @@ type Options struct {
 	// Progress, if non-nil, is called every ProgressEvery steps (and once
 	// at the final step) with the step index, the total step count, the
 	// time reached and the current state. The state slice is reused by the
-	// solver and is only valid during the call. Keeping the hook at a
+	// solver and is only valid during the call; the hook must not modify
+	// it, since the next step reads it as it is. Keeping the hook at a
 	// coarse cadence keeps its overhead well under the ~5% instrumentation
 	// budget (BenchmarkSolveFixedProgressOff/On); the package stays free of
 	// any observability dependency — internal/core adapts this callback
@@ -215,12 +219,6 @@ func (o *Options) reuse(maxSamples, n int) *Solution {
 	}
 	s.T, s.Y = s.T[:0], s.Y[:0]
 	return s
-}
-
-func (o *Options) project(y []float64) {
-	if o != nil && o.Project != nil {
-		o.Project(y)
-	}
 }
 
 func (o *Options) stop(t float64, y []float64) bool {
@@ -315,10 +313,12 @@ func (r *RK4) Step(f Func, t float64, y []float64, h float64, dst []float64) {
 	}
 }
 
-// Bind returns the Step that advances y' = f(t, y) with this stepper.
+// Bind returns the Step that advances y' = f(t, y) with this stepper. Its
+// finiteness report is one more pass over dst.
 func (r *RK4) Bind(f Func) Step {
-	return func(t float64, y []float64, h float64, dst []float64) {
+	return func(t float64, y []float64, h float64, dst []float64) bool {
 		r.Step(f, t, y, h, dst)
+		return floats.AllFinite(dst)
 	}
 }
 
@@ -343,7 +343,10 @@ func stage(tmp, y []float64, c float64, k []float64) {
 // scratch (RK4 sized by NewRK4 does). The total allocation count of a
 // solve is therefore a small constant, independent of the number of steps
 // (see TestSolveFixedStepLoopZeroAlloc), and zero bytes of trajectory when
-// Options.Reuse supplies the storage.
+// Options.Reuse supplies the storage. With Record 1 every step is a
+// sample, so each step writes straight into its sample's row and nothing
+// is copied. The finiteness check is the step's own report, which the
+// step kernels fold into their last pass.
 func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Solution, error) {
 	if tf <= t0 {
 		return nil, fmt.Errorf("ode: non-positive time span [%g, %g]", t0, tf)
@@ -371,21 +374,30 @@ func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Sol
 		}
 	}
 	backing := sol.buf
+	// direct: every step is a sample, so y is always the newest row.
+	direct := rec == 1
 	record := func(t float64, y []float64) {
 		j := len(sol.Y)
-		var row []float64
-		if j < maxSamples {
-			row = backing[j*n : (j+1)*n : (j+1)*n]
-			copy(row, y)
-		} else {
-			row = floats.Clone(y) // unreachable by construction; stay safe
+		row := y
+		if !direct {
+			if j < maxSamples {
+				row = backing[j*n : (j+1)*n : (j+1)*n]
+				copy(row, y)
+			} else {
+				row = floats.Clone(y) // unreachable by construction; stay safe
+			}
 		}
 		sol.T = append(sol.T, t)
 		sol.Y = append(sol.Y, row)
 	}
 
+	// The state double-buffers in the two rows after the samples, or, when
+	// direct, moves from row to row.
 	y := backing[maxSamples*n : (maxSamples+1)*n : (maxSamples+1)*n]
 	next := backing[(maxSamples+1)*n : (maxSamples+2)*n : (maxSamples+2)*n]
+	if direct {
+		y = backing[:n:n]
+	}
 	copy(y, y0)
 	t := t0
 	record(t, y)
@@ -407,14 +419,16 @@ func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Sol
 		if t+dt > tf {
 			dt = tf - t
 		}
-		step(t, y, dt, next)
+		if direct {
+			next = backing[(i+1)*n : (i+2)*n : (i+2)*n]
+		}
+		finite := step(t, y, dt, next)
 		y, next = next, y
 		t += dt
 		if i == steps-1 {
 			t = tf
 		}
-		opts.project(y)
-		if !floats.AllFinite(y) {
+		if !finite {
 			return sol, fmt.Errorf("ode: state became non-finite at t=%g", t)
 		}
 		if hook && ((i+1)%every == 0 || i == steps-1) {

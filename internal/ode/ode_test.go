@@ -3,6 +3,7 @@ package ode
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,25 +128,6 @@ func TestStopCondition(t *testing.T) {
 	// y = 0.5 at t = ln 2 ≈ 0.693.
 	if math.Abs(tf-math.Ln2) > 0.01 {
 		t.Errorf("stopped at t=%v, want ~%v", tf, math.Ln2)
-	}
-}
-
-func TestProjection(t *testing.T) {
-	// Project clamps the state at 0.8; the trajectory must never exceed it.
-	growth := func(_ float64, y, dydt []float64) { dydt[0] = 1 }
-	opts := &Options{Project: func(y []float64) { floats.ClampAll(y, 0, 0.8) }}
-	sol, err := SolveFixed((&RK4{}).Bind(growth), []float64{0}, 0, 2, 1e-2, opts)
-	if err != nil {
-		t.Fatalf("SolveFixed: %v", err)
-	}
-	for i, y := range sol.Y {
-		if y[0] > 0.8+1e-12 {
-			t.Fatalf("sample %d: projection violated, y=%v", i, y[0])
-		}
-	}
-	_, y := sol.Last()
-	if y[0] != 0.8 {
-		t.Errorf("final y = %v, want 0.8", y[0])
 	}
 }
 
@@ -386,5 +368,67 @@ func BenchmarkSolveFixedDiggScale(b *testing.B) {
 		if _, err := SolveFixed(st.Bind(expDecay), y0, 0, 1, 1e-3, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSolveFixedRecordRowsDistinct pins Record 1's direct writes: each
+// step writes its own sample's row, so every row of a solve — fresh or
+// reusing an earlier solution's storage — is its own storage, and the
+// samples equal those of a Record 2 solve (which copies each sample from
+// the state buffers) wherever both have one.
+func TestSolveFixedRecordRowsDistinct(t *testing.T) {
+	y0 := []float64{1, 2, 3}
+	step := NewRK4(len(y0)).Bind(expDecay)
+	every2, err := SolveFixed(step, y0, 0, 1, 0.01, &Options{Record: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := SolveFixed(step, y0, 0, 1, 0.01, &Options{Record: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := SolveFixed(step, []float64{4, 5, 6}, 0, 1, 0.01, &Options{Record: 1, Reuse: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err = SolveFixed(step, y0, 0, 1, 0.01, &Options{Record: 1, Reuse: reused})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range reused.Y {
+		if j%2 == 0 && !reflect.DeepEqual(reused.Y[j], every2.Y[j/2]) {
+			t.Fatalf("sample %d (t=%g) = %v, Record 2's %v", j, reused.T[j], reused.Y[j], every2.Y[j/2])
+		}
+	}
+	// Overwrite every row with its own index; a row sharing storage with
+	// another would show the later row's value.
+	for j, row := range reused.Y {
+		for i := range row {
+			row[i] = float64(j)
+		}
+	}
+	for j, row := range reused.Y {
+		for _, v := range row {
+			if v != float64(j) {
+				t.Fatalf("row %d reads %g: it shares storage with row %g", j, v, v)
+			}
+		}
+	}
+}
+
+// TestSolveFixedStepReportsFinite: SolveFixed takes a step's finiteness
+// report as it is and stops at the first step that reports a non-finite
+// state.
+func TestSolveFixedStepReportsFinite(t *testing.T) {
+	lying := func(t float64, y []float64, h float64, dst []float64) bool {
+		dst[0] = y[0] - h
+		return t < 0.25
+	}
+	sol, err := SolveFixed(lying, []float64{1}, 0, 1, 0.1, nil)
+	if err == nil || !strings.Contains(err.Error(), "non-finite at t=0.4") {
+		t.Errorf("error %v, want the step's report of a non-finite state at t=0.4", err)
+	}
+	if sol.Len() != 4 {
+		t.Errorf("%d samples before the error, want the initial state and 3 steps", sol.Len())
 	}
 }

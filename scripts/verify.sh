@@ -6,8 +6,9 @@
 #           GOARCH=arm64 go vet ./... for the Go-only kernel path
 #   tier 2: go test -race ./..., the concurrent in-list test under
 #           -race -count=10, one iteration of every benchmark, the
-#           rumorbench tests under -race, and 10s of each decoder and
-#           kernel fuzzer
+#           rumorbench tests under -race, 10s of each decoder and kernel
+#           fuzzer, and the pinned result digests under
+#           GODEBUG=cpu.fma=off
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -96,6 +97,11 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
 	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s ./internal/surface
 	go test -run '^$' -fuzz '^FuzzReadScheduleJSON$' -fuzztime 10s ./internal/control
+	# Go's amd64 math.Exp takes an FMA path on CPUs with FMA, and the
+	# quenched ABM's probabilities go through it: the pinned result
+	# digests must hold without that path too, as on a CPU without FMA.
+	echo "== tier 2: result digests without FMA"
+	GODEBUG=cpu.fma=off go test -count=1 -run '^TestResultDigestsPinned$' ./internal/service
 	# The kernel fuzzers: each AVX body of the RK4 stage passes (System (1)
 	# and its exact co-state) against its Go loop on the same inputs, bit
 	# for bit. Tier 1 runs their seed corpus; both skip without AVX.
