@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"rumornet/internal/cli"
@@ -32,21 +31,12 @@ func runEvents(args []string, out io.Writer) error {
 	if !*follow {
 		url += "?follow=0"
 	}
-	resp, err := http.Get(url)
+	body, err := call(url, nil)
 	if err != nil {
-		return fmt.Errorf("connect: %w", err)
+		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("rumord: %s", apiErr.Error)
-		}
-		return fmt.Errorf("rumord: status %d", resp.StatusCode)
-	}
-	return printSSE(resp.Body, out)
+	defer body.Close()
+	return printSSE(body, out)
 }
 
 // printSSE decodes an SSE stream of journal entries and renders one line

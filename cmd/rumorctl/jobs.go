@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"strings"
 	"text/tabwriter"
@@ -44,26 +43,17 @@ func runJobs(args []string, out io.Writer) error {
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	resp, err := http.Get(u)
+	body, err := call(u, nil)
 	if err != nil {
-		return fmt.Errorf("connect: %w", err)
+		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("rumord: %s", apiErr.Error)
-		}
-		return fmt.Errorf("rumord: status %d", resp.StatusCode)
-	}
+	defer body.Close()
 	var page struct {
 		Jobs  []service.Job `json:"jobs"`
 		Count int           `json:"count"`
 		Total int           `json:"total"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+	if err := json.NewDecoder(body).Decode(&page); err != nil {
 		return fmt.Errorf("decode job index: %w", err)
 	}
 

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -23,13 +22,13 @@ type latencySummary struct {
 // fetchLatency scrapes addr's /metrics. Failures degrade to a zero
 // summary — the dashboard's primary data is the worker registry.
 func fetchLatency(addr string) latencySummary {
-	resp, err := http.Get(strings.TrimSuffix(addr, "/") + "/metrics")
+	body, err := call(strings.TrimSuffix(addr, "/")+"/metrics", nil)
 	if err != nil {
 		return latencySummary{}
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
+	defer body.Close()
+	raw, err := io.ReadAll(body)
+	if err != nil {
 		return latencySummary{}
 	}
 	return parseLatency(string(raw))

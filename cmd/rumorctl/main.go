@@ -13,6 +13,11 @@
 //	rumorctl surfaces [-addr URL] [-build -axis name=min:max:points ...]
 //	rumorctl query [-addr URL] -type T [-p name=value ...]
 //
+// Without a subcommand the flags are the parameters of rumord's fbsm job,
+// with the same defaults, and the policy is computed as that job through
+// service.ExecuteRequest: the schedule is the one rumord returns for the
+// same request.
+//
 // Examples:
 //
 //	rumorctl -tf 100 -c1 5 -c2 10
@@ -43,8 +48,11 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -52,19 +60,19 @@ import (
 	"rumornet/internal/cli"
 	"rumornet/internal/control"
 	"rumornet/internal/core"
-	"rumornet/internal/degreedist"
 	"rumornet/internal/digg"
 	"rumornet/internal/obs"
 	"rumornet/internal/plot"
+	"rumornet/internal/service"
 )
 
 func main() {
-	os.Exit(cli.Exit("rumorctl", run(os.Args[1:])))
+	os.Exit(cli.Exit("rumorctl", run(os.Args[1:], os.Stdout)))
 }
 
 // evaluateSaved replays a previously exported schedule and reports its
 // cost and terminal infection on the current scenario.
-func evaluateSaved(m *core.Model, ic []float64, path string, cost control.Cost) error {
+func evaluateSaved(out io.Writer, m *core.Model, ic []float64, path string, cost control.Cost) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("open %s: %w", path, err)
@@ -83,50 +91,72 @@ func evaluateSaved(m *core.Model, ic []float64, path string, cost control.Cost) 
 	for i := 0; i < m.N(); i++ {
 		terminal += m.Dist().Prob(i) * m.I(yf, i)
 	}
-	fmt.Printf("replayed schedule %s over (0, %g]\n", path, sched.Horizon())
-	fmt.Printf("objective J = %.5g (terminal ΣI = %.4g, running cost = %.5g)\n",
+	fmt.Fprintf(out, "replayed schedule %s over (0, %g]\n", path, sched.Horizon())
+	fmt.Fprintf(out, "objective J = %.5g (terminal ΣI = %.4g, running cost = %.5g)\n",
 		bd.Total, bd.Terminal, bd.Running)
-	fmt.Printf("terminal population-weighted infection: %.4g\n", terminal)
+	fmt.Fprintf(out, "terminal population-weighted infection: %.4g\n", terminal)
 	return nil
 }
 
-func run(args []string) error {
+// execute runs one request through the service's executor and decodes
+// its result into res.
+func execute(sc *service.Scenario, t service.JobType, p service.Params, prog obs.Progress, res any) error {
+	raw, err := service.ExecuteRequest(context.Background(), sc, service.Request{Type: t, Params: p}, 1, prog)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, res)
+}
+
+// controlModel builds the model an fbsm job runs, for the control calls no
+// job type makes (-load-json, -compare-heuristic).
+func controlModel(sc *service.Scenario, p service.Params) (*core.Model, []float64, error) {
+	m, _, err := service.BuildModel(sc, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	ic, err := m.UniformIC(p.I0)
+	return m, ic, err
+}
+
+func run(args []string, out io.Writer) error {
 	// Subcommand dispatch: a leading non-flag argument selects a verb; bare
 	// flags keep the original optimize-a-policy behavior.
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		switch args[0] {
 		case "events":
-			return runEvents(args[1:], os.Stdout)
+			return runEvents(args[1:], out)
 		case "jobs":
-			return runJobs(args[1:], os.Stdout)
+			return runJobs(args[1:], out)
 		case "workers":
-			return runWorkers(args[1:], os.Stdout)
+			return runWorkers(args[1:], out)
 		case "top":
-			return runTop(args[1:], os.Stdout)
+			return runTop(args[1:], out)
 		case "surfaces":
-			return runSurfaces(args[1:], os.Stdout)
+			return runSurfaces(args[1:], out)
 		case "query":
-			return runQuery(args[1:], os.Stdout)
+			return runQuery(args[1:], out)
 		default:
 			return cli.Usagef("unknown subcommand %q (supported: events, jobs, workers, top, surfaces, query)", args[0])
 		}
 	}
+	// The flags fill an fbsm request; their defaults are the service's.
 	fs := flag.NewFlagSet("rumorctl", flag.ContinueOnError)
+	p := service.Params{}.WithDefaults(service.JobFBSM)
+	fs.Float64Var(&p.Alpha, "alpha", p.Alpha, "rate of new individuals entering")
+	fs.Float64Var(&p.Eps1, "eps1", p.Eps1, "baseline immunization rate (pre-control)")
+	fs.Float64Var(&p.Eps2, "eps2", p.Eps2, "baseline blocking rate (pre-control)")
+	fs.Float64Var(&p.R0, "r0", p.R0, "calibrated epidemic threshold of the uncontrolled rumor")
+	fs.Float64Var(&p.I0, "i0", p.I0, "initial infected density per group")
+	fs.Float64Var(&p.Tf, "tf", p.Tf, "deadline: the expected time period (0, tf]")
+	fs.Float64Var(&p.C1, "c1", p.C1, "unit cost of spreading truth")
+	fs.Float64Var(&p.C2, "c2", p.C2, "unit cost of blocking rumors")
+	fs.Float64Var(&p.EpsMax, "epsmax", p.EpsMax, "upper bound for both controls")
+	fs.IntVar(&p.Grid, "grid", p.Grid, "time-grid intervals for the sweep")
+	fs.Float64Var(&p.Target, "target", p.Target, "terminal infected-density target (0: plain objective)")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "random seed")
+	fs.IntVar(&p.Groups, "groups", p.Groups, "truncate the distribution to this many lowest-degree groups (0: all)")
 	var (
-		alpha  = fs.Float64("alpha", 0.01, "rate of new individuals entering")
-		eps1   = fs.Float64("eps1", 0.05, "baseline immunization rate (pre-control)")
-		eps2   = fs.Float64("eps2", 0.02, "baseline blocking rate (pre-control)")
-		r0     = fs.Float64("r0", 2.1661, "calibrated epidemic threshold of the uncontrolled rumor")
-		i0     = fs.Float64("i0", 0.1, "initial infected density per group")
-		tf     = fs.Float64("tf", 100, "deadline: the expected time period (0, tf]")
-		c1     = fs.Float64("c1", 5, "unit cost of spreading truth")
-		c2     = fs.Float64("c2", 10, "unit cost of blocking rumors")
-		epsMax = fs.Float64("epsmax", 0.8, "upper bound for both controls")
-		grid   = fs.Int("grid", 1000, "time-grid intervals for the sweep")
-		target = fs.Float64("target", 0, "terminal infected-density target (0: plain objective)")
-		seed   = fs.Int64("seed", 1, "random seed")
-		groups = fs.Int("groups", 0, "truncate the distribution to this many lowest-degree groups (0: all)")
-
 		compareHeuristic = fs.Bool("compare-heuristic", false, "also calibrate the feedback heuristic and compare costs")
 		saveJSON         = fs.String("save-json", "", "write the optimized schedule as JSON to this file")
 		loadJSON         = fs.String("load-json", "", "skip optimization; evaluate a saved schedule against the scenario")
@@ -139,99 +169,75 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case *tf <= 0:
-		return cli.Usagef("-tf = %g must be positive", *tf)
-	case *i0 <= 0 || *i0 >= 1:
-		return cli.Usagef("-i0 = %g must be in (0, 1)", *i0)
-	case *c1 <= 0 || *c2 <= 0:
-		return cli.Usagef("-c1 = %g and -c2 = %g must be positive", *c1, *c2)
-	case *epsMax <= 0 || *epsMax > 1:
-		return cli.Usagef("-epsmax = %g must be in (0, 1]", *epsMax)
-	case *grid < 1:
-		return cli.Usagef("-grid = %d must be at least 1", *grid)
-	case *target < 0:
-		return cli.Usagef("-target = %g must be non-negative", *target)
-	case *groups < 0:
-		return cli.Usagef("-groups = %d must be non-negative", *groups)
+	if err := p.Validate(service.JobFBSM); err != nil {
+		return cli.Usagef("%s request: %v", service.JobFBSM, err)
+	}
+	if p.EpsMax > 1 {
+		return cli.Usagef("-epsmax = %g must be at most 1", p.EpsMax)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	dist, err := digg.Dist(rng)
+	dist, err := digg.Dist(rand.New(rand.NewSource(p.Seed)))
 	if err != nil {
 		return err
 	}
-	if *groups > 0 {
-		if dist, err = dist.Truncate(*groups); err != nil {
+	sc, err := service.NewScenario(service.BuiltinScenario, "builtin", dist)
+	if err != nil {
+		return err
+	}
+	var th service.ThresholdResult
+	if err := execute(sc, service.JobThreshold, p, nil, &th); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "uncontrolled threshold r0 = %.4f (%s); deadline tf = %g; costs c1 = %g, c2 = %g\n",
+		th.R0, th.Verdict, p.Tf, p.C1, p.C2)
+
+	cost := control.Cost{C1: p.C1, C2: p.C2}
+	if *loadJSON != "" {
+		m, ic, err := controlModel(sc, p)
+		if err != nil {
 			return err
 		}
-	}
-	m, err := core.CalibratedModel(dist, *alpha, *eps1, *eps2, *r0, degreedist.OmegaSaturating(0.5, 0.5))
-	if err != nil {
-		return err
-	}
-	ic, err := m.UniformIC(*i0)
-	if err != nil {
-		return err
-	}
-	opts := control.Options{
-		Grid:    *grid,
-		MaxIter: 250,
-		Eps1Max: *epsMax,
-		Eps2Max: *epsMax,
-		Cost:    control.Cost{C1: *c1, C2: *c2},
-		// Per-sweep convergence trace at debug level: residual + objective,
-		// the fastest way to see why a run has not converged.
-		Progress: func(ev obs.Event) {
-			if ev.Stage != obs.StageFBSM {
-				return
-			}
-			lg.Debug("fbsm sweep", "iter", ev.Step, "max_iter", ev.Total,
-				"residual", ev.Value, "cost", ev.Cost)
-		},
+		return evaluateSaved(out, m, ic, *loadJSON, cost)
 	}
 
-	fmt.Printf("uncontrolled threshold r0 = %.4f (%s); deadline tf = %g; costs c1 = %g, c2 = %g\n",
-		m.R0(), m.Classify(), *tf, *c1, *c2)
-
-	if *loadJSON != "" {
-		return evaluateSaved(m, ic, *loadJSON, opts.Cost)
+	// Per-sweep convergence trace at debug level: residual + objective,
+	// the fastest way to see why a run has not converged.
+	prog := func(ev obs.Event) {
+		if ev.Stage != obs.StageFBSM {
+			return
+		}
+		lg.Debug("fbsm sweep", "iter", ev.Step, "max_iter", ev.Total,
+			"residual", ev.Value, "cost", ev.Cost)
 	}
-
-	var pol *control.Policy
-	if *target > 0 {
-		pol, err = control.OptimizeToTarget(m, ic, *tf, *target, opts)
-	} else {
-		pol, err = control.Optimize(m, ic, *tf, opts)
-	}
-	if err != nil {
+	var pol service.FBSMResult
+	if err := execute(sc, service.JobFBSM, p, prog, &pol); err != nil {
 		return err
 	}
-	fmt.Printf("FBSM: converged=%v after %d sweeps\n", pol.Converged, pol.Iterations)
-	fmt.Printf("objective J = %.5g (terminal ΣI = %.4g, running cost = %.5g)\n",
-		pol.Cost.Total, pol.Cost.Terminal, pol.Cost.Running)
+	fmt.Fprintf(out, "FBSM: converged=%v after %d sweeps\n", pol.Converged, pol.Iterations)
+	fmt.Fprintf(out, "objective J = %.5g (terminal ΣI = %.4g, running cost = %.5g)\n",
+		pol.Total, pol.Terminal, pol.Running)
 
 	chart, err := plot.ASCII("optimized countermeasures", 72, 14,
-		plot.Series{Name: "ε1(t) spread truth", X: pol.Schedule.T, Y: pol.Schedule.Eps1},
-		plot.Series{Name: "ε2(t) block rumors", X: pol.Schedule.T, Y: pol.Schedule.Eps2},
+		plot.Series{Name: "ε1(t) spread truth", X: pol.T, Y: pol.Eps1},
+		plot.Series{Name: "ε2(t) block rumors", X: pol.T, Y: pol.Eps2},
 	)
 	if err != nil {
 		return err
 	}
-	fmt.Println(chart)
+	fmt.Fprintln(out, chart)
 
 	// Decision-reference table: the real-time implementation proportions.
-	fmt.Println("policy summary (decision reference):")
-	fmt.Printf("  %8s  %10s  %10s  %10s\n", "t", "ε1", "ε2", "dominant")
-	n := len(pol.Schedule.T)
+	fmt.Fprintln(out, "policy summary (decision reference):")
+	fmt.Fprintf(out, "  %8s  %10s  %10s  %10s\n", "t", "ε1", "ε2", "dominant")
+	n := len(pol.T)
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		j := int(frac * float64(n-1))
-		e1, e2 := pol.Schedule.Eps1[j], pol.Schedule.Eps2[j]
+		e1, e2 := pol.Eps1[j], pol.Eps2[j]
 		dom := "spread truth"
 		if e2 > e1 {
 			dom = "block rumors"
 		}
-		fmt.Printf("  %8.1f  %10.4f  %10.4f  %10s\n", pol.Schedule.T[j], e1, e2, dom)
+		fmt.Fprintf(out, "  %8.1f  %10.4f  %10.4f  %10s\n", pol.T[j], e1, e2, dom)
 	}
 
 	if *saveJSON != "" {
@@ -239,35 +245,44 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("create %s: %w", *saveJSON, err)
 		}
-		werr := pol.Schedule.WriteJSON(f)
+		sched := control.Schedule{T: pol.T, Eps1: pol.Eps1, Eps2: pol.Eps2}
+		werr := sched.WriteJSON(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
 			return fmt.Errorf("save schedule: %w", werr)
 		}
-		fmt.Printf("schedule written to %s\n", *saveJSON)
+		fmt.Fprintf(out, "schedule written to %s\n", *saveJSON)
 	}
 
 	if *compareHeuristic {
-		tgt := *target
+		tgt := p.Target
 		if tgt <= 0 {
 			tgt = 1e-4
 		}
-		heur, err := control.CalibrateHeuristic(m, ic, *tf, tgt, *grid, *epsMax, *epsMax, opts.Cost)
+		m, ic, err := controlModel(sc, p)
 		if err != nil {
 			return err
 		}
-		opt := pol
-		if *target <= 0 {
-			if opt, err = control.OptimizeToTarget(m, ic, *tf, tgt, opts); err != nil {
+		heur, err := control.CalibrateHeuristic(m, ic, p.Tf, tgt, p.Grid, p.EpsMax, p.EpsMax, cost)
+		if err != nil {
+			return err
+		}
+		opt := pol.Running
+		if p.Target <= 0 {
+			var res service.FBSMResult
+			pt := p
+			pt.Target = tgt
+			if err := execute(sc, service.JobFBSM, pt, prog, &res); err != nil {
 				return err
 			}
+			opt = res.Running
 		}
-		fmt.Printf("\ncost comparison at equal terminal infection (≤ %g):\n", tgt)
-		fmt.Printf("  heuristic feedback: running cost %.5g\n", heur.Cost.Running)
-		fmt.Printf("  optimized policy:   running cost %.5g  (%.2fx cheaper)\n",
-			opt.Cost.Running, heur.Cost.Running/opt.Cost.Running)
+		fmt.Fprintf(out, "\ncost comparison at equal terminal infection (≤ %g):\n", tgt)
+		fmt.Fprintf(out, "  heuristic feedback: running cost %.5g\n", heur.Cost.Running)
+		fmt.Fprintf(out, "  optimized policy:   running cost %.5g  (%.2fx cheaper)\n",
+			opt, heur.Cost.Running/opt)
 	}
 	return nil
 }

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
@@ -75,20 +73,14 @@ func runSurfaces(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(base+"/v1/surfaces", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("connect: %w", err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	rc, err := call(base+"/v1/surfaces", body)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return apiError(resp.StatusCode, raw)
-	}
 	var info service.SurfaceInfo
-	if err := json.Unmarshal(raw, &info); err != nil {
+	err = json.NewDecoder(rc).Decode(&info)
+	rc.Close()
+	if err != nil {
 		return fmt.Errorf("decode surface response: %w", err)
 	}
 	fmt.Fprintf(out, "surface %s: %s (%d points)\n", info.Key, info.Status, info.Points)
@@ -142,33 +134,34 @@ func parseAxis(s string) (map[string]any, error) {
 	return map[string]any{"name": name, "values": vals}, nil
 }
 
-func listSurfaces(base string, out io.Writer) error {
-	resp, err := http.Get(base + "/v1/surfaces")
+// fetchSurfaces reads the daemon's surface index (GET /v1/surfaces).
+func fetchSurfaces(base string) ([]service.SurfaceInfo, error) {
+	body, err := call(base+"/v1/surfaces", nil)
 	if err != nil {
-		return fmt.Errorf("connect: %w", err)
+		return nil, err
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	defer body.Close()
+	var page struct {
+		Surfaces []service.SurfaceInfo `json:"surfaces"`
+	}
+	if err := json.NewDecoder(body).Decode(&page); err != nil {
+		return nil, fmt.Errorf("decode surface index: %w", err)
+	}
+	return page.Surfaces, nil
+}
+
+func listSurfaces(base string, out io.Writer) error {
+	surfaces, err := fetchSurfaces(base)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp.StatusCode, raw)
-	}
-	var page struct {
-		Surfaces []service.SurfaceInfo `json:"surfaces"`
-		Count    int                   `json:"count"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
-		return fmt.Errorf("decode surface index: %w", err)
-	}
-	if page.Count == 0 {
+	if len(surfaces) == 0 {
 		fmt.Fprintln(out, "no surfaces resident (build one with rumorctl surfaces -build)")
 		return nil
 	}
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "KEY\tTYPE\tSCENARIO\tSTATUS\tPOINTS\tBYTES\tAXES")
-	for _, s := range page.Surfaces {
+	for _, s := range surfaces {
 		var axes []string
 		for _, a := range s.Axes {
 			axes = append(axes, fmt.Sprintf("%s[%d]", a.Name, len(a.Values)))
@@ -181,25 +174,11 @@ func listSurfaces(base string, out io.Writer) error {
 }
 
 func fetchSurface(base, key string) (service.SurfaceInfo, error) {
-	resp, err := http.Get(base + "/v1/surfaces")
+	surfaces, err := fetchSurfaces(base)
 	if err != nil {
 		return service.SurfaceInfo{}, err
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return service.SurfaceInfo{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return service.SurfaceInfo{}, apiError(resp.StatusCode, raw)
-	}
-	var page struct {
-		Surfaces []service.SurfaceInfo `json:"surfaces"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
-		return service.SurfaceInfo{}, err
-	}
-	for _, s := range page.Surfaces {
+	for _, s := range surfaces {
 		if s.Key == key {
 			return s, nil
 		}
@@ -246,21 +225,15 @@ func runQuery(args []string, out io.Writer) error {
 	}
 
 	start := time.Now()
-	resp, err := http.Get(strings.TrimRight(*addr, "/") + "/v1/query?" + q.Encode())
-	if err != nil {
-		return fmt.Errorf("connect: %w", err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	elapsed := time.Since(start)
+	body, err := call(strings.TrimRight(*addr, "/")+"/v1/query?"+q.Encode(), nil)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return apiError(resp.StatusCode, raw)
-	}
 	var res service.QueryResult
-	if err := json.Unmarshal(raw, &res); err != nil {
+	err = json.NewDecoder(body).Decode(&res)
+	body.Close()
+	elapsed := time.Since(start)
+	if err != nil {
 		return fmt.Errorf("decode query response: %w", err)
 	}
 
@@ -291,33 +264,18 @@ func runQuery(args []string, out io.Writer) error {
 	return nil
 }
 
-// apiError renders a daemon error body ({"error": ...}) or the bare status.
-func apiError(code int, raw []byte) error {
-	var apiErr struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &apiErr) == nil && apiErr.Error != "" {
-		return fmt.Errorf("rumord: %s", apiErr.Error)
-	}
-	return fmt.Errorf("rumord: status %d", code)
-}
-
 // fetchSurfaceStats reads the surface section off GET /v1/stats; failures
 // degrade to nil (standalone daemons without the tier render nothing).
 func fetchSurfaceStats(addr string) *service.SurfaceStats {
-	resp, err := http.Get(strings.TrimRight(addr, "/") + "/v1/stats")
+	body, err := call(strings.TrimRight(addr, "/")+"/v1/stats", nil)
 	if err != nil {
 		return nil
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil
-	}
+	defer body.Close()
 	var st struct {
 		Surface *service.SurfaceStats `json:"surface"`
 	}
-	if json.Unmarshal(raw, &st) != nil {
+	if json.NewDecoder(body).Decode(&st) != nil {
 		return nil
 	}
 	return st.Surface

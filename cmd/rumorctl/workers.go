@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -17,25 +16,16 @@ import (
 // fetchWorkers retrieves the coordinator's worker registry
 // (GET /v1/workers); the workers and top subcommands share it.
 func fetchWorkers(addr string) ([]cluster.WorkerInfo, error) {
-	resp, err := http.Get(strings.TrimRight(addr, "/") + "/v1/workers")
+	body, err := call(strings.TrimRight(addr, "/")+"/v1/workers", nil)
 	if err != nil {
-		return nil, fmt.Errorf("connect: %w", err)
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return nil, fmt.Errorf("rumord: %s", apiErr.Error)
-		}
-		return nil, fmt.Errorf("rumord: status %d", resp.StatusCode)
-	}
+	defer body.Close()
 	var page struct {
 		Workers []cluster.WorkerInfo `json:"workers"`
 		Count   int                  `json:"count"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+	if err := json.NewDecoder(body).Decode(&page); err != nil {
 		return nil, fmt.Errorf("decode worker registry: %w", err)
 	}
 	return page.Workers, nil

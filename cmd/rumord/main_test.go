@@ -330,7 +330,7 @@ func TestDaemonPersistenceRestart(t *testing.T) {
 			code, job.CacheHit, job.Status, raw)
 	}
 
-	// The stats surface confirms the store is live and recovered the result.
+	// The stats surface confirms the store is live and answered from disk.
 	resp, err := http.Get(base2 + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -339,14 +339,14 @@ func TestDaemonPersistenceRestart(t *testing.T) {
 	resp.Body.Close()
 	var stats struct {
 		Store *struct {
-			RecoveredResults int64 `json:"recovered_results"`
+			ResultHits int64 `json:"result_hits"`
 		} `json:"store"`
 	}
 	if err := json.Unmarshal(statsRaw, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Store == nil || stats.Store.RecoveredResults < 1 {
-		t.Errorf("stats store section = %s, want recovered_results >= 1", statsRaw)
+	if stats.Store == nil || stats.Store.ResultHits < 1 {
+		t.Errorf("stats store section = %s, want result_hits >= 1", statsRaw)
 	}
 	stop(errCh2, cancel2)
 }

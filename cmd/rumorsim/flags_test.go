@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"testing"
 
 	"rumornet/internal/cli"
@@ -29,7 +30,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := cli.Code(run(tc.args)); got != tc.code {
+			if got := cli.Code(run(tc.args, io.Discard)); got != tc.code {
 				t.Errorf("run(%v): exit code %d, want %d", tc.args, got, tc.code)
 			}
 		})

@@ -51,7 +51,7 @@ func TestResultDigestsPinned(t *testing.T) {
 			t.Errorf("%s: resultVersion is %d, digest pinned at %d", tc.name, got, tc.version)
 			continue
 		}
-		if got := tc.req.Params.withDefaults(tc.req.Type); got != tc.req.Params {
+		if got := tc.req.Params.WithDefaults(tc.req.Type); got != tc.req.Params {
 			t.Fatalf("%s params are not canonical: %+v", tc.name, got)
 		}
 		raw, err := ExecuteRequest(context.Background(), sc, tc.req, 1, nil)

@@ -47,7 +47,8 @@ func validJobType(t JobType) bool {
 
 // Params is the union of scenario parameters across job types; unused
 // fields are ignored by the executor for the given type. Zero values mean
-// "use the documented default", mirroring the CLI flags.
+// "use the documented default"; rumorsim and rumorctl read their flag
+// defaults from WithDefaults.
 type Params struct {
 	// Shared epidemic parameters.
 	Alpha   float64 `json:"alpha,omitempty"`   // default 0.01
@@ -74,9 +75,9 @@ type Params struct {
 	Target float64 `json:"target,omitempty"`  // terminal infection target (0: plain objective)
 }
 
-// withDefaults resolves zero fields to the documented defaults so that an
+// WithDefaults resolves zero fields to the documented defaults so that an
 // explicit default and an omitted field canonicalize to the same cache key.
-func (p Params) withDefaults(t JobType) Params {
+func (p Params) WithDefaults(t JobType) Params {
 	if p.Alpha == 0 {
 		p.Alpha = 0.01
 	}
@@ -142,10 +143,10 @@ func (p Params) withDefaults(t JobType) Params {
 	return p
 }
 
-// validate rejects out-of-range parameters with actionable messages; it
-// runs after withDefaults, at submission time, so bad requests fail with
+// Validate rejects out-of-range parameters with actionable messages; it
+// runs after WithDefaults, at submission time, so bad requests fail with
 // 400 before consuming a queue slot.
-func (p Params) validate(t JobType) error {
+func (p Params) Validate(t JobType) error {
 	switch {
 	case p.Alpha < 0:
 		return fmt.Errorf("alpha = %g must be non-negative", p.Alpha)
@@ -398,8 +399,10 @@ type FBSMResult struct {
 	Eps2       []float64 `json:"eps2"`
 }
 
-// buildModel assembles the mean-field model for a scenario + params pair.
-func buildModel(sc *Scenario, p Params) (*core.Model, *degreedist.Dist, error) {
+// BuildModel assembles the mean-field model for a scenario + params pair:
+// the model every executor runs, and the one rumorctl's -load-json and
+// -compare-heuristic hand to internal/control.
+func BuildModel(sc *Scenario, p Params) (*core.Model, *degreedist.Dist, error) {
 	dist := sc.Dist()
 	if p.Groups > 0 {
 		var err error
@@ -450,7 +453,7 @@ func execute(ctx context.Context, sc *Scenario, req Request, prog obs.Progress) 
 }
 
 func executeODE(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) (any, error) {
-	m, _, err := buildModel(sc, p)
+	m, _, err := BuildModel(sc, p)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +483,7 @@ func executeODE(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) 
 }
 
 func executeThreshold(sc *Scenario, p Params) (any, error) {
-	m, _, err := buildModel(sc, p)
+	m, _, err := BuildModel(sc, p)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +519,7 @@ func executeThreshold(sc *Scenario, p Params) (any, error) {
 }
 
 func executeABM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) (any, error) {
-	_, dist, err := buildModel(sc, p) // validates the scenario/params pair
+	_, dist, err := BuildModel(sc, p) // validates the scenario/params pair
 	if err != nil {
 		return nil, err
 	}
@@ -562,7 +565,7 @@ func executeABM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) 
 }
 
 func executeFBSM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) (any, error) {
-	m, _, err := buildModel(sc, p)
+	m, _, err := BuildModel(sc, p)
 	if err != nil {
 		return nil, err
 	}

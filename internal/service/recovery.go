@@ -101,12 +101,14 @@ func (s *Service) walErrored(op, id string, err error) {
 		"op", op, "id", id, "error", err.Error())
 }
 
-// recoverFromStore rebuilds service state from an opened store: completed
-// results warm the memory cache (newest first, bounded by its capacity),
-// unfinished jobs re-enter the queue under their original ids, and the
-// sequence counter resumes above everything the log has seen. Called from
-// New after scenario registration and before the workers start; the lock
-// discipline of the helpers it shares with the live paths still applies.
+// recoverFromStore rebuilds service state from an opened store: uploaded
+// scenarios re-register, unfinished jobs re-enter the queue under their
+// original ids, and the sequence counter resumes above everything the log
+// has seen. Completed results stay on disk: a submission reads a memory
+// miss through s.reader, so only results someone asks for fill the cache.
+// Called from New after scenario registration and before the workers
+// start; the lock discipline of the helpers it shares with the live paths
+// still applies.
 func (s *Service) recoverFromStore() {
 	// Scenario tables first: recovered jobs referencing an uploaded
 	// scenario resolve only if the table is already registered. The
@@ -127,21 +129,6 @@ func (s *Service) recoverFromStore() {
 	}
 	s.met.scenarioReplays.Add(int64(replayed))
 
-	keys := s.store.ResultKeys()
-	if limit := s.cfg.CacheEntries; limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	warmed := 0
-	// Oldest of the kept set first, so the newest results end up most
-	// recently used and survive LRU pressure longest.
-	for i := len(keys) - 1; i >= 0; i-- {
-		if blob, ok := s.store.GetResult(keys[i]); ok {
-			s.cache.put(keys[i], json.RawMessage(blob))
-			warmed++
-		}
-	}
-	s.met.recoveredResults.Add(int64(warmed))
-
 	if max := s.store.MaxSeq(); s.seq < max {
 		s.seq = max
 	}
@@ -158,11 +145,11 @@ func (s *Service) recoverFromStore() {
 		}
 	}
 	s.met.recoveredJobs.Add(int64(requeued))
-	if warmed > 0 || len(pending) > 0 || replayed > 0 {
+	if len(pending) > 0 || replayed > 0 {
 		s.cfg.Logger.Info("recovery complete",
-			"results_warmed", warmed, "scenarios_replayed", replayed,
+			"scenarios_replayed", replayed,
 			"jobs_requeued", requeued,
-			"jobs_served_from_cache", served, "jobs_failed", failed,
+			"jobs_served_from_store", served, "jobs_failed", failed,
 			"next_seq", s.seq+1)
 	}
 }
@@ -233,10 +220,12 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 
 	if reason == "" {
 		// The job may have completed just before the crash: result blob
-		// written, terminal record lost. The warmed cache answers it.
-		if raw, hit := s.cache.get(key); hit {
-			s.settle(r, outcome{status: StatusSucceeded, result: raw, hit: "recovered"})
-			return StatusSucceeded
+		// written, terminal record lost. The store answers it.
+		if s.reader != nil {
+			if blob, hit := s.reader.GetResult(key); hit {
+				s.settle(r, outcome{status: StatusSucceeded, result: json.RawMessage(blob), hit: "recovered"})
+				return StatusSucceeded
+			}
 		}
 		s.mu.Lock()
 		select {

@@ -50,7 +50,7 @@ func TestCacheKeyResultVersion(t *testing.T) {
 		typ JobType
 		p   Params
 	}{{JobODE, versionODEParams}, {JobFBSM, versionFBSMParams}} {
-		if got := tc.p.withDefaults(tc.typ); got != tc.p {
+		if got := tc.p.WithDefaults(tc.typ); got != tc.p {
 			t.Fatalf("%s params are not canonical: %+v", tc.typ, got)
 		}
 	}
@@ -63,9 +63,9 @@ func TestCacheKeyResultVersion(t *testing.T) {
 }
 
 // TestStaleResultNotServed restarts a durable service over a store that
-// holds results written under version-1 keys (a restart warms the memory
-// cache from every stored blob): the ODE blob is still served, and the
-// FBSM request is recomputed instead.
+// holds results written under version-1 keys (a memory miss reads through
+// to the store): the ODE blob is still served, and the FBSM request is
+// recomputed instead.
 func TestStaleResultNotServed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{SyncMode: store.SyncNone})
@@ -109,6 +109,73 @@ func TestStaleResultNotServed(t *testing.T) {
 	mustSucceed(t, fbsm)
 	if bytes.Equal(fbsm.Result, fbsmBlob) {
 		t.Error("fbsm: recomputed result equals the stale blob")
+	}
+}
+
+// TestRestartLeavesCacheCold restarts a durable service over a store that
+// holds only a version-1 FBSM blob, under a key no current request can ask
+// for. Recovery reads no result into memory, so the blob takes no cache
+// slot.
+func TestRestartLeavesCacheCold(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SyncMode: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(v1FBSMKey, []byte(`{"stale":"fbsm"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(storeConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := svc.Stats().Cache.Entries; got != 0 {
+		t.Errorf("cache entries after restart = %d, want 0", got)
+	}
+}
+
+// TestRecoveredJobServedFromStore: a job whose result blob reached the
+// store but whose terminal record did not (a crash between the two)
+// settles from the store on restart, under its original id, without
+// re-running.
+func TestRecoveredJobServedFromStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SyncMode: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(Request{Type: JobODE, Params: versionODEParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := []byte(`{"stored":"ode"}`)
+	if err := st.AppendSubmitted(store.JobState{ID: "j-000001", Seq: 1, Request: req, Key: v1ODEKey}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(v1ODEKey, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(storeConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	job, ok := svc.Job("j-000001")
+	if !ok {
+		t.Fatal("recovered job missing")
+	}
+	if job.Status != StatusSucceeded || !bytes.Equal(job.Result, blob) {
+		t.Errorf("recovered job: status %s, result %s — want the stored blob", job.Status, job.Result)
+	}
+	if got := svc.Stats().Store.RecoveredJobs; got != 0 {
+		t.Errorf("recovered jobs re-enqueued = %d, want 0", got)
 	}
 }
 

@@ -23,7 +23,7 @@ const BuiltinScenario = "digg2009"
 // job, which amortizes model construction across requests.
 type Scenario struct {
 	Name        string  `json:"name"`
-	Source      string  `json:"source"` // "builtin" or "uploaded"
+	Source      string  `json:"source"` // "builtin", "uploaded", or a CLI's description
 	Groups      int     `json:"groups"`
 	MinDegree   int     `json:"min_degree"`
 	MaxDegree   int     `json:"max_degree"`
@@ -50,14 +50,18 @@ func newRegistry() *registry {
 	return &registry{m: make(map[string]*Scenario)}
 }
 
-func (r *registry) register(name, source string, dist *degreedist.Dist) (*Scenario, error) {
+// NewScenario validates a degree table and wraps it, under a name, as the
+// scenario ExecuteRequest runs a request against. The registry builds
+// every registered scenario with it; rumorsim and rumorctl build their
+// one-shot scenario the same way.
+func NewScenario(name, source string, dist *degreedist.Dist) (*Scenario, error) {
 	if !scenarioName.MatchString(name) {
 		return nil, fmt.Errorf("service: invalid scenario name %q (want %s)", name, scenarioName)
 	}
 	if err := dist.Validate(); err != nil {
 		return nil, fmt.Errorf("service: scenario %q: %w", name, err)
 	}
-	sc := &Scenario{
+	return &Scenario{
 		Name:        name,
 		Source:      source,
 		Groups:      dist.N(),
@@ -66,6 +70,13 @@ func (r *registry) register(name, source string, dist *degreedist.Dist) (*Scenar
 		MeanDegree:  dist.MeanDegree(),
 		Fingerprint: fingerprintDist(dist),
 		dist:        dist,
+	}, nil
+}
+
+func (r *registry) register(name, source string, dist *degreedist.Dist) (*Scenario, error) {
+	sc, err := NewScenario(name, source, dist)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -424,8 +424,8 @@ func (s *Service) resolveRequest(req Request) (Request, *Scenario, string, time.
 		return req, nil, "", 0, fmt.Errorf("%w: unknown class %q (want interactive or batch)", ErrBadRequest, req.Class)
 	}
 	req.Class = req.Class.withDefault()
-	req.Params = req.Params.withDefaults(req.Type)
-	if err := req.Params.validate(req.Type); err != nil {
+	req.Params = req.Params.WithDefaults(req.Type)
+	if err := req.Params.Validate(req.Type); err != nil {
 		return req, nil, "", 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if req.TimeoutSec < 0 {
@@ -593,12 +593,11 @@ func (s *Service) Stats() Stats {
 	s.met.snapshot(&st)
 	if s.store != nil {
 		st.Store = &StoreStats{
-			Stats:            s.store.Snapshot(),
-			RecoveredJobs:    s.met.recoveredJobs.Value(),
-			RecoveredResults: s.met.recoveredResults.Value(),
-			ResultHits:       s.met.diskHits.Value(),
-			WALErrors:        s.met.walErrors.Value(),
-			ScenarioReplays:  s.met.scenarioReplays.Value(),
+			Stats:           s.store.Snapshot(),
+			RecoveredJobs:   s.met.recoveredJobs.Value(),
+			ResultHits:      s.met.diskHits.Value(),
+			WALErrors:       s.met.walErrors.Value(),
+			ScenarioReplays: s.met.scenarioReplays.Value(),
 		}
 	}
 	st.Cluster = &ClusterStats{

@@ -93,9 +93,9 @@ func TestResultCacheLRU(t *testing.T) {
 // default must land on the same cache entry; changing any parameter or the
 // scenario must not.
 func TestCacheKeyCanonicalization(t *testing.T) {
-	omitted := Params{}.withDefaults(JobODE)
+	omitted := Params{}.WithDefaults(JobODE)
 	explicit := Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, Lambda0: 0.001,
-		I0: 0.1, Tf: 150, Points: 500, Seed: 1}.withDefaults(JobODE)
+		I0: 0.1, Tf: 150, Points: 500, Seed: 1}.WithDefaults(JobODE)
 	if cacheKey(JobODE, "fp", omitted) != cacheKey(JobODE, "fp", explicit) {
 		t.Error("explicit defaults and omitted fields should share a cache key")
 	}
@@ -134,9 +134,9 @@ func TestParamsValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Params{}
 			tc.mut(&p)
-			p = p.withDefaults(tc.typ)
+			p = p.WithDefaults(tc.typ)
 			tc.mut(&p) // reapply so defaults don't paper over the mutation
-			err := p.validate(tc.typ)
+			err := p.Validate(tc.typ)
 			if (err == nil) != tc.ok {
 				t.Errorf("validate(%s, %+v) = %v, want ok=%v", tc.typ, p, err, tc.ok)
 			}

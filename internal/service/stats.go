@@ -63,10 +63,8 @@ type Stats struct {
 // recovery and disk-hit counters.
 type StoreStats struct {
 	store.Stats
-	// RecoveredJobs counts unfinished jobs re-enqueued by startup recovery;
-	// RecoveredResults the results warmed into the memory cache.
-	RecoveredJobs    int64 `json:"recovered_jobs"`
-	RecoveredResults int64 `json:"recovered_results"`
+	// RecoveredJobs counts unfinished jobs re-enqueued by startup recovery.
+	RecoveredJobs int64 `json:"recovered_jobs"`
 	// ResultHits counts submissions answered from the on-disk result store
 	// after a memory-cache miss; WALErrors failed store operations.
 	ResultHits int64 `json:"result_hits"`
@@ -127,13 +125,12 @@ type metrics struct {
 
 	// Durable-store instruments (registered unconditionally; all stay zero
 	// for an in-memory service).
-	walAppend        *obs.HDR
-	walFsync         *obs.HDR
-	walErrors        *obs.Counter
-	diskHits         *obs.Counter
-	recoveredJobs    *obs.Counter
-	recoveredResults *obs.Counter
-	scenarioReplays  *obs.Counter
+	walAppend       *obs.HDR
+	walFsync        *obs.HDR
+	walErrors       *obs.Counter
+	diskHits        *obs.Counter
+	recoveredJobs   *obs.Counter
+	scenarioReplays *obs.Counter
 
 	// Cluster instruments (registered unconditionally; all stay zero on a
 	// standalone service).
@@ -216,8 +213,6 @@ func newMetrics() *metrics {
 		"Submissions answered from the on-disk result store after a memory-cache miss.")
 	m.recoveredJobs = reg.Counter("rumor_store_recovered_jobs_total",
 		"Unfinished jobs re-enqueued by startup recovery.")
-	m.recoveredResults = reg.Counter("rumor_store_recovered_results_total",
-		"Persisted results warmed into the memory cache by startup recovery.")
 	m.scenarioReplays = reg.Counter("rumor_store_scenario_replays_total",
 		"Uploaded scenario tables re-registered from the WAL by startup recovery.")
 	m.leaseExpirations = reg.Counter("rumor_cluster_lease_expirations_total",

@@ -48,7 +48,7 @@ type axisAccessor struct {
 
 // axisParams enumerates the parameters a sweep may grid over. All are
 // strictly positive in any valid request, which resolveSweep exploits: a
-// zero axis value would be re-resolved by withDefaults and silently change
+// zero axis value would be re-resolved by WithDefaults and silently change
 // the grid, so positivity is enforced up front.
 var axisParams = map[string]axisAccessor{
 	"alpha":   {func(p *Params) float64 { return p.Alpha }, func(p *Params, v float64) { p.Alpha = v }},
@@ -435,7 +435,7 @@ func (s *Service) resolveSweep(sw SweepSpec) (surface.Spec, Request, error) {
 		}
 		for _, v := range vals {
 			if v <= 0 {
-				// A zero value would be re-resolved by withDefaults at
+				// A zero value would be re-resolved by WithDefaults at
 				// submission and silently shift the grid point.
 				return surface.Spec{}, Request{}, fmt.Errorf(
 					"%w: axis %q values must be positive (got %g)", ErrBadRequest, ax.Name, v)

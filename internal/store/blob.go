@@ -142,25 +142,6 @@ func (s *Store) dropBlob(key string) {
 	s.bmu.Unlock()
 }
 
-// ResultKeys returns the stored keys newest-first (by mtime), the order a
-// bounded cache wants to warm in.
-func (s *Store) ResultKeys() []string {
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	keys := make([]string, 0, len(s.blobs))
-	for k := range s.blobs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ti, tj := s.blobs[keys[i]].mtime, s.blobs[keys[j]].mtime
-		if ti.Equal(tj) {
-			return keys[i] < keys[j] // deterministic tie-break
-		}
-		return ti.After(tj)
-	})
-	return keys
-}
-
 // scanBlobs builds the in-memory blob index from the results tree at Open.
 func (s *Store) scanBlobs() error {
 	shards, err := os.ReadDir(s.resultsDir)

@@ -195,7 +195,7 @@ type Store struct {
 // Open creates (if needed) the store layout under dir, replays the WAL to
 // rebuild the live job state, indexes the result blobs, applies retention
 // GC, and arms the batched-fsync flusher. The returned store is ready for
-// appends; read PendingJobs/ResultKeys for recovery.
+// appends; read PendingJobs for recovery.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := &Store{

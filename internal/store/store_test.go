@@ -306,7 +306,7 @@ func TestConcurrentAppends(t *testing.T) {
 	if got := len(r.PendingJobs()); got != n*10 {
 		t.Errorf("pending = %d, want %d", got, n*10)
 	}
-	if got := len(r.ResultKeys()); got != n*20 {
+	if got := r.Snapshot().Results; got != n*20 {
 		t.Errorf("results = %d, want %d", got, n*20)
 	}
 }

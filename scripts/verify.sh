@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
-#   tier 1: gofmt -l . (must print nothing), go build ./... && go vet ./...
+#   tier 1: gofmt -l . (must print nothing), no direct solver call in
+#           non-test cmd/ code, go build ./... && go vet ./...
 #           && go test ./..., go vet over the rumorbench module, and
 #           GOARCH=arm64 go vet ./... for the Go-only kernel path
 #   tier 2: go test -race ./..., the concurrent in-list test under
@@ -44,6 +45,16 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "verify: gofmt would reformat:" >&2
 	echo "$unformatted" >&2
+	exit 1
+fi
+# One request path: rumorsim and rumorctl run their solves as service
+# requests through service.ExecuteRequest, so no command builds a model, a
+# configuration graph or an optimal policy itself. Print every non-test
+# line under cmd/ that does.
+direct=$(grep -rnE --include='*.go' 'core\.(NewModel|CalibratedModel|CalibrateLambdaScale)|graph\.ConfigurationModel|abm\.MeanRun|control\.Optimize' cmd | grep -v '_test\.go:' || true)
+if [ -n "$direct" ]; then
+	echo "verify: cmd/ calls a solver outside service.ExecuteRequest:" >&2
+	echo "$direct" >&2
 	exit 1
 fi
 go build ./...
