@@ -172,9 +172,6 @@ func run(args []string, out io.Writer) error {
 	if err := p.Validate(service.JobFBSM); err != nil {
 		return cli.Usagef("%s request: %v", service.JobFBSM, err)
 	}
-	if p.EpsMax > 1 {
-		return cli.Usagef("-epsmax = %g must be at most 1", p.EpsMax)
-	}
 
 	dist, err := digg.Dist(rand.New(rand.NewSource(p.Seed)))
 	if err != nil {

@@ -248,13 +248,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// stepKey returns the part of a transition draw's key that a whole step
+// shares: the run's base seed mixed with the step number. The sweep
+// computes it once per step, not once per node.
+func stepKey(base uint64, step int) uint64 {
+	return base ^ splitmix64(uint64(step)*0xA24BAED4963EE407)
+}
+
 // transitionRand returns the uniform [0, 1) variate for node's transition
-// at step, as a pure function of (base, step, node). Keying per node (not
-// per shard) makes the draw independent of shard geometry and keeps paired
-// comparisons (same seed, different Blocked sets) aligned per node.
-func transitionRand(base uint64, step, node int) float64 {
-	x := base ^ splitmix64(uint64(step)*0xA24BAED4963EE407)
-	x = splitmix64(x + uint64(node)*0x9FB21C651E98DF25)
+// at the step whose stepKey is key, as a pure function of (base, step,
+// node). Keying per node (not per shard) makes the draw independent of
+// shard geometry and keeps paired comparisons (same seed, different
+// Blocked sets) aligned per node.
+func transitionRand(key uint64, node int) float64 {
+	x := splitmix64(key + uint64(node)*0x9FB21C651E98DF25)
 	return float64(x>>11) * 0x1p-53
 }
 
@@ -283,16 +290,28 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 	n := g.NumNodes()
 	nf := float64(n)
 
-	// Precompute per-node rates. omegaNode hoists the ω(k_u) evaluation out
-	// of the per-step loops: one KFunc call per node per run instead of one
-	// per infected node per step.
+	// Precompute per-node rates, so the per-step loops call no KFunc. The
+	// rates depend on the out-degree alone, so λ(k), ω(k) and ω(k)/k are
+	// evaluated once per distinct degree (OmegaSaturating calls math.Pow),
+	// at the first node of that degree, and copied to every other.
+	maxDeg := 0
+	for u := 0; u < n; u++ {
+		maxDeg = max(maxDeg, g.OutDegree(u))
+	}
+	first := make([]int32, maxDeg+1) // 1 + the first node of each degree; 0 until seen
 	lambda := make([]float64, n)
 	omegaNode := make([]float64, n)    // ω(k_u)
 	omegaOverDeg := make([]float64, n) // ω(k_u)/outdeg(u), 0 for isolated
 	var meanK float64
 	for u := 0; u < n; u++ {
-		k := float64(g.OutDegree(u))
+		d := g.OutDegree(u)
+		k := float64(d)
 		meanK += k
+		if f := first[d] - 1; f >= 0 {
+			lambda[u], omegaNode[u], omegaOverDeg[u] = lambda[f], omegaNode[f], omegaOverDeg[f]
+			continue
+		}
+		first[d] = int32(u) + 1
 		lambda[u] = cfg.Lambda(k)
 		if lambda[u] < 0 {
 			return nil, fmt.Errorf("abm: λ(%g) negative", k)
@@ -435,6 +454,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 			pushPressure(g, state, omegaOverDeg, press)
 		}
 
+		key := stepKey(baseSeed, step)
 		err := par.ForEachShard(workers, n, shardSize, func(shard, lo, hi int) error {
 			var d delta
 			if cfg.Mode == ModeAnnealed {
@@ -463,14 +483,14 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 						case Susceptible:
 							// Competing risks: infection at rate force,
 							// immunization at rate ε1.
-							switch u := transitionRand(baseSeed, step, v); {
+							switch u := transitionRand(key, v); {
 							case u < pInf:
 								next[v] = Infected
 							case u < pStop:
 								next[v] = Recovered
 							}
 						case Infected:
-							if transitionRand(baseSeed, step, v) < pRec2 {
+							if transitionRand(key, v) < pRec2 {
 								next[v] = Recovered
 							}
 						}
@@ -510,7 +530,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 					next[v] = st
 					switch st {
 					case Susceptible:
-						u := transitionRand(baseSeed, step, v)
+						u := transitionRand(key, v)
 						pInf, pStop := 0.0, pRec1
 						if local := press[v]; local != 0 {
 							// local == 0 needs no exp: 1−exp(0) is exactly
@@ -536,7 +556,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 							d.dR++
 						}
 					case Infected:
-						if transitionRand(baseSeed, step, v) < pRec2 {
+						if transitionRand(key, v) < pRec2 {
 							next[v] = Recovered
 							d.dI--
 							d.dR++

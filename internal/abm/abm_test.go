@@ -382,3 +382,36 @@ func TestStopBoundAbovePStop(t *testing.T) {
 		check(x, p)
 	}
 }
+
+// TestRatesOncePerDegree checks that a run evaluates λ and ω once per
+// distinct out-degree of its graph, not once per node.
+func TestRatesOncePerDegree(t *testing.T) {
+	g := testGraph(t)
+	degrees := map[float64]bool{}
+	for u := 0; u < g.NumNodes(); u++ {
+		degrees[float64(g.OutDegree(u))] = true
+	}
+	cfg := testConfig(ModeQuenched)
+	cfg.Steps, cfg.Workers = 2, 1
+	calls := map[string]map[float64]int{"λ": {}, "ω": {}}
+	count := func(name string, f degreedist.KFunc) degreedist.KFunc {
+		return func(k float64) float64 {
+			calls[name][k]++
+			return f(k)
+		}
+	}
+	cfg.Lambda, cfg.Omega = count("λ", cfg.Lambda), count("ω", cfg.Omega)
+	if _, err := Run(g, cfg, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	for name, byK := range calls {
+		if len(byK) != len(degrees) {
+			t.Errorf("%s evaluated at %d degrees, graph has %d", name, len(byK), len(degrees))
+		}
+		for k, c := range byK {
+			if !degrees[k] || c != 1 {
+				t.Errorf("%s(%g) evaluated %d times (degree present: %v), want once", name, k, c, degrees[k])
+			}
+		}
+	}
+}

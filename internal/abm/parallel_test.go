@@ -115,11 +115,19 @@ func TestMeanRunTrialMismatch(t *testing.T) {
 	}
 }
 
+// referenceTransitionRand is the per-node transition draw before its step
+// term was hoisted into stepKey, kept verbatim for referenceRun.
+func referenceTransitionRand(base uint64, step, node int) float64 {
+	x := base ^ splitmix64(uint64(step)*0xA24BAED4963EE407)
+	x = splitmix64(x + uint64(node)*0x9FB21C651E98DF25)
+	return float64(x>>11) * 0x1p-53
+}
+
 func TestTransitionRandRange(t *testing.T) {
 	var sum float64
 	const draws = 200000
 	for i := 0; i < draws; i++ {
-		u := transitionRand(12345, i%97, i)
+		u := transitionRand(stepKey(12345, i%97), i)
 		if u < 0 || u >= 1 {
 			t.Fatalf("draw %d out of [0,1): %v", i, u)
 		}
@@ -304,7 +312,7 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 						force = lambda[v] * local / meanK
 					}
 					pInf := 1 - math.Exp(-force*cfg.Dt)
-					switch u := transitionRand(baseSeed, step, v); {
+					switch u := referenceTransitionRand(baseSeed, step, v); {
 					case u < pInf:
 						next[v] = Infected
 						d.dS--
@@ -316,7 +324,7 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 						d.dR++
 					}
 				case Infected:
-					if transitionRand(baseSeed, step, v) < pRec2 {
+					if referenceTransitionRand(baseSeed, step, v) < pRec2 {
 						next[v] = Recovered
 						d.dI--
 						d.dR++

@@ -43,6 +43,12 @@ func EvaluateCost(m *core.Model, ic []float64, sched *Schedule, cost Cost) (Brea
 // EvaluateCostCtx is EvaluateCost with cancellation threaded into the
 // forward simulation.
 func EvaluateCostCtx(ctx context.Context, m *core.Model, ic []float64, sched *Schedule, cost Cost) (Breakdown, *core.Trajectory, error) {
+	return evaluateCost(ctx, m, ic, sched, cost, nil)
+}
+
+// evaluateCost is EvaluateCostCtx simulating into reuse, when non-nil, an
+// earlier trajectory whose storage this run overwrites.
+func evaluateCost(ctx context.Context, m *core.Model, ic []float64, sched *Schedule, cost Cost, reuse *core.Trajectory) (Breakdown, *core.Trajectory, error) {
 	var bd Breakdown
 	if err := cost.validate(); err != nil {
 		return bd, nil, err
@@ -50,7 +56,7 @@ func EvaluateCostCtx(ctx context.Context, m *core.Model, ic []float64, sched *Sc
 	if err := sched.Validate(); err != nil {
 		return bd, nil, err
 	}
-	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0, nil)
+	tr, err := simulateOnGrid(ctx, m, ic, sched, nil, 0, reuse)
 	if err != nil {
 		return bd, nil, err
 	}
@@ -58,30 +64,41 @@ func EvaluateCostCtx(ctx context.Context, m *core.Model, ic []float64, sched *Sc
 }
 
 // breakdownOnGrid evaluates the objective (13) by trapezoidal quadrature
-// from a trajectory already aligned with the schedule grid. Split out of
-// EvaluateCostCtx so the FBSM progress path can price each sweep's schedule
-// without a second forward integration.
+// from a trajectory already aligned with the schedule grid. Each row's
+// integrand Σ_i (c1 ε1² S_i² + c2 ε2² I_i²) is computed once, with the
+// row's factors a = c1·ε1·ε1 and b = c2·ε2·ε2 hoisted. Each term keeps the
+// association ((a·s)·s) + ((b·i)·i), so it has the bits of the per-element
+// product c1·ε1·ε1·s·s + c2·ε2·ε2·i·i, which Go evaluates left to right.
+// The FBSM update loop prices its sweeps with the same arithmetic.
 func breakdownOnGrid(m *core.Model, tr *core.Trajectory, sched *Schedule, cost Cost) Breakdown {
-	var bd Breakdown
 	n := m.N()
-	integrand := func(j int) float64 {
-		y := tr.Y[j]
-		e1 := sched.Eps1[j]
-		e2 := sched.Eps2[j]
+	rows := make([]float64, len(sched.T))
+	for j, y := range tr.Y {
+		a := cost.C1 * sched.Eps1[j] * sched.Eps1[j]
+		b := cost.C2 * sched.Eps2[j] * sched.Eps2[j]
+		ys, yi := y[:n], y[n:2*n]
 		var sum float64
-		for i := 0; i < n; i++ {
-			s, inf := y[i], y[n+i]
-			sum += cost.C1*e1*e1*s*s + cost.C2*e2*e2*inf*inf
+		for i, s := range ys {
+			inf := yi[i]
+			sum += a*s*s + b*inf*inf
 		}
-		return sum
-	}
-	for j := 0; j+1 < len(sched.T); j++ {
-		h := sched.T[j+1] - sched.T[j]
-		bd.Running += h / 2 * (integrand(j) + integrand(j+1))
+		rows[j] = sum
 	}
 	_, yf := tr.Last()
-	for i := 0; i < n; i++ {
-		bd.Terminal += yf[n+i]
+	return foldCost(sched.T, rows, yf[n:2*n])
+}
+
+// foldCost turns the per-row integrands rows, aligned with the grid t, and
+// the final infected densities inf into the objective (13): the trapezoid
+// rule over the rows plus the terminal term Σ_i I_i(tf).
+func foldCost(t, rows, inf []float64) Breakdown {
+	var bd Breakdown
+	for j := 0; j+1 < len(t); j++ {
+		h := t[j+1] - t[j]
+		bd.Running += h / 2 * (rows[j] + rows[j+1])
+	}
+	for _, v := range inf {
+		bd.Terminal += v
 	}
 	bd.Total = bd.Terminal + bd.Running
 	return bd

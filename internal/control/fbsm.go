@@ -189,19 +189,14 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 			return nil, fmt.Errorf("control: backward sweep %d: %w", iter, err)
 		}
 
-		// Objective of the schedule that produced this sweep's trajectory,
-		// reusing the forward trajectory already in hand; must run before
-		// step (3) overwrites the schedule in place. Only paid when someone
-		// is listening.
-		var sweepCost float64
-		if opts.Progress != nil {
-			sweepCost = breakdownOnGrid(m, tr, sched, opts.Cost).Total
-		}
-
 		// (3) Control update: G(u) is the clamped stationary point
 		// (18)–(19) at every grid node, and the mixer turns (u, G(u))
-		// into the next iterate, clamped back into the control box.
+		// into the next iterate, clamped back into the control box. When
+		// someone is listening, the same pass over the forward rows also
+		// prices the schedule that produced them (the pre-update one) for
+		// the sweep's event, row by row.
 		mix := arena.mix
+		price := opts.Progress != nil
 		for j := 0; j < ng; j++ {
 			// Rows of length n, so the loop runs without bounds checks
 			// (the compiler cannot see that y[n:2*n] has length n).
@@ -212,12 +207,30 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 				psiS, s2 float64
 				phiI, i2 float64
 			)
-			for i, s := range ys {
-				inf := yi[i]
-				psiS += psiRow[i] * s
-				s2 += s * s
-				phiI += phiRow[i] * inf
-				i2 += inf * inf
+			if price {
+				// breakdownOnGrid's integrand as a fifth sum: its chain
+				// runs beside the other four, where a pass of its own
+				// would wait on one add per element.
+				a := opts.Cost.C1 * sched.Eps1[j] * sched.Eps1[j]
+				b := opts.Cost.C2 * sched.Eps2[j] * sched.Eps2[j]
+				var cost float64
+				for i, s := range ys {
+					inf := yi[i]
+					psiS += psiRow[i] * s
+					s2 += s * s
+					phiI += phiRow[i] * inf
+					i2 += inf * inf
+					cost += a*s*s + b*inf*inf
+				}
+				arena.rows[j] = cost
+			} else {
+				for i, s := range ys {
+					inf := yi[i]
+					psiS += psiRow[i] * s
+					s2 += s * s
+					phiI += phiRow[i] * inf
+					i2 += inf * inf
+				}
 			}
 			star1 := 0.0
 			if s2 > 0 {
@@ -230,6 +243,10 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 			mix.u[j], mix.u[ng+j] = sched.Eps1[j], sched.Eps2[j]
 			mix.g[j] = floats.Clamp(star1, 0, opts.Eps1Max)
 			mix.g[ng+j] = floats.Clamp(star2, 0, opts.Eps2Max)
+		}
+		var sweepCost float64
+		if price {
+			sweepCost = foldCost(sched.T, arena.rows, tr.Y[ng-1][n:2*n]).Total
 		}
 		next := mix.update()
 		var change, norm float64
@@ -260,7 +277,9 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		}
 	}
 
-	bd, tr, err := EvaluateCostCtx(ctx, m, ic, sched, opts.Cost)
+	// The final evaluation simulates into the arena's forward trajectory:
+	// the arena dies with this run, so the policy may keep its storage.
+	bd, tr, err := evaluateCost(ctx, m, ic, sched, opts.Cost, arena.fwd)
 	if err != nil {
 		return nil, fmt.Errorf("control: final evaluation: %w", err)
 	}
@@ -271,10 +290,11 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 }
 
 // sweepArena holds the buffers the sweeps need, allocated once per
-// Optimize run and reused across all MaxIter sweeps. The final policy's
-// trajectory comes from a fresh evaluation, never from here.
+// Optimize run and reused across all MaxIter sweeps. The final evaluation
+// overwrites the forward trajectory once more and hands it to the policy.
 type sweepArena struct {
 	fwd      *core.Trajectory // forward trajectory, overwritten by every sweep
+	rows     []float64        // per-row running cost of the swept schedule
 	bwd      *ode.Solution    // co-state trajectory, overwritten by every sweep
 	psi, phi [][]float64      // ψ/φ row tables over the schedule grid
 	z0       []float64        // transversality condition
@@ -286,6 +306,7 @@ func newSweepArena(m *core.Model, ng int) *sweepArena {
 	return &sweepArena{
 		psi:     make([][]float64, ng),
 		phi:     make([][]float64, ng),
+		rows:    make([]float64, ng),
 		z0:      make([]float64, m.StateDim()),
 		costate: newCostateStep(m),
 		mix:     newAnderson(2 * ng),

@@ -299,6 +299,7 @@ func TestE2EBadRequests(t *testing.T) {
 		{"malformed json", "POST", "/v1/jobs", `{"type":`, 400},
 		{"unknown scenario", "POST", "/v1/jobs", `{"type":"ode","scenario":"nope"}`, 400},
 		{"bad params", "POST", "/v1/jobs", `{"type":"abm","scenario":"tiny"}`, 400},
+		{"eps_max above one", "POST", "/v1/jobs", `{"type":"fbsm","scenario":"tiny","params":{"eps_max":1.5}}`, 400},
 		{"job not found", "GET", "/v1/jobs/j-424242", "", 404},
 		{"cancel not found", "DELETE", "/v1/jobs/j-424242", "", 404},
 		{"scenario not found", "GET", "/v1/scenarios/ghost", "", 404},

@@ -70,7 +70,7 @@ type Params struct {
 	// FBSM-only.
 	C1     float64 `json:"c1,omitempty"`      // default 5
 	C2     float64 `json:"c2,omitempty"`      // default 10
-	EpsMax float64 `json:"eps_max,omitempty"` // default 0.8
+	EpsMax float64 `json:"eps_max,omitempty"` // default 0.8; at most 1
 	Grid   int     `json:"grid,omitempty"`    // default 1000
 	Target float64 `json:"target,omitempty"`  // terminal infection target (0: plain objective)
 }
@@ -181,6 +181,8 @@ func (p Params) Validate(t JobType) error {
 			return fmt.Errorf("c1 = %g and c2 = %g must be positive", p.C1, p.C2)
 		case p.EpsMax <= 0:
 			return fmt.Errorf("eps_max = %g must be positive", p.EpsMax)
+		case p.EpsMax > 1:
+			return fmt.Errorf("eps_max = %g must be at most 1", p.EpsMax)
 		case p.Grid < 1:
 			return fmt.Errorf("grid = %d must be at least 1", p.Grid)
 		case p.Target < 0:

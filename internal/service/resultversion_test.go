@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rumornet/internal/obs"
 	"rumornet/internal/store"
 )
 
@@ -208,26 +209,46 @@ func TestFBSMSweepCount(t *testing.T) {
 // the request allocates about 6 MB, where building in-lists and an int32
 // copy of them took about 12 MB.
 func TestABMRequestAlloc(t *testing.T) {
+	got := requestAlloc(t, Request{Type: JobABM, Params: versionABMParams})
+	t.Logf("ABM request allocates %d B", got)
+	if got > 7<<20 {
+		t.Errorf("ABM request allocates %d B, want ≤ 7 MiB", got)
+	}
+}
+
+// TestFBSMRequestAlloc bounds what the solve benchmark's FBSM request
+// allocates with a progress hook installed, as rumord runs every job. Each
+// sweep is priced in the control-update pass, with no trajectory of its
+// own, and the final evaluation simulates into the run's arena: the
+// request allocates about 3.7 MB, where a fresh final trajectory and the
+// per-sweep pricing took about 5.5 MB.
+func TestFBSMRequestAlloc(t *testing.T) {
+	got := requestAlloc(t, Request{Type: JobFBSM, Params: versionFBSMParams})
+	t.Logf("FBSM request allocates %d B", got)
+	if got > 4<<20 {
+		t.Errorf("FBSM request allocates %d B, want ≤ 4 MiB", got)
+	}
+}
+
+// requestAlloc returns the bytes one ExecuteRequest of req on the built-in
+// scenario allocates, with a no-op progress hook, after a warm-up run.
+func requestAlloc(t *testing.T, req Request) uint64 {
+	t.Helper()
 	svc, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	sc := builtinScenario(t, svc)
-	req := Request{Type: JobABM, Params: versionABMParams}
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := ExecuteRequest(context.Background(), sc, req, 1, nil); err != nil {
+		if _, err := ExecuteRequest(context.Background(), sc, req, 1, func(obs.Event) {}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	run() // warm up anything allocated once per process
-	got := run()
-	t.Logf("ABM request allocates %d B", got)
-	if got > 7<<20 {
-		t.Errorf("ABM request allocates %d B, want ≤ 7 MiB", got)
-	}
+	return run()
 }

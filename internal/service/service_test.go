@@ -129,6 +129,8 @@ func TestParamsValidate(t *testing.T) {
 		{"abm tiny graph", JobABM, func(p *Params) { p.Trials = 1; p.Nodes = 1 }, false},
 		{"fbsm defaults", JobFBSM, func(p *Params) {}, true},
 		{"fbsm negative target", JobFBSM, func(p *Params) { p.Target = -1 }, false},
+		{"fbsm eps_max one", JobFBSM, func(p *Params) { p.EpsMax = 1 }, true},
+		{"fbsm eps_max above one", JobFBSM, func(p *Params) { p.EpsMax = 1.5 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

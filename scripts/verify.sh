@@ -8,8 +8,8 @@
 #   tier 2: go test -race ./..., the concurrent in-list test under
 #           -race -count=10, one iteration of every benchmark, the
 #           rumorbench tests under -race, 10s of each decoder and kernel
-#           fuzzer, and the pinned result digests under
-#           GODEBUG=cpu.fma=off
+#           fuzzer, and the pinned result digests and the kernel fuzzers
+#           (10s each) under GODEBUG=cpu.fma=off
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -115,10 +115,15 @@ if [ "${1:-}" = "-race" ]; then
 	GODEBUG=cpu.fma=off go test -count=1 -run '^TestResultDigestsPinned$' ./internal/service
 	# The kernel fuzzers: each AVX body of the RK4 stage passes (System (1)
 	# and its exact co-state) against its Go loop on the same inputs, bit
-	# for bit. Tier 1 runs their seed corpus; both skip without AVX.
+	# for bit. Tier 1 runs their seed corpus; both skip without AVX. They
+	# run a second time without the FMA path, as the digests do above, so
+	# the bodies must match their Go loops on a CPU without FMA too.
 	echo "== tier 2: kernel fuzzers"
 	go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s ./internal/core
 	go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s ./internal/control
+	echo "== tier 2: kernel fuzzers without FMA"
+	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s ./internal/core
+	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s ./internal/control
 fi
 
 echo "verify: ok"
