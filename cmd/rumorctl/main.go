@@ -210,7 +210,8 @@ func run(args []string, out io.Writer) error {
 	if err := execute(sc, service.JobFBSM, p, prog, &pol); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "FBSM: converged=%v after %d sweeps\n", pol.Converged, pol.Iterations)
+	fmt.Fprintf(out, "FBSM: converged=%v after %d sweeps (%d before them on the quarter grid)\n",
+		pol.Converged, pol.Iterations, pol.CoarseIterations)
 	fmt.Fprintf(out, "objective J = %.5g (terminal ΣI = %.4g, running cost = %.5g)\n",
 		pol.Total, pol.Terminal, pol.Running)
 

@@ -117,7 +117,8 @@ func TestOptimizeMatchesService(t *testing.T) {
 			}
 		}
 	}
-	want := fmt.Sprintf("FBSM: converged=%v after %d sweeps\n", res.Converged, res.Iterations)
+	want := fmt.Sprintf("FBSM: converged=%v after %d sweeps (%d before them on the quarter grid)\n",
+		res.Converged, res.Iterations, res.CoarseIterations)
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("output lacks the job's %q:\n%s", want, out.String())
 	}

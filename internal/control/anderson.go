@@ -56,6 +56,18 @@ func newAnderson(n int) *anderson {
 	return a
 }
 
+// reset empties the history and resizes every vector to n, at most the
+// length newAnderson was given, for an iteration on a grid of that size.
+func (a *anderson) reset(n int) {
+	for _, v := range [...]*[]float64{&a.u, &a.g, &a.out, &a.f, &a.fPrev, &a.gPrev} {
+		*v = (*v)[:n]
+	}
+	for k := 0; k < andersonDepth; k++ {
+		a.dF[k], a.dG[k], a.q[k] = a.dF[k][:n], a.dG[k][:n], a.q[k][:n]
+	}
+	a.hist, a.primed = 0, false
+}
+
 // update computes the next iterate from u and g into out and returns it.
 func (a *anderson) update() []float64 {
 	u, g, f, out := a.u, a.g, a.f, a.out

@@ -2,6 +2,8 @@ package control
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +82,64 @@ func TestScheduleInterp(t *testing.T) {
 	for _, tt := range cases {
 		if got := s.Eps1At(tt.t); math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("Eps1At(%v) = %v, want %v", tt.t, got, tt.want)
+		}
+	}
+}
+
+// TestScheduleInterpBracketed samples a schedule alternating between 0 and
+// 0.6 on the horizons and grids of the FBSM's requests, at the times a
+// fixed-step RK4 integration asks for (accumulated steps of h, h/2 and h/4
+// with their stage midpoints and ends) and at 10⁵ uniform random times:
+// every value must lie between the values of the two nodes around its
+// time. An accumulated time a hair below a node once picked the segment
+// after it from the uniform-grid index, and came out below 0.
+func TestScheduleInterpBracketed(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		tf   float64
+		grid int
+	}{{20, 120}, {20, 30}, {8, 60}, {10, 60}, {14, 60}, {6, 15}, {100, 1000}} {
+		s, err := NewConstantSchedule(tc.tf, tc.grid, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range s.Eps1 {
+			if j%2 == 1 {
+				s.Eps1[j], s.Eps2[j] = 0.6, 0.6
+			}
+		}
+		var times []float64
+		for _, div := range []int{1, 2, 4} {
+			h := (s.T[1] - s.T[0]) / float64(div)
+			at := 0.0
+			for i := 0; i < tc.grid*div; i++ {
+				times = append(times, at, at+h/2, at+h)
+				at += h
+			}
+		}
+		for i := 0; i < 100000; i++ {
+			times = append(times, rng.Float64()*tc.tf)
+		}
+		bad := 0
+		for _, at := range times {
+			// The segment [T[j], T[j+1]] holding at.
+			j := sort.SearchFloat64s(s.T, at)
+			if j == len(s.T) || s.T[j] > at {
+				j--
+			}
+			if j == len(s.T)-1 {
+				j--
+			}
+			lo, hi := math.Min(s.Eps1[j], s.Eps1[j+1]), math.Max(s.Eps1[j], s.Eps1[j+1])
+			if v := s.Eps1At(at); v < lo || v > hi {
+				if bad++; bad <= 3 {
+					t.Errorf("tf %g, grid %d: ε1(%v) = %v outside [%v, %v], the values of nodes %d and %d",
+						tc.tf, tc.grid, at, v, lo, hi, j, j+1)
+				}
+			}
+		}
+		if bad > 3 {
+			t.Errorf("tf %g, grid %d: %d values outside their segment", tc.tf, tc.grid, bad)
 		}
 	}
 }

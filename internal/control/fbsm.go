@@ -104,8 +104,11 @@ type Policy struct {
 	Cost Breakdown
 	// Trajectory is the state trajectory under the final schedule.
 	Trajectory *core.Trajectory
-	// Iterations is the number of sweeps performed.
+	// Iterations is the number of sweeps performed on the requested grid.
 	Iterations int
+	// CoarseIterations is the number of sweeps performed on the quarter
+	// grid before it (0 when the grid has none; see coarseGrid).
+	CoarseIterations int
 	// Converged reports whether the control change fell below Tol.
 	Converged bool
 }
@@ -121,16 +124,44 @@ func Optimize(m *core.Model, ic []float64, tf float64, opts Options) (*Policy, e
 // (e.g. a pathological c1/c2 choice that never converges) can be
 // interrupted programmatically instead of spinning until MaxIter.
 func OptimizeCtx(ctx context.Context, m *core.Model, ic []float64, tf float64, opts Options) (*Policy, error) {
-	return optimize(ctx, m, ic, tf, opts, backwardSweep)
+	return optimize(ctx, m, ic, tf, opts, backwardSweep, true)
 }
 
 // sweepKernel is the signature of backwardSweep.
 type sweepKernel func(ctx context.Context, m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options, arena *sweepArena) (psi, phi [][]float64, err error)
 
-// optimize is OptimizeCtx with the backward-sweep kernel as a parameter,
-// so a test can run the whole iteration on a reference kernel and require
-// the same policy bit for bit (TestOptimizeMatchesReference).
-func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts Options, sweep sweepKernel) (*Policy, error) {
+// The requested grid starts from a coarse grid's answer (nested
+// iteration, Brandt, Math. Comp. 31, 1977) when coarsening divides it and
+// the coarse grid keeps at least minCoarseGrid intervals.
+const (
+	coarsening    = 4
+	minCoarseGrid = 15
+)
+
+// coarseGrid returns the number of intervals of the grid the FBSM first
+// solves on before a grid of grid intervals, or 0 when it starts that grid
+// from the constant guess. Coarsening must divide the grid: a quarter grid
+// rounded down can be too coarse to integrate where its multiple is not.
+func coarseGrid(grid int) int {
+	if grid%coarsening != 0 || grid/coarsening < minCoarseGrid {
+		return 0
+	}
+	return grid / coarsening
+}
+
+// optimize is OptimizeCtx with two seams for tests: the backward-sweep
+// kernel, so a test can run the whole iteration on a reference kernel and
+// require the same policy bit for bit (TestOptimizeMatchesReference), and
+// nested, which when false starts every grid from the constant guess.
+//
+// With nested set and a coarse grid (coarseGrid), the same iteration
+// first runs on it from the constant guess, with the same options, and its
+// schedule, interpolated onto the requested grid and clamped into the
+// control box, is the requested grid's first iterate. If the coarse level
+// fails for any reason but ctx's, the requested grid starts from the
+// constant guess instead. Both levels run in one sweepArena, sized for the
+// requested grid, and the coarse level skips the final evaluation.
+func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts Options, sweep sweepKernel, nested bool) (*Policy, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -145,17 +176,60 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		return nil, err
 	}
 
-	n := m.N()
-	ng := len(sched.T)
+	// Per-run arena shared by every sweep of both levels: the forward and
+	// co-state trajectories, the ψ/φ row tables, the co-state initial
+	// condition, the co-state kernel's tables and scratch and the control
+	// mixer's history are all allocated once here instead of once per
+	// sweep, so an Optimize run allocates the same whatever its sweep
+	// count (TestOptimizeAllocFlat).
+	arena := newSweepArena(m, len(sched.T))
 	policy := &Policy{}
 
-	// Per-run arena shared by every sweep: the forward and co-state
-	// trajectories, the ψ/φ row tables, the co-state initial condition,
-	// the co-state kernel's tables and scratch and the control mixer's
-	// history are all allocated once here instead of once per sweep, so
-	// an Optimize run allocates the same whatever its sweep count
-	// (TestOptimizeAllocFlat).
-	arena := newSweepArena(m, ng)
+	if g := coarseGrid(opts.Grid); nested && g > 0 {
+		coarse, err := NewConstantSchedule(tf, g, opts.Eps1Max/2, opts.Eps2Max/2)
+		if err != nil {
+			return nil, err
+		}
+		policy.CoarseIterations, _, err = iterate(ctx, m, ic, coarse, opts, sweep, arena)
+		switch {
+		case err == nil:
+			for j, t := range sched.T {
+				sched.Eps1[j] = floats.Clamp(coarse.Eps1At(t), 0, opts.Eps1Max)
+				sched.Eps2[j] = floats.Clamp(coarse.Eps2At(t), 0, opts.Eps2Max)
+			}
+		case ctx.Err() != nil:
+			return nil, fmt.Errorf("control: coarse grid: %w", err)
+		}
+	}
+
+	policy.Iterations, policy.Converged, err = iterate(ctx, m, ic, sched, opts, sweep, arena)
+	if err != nil {
+		return nil, err
+	}
+
+	// The final evaluation simulates into the arena's forward trajectory:
+	// the arena dies with this run, so the policy may keep its storage.
+	bd, tr, err := evaluateCost(ctx, m, ic, sched, opts.Cost, arena.fwd)
+	if err != nil {
+		return nil, fmt.Errorf("control: final evaluation: %w", err)
+	}
+	policy.Schedule = sched
+	policy.Cost = bd
+	policy.Trajectory = tr
+	return policy, nil
+}
+
+// iterate runs the FBSM sweeps on sched's grid, from sched, which it
+// updates in place, until the control change falls below Tol or MaxIter
+// sweeps have run. It returns how many sweeps completed, and whether the
+// last one converged. Each completed sweep emits one StageFBSM event,
+// numbered from 1.
+func iterate(ctx context.Context, m *core.Model, ic []float64, sched *Schedule, opts Options, sweep sweepKernel, arena *sweepArena) (iters int, converged bool, err error) {
+	n := m.N()
+	ng := len(sched.T)
+	tf := sched.Horizon()
+	mix := arena.mix
+	mix.reset(2 * ng)
 
 	// Rebadge the forward integration's StageODE checkpoints so a consumer
 	// can tell the FBSM forward sweep apart from a plain simulation job.
@@ -172,13 +246,13 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("control: sweep %d: %w", iter, err)
+			return iter - 1, false, fmt.Errorf("control: sweep %d: %w", iter, err)
 		}
 
 		// (1) Forward sweep: state under current controls.
 		tr, err := simulateOnGrid(ctx, m, ic, sched, fwdProg, opts.ProgressEvery, arena.fwd)
 		if err != nil {
-			return nil, fmt.Errorf("control: forward sweep %d: %w", iter, err)
+			return iter - 1, false, fmt.Errorf("control: forward sweep %d: %w", iter, err)
 		}
 		arena.fwd = tr
 
@@ -186,7 +260,7 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		// ψ(tf) = 0, φ(tf) = w.
 		psi, phi, err := sweep(ctx, m, tr, sched, opts, arena)
 		if err != nil {
-			return nil, fmt.Errorf("control: backward sweep %d: %w", iter, err)
+			return iter - 1, false, fmt.Errorf("control: backward sweep %d: %w", iter, err)
 		}
 
 		// (3) Control update: G(u) is the clamped stationary point
@@ -195,7 +269,6 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		// someone is listening, the same pass over the forward rows also
 		// prices the schedule that produced them (the pre-update one) for
 		// the sweep's event, row by row.
-		mix := arena.mix
 		price := opts.Progress != nil
 		for j := 0; j < ng; j++ {
 			// Rows of length n, so the loop runs without bounds checks
@@ -246,7 +319,7 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 		}
 		var sweepCost float64
 		if price {
-			sweepCost = foldCost(sched.T, arena.rows, tr.Y[ng-1][n:2*n]).Total
+			sweepCost = foldCost(sched.T, arena.rows[:ng], tr.Y[ng-1][n:2*n]).Total
 		}
 		next := mix.update()
 		var change, norm float64
@@ -259,8 +332,7 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 			sched.Eps2[j] = new2
 		}
 
-		policy.Iterations = iter
-		converged := change <= opts.Tol*math.Max(norm, 1e-12)
+		done := change <= opts.Tol*math.Max(norm, 1e-12)
 		if opts.Progress != nil {
 			opts.Progress(obs.Event{
 				Stage: obs.StageFBSM,
@@ -271,27 +343,17 @@ func optimize(ctx context.Context, m *core.Model, ic []float64, tf float64, opts
 				Cost:  sweepCost,
 			})
 		}
-		if converged {
-			policy.Converged = true
-			break
+		if done {
+			return iter, true, nil
 		}
 	}
-
-	// The final evaluation simulates into the arena's forward trajectory:
-	// the arena dies with this run, so the policy may keep its storage.
-	bd, tr, err := evaluateCost(ctx, m, ic, sched, opts.Cost, arena.fwd)
-	if err != nil {
-		return nil, fmt.Errorf("control: final evaluation: %w", err)
-	}
-	policy.Schedule = sched
-	policy.Cost = bd
-	policy.Trajectory = tr
-	return policy, nil
+	return opts.MaxIter, false, nil
 }
 
 // sweepArena holds the buffers the sweeps need, allocated once per
-// Optimize run and reused across all MaxIter sweeps. The final evaluation
-// overwrites the forward trajectory once more and hands it to the policy.
+// Optimize run and reused across all sweeps of both grids, sized for the
+// larger. The final evaluation overwrites the forward trajectory once more
+// and hands it to the policy.
 type sweepArena struct {
 	fwd      *core.Trajectory // forward trajectory, overwritten by every sweep
 	rows     []float64        // per-row running cost of the swept schedule
@@ -302,8 +364,11 @@ type sweepArena struct {
 	mix      *anderson        // control-update history and least-squares scratch
 }
 
+// newSweepArena sizes an arena for grids of up to ng nodes.
 func newSweepArena(m *core.Model, ng int) *sweepArena {
 	return &sweepArena{
+		fwd:     m.NewTrajectory(ng - 1),
+		bwd:     ode.NewSolution(ng-1, m.StateDim()),
 		psi:     make([][]float64, ng),
 		phi:     make([][]float64, ng),
 		rows:    make([]float64, ng),
@@ -351,7 +416,7 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 
 	// Unreverse: co-state at grid node j is the backward sample ng-1-j. The
 	// row tables live in the arena; only the headers are rewritten here.
-	psi, phi = arena.psi, arena.phi
+	psi, phi = arena.psi[:ng], arena.phi[:ng]
 	for j := 0; j < ng; j++ {
 		z := sol.Y[ng-1-j]
 		psi[j] = z[:n]
@@ -372,6 +437,11 @@ func OptimizeToTarget(m *core.Model, ic []float64, tf, target float64, opts Opti
 // OptimizeToTargetCtx is OptimizeToTarget with cancellation; ctx reaches
 // every inner Optimize call.
 func OptimizeToTargetCtx(ctx context.Context, m *core.Model, ic []float64, tf, target float64, opts Options) (*Policy, error) {
+	return optimizeToTarget(ctx, m, ic, tf, target, opts, backwardSweep, true)
+}
+
+// optimizeToTarget is OptimizeToTargetCtx with optimize's seams.
+func optimizeToTarget(ctx context.Context, m *core.Model, ic []float64, tf, target float64, opts Options, sweep sweepKernel, nested bool) (*Policy, error) {
 	if target <= 0 {
 		return nil, fmt.Errorf("control: non-positive target %g", target)
 	}
@@ -379,7 +449,7 @@ func OptimizeToTargetCtx(ctx context.Context, m *core.Model, ic []float64, tf, t
 	const maxBoost = 30
 	for boost := 0; boost < maxBoost; boost++ {
 		opts.TerminalWeight = weight
-		pol, err := OptimizeCtx(ctx, m, ic, tf, opts)
+		pol, err := optimize(ctx, m, ic, tf, opts, sweep, nested)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package control
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"rumornet/internal/core"
@@ -10,8 +11,9 @@ import (
 )
 
 // TestOptimizeProgress checks the FBSM telemetry contract: one StageFBSM
-// event per iteration carrying a positive residual and the sweep's objective,
-// in-sweep forward/backward checkpoints, and no effect on the result.
+// event per iteration of each grid, numbered from 1 on each, carrying a
+// positive residual and the sweep's objective, in-sweep forward/backward
+// checkpoints, and no effect on the result.
 func TestOptimizeProgress(t *testing.T) {
 	m := controlModel(t)
 	ic := controlIC(t, m)
@@ -45,16 +47,27 @@ func TestOptimizeProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if traced.Iterations != plain.Iterations || traced.Cost.Total != plain.Cost.Total {
-		t.Errorf("progress changed the result: %d/%g vs %d/%g",
-			traced.Iterations, traced.Cost.Total, plain.Iterations, plain.Cost.Total)
+	if traced.Iterations != plain.Iterations || traced.CoarseIterations != plain.CoarseIterations ||
+		traced.Cost.Total != plain.Cost.Total {
+		t.Errorf("progress changed the result: %d+%d/%g vs %d+%d/%g",
+			traced.CoarseIterations, traced.Iterations, traced.Cost.Total,
+			plain.CoarseIterations, plain.Iterations, plain.Cost.Total)
 	}
-	if len(iters) != traced.Iterations {
-		t.Fatalf("StageFBSM events = %d, want one per iteration (%d)", len(iters), traced.Iterations)
+	coarse := traced.CoarseIterations
+	if coarse == 0 || coarseGrid(testGrid) == 0 {
+		t.Fatalf("grid %d ran %d coarse sweeps on a coarse grid of %d, want some",
+			testGrid, coarse, coarseGrid(testGrid))
+	}
+	if len(iters) != coarse+traced.Iterations {
+		t.Fatalf("StageFBSM events = %d, want one per iteration (%d+%d)", len(iters), coarse, traced.Iterations)
 	}
 	for i, ev := range iters {
-		if ev.Step != i+1 || ev.Total != opts.MaxIter {
-			t.Errorf("iteration event %d: Step=%d Total=%d", i, ev.Step, ev.Total)
+		step := i + 1
+		if i >= coarse {
+			step = i - coarse + 1
+		}
+		if ev.Step != step || ev.Total != opts.MaxIter {
+			t.Errorf("iteration event %d: Step=%d Total=%d, want Step %d", i, ev.Step, ev.Total, step)
 		}
 		if ev.Value <= 0 {
 			t.Errorf("iteration %d: non-positive residual %g", i+1, ev.Value)
@@ -66,16 +79,17 @@ func TestOptimizeProgress(t *testing.T) {
 			t.Errorf("iteration %d: T=%g, want horizon %g", i+1, ev.T, testTf)
 		}
 	}
-	// With grid 200 and cadence 50, each sweep's integrations emit ~4
-	// checkpoints apiece; the final EvaluateCost pass is untraced.
-	wantPerSweep := testGrid / 50
-	if forward != traced.Iterations*wantPerSweep {
-		t.Errorf("forward checkpoints = %d, want %d per sweep over %d sweeps",
-			forward, wantPerSweep, traced.Iterations)
+	// With grid 200 and cadence 50, each sweep's integrations emit 4
+	// checkpoints apiece, and each sweep on the coarse grid of 50 one; the
+	// final EvaluateCost pass is untraced.
+	want := coarse*coarseGrid(testGrid)/50 + traced.Iterations*testGrid/50
+	if forward != want {
+		t.Errorf("forward checkpoints = %d, want %d over %d+%d sweeps",
+			forward, want, coarse, traced.Iterations)
 	}
-	if backward != traced.Iterations*wantPerSweep {
-		t.Errorf("backward checkpoints = %d, want %d per sweep over %d sweeps",
-			backward, wantPerSweep, traced.Iterations)
+	if backward != want {
+		t.Errorf("backward checkpoints = %d, want %d over %d+%d sweeps",
+			backward, want, coarse, traced.Iterations)
 	}
 }
 
@@ -108,11 +122,15 @@ func TestOptimizeProgressResidualDecays(t *testing.T) {
 }
 
 // TestSweepCostMatchesEvaluateCost checks that each StageFBSM event prices
-// the schedule its sweep integrated, bit for bit as EvaluateCost prices
-// it, for both adjoints on the solve benchmark's FBSM job, and that
-// EvaluateCost's quadrature has the bits of referenceBreakdown's. Sweep k
-// integrates the schedule k−1 sweeps leave behind (the initial constant
-// guess for k = 1), which is the policy of a run capped at k−1 sweeps.
+// the schedule its sweep integrated, bit for bit as EvaluateCost prices it
+// on that sweep's grid, for both adjoints on the solve benchmark's FBSM
+// job, and that EvaluateCost's quadrature has the bits of
+// referenceBreakdown's. The job's grid of 120 runs sweeps on its quarter
+// grid first, so the events cover both grids. The backward sweep runs
+// after the forward one and before the update loop overwrites the
+// schedule, so the kernel seam sees the swept schedule; the first sweep of
+// each grid must start from that grid's first iterate: the constant guess
+// on the quarter grid, the coarse answer interpolated onto the full one.
 func TestSweepCostMatchesEvaluateCost(t *testing.T) {
 	m := diggControlModel(t)
 	ic, err := m.UniformIC(0.1)
@@ -123,42 +141,62 @@ func TestSweepCostMatchesEvaluateCost(t *testing.T) {
 	for _, adj := range []Adjoint{AdjointExact, AdjointDiagonal} {
 		opts := benchFBSMOptions()
 		opts.Adjoint, opts.MaxIter, opts.Tol = adj, sweeps, 1e-15
-		var costs []float64
+		var (
+			swept  []*Schedule
+			costs  []float64
+			coarse *Schedule // the coarse level's iterate, updated in place
+		)
+		kernel := func(ctx context.Context, m *core.Model, tr *core.Trajectory, sched *Schedule, opts Options, a *sweepArena) (psi, phi [][]float64, err error) {
+			if coarse == nil {
+				coarse = sched
+			}
+			swept = append(swept, sched.Clone())
+			return backwardSweep(ctx, m, tr, sched, opts, a)
+		}
 		opts.Progress = func(ev obs.Event) {
 			if ev.Stage == obs.StageFBSM {
 				costs = append(costs, ev.Cost)
 			}
 		}
-		if _, err := Optimize(m, ic, tf, opts); err != nil {
+		pol, err := optimize(context.Background(), m, ic, tf, opts, kernel, true)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(costs) != sweeps {
-			t.Fatalf("adjoint %d: %d StageFBSM events, want %d", adj, len(costs), sweeps)
+		if pol.CoarseIterations != sweeps || pol.Iterations != sweeps ||
+			len(costs) != 2*sweeps || len(swept) != 2*sweeps {
+			t.Fatalf("adjoint %d: %d+%d sweeps, %d StageFBSM events, %d swept schedules; want %d+%d of each",
+				adj, pol.CoarseIterations, pol.Iterations, len(costs), len(swept), sweeps, sweeps)
 		}
-		for k := 1; k <= sweeps; k++ {
-			swept, err := NewConstantSchedule(tf, opts.Grid, opts.Eps1Max/2, opts.Eps2Max/2)
+		first, err := NewConstantSchedule(tf, coarseGrid(opts.Grid), opts.Eps1Max/2, opts.Eps2Max/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(swept[0], first) {
+			t.Errorf("adjoint %d: the first coarse sweep did not start from the constant guess", adj)
+		}
+		fine := swept[sweeps]
+		if len(coarse.T) != coarseGrid(opts.Grid)+1 || len(fine.T) != opts.Grid+1 {
+			t.Fatalf("adjoint %d: the levels ran on %d and %d nodes", adj, len(coarse.T), len(fine.T))
+		}
+		for j, tj := range fine.T {
+			e1 := math.Min(math.Max(coarse.Eps1At(tj), 0), opts.Eps1Max)
+			e2 := math.Min(math.Max(coarse.Eps2At(tj), 0), opts.Eps2Max)
+			if fine.Eps1[j] != e1 || fine.Eps2[j] != e2 {
+				t.Fatalf("adjoint %d: the first fine sweep's node %d holds (%v, %v), the coarse answer there (%v, %v)",
+					adj, j, fine.Eps1[j], fine.Eps2[j], e1, e2)
+			}
+		}
+		for k, sched := range swept {
+			want, tr, err := EvaluateCost(m, ic, sched, opts.Cost)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k > 1 {
-				capped := opts
-				capped.MaxIter, capped.Progress = k-1, nil
-				pol, err := Optimize(m, ic, tf, capped)
-				if err != nil {
-					t.Fatal(err)
-				}
-				swept = pol.Schedule
+			if ref := referenceBreakdown(m, tr, sched, opts.Cost); ref != want {
+				t.Errorf("adjoint %d sweep %d: EvaluateCost %+v, reference quadrature %+v", adj, k+1, want, ref)
 			}
-			want, tr, err := EvaluateCost(m, ic, swept, opts.Cost)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref := referenceBreakdown(m, tr, swept, opts.Cost); ref != want {
-				t.Errorf("adjoint %d sweep %d: EvaluateCost %+v, reference quadrature %+v", adj, k, want, ref)
-			}
-			if math.Float64bits(costs[k-1]) != math.Float64bits(want.Total) {
-				t.Errorf("adjoint %d sweep %d: event cost %v, EvaluateCost of its schedule %v",
-					adj, k, costs[k-1], want.Total)
+			if math.Float64bits(costs[k]) != math.Float64bits(want.Total) {
+				t.Errorf("adjoint %d sweep %d (grid %d): event cost %v, EvaluateCost of its schedule %v",
+					adj, k+1, len(sched.T)-1, costs[k], want.Total)
 			}
 		}
 	}
@@ -167,7 +205,8 @@ func TestSweepCostMatchesEvaluateCost(t *testing.T) {
 // TestSweepRowsMatchReference checks the update loop's pricing row by row,
 // where a last-bit slip in one integrand could vanish in J: with a hook,
 // every row the loop priced equals referenceIntegrand of the schedule its
-// sweep integrated, bit for bit, for both adjoints.
+// sweep integrated, bit for bit, for both adjoints, on the quarter grid's
+// sweeps and the full grid's.
 func TestSweepRowsMatchReference(t *testing.T) {
 	m := diggControlModel(t)
 	ic, err := m.UniformIC(0.1)
@@ -203,11 +242,13 @@ func TestSweepRowsMatchReference(t *testing.T) {
 				}
 			}
 		}
-		if _, err := optimize(context.Background(), m, ic, 20, opts, kernel); err != nil {
+		pol, err := optimize(context.Background(), m, ic, 20, opts, kernel, true)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sweeps != opts.MaxIter {
-			t.Errorf("adjoint %d: %d StageFBSM events, want %d", adj, sweeps, opts.MaxIter)
+		if pol.CoarseIterations != opts.MaxIter || pol.Iterations != opts.MaxIter || sweeps != 2*opts.MaxIter {
+			t.Errorf("adjoint %d: %d StageFBSM events over %d+%d sweeps, want %d on each grid",
+				adj, sweeps, pol.CoarseIterations, pol.Iterations, opts.MaxIter)
 		}
 	}
 }

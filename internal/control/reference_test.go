@@ -162,17 +162,19 @@ func TestOptimizeMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			got, err := optimize(ctx, tc.m, ic, tc.tf, opts, backwardSweep)
+			got, err := optimize(ctx, tc.m, ic, tc.tf, opts, backwardSweep, true)
 			if err != nil {
 				t.Fatalf("%s/adjoint %d: %v", tc.name, adj, err)
 			}
-			want, err := optimize(ctx, tc.m, ic, tc.tf, opts, referenceBackwardSweep)
+			want, err := optimize(ctx, tc.m, ic, tc.tf, opts, referenceBackwardSweep, true)
 			if err != nil {
 				t.Fatalf("%s/adjoint %d reference: %v", tc.name, adj, err)
 			}
-			if got.Iterations != want.Iterations || got.Converged != want.Converged {
-				t.Errorf("%s/adjoint %d: %d iterations (converged %v), reference %d (%v)",
-					tc.name, adj, got.Iterations, got.Converged, want.Iterations, want.Converged)
+			if got.Iterations != want.Iterations || got.CoarseIterations != want.CoarseIterations ||
+				got.Converged != want.Converged {
+				t.Errorf("%s/adjoint %d: %d+%d iterations (converged %v), reference %d+%d (%v)",
+					tc.name, adj, got.CoarseIterations, got.Iterations, got.Converged,
+					want.CoarseIterations, want.Iterations, want.Converged)
 			}
 			if !reflect.DeepEqual(got.Schedule, want.Schedule) {
 				t.Errorf("%s/adjoint %d: schedule differs from the reference", tc.name, adj)

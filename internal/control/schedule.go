@@ -107,11 +107,19 @@ func (s *Schedule) interp(vals []float64, t float64) float64 {
 	if t >= s.T[n-1] {
 		return vals[n-1]
 	}
-	// The grid is uniform; index directly.
+	// The grid is uniform; index directly, then bracket t against the
+	// nodes themselves: the quotient can land one segment off when t sits
+	// within rounding of a node, and w must stay in [0, 1] so the value
+	// stays between its two node values.
 	h := (s.T[n-1] - s.T[0]) / float64(n-1)
 	j := int((t - s.T[0]) / h)
 	if j >= n-1 {
 		j = n - 2
+	}
+	if t < s.T[j] {
+		j--
+	} else if t >= s.T[j+1] && j < n-2 {
+		j++
 	}
 	w := (t - s.T[j]) / (s.T[j+1] - s.T[j])
 	return vals[j]*(1-w) + vals[j+1]*w

@@ -80,6 +80,12 @@ type Trajectory struct {
 	scratch []float64 // the step kernel's stage buffers, kept for Reuse
 }
 
+// NewTrajectory returns an empty trajectory of m with the storage a
+// SimulateCtx run of steps steps at Record 1 needs, for SimOptions.Reuse.
+func (m *Model) NewTrajectory(steps int) *Trajectory {
+	return &Trajectory{Solution: ode.NewSolution(steps, 2*m.n), m: m}
+}
+
 // Simulate integrates the model from the packed initial condition ic over
 // (0, tf] with fixed-step RK4. The trajectories are smooth and non-stiff
 // at the paper's parameter scales: halving the default step moves the

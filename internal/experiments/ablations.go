@@ -61,6 +61,8 @@ func AblationAdjoint(cfg Config) (*Result, error) {
 			plot.Series{Name: variants[i].name + " ε2", X: pol.Schedule.T, Y: pol.Schedule.Eps2},
 		)
 		res.setScalar("J:"+variants[i].name, pol.Cost.Total)
+		res.setScalar("iterations:"+variants[i].name, float64(pol.Iterations))
+		res.setScalar("coarseIterations:"+variants[i].name, float64(pol.CoarseIterations))
 	}
 	exact := res.Scalars["J:exact adjoint"]
 	diag := res.Scalars["J:paper diagonal adjoint (Eq. 16)"]

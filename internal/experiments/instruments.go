@@ -64,6 +64,8 @@ func AblationInstruments(cfg Config) (*Result, error) {
 		})
 		res.setScalar("J:"+v.name, pol.Cost.Total)
 		res.setScalar("terminalI:"+v.name, pol.Cost.Terminal)
+		res.setScalar("iterations:"+v.name, float64(pol.Iterations))
+		res.setScalar("coarseIterations:"+v.name, float64(pol.CoarseIterations))
 	}
 	joint := res.Scalars["J:joint (paper)"]
 	truth := res.Scalars["J:truth only (ε2 ≈ 0)"]

@@ -24,7 +24,9 @@
 //     (Section IV / Eq. (13)–(19)). A sweep whose objective J
 //     (Event.Cost) still fell is making progress, so its rise does not
 //     count: a slowly converging sweep can grow its control change for
-//     dozens of sweeps while J falls all the way.
+//     dozens of sweeps while J falls all the way. An event with Step 1
+//     starts a new run of sweeps (the coarse grid's iteration is followed
+//     by the requested grid's, each numbered from 1).
 //   - r0_outcome: Theorem 5 — r0 ≤ 1 implies extinction, so a final
 //     infected fraction materially above zero contradicts the threshold
 //     theory (Eq. (5) defines r0).
@@ -180,6 +182,11 @@ func (m *Monitor) Observe(ev obs.Event) {
 				fmt.Sprintf("ABM infected fraction %.6g outside [0, 1] at t=%.4g", ev.Value, ev.T), ev)
 		}
 	case obs.StageFBSM:
+		if ev.Step == 1 {
+			// A new iteration starts: the FBSM's coarse and requested grids,
+			// or OptimizeToTarget's next weight, each count from sweep 1.
+			m.resSeen, m.prevCost, m.incRuns = false, 0, 0
+		}
 		rose := m.resSeen && ev.Value > m.prevRes
 		if ev.Cost != 0 && m.prevCost != 0 && ev.Cost < m.prevCost {
 			rose = false // J still falls: the sweep made progress

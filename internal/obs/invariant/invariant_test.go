@@ -147,6 +147,44 @@ func TestFBSMDivergenceFallingCost(t *testing.T) {
 	}
 }
 
+// TestFBSMDivergenceNewRun pins the run boundary: an FBSM job sweeps a
+// coarse grid and then the requested one, each numbered from Step 1, and
+// the requested grid's first residual and J are not comparable with the
+// coarse grid's last. Rises do not carry across that boundary, but a
+// requested grid that diverges on its own still trips the check.
+func TestFBSMDivergenceNewRun(t *testing.T) {
+	// The coarse level ends on four rises with J flat; the requested grid's
+	// first sweep starts higher on both, which would be the fifth.
+	m, vs := collect(Config{})
+	res := []float64{1e-2, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3}
+	for i, r := range res {
+		m.Observe(obs.Event{Stage: obs.StageFBSM, Step: i + 1, Value: r, Cost: 20})
+	}
+	m.Observe(obs.Event{Stage: obs.StageFBSM, Step: 1, Value: 1e-2, Cost: 21})
+	if len(*vs) != 0 {
+		t.Fatalf("a rise carried across the start of the requested grid: %+v", *vs)
+	}
+
+	// A healthy coarse level, then a requested grid whose residual and J
+	// both rise from its second sweep on.
+	m, vs = collect(Config{})
+	for i, r := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
+		m.Observe(obs.Event{Stage: obs.StageFBSM, Step: i + 1, Value: r, Cost: 20 - float64(i)})
+	}
+	r, cost := 1e-3, 16.0
+	for step := 1; step <= 6; step++ {
+		m.Observe(obs.Event{Stage: obs.StageFBSM, Step: step, Value: r, Cost: cost})
+		r *= 2
+		cost++
+	}
+	if len(*vs) != 1 || (*vs)[0].Check != CheckDivergence {
+		t.Fatalf("requested grid diverging after a healthy coarse level: violations %+v, want one fbsm_divergence", *vs)
+	}
+	if (*vs)[0].Event.Step != 6 {
+		t.Errorf("flagged at sweep %d of the requested grid, want 6", (*vs)[0].Event.Step)
+	}
+}
+
 func TestR0OutcomeRespectsThreshold(t *testing.T) {
 	m, vs := collect(Config{R0ExtinctI: 0.1})
 	m.CheckOutcome(0.9, 0.09) // below the tail threshold: fine

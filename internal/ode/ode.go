@@ -221,6 +221,30 @@ func (o *Options) reuse(maxSamples, n int) *Solution {
 	return s
 }
 
+// sampleBudget is how many samples a SolveFixed run of steps steps at
+// Record cadence rec can record: the initial state, every rec-th step, the
+// final step, and at most one extra off-cadence Stop sample.
+func sampleBudget(steps, rec int) int { return steps/rec + 3 }
+
+// newSolution returns an empty Solution with room for maxSamples samples of
+// dimension n and the two state buffers after them.
+func newSolution(maxSamples, n int) *Solution {
+	return &Solution{
+		T:   make([]float64, 0, maxSamples),
+		Y:   make([][]float64, 0, maxSamples),
+		buf: make([]float64, (maxSamples+2)*n),
+	}
+}
+
+// NewSolution returns an empty Solution with the storage a SolveFixed run
+// of steps steps at Record 1 over states of dimension n needs, for
+// Options.Reuse: a caller that integrates several grids through one
+// Solution (the FBSM's coarse and fine levels) sizes it for the largest
+// first, so the smaller runs allocate nothing.
+func NewSolution(steps, n int) *Solution {
+	return newSolution(sampleBudget(steps, 1), n)
+}
+
 func (o *Options) stop(t float64, y []float64) bool {
 	return o != nil && o.Stop != nil && o.Stop(t, y)
 }
@@ -361,17 +385,12 @@ func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Sol
 	}
 	rec := opts.record()
 
-	// Exact sample budget: the initial state, every rec-th step, the final
-	// step, and at most one extra off-cadence Stop sample. Two more rows
-	// of the backing array hold the current and next state.
-	maxSamples := steps/rec + 3
+	// Exact sample budget (sampleBudget). Two more rows of the backing
+	// array hold the current and next state.
+	maxSamples := sampleBudget(steps, rec)
 	sol := opts.reuse(maxSamples, n)
 	if sol == nil {
-		sol = &Solution{
-			T:   make([]float64, 0, maxSamples),
-			Y:   make([][]float64, 0, maxSamples),
-			buf: make([]float64, (maxSamples+2)*n),
-		}
+		sol = newSolution(maxSamples, n)
 	}
 	backing := sol.buf
 	// direct: every step is a sample, so y is always the newest row.

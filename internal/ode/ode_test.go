@@ -292,9 +292,10 @@ func TestSolveFixedStepLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSolveFixedReuse pins Options.Reuse: a large enough earlier solution
-// is overwritten in place and returned, with the samples a fresh solve
-// gives and no trajectory allocation; one too small is left alone.
+// TestSolveFixedReuse pins Options.Reuse: a large enough earlier solution,
+// or a NewSolution sized for more steps, is overwritten in place and
+// returned, with the samples a fresh solve gives and no trajectory
+// allocation; one too small is left alone.
 func TestSolveFixedReuse(t *testing.T) {
 	y0 := []float64{1, 2, 3}
 	step := NewRK4(len(y0)).Bind(expDecay)
@@ -323,6 +324,23 @@ func TestSolveFixedReuse(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Errorf("a reused solve allocates %v times, want at most the record closure", allocs)
+	}
+	// NewSolution sized for twice the steps serves this run and a shorter
+	// one in turn, as the FBSM's fine-grid arena serves its coarse level.
+	presized := NewSolution(200, len(y0))
+	for _, tf := range []float64{0.1, 1} {
+		got, err := SolveFixed(step, y0, 0, tf, 0.01, &Options{Reuse: presized})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := SolveFixed(step, y0, 0, tf, 0.01, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != presized || !reflect.DeepEqual(got.T, fresh.T) || !reflect.DeepEqual(got.Y, fresh.Y) {
+			t.Errorf("tf %g: NewSolution reused %v, samples equal to a fresh solve's %v",
+				tf, got == presized, reflect.DeepEqual(got.Y, fresh.Y))
+		}
 	}
 	small, err := SolveFixed(step, y0, 0, 0.1, 0.01, nil)
 	if err != nil {

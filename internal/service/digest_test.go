@@ -23,12 +23,12 @@ var pinnedDigests = []struct {
 		"9fb8dc2d2713150dac0fd5520f569381588eb8b3a59084a690f21fa1762c1891"},
 	{"abm", Request{Type: JobABM, Params: versionABMParams}, 1,
 		"fe2f4d783deec24ace20277d7ec87f0d832d2e8735e6c0d6fa5cce2e080801f0"},
-	{"fbsm", Request{Type: JobFBSM, Params: versionFBSMParams}, 2,
-		"f573658b4dcf5fb357a654407ed01e4733157d4ca1f61355fef6167e26f3ad72"},
+	{"fbsm", Request{Type: JobFBSM, Params: versionFBSMParams}, 3,
+		"c41e2874a785048a6cd184214cf8d94fa2dcfdedc58fb3b87fc0d7a9ab5ad68c"},
 	{"fbsm+target", Request{Type: JobFBSM, Params: Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02,
 		Lambda0: 0.05, I0: 0.1, Tf: 20, Points: 500, Seed: 1, C1: 5, C2: 10, EpsMax: 0.6, Grid: 120,
-		Target: 0.00005}}, 2,
-		"219f117b2d5a3b24f0ddaeb9d9334916d602982a95fee1611f5816afe9687f8c"},
+		Target: 0.00005}}, 3,
+		"d318048cc46cf8f81318f6608a734d62918d268648fcfac9fb1fdbee4a05355c"},
 }
 
 // TestResultDigestsPinned enforces the resultVersion rule: every pinned

@@ -250,7 +250,7 @@ type Request struct {
 // being served as fresh answers; the other types keep their keys.
 func resultVersion(t JobType) int {
 	if t == JobFBSM {
-		return 2 // safeguarded Anderson control update
+		return 3 // coarse-grid warm start (2: safeguarded Anderson update)
 	}
 	return 1
 }
@@ -391,14 +391,17 @@ type ABMResult struct {
 
 // FBSMResult is the payload of a succeeded JobFBSM.
 type FBSMResult struct {
-	Converged  bool      `json:"converged"`
-	Iterations int       `json:"iterations"`
-	Terminal   float64   `json:"terminal"`
-	Running    float64   `json:"running"`
-	Total      float64   `json:"total"`
-	T          []float64 `json:"t"`
-	Eps1       []float64 `json:"eps1"`
-	Eps2       []float64 `json:"eps2"`
+	Converged  bool `json:"converged"`
+	Iterations int  `json:"iterations"`
+	// CoarseIterations counts the sweeps on the quarter grid that ran
+	// before the requested one (control.Policy.CoarseIterations).
+	CoarseIterations int       `json:"coarse_iterations"`
+	Terminal         float64   `json:"terminal"`
+	Running          float64   `json:"running"`
+	Total            float64   `json:"total"`
+	T                []float64 `json:"t"`
+	Eps1             []float64 `json:"eps1"`
+	Eps2             []float64 `json:"eps2"`
 }
 
 // BuildModel assembles the mean-field model for a scenario + params pair:
@@ -593,14 +596,15 @@ func executeFBSM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress)
 		return nil, err
 	}
 	return &FBSMResult{
-		Converged:  pol.Converged,
-		Iterations: pol.Iterations,
-		Terminal:   pol.Cost.Terminal,
-		Running:    pol.Cost.Running,
-		Total:      pol.Cost.Total,
-		T:          pol.Schedule.T,
-		Eps1:       pol.Schedule.Eps1,
-		Eps2:       pol.Schedule.Eps2,
+		Converged:        pol.Converged,
+		Iterations:       pol.Iterations,
+		CoarseIterations: pol.CoarseIterations,
+		Terminal:         pol.Cost.Terminal,
+		Running:          pol.Cost.Running,
+		Total:            pol.Cost.Total,
+		T:                pol.Schedule.T,
+		Eps1:             pol.Schedule.Eps1,
+		Eps2:             pol.Schedule.Eps2,
 	}, nil
 }
 

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 
 	"rumornet/internal/obs"
+	"rumornet/internal/obs/invariant"
 	"rumornet/internal/store"
 )
 
@@ -181,8 +183,9 @@ func TestRecoveredJobServedFromStore(t *testing.T) {
 }
 
 // TestFBSMSweepCount runs the solve benchmark's FBSM request and bounds
-// its sweeps: the accelerated update converges in 12, where the fixed
-// half-step relaxation it replaced needed 31.
+// its sweeps: the accelerated update converges in 12 on the quarter grid
+// (where the fixed half-step relaxation it replaced needed 31 on the full
+// one), and the full grid, started from that answer, in 3.
 func TestFBSMSweepCount(t *testing.T) {
 	svc, err := New(Config{})
 	if err != nil {
@@ -198,8 +201,56 @@ func TestFBSMSweepCount(t *testing.T) {
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Iterations > 16 {
-		t.Errorf("converged %v after %d sweeps, want convergence within 16", res.Converged, res.Iterations)
+	if !res.Converged || res.CoarseIterations > 16 || res.Iterations > 6 {
+		t.Errorf("converged %v after %d+%d sweeps, want convergence within 16+6",
+			res.Converged, res.CoarseIterations, res.Iterations)
+	}
+}
+
+// TestFBSMNestedNoViolation runs the solve benchmark's FBSM request with an
+// invariant monitor on its progress, as rumord does: the quarter grid's
+// sweeps and the full grid's, each numbered from 1, raise no violation,
+// and the events count both levels.
+func TestFBSMNestedNoViolation(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var (
+		mu     sync.Mutex
+		viols  []invariant.Violation
+		starts []int // index of each StageFBSM event with Step 1
+		events int
+	)
+	mon := invariant.New(invariant.Config{}, func(v invariant.Violation) { viols = append(viols, v) })
+	prog := func(ev obs.Event) {
+		mon.Observe(ev)
+		if ev.Stage != obs.StageFBSM {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Step == 1 {
+			starts = append(starts, events)
+		}
+		events++
+	}
+	raw, err := ExecuteRequest(context.Background(), builtinScenario(t, svc),
+		Request{Type: JobFBSM, Params: versionFBSMParams}, 1, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res FBSMResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(viols) != 0 {
+		t.Errorf("nested solve raised %+v", viols)
+	}
+	if events != res.CoarseIterations+res.Iterations || len(starts) != 2 || starts[1] != res.CoarseIterations {
+		t.Errorf("%d StageFBSM events, runs starting at %v; result reports %d+%d sweeps",
+			events, starts, res.CoarseIterations, res.Iterations)
 	}
 }
 

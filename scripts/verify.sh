@@ -8,8 +8,13 @@
 #   tier 2: go test -race ./..., the concurrent in-list test under
 #           -race -count=10, one iteration of every benchmark, the
 #           rumorbench tests under -race, 10s of each decoder and kernel
-#           fuzzer, and the pinned result digests and the kernel fuzzers
-#           (10s each) under GODEBUG=cpu.fma=off
+#           fuzzer, the pinned result digests and the kernel fuzzers
+#           (10s each) under GODEBUG=cpu.fma=off, and the full-fidelity
+#           check of the FBSM's coarse-grid warm start (-tags fidelity):
+#           Fig. 4(a) and the ten Fig. 4(c) horizons solved from the
+#           quarter grid's answer and from the constant guess must agree
+#           on J within 1e-6 relative, the optimized policy must win on
+#           10 of 10 horizons, and it prints the sweeps run on each grid
 #
 # Tier 2 exists because the worker fan-out (internal/par, internal/abm,
 # internal/experiments), the rumord service stack (internal/service job
@@ -124,6 +129,16 @@ if [ "${1:-}" = "-race" ]; then
 	echo "== tier 2: kernel fuzzers without FMA"
 	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s ./internal/core
 	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s ./internal/control
+	# The FBSM solves every grid divisible by 4 on its quarter first and
+	# starts from that answer. Tier 1 checks it on the benchmark's small
+	# requests; this checks the paper's Fig. 4 at full fidelity (854
+	# groups, grid 1000, about 25 s), printing each level's sweep totals.
+	echo "== tier 2: FBSM warm start at full fidelity"
+	fidelity=$(go test -tags fidelity -count=1 -run '^TestFidelity' -v ./internal/control 2>&1) || {
+		echo "$fidelity" >&2
+		exit 1
+	}
+	echo "$fidelity" | grep -E 'sweeps|wins|^ok'
 fi
 
 echo "verify: ok"
