@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,26 @@ func TestEvaluateCostValidation(t *testing.T) {
 	bad := &Schedule{T: []float64{0}}
 	if _, _, err := EvaluateCost(m, ic, bad, testCost); err == nil {
 		t.Error("bad schedule: want error")
+	}
+}
+
+// TestEvaluateCostUnevenGrid feeds EvaluateCost schedules that validate
+// but that no fixed step aligns with: uneven spacing, and a grid that does
+// not start at 0. Each must end in an error, not in a search for a step.
+func TestEvaluateCostUnevenGrid(t *testing.T) {
+	m := controlModel(t)
+	ic := controlIC(t, m)
+	for _, in := range []string{
+		`{"t":[0,1,100],"eps1":[0,0,0],"eps2":[0,0,0]}`,
+		`{"t":[5,6,7],"eps1":[0,0,0],"eps2":[0,0,0]}`,
+	} {
+		sched, err := ReadScheduleJSON(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if _, _, err := EvaluateCost(m, ic, sched, testCost); err == nil {
+			t.Errorf("%s: want misaligned-grid error", in)
+		}
 	}
 }
 
@@ -535,5 +556,39 @@ func TestQuickLargerBoundsNeverHurt(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFBSMEveryGrid runs a sweep on every grid from 1 to 200 intervals at
+// tf 20 and 100. At some grids T[1] − T[0] rounds below tf/grid, so that
+// an integration at that step takes one step more than the grid has
+// intervals and the sweep fails with misaligned samples; both FBSM
+// integrations must take exactly grid steps. The model and controls are
+// slow enough that RK4 stays stable at a step of tf.
+func TestFBSMEveryGrid(t *testing.T) {
+	d, err := degreedist.TruncatedPowerLaw(1.5, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.CalibratedModel(d, 0.001, 0.002, 0.002, 1.5, degreedist.OmegaSaturating(0.5, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := m.UniformIC(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tf := range []float64{20, 100} {
+		for grid := 1; grid <= 200; grid++ {
+			pol, err := Optimize(m, ic, tf, Options{Grid: grid, MaxIter: 2,
+				Eps1Max: 0.004, Eps2Max: 0.004, Cost: testCost})
+			if err != nil {
+				t.Errorf("tf %g grid %d: %v", tf, grid, err)
+				continue
+			}
+			if n := pol.Trajectory.Len(); n != grid+1 {
+				t.Errorf("tf %g grid %d: %d trajectory samples, want %d", tf, grid, n, grid+1)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package control
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"rumornet/internal/core"
 	"rumornet/internal/obs"
@@ -104,6 +105,23 @@ func foldCost(t, rows, inf []float64) Breakdown {
 	return bd
 }
 
+// gridStep is the RK4 step that crosses sched's horizon in exactly its
+// grid's intervals. T[1] − T[0] can round below tf/grid by enough that
+// ode.SolveFixed, which takes ceil(tf/h) steps, takes one more (at tf 20,
+// grids 61, 77, 122 and 154); the step is then raised by at most a few
+// ulps until it does not. Every other grid keeps T[1] − T[0], bit for bit,
+// and so does a grid no such nudge aligns (uneven, or not starting at 0),
+// which simulateOnGrid then reports as misaligned.
+func gridStep(sched *Schedule) float64 {
+	h, tf, steps := sched.T[1]-sched.T[0], sched.Horizon(), float64(len(sched.T)-1)
+	for up, i := h, 0; i < 4; i, up = i+1, math.Nextafter(up, tf) {
+		if math.Ceil(tf/up) <= steps {
+			return up
+		}
+	}
+	return h
+}
+
 // simulateOnGrid integrates the controlled model with RK4 using exactly the
 // schedule's grid steps, so trajectory samples align with schedule nodes.
 // prog, when non-nil, receives in-flight checkpoints every progressEvery
@@ -113,9 +131,8 @@ func simulateOnGrid(ctx context.Context, m *core.Model, ic []float64, sched *Sch
 	if len(ic) != m.StateDim() {
 		return nil, fmt.Errorf("control: initial condition dimension %d, want %d", len(ic), m.StateDim())
 	}
-	h := sched.T[1] - sched.T[0]
 	tr, err := m.SimulateCtx(ctx, ic, sched.Horizon(), &core.SimOptions{
-		Step:          h,
+		Step:          gridStep(sched),
 		Record:        1,
 		Eps1At:        sched.Eps1At,
 		Eps2At:        sched.Eps2At,

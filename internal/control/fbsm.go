@@ -393,7 +393,6 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 		z0[i] = 0
 		z0[n+i] = opts.TerminalWeight
 	}
-	h := sched.T[1] - sched.T[0]
 	oopts := &ode.Options{Record: 1, Ctx: ctx, Reuse: arena.bwd}
 	if opts.Progress != nil {
 		prog := opts.Progress
@@ -405,7 +404,7 @@ func backwardSweep(ctx context.Context, m *core.Model, tr *core.Trajectory, sche
 		}
 	}
 	arena.costate.reset(tr, sched, opts)
-	sol, err := ode.SolveFixed(arena.costate.step, z0, 0, tf, h, oopts)
+	sol, err := ode.SolveFixed(arena.costate.step, z0, 0, tf, gridStep(sched), oopts)
 	if err != nil {
 		return nil, nil, err
 	}

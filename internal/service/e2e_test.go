@@ -300,6 +300,8 @@ func TestE2EBadRequests(t *testing.T) {
 		{"unknown scenario", "POST", "/v1/jobs", `{"type":"ode","scenario":"nope"}`, 400},
 		{"bad params", "POST", "/v1/jobs", `{"type":"abm","scenario":"tiny"}`, 400},
 		{"eps_max above one", "POST", "/v1/jobs", `{"type":"fbsm","scenario":"tiny","params":{"eps_max":1.5}}`, 400},
+		{"nan query param", "GET", "/v1/query?type=ode&scenario=tiny&eps1=NaN", "", 400},
+		{"infinite query param", "GET", "/v1/query?type=ode&scenario=tiny&tf=Inf", "", 400},
 		{"job not found", "GET", "/v1/jobs/j-424242", "", 404},
 		{"cancel not found", "DELETE", "/v1/jobs/j-424242", "", 404},
 		{"scenario not found", "GET", "/v1/scenarios/ghost", "", 404},
@@ -316,6 +318,45 @@ func TestE2EBadRequests(t *testing.T) {
 				t.Error("error envelope missing")
 			}
 		})
+	}
+}
+
+// TestDecodeBodyTrailingData: a body is one JSON value and optional
+// whitespace. A second value or any other trailing data is a 400 on job
+// submit, surface build and query, and nothing is submitted; trailing
+// whitespace alone is accepted.
+func TestDecodeBodyTrailingData(t *testing.T) {
+	e := newE2E(t, Config{Workers: 1})
+	for _, tc := range []struct{ path, body, extra string }{
+		{"/v1/jobs", `{"type":"ode","scenario":"tiny","params":{"tf":5}}`, `{"type":"abm"}`},
+		{"/v1/surfaces", `{"type":"threshold","scenario":"tiny","axes":[{"name":"eps1","values":[0.1,0.2]}]}`, `x`},
+		{"/v1/query", `{"type":"threshold","scenario":"tiny","params":{"eps1":0.3}}`, `{}`},
+	} {
+		submitted := e.svc.Stats().Jobs.Submitted
+		for _, trailing := range []string{tc.extra, " " + tc.extra, "\n]"} {
+			var errResp struct {
+				Error string `json:"error"`
+			}
+			e.do(http.MethodPost, tc.path, tc.body+trailing, http.StatusBadRequest, &errResp)
+			if !strings.Contains(errResp.Error, "after the JSON value") {
+				t.Errorf("%s with %q after the body: error %q", tc.path, trailing, errResp.Error)
+			}
+		}
+		if got := e.svc.Stats().Jobs.Submitted; got != submitted {
+			t.Errorf("%s: %d jobs submitted by rejected bodies", tc.path, got-submitted)
+		}
+		req, err := http.NewRequest(http.MethodPost, e.ts.URL+tc.path, strings.NewReader(tc.body+" \n\t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := e.ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s with trailing whitespace: status %d", tc.path, resp.StatusCode)
+		}
 	}
 }
 

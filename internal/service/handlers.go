@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -274,12 +275,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBody strictly decodes a JSON body, rejecting unknown fields so
-// typos like "epsmax" fail loudly instead of silently using defaults.
+// typos like "epsmax" fail loudly instead of silently using defaults, and
+// anything but whitespace after the value, so a body of two objects is
+// not run as its first.
 func decodeBody(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<22)) // 4 MiB
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decode request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decode request body: data after the JSON value")
 	}
 	return nil
 }

@@ -147,6 +147,11 @@ func (p Params) WithDefaults(t JobType) Params {
 // runs after WithDefaults, at submission time, so bad requests fail with
 // 400 before consuming a queue slot.
 func (p Params) Validate(t JobType) error {
+	for _, v := range []float64{p.Alpha, p.Eps1, p.Eps2, p.R0, p.Lambda0, p.I0, p.Tf, p.Dt, p.C1, p.C2, p.EpsMax, p.Target} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("parameters must be finite, got %g", v)
+		}
+	}
 	switch {
 	case p.Alpha < 0:
 		return fmt.Errorf("alpha = %g must be non-negative", p.Alpha)

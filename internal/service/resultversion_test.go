@@ -11,6 +11,7 @@ import (
 	"rumornet/internal/obs"
 	"rumornet/internal/obs/invariant"
 	"rumornet/internal/store"
+	"rumornet/internal/surface"
 )
 
 // The solve benchmark's ODE, ABM and FBSM requests (rumorbench/requests.go,
@@ -112,6 +113,80 @@ func TestStaleResultNotServed(t *testing.T) {
 	mustSucceed(t, fbsm)
 	if bytes.Equal(fbsm.Result, fbsmBlob) {
 		t.Error("fbsm: recomputed result equals the stale blob")
+	}
+}
+
+// TestStaleSurfaceNotServed restarts a durable service over a store that
+// holds an FBSM surface persisted without a result version in its spec,
+// as surfaces were written before the spec carried one. Start-up must
+// refuse it and delete it from the store, a query at one of its grid nodes
+// must fall back to a job, and BuildSurface of the same sweep must build
+// afresh rather than answer from the stale artifact.
+func TestStaleSurfaceNotServed(t *testing.T) {
+	const stale = 1e6 // no FBSM cost comes near it
+	dir := t.TempDir()
+	sw := SweepSpec{Type: JobFBSM, Scenario: "tiny", Params: Params{Tf: 5, Grid: 20},
+		Axes: []SweepAxis{{Name: "eps1", Values: []float64{0.05, 0.1}}}}
+	a, err := New(storeConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinyScenario(t, a)
+	spec, _, err := a.resolveSweep(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := surface.Spec{JobType: spec.JobType, Scenario: spec.Scenario, Fingerprint: spec.Fingerprint,
+		Axes: spec.Axes, Fields: spec.Fields, Base: spec.Base}
+	tensors := map[string][]float64{}
+	for _, f := range old.Fields {
+		tensors[f] = []float64{stale, stale}
+	}
+	surf, err := surface.New(old, tensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := surf.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKey, err := old.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.store.PutSurface(oldKey, blob); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+
+	b := newTestService(t, storeConfig(dir))
+	if info, ok := b.Surface(oldKey); ok {
+		t.Fatalf("stale surface reloaded: %+v", info)
+	}
+	if _, ok := b.store.GetSurface(oldKey); ok {
+		t.Error("stale surface artifact left in the store")
+	}
+	q := Query{Type: JobFBSM, Scenario: "tiny", Params: Params{Tf: 5, Grid: 20, Eps1: 0.05}}
+	res, err := b.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != "job" {
+		t.Fatalf("query answered from %s with %v, want a fallback job", res.Source, res.Values)
+	}
+	info, err := b.BuildSurface(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != surfaceBuilding || info.Key == oldKey {
+		t.Fatalf("BuildSurface = %s under key %s, want a new build", info.Status, info.Key)
+	}
+	buildAndWait(t, b, sw)
+	if res, err = b.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != "surface" || res.Values["total"] == stale {
+		t.Fatalf("query after the rebuild: %s %v", res.Source, res.Values)
 	}
 }
 

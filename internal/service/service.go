@@ -606,7 +606,7 @@ func (s *Service) Stats() Stats {
 		LeaseExpirations: s.met.leaseExpirations.Value(),
 		Requeues:         s.met.requeues.Value(),
 	}
-	st.Surface = s.surf.stats()
+	st.Surface = s.surfaceStats()
 	return st
 }
 

@@ -292,10 +292,10 @@ func (m *metrics) registerDerived(s *Service) {
 	}
 	m.reg.GaugeFunc("rumor_surface_loaded",
 		"Response surfaces resident and ready to serve queries.",
-		func() float64 { return float64(s.surf.readyCount()) })
+		func() float64 { return float64(s.surf.tally().Loaded) })
 	m.reg.GaugeFunc("rumor_surface_bytes",
 		"Total encoded size of the resident response surfaces.",
-		func() float64 { return float64(s.surf.residentBytes()) })
+		func() float64 { return float64(s.surf.tally().Bytes) })
 	m.reg.GaugeFunc("rumor_journal_entries",
 		"Flight-recorder entries resident across all jobs.",
 		func() float64 { return float64(s.journal.TotalLen()) })

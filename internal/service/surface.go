@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,7 +180,7 @@ const (
 type surfaceEntry struct {
 	key        string
 	spec       surface.Spec
-	baseParams Params // unmarshaled spec.Base, for query matching
+	baseParams Params // spec.Base decoded, for query matching
 	status     string
 	errMsg     string
 	surf       *surface.Surface
@@ -194,9 +193,6 @@ type surfaceManager struct {
 	mu      sync.RWMutex
 	entries map[string]*surfaceEntry
 	order   []string // insertion order; lookups scan newest first
-
-	hits      atomic.Int64
-	fallbacks atomic.Int64
 }
 
 func newSurfaceManager() *surfaceManager {
@@ -247,33 +243,13 @@ func (m *surfaceManager) list() []SurfaceInfo {
 	return out
 }
 
-func (m *surfaceManager) readyCount() int {
+// tally counts the entries by status and sums the ready ones' bytes: the
+// one scan behind SurfaceStats and the rumor_surface_loaded and
+// rumor_surface_bytes gauges.
+func (m *surfaceManager) tally() SurfaceStats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n := 0
-	for _, e := range m.entries {
-		if e.status == surfaceReady {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *surfaceManager) residentBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var total int64
-	for _, e := range m.entries {
-		if e.status == surfaceReady {
-			total += int64(e.size)
-		}
-	}
-	return total
-}
-
-func (m *surfaceManager) stats() *SurfaceStats {
-	m.mu.RLock()
-	st := &SurfaceStats{}
+	var st SurfaceStats
 	for _, e := range m.entries {
 		switch e.status {
 		case surfaceReady:
@@ -285,18 +261,25 @@ func (m *surfaceManager) stats() *SurfaceStats {
 			st.Failed++
 		}
 	}
-	n := len(m.entries)
-	m.mu.RUnlock()
-	st.Hits = m.hits.Load()
-	st.Fallbacks = m.fallbacks.Load()
+	return st
+}
+
+// surfaceStats is the surface section of /v1/stats: the entry tally plus
+// the query counts of rumor_surface_queries_total, or nil while the tier
+// is untouched, keeping /v1/stats compact.
+func (s *Service) surfaceStats() *SurfaceStats {
+	st := s.surf.tally()
+	q := s.met.surfaceQueries
+	st.Hits = q[outcomeHit].Value()
+	st.Fallbacks = q[outcomeFallbackUncovered].Value() + q[outcomeFallbackTolerance].Value()
 	st.Queries = st.Hits + st.Fallbacks
 	if st.Queries > 0 {
 		st.HitRate = float64(st.Hits) / float64(st.Queries)
 	}
-	if n == 0 && st.Queries == 0 {
-		return nil // tier untouched; keep /v1/stats compact
+	if st.Loaded+st.Building+st.Failed == 0 && st.Queries == 0 {
+		return nil
 	}
-	return st
+	return &st
 }
 
 // install publishes a ready surface (build completion or store reload).
@@ -326,11 +309,12 @@ type surfaceHit struct {
 }
 
 // lookup finds a ready surface covering the canonicalized query and
-// evaluates it. qblob is the canonical marshal of qp; a surface covers the
-// query iff substituting the query's axis coordinates into the surface's
-// base parameters reproduces qblob exactly — every non-axis parameter must
-// match, and the axis coordinates must fall inside the grid hull.
-func (m *surfaceManager) lookup(jobType JobType, fingerprint string, qp Params, qblob []byte, fields []string) *surfaceHit {
+// evaluates it. A surface covers the query iff substituting the query's
+// axis coordinates into the surface's base parameters gives qp exactly —
+// every non-axis parameter must match, and the axis coordinates must fall
+// inside the grid hull. Params holds only numbers, and validated ones are
+// finite, so == matches exactly when the canonical encodings do.
+func (m *surfaceManager) lookup(jobType JobType, fingerprint string, qp Params, fields []string) *surfaceHit {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for i := len(m.order) - 1; i >= 0; i-- {
@@ -376,8 +360,7 @@ func (m *surfaceManager) lookup(jobType JobType, fingerprint string, qp Params, 
 		if !ok {
 			continue
 		}
-		blob, err := json.Marshal(bp)
-		if err != nil || !bytes.Equal(blob, qblob) {
+		if bp != qp {
 			continue
 		}
 		values, bounds, err := e.surf.Eval(coords)
@@ -482,6 +465,9 @@ func (s *Service) resolveSweep(sw SweepSpec) (surface.Spec, Request, error) {
 		Fields:      fields,
 		Base:        blob,
 	}
+	if v := resultVersion(rreq.Type); v > 1 {
+		spec.ResultVersion = v
+	}
 	if err := spec.Validate(); err != nil {
 		return surface.Spec{}, Request{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -505,45 +491,24 @@ func (s *Service) BuildSurface(sw SweepSpec) (SurfaceInfo, error) {
 
 	m := s.surf
 	m.mu.Lock()
-	if e, ok := m.entries[key]; ok && e.status != surfaceFailed {
-		info := m.infoLocked(e)
+	old, known := m.entries[key]
+	if known && old.status != surfaceFailed {
+		info := m.infoLocked(old)
 		m.mu.Unlock()
 		return info, nil
 	}
-	e, existed := m.entries[key], false
-	if e != nil {
-		existed = true // failed earlier; retry the build
-		e.status = surfaceBuilding
-		e.errMsg = ""
-		e.pointsDone.Store(0)
-	} else {
-		e = &surfaceEntry{key: key, spec: spec, status: surfaceBuilding}
-		if err := json.Unmarshal(spec.Base, &e.baseParams); err != nil {
-			m.mu.Unlock()
-			return SurfaceInfo{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-	}
-
 	// An identical sweep persisted by an earlier process life decodes in
-	// milliseconds instead of re-running the grid.
-	if s.reader != nil {
-		if blob, ok := s.reader.GetSurface(key); ok {
-			if surf, derr := surface.Decode(blob); derr == nil {
-				e.surf = surf
-				e.size = len(blob)
-				e.status = surfaceReady
-				e.pointsDone.Store(int64(spec.Points()))
-			} else {
-				s.cfg.Logger.Warn("persisted surface undecodable; rebuilding",
-					"key", key, "error", derr.Error())
-			}
-		}
+	// milliseconds instead of re-running the grid; anything else builds,
+	// and a failed build is replaced by a fresh one.
+	e := s.loadSurface(key)
+	launch := e == nil
+	if launch {
+		e = &surfaceEntry{key: key, spec: spec, baseParams: base.Params, status: surfaceBuilding}
 	}
-	if !existed {
-		m.entries[key] = e
+	m.entries[key] = e
+	if !known {
 		m.order = append(m.order, key)
 	}
-	launch := e.status == surfaceBuilding
 	info := m.infoLocked(e)
 	m.mu.Unlock()
 
@@ -578,8 +543,25 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 	}
 	var inflight []pending
 
+	// collect records one terminal grid point: a failed job fails the
+	// build, a succeeded one's result is decoded once for every field.
+	collect := func(idx int, job Job) error {
+		if job.Status != StatusSucceeded {
+			return fmt.Errorf("grid point %d: %s: %s", idx, job.Status, job.Error)
+		}
+		values, err := pointValues(job.Result, e.spec.Fields)
+		if err != nil {
+			return fmt.Errorf("grid point %d: %v", idx, err)
+		}
+		for j, f := range e.spec.Fields {
+			fields[f][idx] = values[j]
+		}
+		e.pointsDone.Add(1)
+		return nil
+	}
+
 	// drainOne blocks until the oldest in-flight grid point reaches a
-	// terminal status and extracts its fields.
+	// terminal status and collects it.
 	drainOne := func() error {
 		p := inflight[0]
 		inflight = inflight[1:]
@@ -589,18 +571,7 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 				return fmt.Errorf("grid point %d: job %s evicted mid-build", p.idx, p.id)
 			}
 			if job.Status.Terminal() {
-				if job.Status != StatusSucceeded {
-					return fmt.Errorf("grid point %d: %s: %s", p.idx, job.Status, job.Error)
-				}
-				for _, f := range e.spec.Fields {
-					v, err := extractField(job.Result, f)
-					if err != nil {
-						return fmt.Errorf("grid point %d: %v", p.idx, err)
-					}
-					fields[f][p.idx] = v
-				}
-				e.pointsDone.Add(1)
-				return nil
+				return collect(p.idx, job)
 			}
 			select {
 			case <-s.baseCtx.Done():
@@ -619,25 +590,11 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 		for {
 			job, err := s.Submit(req)
 			if err == nil {
-				if job.Status.Terminal() { // cache hit: extract inline
-					if job.Status != StatusSucceeded {
-						s.surf.fail(e, fmt.Errorf("grid point %d: %s: %s", i, job.Status, job.Error))
+				if job.Status.Terminal() { // cache hit: collect inline
+					if cerr := collect(i, job); cerr != nil {
+						s.surf.fail(e, cerr)
 						return
 					}
-					bad := false
-					for _, f := range e.spec.Fields {
-						v, ferr := extractField(job.Result, f)
-						if ferr != nil {
-							s.surf.fail(e, fmt.Errorf("grid point %d: %v", i, ferr))
-							bad = true
-							break
-						}
-						fields[f][i] = v
-					}
-					if bad {
-						return
-					}
-					e.pointsDone.Add(1)
 				} else {
 					inflight = append(inflight, pending{i, job.ID})
 				}
@@ -700,39 +657,58 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 		"key", e.key, "points", n, "bytes", len(blob))
 }
 
-// reloadSurfaces loads every persisted artifact through the Reader seam at
-// startup, so a restarted daemon serves its surfaces without re-running a
-// single grid point. Called from New; no locking concerns.
+// loadSurface reads the artifact persisted under key through the Reader
+// seam and returns its ready entry. It returns nil when there is none to
+// serve: no store or no artifact, an undecodable one, or one built from
+// results of another version than its job type's current one (a spec
+// without a version is version 1). Each refusal but a miss is logged. An
+// older version can never be served again and, surfaces being exempt from
+// GC, is deleted from the local store; a newer one is left for the binary
+// that wrote it.
+func (s *Service) loadSurface(key string) *surfaceEntry {
+	if s.reader == nil {
+		return nil
+	}
+	blob, ok := s.reader.GetSurface(key)
+	if !ok {
+		return nil
+	}
+	surf, err := surface.Decode(blob)
+	var e *surfaceEntry
+	stale := false
+	if err == nil {
+		spec := surf.Spec
+		if v, cur := max(spec.ResultVersion, 1), resultVersion(JobType(spec.JobType)); v != cur {
+			err = fmt.Errorf("built from result version %d, current is %d", v, cur)
+			stale = v < cur
+		} else {
+			e = &surfaceEntry{key: key, spec: spec, status: surfaceReady, surf: surf, size: len(blob)}
+			err = json.Unmarshal(spec.Base, &e.baseParams)
+		}
+	}
+	if err != nil {
+		s.cfg.Logger.Warn("persisted surface refused", "key", key, "error", err.Error())
+		if stale && s.reader == s.store {
+			s.store.DropSurface(key)
+		}
+		return nil
+	}
+	e.pointsDone.Store(int64(surf.Spec.Points()))
+	return e
+}
+
+// reloadSurfaces loads every persisted artifact at startup, so a
+// restarted daemon serves its surfaces without re-running a single grid
+// point. Called from New, before anything else can reach the registry.
 func (s *Service) reloadSurfaces() {
-	loaded := 0
 	for _, key := range s.reader.SurfaceKeys() {
-		blob, ok := s.reader.GetSurface(key)
-		if !ok {
-			continue // quarantined between listing and read
-		}
-		surf, err := surface.Decode(blob)
-		if err != nil {
-			s.cfg.Logger.Warn("persisted surface undecodable; skipped",
-				"key", key, "error", err.Error())
-			continue
-		}
-		e := &surfaceEntry{key: key, spec: surf.Spec, status: surfaceReady, surf: surf, size: len(blob)}
-		if err := json.Unmarshal(surf.Spec.Base, &e.baseParams); err != nil {
-			s.cfg.Logger.Warn("persisted surface has undecodable base params; skipped",
-				"key", key, "error", err.Error())
-			continue
-		}
-		e.pointsDone.Store(int64(surf.Spec.Points()))
-		s.surf.mu.Lock()
-		if _, dup := s.surf.entries[key]; !dup {
+		if e := s.loadSurface(key); e != nil {
 			s.surf.entries[key] = e
 			s.surf.order = append(s.surf.order, key)
-			loaded++
 		}
-		s.surf.mu.Unlock()
 	}
-	if loaded > 0 {
-		s.cfg.Logger.Info("surfaces reloaded", "count", loaded)
+	if n := len(s.surf.order); n > 0 {
+		s.cfg.Logger.Info("surfaces reloaded", "count", n)
 	}
 }
 
@@ -758,16 +734,10 @@ func (s *Service) Query(q Query) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	qblob, err := json.Marshal(rreq.Params)
-	if err != nil {
-		return QueryResult{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-
 	outcome, reason := outcomeFallbackUncovered, "no covering surface"
-	if hit := s.surf.lookup(rreq.Type, sc.Fingerprint, rreq.Params, qblob, q.Fields); hit != nil {
+	if hit := s.surf.lookup(rreq.Type, sc.Fingerprint, rreq.Params, q.Fields); hit != nil {
 		if q.Tolerance == 0 || hit.maxBound <= q.Tolerance {
-			s.met.surfaceQuery(outcomeHit)
-			s.surf.hits.Add(1)
+			s.met.surfaceQueries[outcomeHit].Inc()
 			return QueryResult{
 				Source:     "surface",
 				SurfaceKey: hit.key,
@@ -778,8 +748,7 @@ func (s *Service) Query(q Query) (QueryResult, error) {
 		outcome = outcomeFallbackTolerance
 		reason = fmt.Sprintf("error bound %.3g exceeds tolerance %.3g", hit.maxBound, q.Tolerance)
 	}
-	s.met.surfaceQuery(outcome)
-	s.surf.fallbacks.Add(1)
+	s.met.surfaceQueries[outcome].Inc()
 	job, err := s.Submit(rreq)
 	if err != nil {
 		return QueryResult{}, err
@@ -787,29 +756,26 @@ func (s *Service) Query(q Query) (QueryResult, error) {
 	return QueryResult{Source: "job", Reason: reason, Job: &job}, nil
 }
 
-// extractField reads one scalar field from a result payload by its JSON
-// name.
-func extractField(raw json.RawMessage, field string) (float64, error) {
-	var m map[string]any
+// pointValues decodes a result payload once and returns the named scalar
+// fields in order.
+func pointValues(raw json.RawMessage, names []string) ([]float64, error) {
+	var m map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return 0, fmt.Errorf("undecodable result: %v", err)
+		return nil, fmt.Errorf("undecodable result: %v", err)
 	}
-	v, ok := m[field]
-	if !ok {
-		return 0, fmt.Errorf("result has no field %q", field)
+	out := make([]float64, len(names))
+	for i, f := range names {
+		v, ok := m[f]
+		if !ok {
+			return nil, fmt.Errorf("result has no field %q", f)
+		}
+		var x *float64
+		if json.Unmarshal(v, &x) != nil || x == nil {
+			return nil, fmt.Errorf("result field %q is not a number", f)
+		}
+		out[i] = *x
 	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("result field %q is not a number", field)
-	}
-	return f, nil
-}
-
-// surfaceQuery counts one query outcome.
-func (m *metrics) surfaceQuery(outcome string) {
-	if c := m.surfaceQueries[outcome]; c != nil {
-		c.Inc()
-	}
+	return out, nil
 }
 
 // --- HTTP handlers -------------------------------------------------------
@@ -910,11 +876,7 @@ func queryFromURL(v url.Values) (Query, error) {
 	}{
 		{"trials", &q.Params.Trials},
 		{"nodes", &q.Params.Nodes},
-		{"seed", nil}, // handled below: int64
 	} {
-		if fld.dst == nil {
-			continue
-		}
 		if raw := v.Get(fld.name); raw != "" {
 			n, err := strconv.Atoi(raw)
 			if err != nil {

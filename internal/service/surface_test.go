@@ -108,11 +108,13 @@ func TestSurfaceGoldenBound(t *testing.T) {
 		if job.Status != StatusSucceeded {
 			t.Fatalf("exact job: %s: %s", job.Status, job.Error)
 		}
-		for _, f := range []string{"r0", "required_eps1", "required_eps2"} {
-			exact, err := extractField(job.Result, f)
-			if err != nil {
-				t.Fatal(err)
-			}
+		fields := []string{"r0", "required_eps1", "required_eps2"}
+		values, err := pointValues(job.Result, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range fields {
+			exact := values[i]
 			got, okV := res.Values[f]
 			bound, okB := res.ErrorBound[f]
 			if !okV || !okB {

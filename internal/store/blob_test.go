@@ -78,12 +78,12 @@ func TestGCSizeBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(s.blobPath(key(i)), mt, mt); err != nil {
+		if err := os.Chtimes(s.results.path(key(i)), mt, mt); err != nil {
 			t.Fatal(err)
 		}
-		s.bmu.Lock()
-		s.blobs[key(i)] = blobInfo{size: s.blobs[key(i)].size, mtime: mt}
-		s.bmu.Unlock()
+		s.results.mu.Lock()
+		s.results.index[key(i)] = blobInfo{size: s.results.index[key(i)].size, mtime: mt}
+		s.results.mu.Unlock()
 	}
 	// 5th put crosses 500 bytes: the oldest (key 1) must go.
 	if err := s.PutResult(key(5), payload); err != nil {
@@ -116,12 +116,12 @@ func TestGCAgeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(s.blobPath(key(1)), stale, stale); err != nil {
+	if err := os.Chtimes(s.results.path(key(1)), stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	s.bmu.Lock()
-	s.blobs[key(1)] = blobInfo{size: s.blobs[key(1)].size, mtime: stale}
-	s.bmu.Unlock()
+	s.results.mu.Lock()
+	s.results.index[key(1)] = blobInfo{size: s.results.index[key(1)].size, mtime: stale}
+	s.results.mu.Unlock()
 
 	removed, err := s.GC()
 	if err != nil {
@@ -168,7 +168,7 @@ func TestGetResultMissSkipsDisk(t *testing.T) {
 	if err := s.PutResult(key(1), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	path := s.blobPath(key(2))
+	path := s.results.path(key(2))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestGetResultMissSkipsDisk(t *testing.T) {
 		t.Fatalf("bad blobs = %d after a miss, want 0", st.BadBlobs)
 	}
 
-	framed, err := os.ReadFile(s.blobPath(key(1)))
+	framed, err := os.ReadFile(s.results.path(key(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

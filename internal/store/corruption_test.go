@@ -197,7 +197,7 @@ func TestGetResultCorruptBlob(t *testing.T) {
 	if err := s.PutResult(key, []byte(`{"final_i":0.123}`)); err != nil {
 		t.Fatal(err)
 	}
-	path := s.blobPath(key)
+	path := s.results.path(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,10 @@
 //
 // The package depends only on the standard library; rumord owns the
 // single writer (the store takes no cross-process lock). The store owns its
-// directory: it indexes the results tree at Open and trusts that index
-// afterwards, so files another process adds or removes while it is open
-// are not seen until the next Open.
+// directory: it indexes the results and surfaces trees at Open and
+// trusts those indexes afterwards, so a result another process adds while
+// it is open is not served until the next Open. Surfaces alone are read by
+// path, so a second Store on the directory reads the first one's.
 package store
 
 import (
@@ -24,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -160,11 +162,9 @@ type Stats struct {
 // concurrent use; there must be at most one Store per directory per
 // machine (rumord owns it for the life of the process).
 type Store struct {
-	dir         string
-	walDir      string
-	resultsDir  string
-	surfacesDir string
-	opts        Options
+	dir    string
+	walDir string
+	opts   Options
 
 	mu            sync.Mutex // WAL state: segment file, pending jobs, stats
 	seg           *os.File
@@ -180,13 +180,9 @@ type Store struct {
 	maxSeq        uint64
 	stats         Stats
 
-	bmu             sync.Mutex // blob + surface index
-	blobs           map[string]blobInfo
-	blobBytes       int64
-	surfaces        map[string]blobInfo
-	surfaceBytes    int64
-	resultEvictions int64
-	badBlobs        int64
+	results   namespace // under the retention GC
+	surfaces  namespace // exempt from it
+	evictions atomic.Int64
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -199,19 +195,19 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := &Store{
-		dir:         dir,
-		walDir:      filepath.Join(dir, walDirName),
-		resultsDir:  filepath.Join(dir, resultsDirName),
-		surfacesDir: filepath.Join(dir, surfacesDirName),
-		opts:        opts,
-		pending:     make(map[string]*JobState),
-		scenarios:   make(map[string]ScenarioState),
-		blobs:       make(map[string]blobInfo),
-		surfaces:    make(map[string]blobInfo),
-		flushStop:   make(chan struct{}),
-		flushDone:   make(chan struct{}),
+		dir:       dir,
+		walDir:    filepath.Join(dir, walDirName),
+		opts:      opts,
+		pending:   make(map[string]*JobState),
+		scenarios: make(map[string]ScenarioState),
+		results: namespace{kind: "result", dir: filepath.Join(dir, resultsDirName),
+			log: opts.Logger, index: make(map[string]blobInfo)},
+		surfaces: namespace{kind: "surface", dir: filepath.Join(dir, surfacesDirName),
+			log: opts.Logger, index: make(map[string]blobInfo)},
+		flushStop: make(chan struct{}),
+		flushDone: make(chan struct{}),
 	}
-	for _, d := range []string{dir, s.walDir, s.resultsDir, s.surfacesDir} {
+	for _, d := range []string{dir, s.walDir, s.results.dir, s.surfaces.dir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: mkdir %s: %w", d, err)
 		}
@@ -219,13 +215,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.replay(); err != nil {
 		return nil, err
 	}
-	if err := s.scanBlobs(); err != nil {
-		s.seg.Close()
-		return nil, err
-	}
-	if err := s.scanSurfaces(); err != nil {
-		s.seg.Close()
-		return nil, err
+	for _, ns := range []*namespace{&s.results, &s.surfaces} {
+		if err := ns.scan(); err != nil {
+			s.seg.Close()
+			return nil, err
+		}
 	}
 	if _, err := s.GC(); err != nil {
 		s.seg.Close()
@@ -240,7 +234,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	opts.Logger.Info("store opened", "dir", dir,
 		"replayed_records", s.stats.ReplayRecords,
 		"pending_jobs", len(s.pending),
-		"results", len(s.blobs), "result_bytes", s.blobBytes)
+		"results", len(s.results.index), "result_bytes", s.results.bytes)
 	return s, nil
 }
 
@@ -390,13 +384,13 @@ func (s *Store) Snapshot() Stats {
 	st.PendingJobs = len(s.pending)
 	st.Scenarios = len(s.scenarios)
 	s.mu.Unlock()
-	s.bmu.Lock()
-	st.Results = len(s.blobs)
-	st.ResultBytes = s.blobBytes
-	st.ResultEvictions = s.resultEvictions
-	st.BadBlobs = s.badBlobs
-	st.Surfaces = len(s.surfaces)
-	st.SurfaceBytes = s.surfaceBytes
-	s.bmu.Unlock()
+	s.results.mu.Lock()
+	st.Results, st.ResultBytes = len(s.results.index), s.results.bytes
+	s.results.mu.Unlock()
+	s.surfaces.mu.Lock()
+	st.Surfaces, st.SurfaceBytes = len(s.surfaces.index), s.surfaces.bytes
+	s.surfaces.mu.Unlock()
+	st.ResultEvictions = s.evictions.Load()
+	st.BadBlobs = s.results.bad.Load() + s.surfaces.bad.Load()
 	return st
 }

@@ -1,132 +1,41 @@
 package store
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"time"
-)
-
 // surfacesDirName is the subdirectory of the store holding response-
-// surface artifacts (DESIGN.md §15). Surfaces live beside the result
-// blobs but in their own namespace: they are content-addressed by spec
-// hash, wear their own "SRF1" inner framing (internal/surface), are
-// wrapped in the store's shared blob frame on disk so reads verify
-// integrity before the surface codec ever runs, and are exempt from the
-// result store's retention GC — a surface is hours of sweep work, not a
-// cache entry, and is only replaced by an explicit re-put.
+// surface artifacts (DESIGN.md §15): the second namespace beside the
+// result blobs. Surfaces are content-addressed by spec hash, wear their
+// own "SRF1" inner framing (internal/surface) inside the blob frame, and
+// are exempt from the result store's retention GC — a surface is hours of
+// sweep work, not a cache entry, and is only replaced by an explicit
+// re-put.
 const surfacesDirName = "surfaces"
 
-// surfacePath shards surfaces exactly like result blobs.
-func (s *Store) surfacePath(key string) string {
-	return filepath.Join(s.surfacesDir, key[:2], key)
-}
-
 // PutSurface stores an encoded surface artifact under its spec key,
-// atomically (temp file + rename) and fsynced under SyncAlways like
-// result blobs. Re-putting a key replaces the artifact.
+// atomically and fsynced under SyncAlways like result blobs. Re-putting a
+// key replaces the artifact.
 func (s *Store) PutSurface(key string, payload []byte) error {
-	if !blobKeyPattern.MatchString(key) {
-		return fmt.Errorf("store: invalid surface key %q", key)
-	}
-	dir := filepath.Join(s.surfacesDir, key[:2])
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: surface shard dir: %w", err)
-	}
-	framed := encodeBlob(payload)
-	if err := writeFileAtomic(s.surfacePath(key), framed, 0o644, s.opts.SyncMode == SyncAlways); err != nil {
-		return err
-	}
-	s.bmu.Lock()
-	if old, ok := s.surfaces[key]; ok {
-		s.surfaceBytes -= old.size
-	}
-	s.surfaces[key] = blobInfo{size: int64(len(framed)), mtime: time.Now()}
-	s.surfaceBytes += int64(len(framed))
-	s.bmu.Unlock()
-	return nil
+	return s.surfaces.put(key, payload, s.opts.SyncMode == SyncAlways)
 }
 
-// GetSurface reads and checksum-verifies one surface artifact. A missing
-// key returns (nil, false); a corrupt file is quarantined and reported
-// as a miss so the caller rebuilds the surface from its spec.
-func (s *Store) GetSurface(key string) ([]byte, bool) {
-	if !blobKeyPattern.MatchString(key) {
-		return nil, false
-	}
-	buf, err := os.ReadFile(s.surfacePath(key))
-	if err != nil {
-		return nil, false
-	}
-	payload, err := decodeBlob(buf)
-	if err != nil {
-		s.opts.Logger.Warn("corrupt surface blob dropped", "key", key, "detail", err.Error())
-		s.dropSurface(key)
-		s.bmu.Lock()
-		s.badBlobs++
-		s.bmu.Unlock()
-		return nil, false
-	}
-	return payload, true
-}
+// GetSurface reads and checksum-verifies one surface artifact by path,
+// with no index gate: a store opened on the same directory before the
+// artifact was put still reads it. A missing key returns (nil, false); a
+// corrupt file is quarantined and reported as a miss so the caller
+// rebuilds the surface from its spec.
+func (s *Store) GetSurface(key string) ([]byte, bool) { return s.surfaces.get(key) }
 
-// dropSurface removes a surface file and its index entry.
-func (s *Store) dropSurface(key string) {
-	os.Remove(s.surfacePath(key))
-	s.bmu.Lock()
-	if info, ok := s.surfaces[key]; ok {
-		s.surfaceBytes -= info.size
-		delete(s.surfaces, key)
+// DropSurface deletes the artifact under key: surfaces are exempt from GC,
+// so one its reader refuses for good (built from stale results) stays
+// until dropped.
+func (s *Store) DropSurface(key string) {
+	if blobKeyPattern.MatchString(key) {
+		s.surfaces.drop(key)
 	}
-	s.bmu.Unlock()
 }
 
 // SurfaceKeys returns the stored surface keys newest-first (by mtime) —
 // the reload order for a restarting serving tier.
 func (s *Store) SurfaceKeys() []string {
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	keys := make([]string, 0, len(s.surfaces))
-	for k := range s.surfaces {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ti, tj := s.surfaces[keys[i]].mtime, s.surfaces[keys[j]].mtime
-		if ti.Equal(tj) {
-			return keys[i] < keys[j]
-		}
-		return ti.After(tj)
-	})
-	return keys
-}
-
-// scanSurfaces builds the in-memory surface index from the surfaces tree
-// at Open.
-func (s *Store) scanSurfaces() error {
-	shards, err := os.ReadDir(s.surfacesDir)
-	if err != nil {
-		return fmt.Errorf("store: read surfaces dir: %w", err)
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.surfacesDir, shard.Name()))
-		if err != nil {
-			return fmt.Errorf("store: read surface shard: %w", err)
-		}
-		for _, f := range files {
-			if f.IsDir() || !blobKeyPattern.MatchString(f.Name()) {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			s.surfaces[f.Name()] = blobInfo{size: info.Size(), mtime: info.ModTime()}
-			s.surfaceBytes += info.Size()
-		}
-	}
-	return nil
+	s.surfaces.mu.Lock()
+	defer s.surfaces.mu.Unlock()
+	return s.surfaces.keysLocked(true)
 }

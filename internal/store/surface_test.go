@@ -51,7 +51,7 @@ func TestSurfacesSurviveReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(s.surfacePath(key(i)), mt, mt); err != nil {
+		if err := os.Chtimes(s.surfaces.path(key(i)), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestSurfaceCorruptionQuarantined(t *testing.T) {
 	if err := s.PutSurface(key(1), []byte("surface-payload")); err != nil {
 		t.Fatal(err)
 	}
-	path := s.surfacePath(key(1))
+	path := s.surfaces.path(key(1))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSurfacesExemptFromGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(s.surfacePath(key(1)), stale, stale); err != nil {
+	if err := os.Chtimes(s.surfaces.path(key(1)), stale, stale); err != nil {
 		t.Fatal(err)
 	}
 	// Drive GC through the result path.
@@ -153,5 +153,28 @@ func TestWALRecordsClass(t *testing.T) {
 	}
 	if pend[0].Class != "batch" {
 		t.Errorf("class lost across replay+compaction: %q", pend[0].Class)
+	}
+}
+
+// TestSurfaceReadByPath pins the namespaces' two read rules: a Store
+// opened on the directory before another one puts a surface reads that
+// surface through GetSurface, which has no index gate, while GetResult
+// answers from its own index and misses a result it never indexed. A
+// serving tier reading through a second Store relies on the first rule.
+func TestSurfaceReadByPath(t *testing.T) {
+	dir := t.TempDir()
+	writer := openTest(t, dir, Options{})
+	reader := openTest(t, dir, Options{SyncMode: SyncNone})
+	if err := writer.PutSurface(key(1), []byte("surface")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.PutResult(key(2), []byte("result")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reader.GetSurface(key(1)); !ok || string(got) != "surface" {
+		t.Fatalf("second store GetSurface = (%q, %v), want the surface", got, ok)
+	}
+	if got, ok := reader.GetResult(key(2)); ok {
+		t.Fatalf("second store served an unindexed result %q", got)
 	}
 }

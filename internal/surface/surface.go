@@ -52,12 +52,16 @@ type Axis struct {
 // canonical form (sorted keys, defaulted) when identity matters: Key()
 // hashes the marshaled Spec verbatim.
 type Spec struct {
-	JobType     string          `json:"job_type"`
-	Scenario    string          `json:"scenario,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Axes        []Axis          `json:"axes"`
-	Fields      []string        `json:"fields"`
-	Base        json.RawMessage `json:"base,omitempty"`
+	JobType string `json:"job_type"`
+	// ResultVersion is the job type's result version when above 1, and 0
+	// (omitted) at 1, so that version 1 keys stay put while any bump
+	// moves the key of every surface built from the type's results.
+	ResultVersion int             `json:"result_version,omitempty"`
+	Scenario      string          `json:"scenario,omitempty"`
+	Fingerprint   string          `json:"fingerprint,omitempty"`
+	Axes          []Axis          `json:"axes"`
+	Fields        []string        `json:"fields"`
+	Base          json.RawMessage `json:"base,omitempty"`
 }
 
 // Validate checks structural invariants: at least one axis and field,

@@ -2,7 +2,8 @@
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
 #   tier 1: gofmt -l . (must print nothing), no direct solver call in
-#           non-test cmd/ code, go build ./... && go vet ./...
+#           non-test cmd/ code, no fuzzer left out of tier 2,
+#           go build ./... && go vet ./...
 #           && go test ./..., go vet over the rumorbench module, and
 #           GOARCH=arm64 go vet ./... for the Go-only kernel path
 #   tier 2: go test -race ./..., the concurrent in-list test under
@@ -62,6 +63,18 @@ if [ -n "$direct" ]; then
 	echo "$direct" >&2
 	exit 1
 fi
+# Every fuzzer explored: tier 1 only replays each fuzzer's seeds, so print
+# every func Fuzz... in the root module that no tier-2 -fuzz line below
+# names.
+unexplored=$(grep -rhoE --include='*_test.go' --exclude-dir=rumorbench --exclude-dir=.git '^func Fuzz[A-Za-z0-9_]+' . |
+	sed 's/^func //' | sort -u | while read -r fuzzer; do
+		grep -qF -- "-fuzz '^$fuzzer\$'" scripts/verify.sh || echo "$fuzzer"
+	done)
+if [ -n "$unexplored" ]; then
+	echo "verify: fuzzers that tier 2 never explores:" >&2
+	echo "$unexplored" >&2
+	exit 1
+fi
 go build ./...
 go vet ./...
 go test ./...
@@ -99,12 +112,13 @@ if [ "${1:-}" = "-race" ]; then
 	# fencing, span and journal bounds, client traceparent headers
 	# against the W3C shape, result-blob frames against their checksum,
 	# surface artifacts (raw and re-framed with a valid CRC) against
-	# their own round trip, and control-schedule files (rumorctl
-	# -load-json) against schedule validation. Tier 1 replays their
-	# checked-in seeds (testdata/fuzz under internal/obs,
-	# internal/obs/trace, internal/service, internal/store,
-	# internal/surface and internal/control); here each explores for 10s.
-	# Go fuzzes one target per invocation.
+	# their own round trip, control-schedule files (rumorctl -load-json)
+	# against schedule validation, WAL segments against replay's
+	# truncation rules, and edge lists and Digg friends/votes CSVs
+	# against their loaders. Tier 1 replays their seeds (f.Add calls and
+	# testdata/fuzz) and fails on a fuzzer not listed here; here each
+	# explores for 10s. Go fuzzes one target per
+	# invocation.
 	echo "== tier 2: decoder fuzzers"
 	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
 	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
@@ -113,6 +127,10 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
 	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s ./internal/surface
 	go test -run '^$' -fuzz '^FuzzReadScheduleJSON$' -fuzztime 10s ./internal/control
+	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/store
+	go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s ./internal/graph
+	go test -run '^$' -fuzz '^FuzzLoadFriendsCSV$' -fuzztime 10s ./internal/digg
+	go test -run '^$' -fuzz '^FuzzLoadVotesCSV$' -fuzztime 10s ./internal/digg
 	# Go's amd64 math.Exp takes an FMA path on CPUs with FMA, and the
 	# quenched ABM's probabilities go through it: the pinned result
 	# digests must hold without that path too, as on a CPU without FMA.
