@@ -73,6 +73,9 @@ func formatEntry(e journal.Entry) string {
 		if e.Cost != 0 {
 			s += fmt.Sprintf(" cost=%.6g", e.Cost)
 		}
+		if e.Grid != 0 {
+			s += fmt.Sprintf(" grid=%d", e.Grid)
+		}
 		return s
 	case journal.KindInvariant:
 		return fmt.Sprintf("%6d  %s  INVARIANT  %s: %s", e.Seq, ts, e.Check, e.Msg)

@@ -203,7 +203,7 @@ func run(args []string, out io.Writer) error {
 		if ev.Stage != obs.StageFBSM {
 			return
 		}
-		lg.Debug("fbsm sweep", "iter", ev.Step, "max_iter", ev.Total,
+		lg.Debug("fbsm sweep", "grid", ev.Grid, "iter", ev.Step, "max_iter", ev.Total,
 			"residual", ev.Value, "cost", ev.Cost)
 	}
 	var pol service.FBSMResult

@@ -167,7 +167,7 @@ func run(args []string, out io.Writer) error {
 func logProgress(lg *slog.Logger) obs.Progress {
 	return func(ev obs.Event) {
 		lg.Debug("progress", "stage", ev.Stage, "step", ev.Step, "total", ev.Total,
-			"t", ev.T, "value", ev.Value)
+			"grid", ev.Grid, "t", ev.T, "value", ev.Value)
 	}
 }
 

@@ -3,10 +3,10 @@ package control
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"rumornet/internal/core"
 	"rumornet/internal/obs"
+	"rumornet/internal/ode"
 )
 
 // Cost holds the unit costs of the two countermeasures: c1 for spreading
@@ -106,20 +106,12 @@ func foldCost(t, rows, inf []float64) Breakdown {
 }
 
 // gridStep is the RK4 step that crosses sched's horizon in exactly its
-// grid's intervals. T[1] − T[0] can round below tf/grid by enough that
-// ode.SolveFixed, which takes ceil(tf/h) steps, takes one more (at tf 20,
-// grids 61, 77, 122 and 154); the step is then raised by at most a few
-// ulps until it does not. Every other grid keeps T[1] − T[0], bit for bit,
-// and so does a grid no such nudge aligns (uneven, or not starting at 0),
-// which simulateOnGrid then reports as misaligned.
+// grid's intervals: T[1] − T[0] through ode.FitStep, which raises it by a
+// few ulps where it rounds below tf/grid (at tf 20, grids 61, 77, 122 and
+// 154). A grid no such nudge aligns (uneven, or not starting at 0) keeps
+// T[1] − T[0], and simulateOnGrid then reports it as misaligned.
 func gridStep(sched *Schedule) float64 {
-	h, tf, steps := sched.T[1]-sched.T[0], sched.Horizon(), float64(len(sched.T)-1)
-	for up, i := h, 0; i < 4; i, up = i+1, math.Nextafter(up, tf) {
-		if math.Ceil(tf/up) <= steps {
-			return up
-		}
-	}
-	return h
+	return ode.FitStep(sched.T[1]-sched.T[0], sched.Horizon(), len(sched.T)-1)
 }
 
 // simulateOnGrid integrates the controlled model with RK4 using exactly the

@@ -231,6 +231,14 @@ func iterate(ctx context.Context, m *core.Model, ic []float64, sched *Schedule, 
 	mix := arena.mix
 	mix.reset(2 * ng)
 
+	// Every event names this level's grid, so a consumer can tell the
+	// quarter grid's sweeps from the requested grid's.
+	if prog := opts.Progress; prog != nil {
+		opts.Progress = func(ev obs.Event) {
+			ev.Grid = ng - 1
+			prog(ev)
+		}
+	}
 	// Rebadge the forward integration's StageODE checkpoints so a consumer
 	// can tell the FBSM forward sweep apart from a plain simulation job.
 	// The whole event is forwarded, so the MinI/MassErr invariant fields

@@ -94,12 +94,15 @@ type PeakInfo struct {
 
 // Peak returns the time and value of the maximum population-weighted
 // infected fraction.
-func (tr *Trajectory) Peak() PeakInfo {
-	mean := tr.MeanISeries()
-	best := PeakInfo{Time: tr.T[0], Value: mean[0]}
+func (tr *Trajectory) Peak() PeakInfo { return PeakOf(tr.T, tr.MeanISeries()) }
+
+// PeakOf is Peak over a mean infected series already computed: the first
+// sample of the largest value in mean, whose times are t.
+func PeakOf(t, mean []float64) PeakInfo {
+	best := PeakInfo{Time: t[0], Value: mean[0]}
 	for j, v := range mean {
 		if v > best.Value {
-			best = PeakInfo{Time: tr.T[j], Value: v}
+			best = PeakInfo{Time: t[j], Value: v}
 		}
 	}
 	return best

@@ -56,6 +56,7 @@ type Entry struct {
 	T     float64 `json:"t,omitempty"`
 	Value float64 `json:"value,omitempty"`
 	Cost  float64 `json:"cost,omitempty"`
+	Grid  int     `json:"grid,omitempty"` // obs.Event.Grid
 }
 
 // subscriber is one live listener on a job's entry stream.

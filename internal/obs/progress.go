@@ -10,6 +10,14 @@ const (
 	// top of internal/ode): Step/Total count accepted steps, T is the
 	// integration time reached and Value the infectivity Θ(t).
 	StageODE = "ode"
+	// StageODELevel is one finished step-doubling level of rumord's ode
+	// job (DESIGN.md §5): Step numbers the level from 1, Grid is its step
+	// count, T the time it reached (tf, or where its state went
+	// non-finite) and Value its err_est against the level before it (0
+	// when there is no finite level before it). Only the returned level's
+	// StageODE checkpoints follow its level event, so a discarded level
+	// never reaches an invariant monitor.
+	StageODELevel = "ode/level"
 	// StageFBSM is one completed forward–backward sweep iteration
 	// (internal/control): Step/Total count iterations, Value is the
 	// relative L1 control-change residual the convergence test uses and
@@ -51,6 +59,11 @@ type Event struct {
 	// Elapsed is the wall time of the unit, where measured (ABM sweep
 	// steps).
 	Elapsed time.Duration
+	// Grid names the level a multi-level solve reports from: the FBSM
+	// grid's intervals on every FBSM stage (the quarter grid's sweeps, then
+	// the requested grid's), the step count on the ode job's StageODE and
+	// StageODELevel events. 0 elsewhere.
+	Grid int
 
 	// MinI is the smallest per-group infected density at the checkpoint
 	// (ODE and FBSM-forward events): negative values mean the integration

@@ -356,6 +356,33 @@ func stage(tmp, y []float64, c float64, k []float64) {
 	}
 }
 
+// FitStep returns the step that crosses span in exactly steps steps of
+// SolveFixed, which takes ceil(span/h) of them: h itself, or h raised by at
+// most a few ulps when span/h rounds above steps (at span 20, h = 20/61
+// does). A caller that needs a sample at every grid node, or exactly
+// steps/Record + 1 samples, passes its nominal step through FitStep. A
+// step no such nudge aligns is returned unchanged.
+func FitStep(h, span float64, steps int) float64 {
+	for up, i := h, 0; i < 4; i, up = i+1, math.Nextafter(up, span) {
+		if math.Ceil(span/up) <= float64(steps) {
+			return up
+		}
+	}
+	return h
+}
+
+// NonFiniteError is SolveFixed's error when the state leaves the finite
+// floats: T is the time of the first non-finite state. A caller that
+// retries on a finer step, as rumord's ode job does, tells it apart from
+// cancellation with errors.As.
+type NonFiniteError struct {
+	T float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("ode: state became non-finite at t=%g", e.T)
+}
+
 // SolveFixed integrates from (t0, y0) to tf with constant step h,
 // advancing the state with step, and returns the sampled trajectory. The
 // final step is shortened so the trajectory ends exactly at tf. y0 is not
@@ -370,7 +397,8 @@ func stage(tmp, y []float64, c float64, k []float64) {
 // Options.Reuse supplies the storage. With Record 1 every step is a
 // sample, so each step writes straight into its sample's row and nothing
 // is copied. The finiteness check is the step's own report, which the
-// step kernels fold into their last pass.
+// step kernels fold into their last pass; a non-finite state ends the run
+// with a *NonFiniteError and the samples before it.
 func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Solution, error) {
 	if tf <= t0 {
 		return nil, fmt.Errorf("ode: non-positive time span [%g, %g]", t0, tf)
@@ -448,7 +476,7 @@ func SolveFixed(step Step, y0 []float64, t0, tf, h float64, opts *Options) (*Sol
 			t = tf
 		}
 		if !finite {
-			return sol, fmt.Errorf("ode: state became non-finite at t=%g", t)
+			return sol, &NonFiniteError{T: t}
 		}
 		if hook && ((i+1)%every == 0 || i == steps-1) {
 			opts.Progress(i+1, steps, t, y)

@@ -450,3 +450,29 @@ func TestSolveFixedStepReportsFinite(t *testing.T) {
 		t.Errorf("%d samples before the error, want the initial state and 3 steps", sol.Len())
 	}
 }
+
+// TestFitStepLands checks that the step FitStep returns crosses the span in
+// exactly the asked steps at every horizon 0.1, 0.2, …, 1000, for every
+// level of rumord's ode job at 50 and 501 samples (49·2^k and 500·2^k
+// steps, up to 2^15): tf/N alone takes N + 1 at 6–11% of them.
+func TestFitStepLands(t *testing.T) {
+	var nudged int
+	for k := 1; k <= 10000; k++ {
+		tf := float64(k) / 10
+		for _, n0 := range []int{49, 500} {
+			for n := n0; n <= 1<<15; n *= 2 {
+				h := FitStep(tf/float64(n), tf, n)
+				if got := math.Ceil(tf / h); got != float64(n) {
+					t.Fatalf("tf %v: FitStep(tf/%d) = %v takes %v steps", tf, n, h, got)
+				}
+				if h != tf/float64(n) {
+					nudged++
+				}
+			}
+		}
+	}
+	if nudged == 0 {
+		t.Error("no step needed a nudge: the test no longer exercises FitStep")
+	}
+	t.Logf("%d of the steps were nudged", nudged)
+}

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"rumornet/internal/obs"
 )
 
 func benchService(b *testing.B) *Service {
@@ -132,6 +135,31 @@ func BenchmarkSubmitReject(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Submit(req); err == nil {
 			b.Fatal("want error")
+		}
+	}
+}
+
+// BenchmarkODERequest is the solve benchmark's ode request
+// (rumorbench/requests.go odeReq) through ExecuteRequest on the built-in
+// Digg2009 scenario, with a no-op progress hook as rumord runs every job:
+// the per-request cost of the ode job's step rule, without the service
+// around it.
+func BenchmarkODERequest(b *testing.B) {
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	sc, err := s.Scenario(BuiltinScenario)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Type: JobODE, Params: versionODEParams}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExecuteRequest(context.Background(), sc, req, 1, func(obs.Event) {}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -160,6 +160,7 @@ type ProgressEvent struct {
 	ElapsedUS int64   `json:"elapsed_us,omitempty"`
 	MinI      float64 `json:"min_i,omitempty"`
 	MassErr   float64 `json:"mass_err,omitempty"`
+	Grid      int     `json:"grid,omitempty"`
 }
 
 // WireProgress converts a solver checkpoint to its wire form; at is when
@@ -170,7 +171,7 @@ func WireProgress(ev obs.Event, at time.Duration) ProgressEvent {
 		Stage: ev.Stage, Step: ev.Step, Total: ev.Total, T: ev.T,
 		Value: ev.Value, Cost: ev.Cost,
 		ElapsedUS: ev.Elapsed.Microseconds(),
-		MinI:      ev.MinI, MassErr: ev.MassErr,
+		MinI:      ev.MinI, MassErr: ev.MassErr, Grid: ev.Grid,
 	}
 }
 
@@ -179,7 +180,7 @@ func (p ProgressEvent) toObs() obs.Event {
 		Stage: p.Stage, Step: p.Step, Total: p.Total, T: p.T,
 		Value: p.Value, Cost: p.Cost,
 		Elapsed: time.Duration(p.ElapsedUS) * time.Microsecond,
-		MinI:    p.MinI, MassErr: p.MassErr,
+		MinI:    p.MinI, MassErr: p.MassErr, Grid: p.Grid,
 	}
 }
 

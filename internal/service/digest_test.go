@@ -19,8 +19,8 @@ var pinnedDigests = []struct {
 	version int
 	digest  string
 }{
-	{"ode", Request{Type: JobODE, Params: versionODEParams}, 1,
-		"9fb8dc2d2713150dac0fd5520f569381588eb8b3a59084a690f21fa1762c1891"},
+	{"ode", Request{Type: JobODE, Params: versionODEParams}, 2,
+		"d101d6360048b22c959daf3701da14046de94340aad5b1597ff453cdead1d84b"},
 	{"abm", Request{Type: JobABM, Params: versionABMParams}, 1,
 		"fe2f4d783deec24ace20277d7ec87f0d832d2e8735e6c0d6fa5cce2e080801f0"},
 	{"fbsm", Request{Type: JobFBSM, Params: versionFBSMParams}, 3,

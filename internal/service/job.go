@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"rumornet/internal/degreedist"
 	"rumornet/internal/graph"
 	"rumornet/internal/obs"
+	"rumornet/internal/ode"
 )
 
 // JobType selects the computation a job performs.
@@ -254,8 +256,11 @@ type Request struct {
 // bytes, so results stored by older code become cache misses instead of
 // being served as fresh answers; the other types keep their keys.
 func resultVersion(t JobType) int {
-	if t == JobFBSM {
+	switch t {
+	case JobFBSM:
 		return 3 // coarse-grid warm start (2: safeguarded Anderson update)
+	case JobODE:
+		return 2 // step-doubled to a stated tolerance, err_est and steps
 	}
 	return 1
 }
@@ -351,6 +356,7 @@ type JobProgress struct {
 	T         float64   `json:"t,omitempty"`
 	Value     float64   `json:"value,omitempty"`
 	Cost      float64   `json:"cost,omitempty"`
+	Grid      int       `json:"grid,omitempty"` // the level's grid (obs.Event.Grid)
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
@@ -363,6 +369,15 @@ type ODEResult struct {
 	PeakT   float64   `json:"peak_t"`
 	PeakI   float64   `json:"peak_i"`
 	FinalI  float64   `json:"final_i"`
+	// ErrEst is the answer's error estimate (DESIGN.md §5): an estimate of
+	// the largest absolute error in the fields it covers, in their units.
+	// Here it is the step-doubling estimate max_j |Δ mean_i[j]| / 15
+	// between the returned level and the level before it, which covers
+	// every mean_i sample, peak_i and final_i. At most 1e-9 unless the
+	// step rule reached its ceiling.
+	ErrEst float64 `json:"err_est"`
+	// Steps is the returned level's RK4 step count.
+	Steps int `json:"steps"`
 }
 
 // ThresholdResult is the payload of a succeeded JobThreshold.
@@ -462,6 +477,24 @@ func execute(ctx context.Context, sc *Scenario, req Request, prog obs.Progress) 
 	}
 }
 
+// The ode job's step rule (DESIGN.md §5, "ODE job step rule"). The job
+// answers its mean_i samples, and so peak_i and final_i, to odeTol
+// absolute. It solves on levels of S−1, 2(S−1), 4(S−1), … RK4 steps, S the
+// samples it returns, and returns the first level whose samples differ
+// from the level before it by at most odeRichardson·odeTol: RK4's error
+// falls 16-fold when the step halves, so that difference is about 15
+// times the finer level's own error. A level whose state goes non-finite
+// is discarded, and the next one has no level before it. No level is
+// finer than odeMaxSteps: past it the job returns the finest level with
+// its err_est above odeTol, or fails when that level has no estimate.
+const (
+	odeTol        = 1e-9
+	odeRichardson = 15
+	odeMaxSteps   = 1 << 15
+	// odeMaxSamples caps the samples an ode answer returns (Params.Points).
+	odeMaxSamples = 2001
+)
+
 func executeODE(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) (any, error) {
 	m, _, err := BuildModel(sc, p)
 	if err != nil {
@@ -471,25 +504,84 @@ func executeODE(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) 
 	if err != nil {
 		return nil, err
 	}
-	// Integrate on the default fine step but record only ~Points samples,
-	// keeping the JSON payload bounded.
-	step := p.Tf / 2000
-	rec := int(math.Ceil(2000 / float64(p.Points-1)))
-	tr, err := m.SimulateCtx(ctx, ic, p.Tf, &core.SimOptions{Step: step, Record: rec, Progress: prog})
+	sol, err := solveODE(ctx, m, ic, p.Tf, min(p.Points, odeMaxSamples), prog)
 	if err != nil {
 		return nil, err
 	}
-	mean := tr.MeanISeries()
-	peak := tr.Peak()
+	peak := core.PeakOf(sol.tr.T, sol.mean)
 	return &ODEResult{
 		R0:      m.R0(),
 		Verdict: m.Classify().String(),
-		T:       tr.T,
-		MeanI:   mean,
+		T:       sol.tr.T,
+		MeanI:   sol.mean,
 		PeakT:   peak.Time,
 		PeakI:   peak.Value,
-		FinalI:  mean[len(mean)-1],
+		FinalI:  sol.mean[len(sol.mean)-1],
+		ErrEst:  sol.errEst,
+		Steps:   sol.steps,
 	}, nil
+}
+
+// odeLevel is the level the ode job's step rule returns.
+type odeLevel struct {
+	tr     *core.Trajectory
+	mean   []float64 // tr's mean_i samples
+	steps  int
+	errEst float64
+}
+
+// solveODE runs the ode job's step rule for samples samples of m from ic
+// over (0, tf]. Every level records exactly samples samples, the first at
+// 0 and the last at tf, into one trajectory's storage. prog receives one
+// StageODELevel event per level and, after the returned level's, that
+// level's StageODE checkpoints; a discarded level's checkpoints are
+// dropped.
+func solveODE(ctx context.Context, m *core.Model, ic []float64, tf float64, samples int, prog obs.Progress) (odeLevel, error) {
+	tr := m.NewTrajectory(samples - 1)
+	var (
+		prev []float64   // the level before's mean_i samples; nil when it was not finite
+		held []obs.Event // this level's StageODE checkpoints
+	)
+	for level, n := 1, samples-1; n <= odeMaxSteps; level, n = level+1, 2*n {
+		opts := &core.SimOptions{
+			Step:   ode.FitStep(tf/float64(n), tf, n),
+			Record: n / (samples - 1),
+			Reuse:  tr,
+		}
+		if prog != nil {
+			held = held[:0]
+			opts.Progress = func(ev obs.Event) {
+				ev.Grid = n
+				held = append(held, ev)
+			}
+		}
+		var nonFinite *ode.NonFiniteError
+		if _, err := m.SimulateCtx(ctx, ic, tf, opts); errors.As(err, &nonFinite) {
+			prev = nil
+			prog.Emit(obs.Event{Stage: obs.StageODELevel, Step: level, Grid: n, T: nonFinite.T})
+			continue
+		} else if err != nil {
+			return odeLevel{}, err
+		}
+		mean := tr.MeanISeries()
+		est := -1.0 // no level before to compare with
+		if prev != nil {
+			var diff float64
+			for j, v := range mean {
+				diff = math.Max(diff, math.Abs(v-prev[j]))
+			}
+			est = diff / odeRichardson
+		}
+		prev = mean
+		prog.Emit(obs.Event{Stage: obs.StageODELevel, Step: level, Grid: n, T: tf, Value: max(est, 0)})
+		if est >= 0 && (est <= odeTol || 2*n > odeMaxSteps) {
+			for _, ev := range held {
+				prog(ev)
+			}
+			return odeLevel{tr: tr, mean: mean, steps: n, errEst: est}, nil
+		}
+	}
+	return odeLevel{}, fmt.Errorf("ode: no two consecutive levels up to %d steps stayed finite", odeMaxSteps)
 }
 
 func executeThreshold(sc *Scenario, p Params) (any, error) {

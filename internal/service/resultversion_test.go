@@ -25,12 +25,23 @@ var (
 		Points: 500, Seed: 1, C1: 5, C2: 10, EpsMax: 0.6, Grid: 120}
 )
 
-// Keys of those requests on the built-in scenario before FBSM results
-// moved to version 2 (the safeguarded Anderson control update).
+// Keys of those requests on the built-in scenario at result version 1:
+// before FBSM results moved to version 2 (the safeguarded Anderson control
+// update) and ODE results to version 2 (the step-doubling rule). ABM
+// results are still at version 1.
 const (
 	v1ODEKey  = "91caa31ac7c24b6320c492e9959e08cc80e78a01083435c7d67b7f440607ca7e"
+	v1ABMKey  = "3f5cc709b38485bd72b68fb83258ed01e7a704162b77a7a3c07cdb3e12605c07"
 	v1FBSMKey = "ede303b2723565a76a6f67b6135fff3a7a24c325002507fe5f204555ea26007c"
 )
+
+// currentKey is the cache key of a request of type typ with params p on
+// the built-in scenario, at the type's current result version.
+func currentKey(t *testing.T, typ JobType, p Params) string {
+	t.Helper()
+	svc := newTestService(t, Config{})
+	return cacheKey(typ, builtinScenario(t, svc).Fingerprint, p)
+}
 
 func builtinScenario(t *testing.T, svc *Service) *Scenario {
 	t.Helper()
@@ -53,13 +64,16 @@ func TestCacheKeyResultVersion(t *testing.T) {
 	for _, tc := range []struct {
 		typ JobType
 		p   Params
-	}{{JobODE, versionODEParams}, {JobFBSM, versionFBSMParams}} {
+	}{{JobODE, versionODEParams}, {JobABM, versionABMParams}, {JobFBSM, versionFBSMParams}} {
 		if got := tc.p.WithDefaults(tc.typ); got != tc.p {
 			t.Fatalf("%s params are not canonical: %+v", tc.typ, got)
 		}
 	}
-	if got := cacheKey(JobODE, fp, versionODEParams); got != v1ODEKey {
-		t.Errorf("ode key = %s, want the version-1 key %s", got, v1ODEKey)
+	if got := cacheKey(JobABM, fp, versionABMParams); got != v1ABMKey {
+		t.Errorf("abm key = %s, want the version-1 key %s", got, v1ABMKey)
+	}
+	if got := cacheKey(JobODE, fp, versionODEParams); got == v1ODEKey {
+		t.Errorf("ode key is still the version-1 key %s", got)
 	}
 	if got := cacheKey(JobFBSM, fp, versionFBSMParams); got == v1FBSMKey {
 		t.Errorf("fbsm key is still the version-1 key %s", got)
@@ -68,21 +82,23 @@ func TestCacheKeyResultVersion(t *testing.T) {
 
 // TestStaleResultNotServed restarts a durable service over a store that
 // holds results written under version-1 keys (a memory miss reads through
-// to the store): the ODE blob is still served, and the FBSM request is
-// recomputed instead.
+// to the store): the ABM blob, still at version 1, is served, and the ODE
+// and FBSM requests are recomputed instead.
 func TestStaleResultNotServed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{SyncMode: store.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	odeBlob := []byte(`{"stale":"ode"}`)
-	fbsmBlob := []byte(`{"stale":"fbsm"}`)
-	if err := st.PutResult(v1ODEKey, odeBlob); err != nil {
-		t.Fatal(err)
+	stale := map[JobType][]byte{
+		JobODE:  []byte(`{"stale":"ode"}`),
+		JobABM:  []byte(`{"stale":"abm"}`),
+		JobFBSM: []byte(`{"stale":"fbsm"}`),
 	}
-	if err := st.PutResult(v1FBSMKey, fbsmBlob); err != nil {
-		t.Fatal(err)
+	for typ, key := range map[JobType]string{JobODE: v1ODEKey, JobABM: v1ABMKey, JobFBSM: v1FBSMKey} {
+		if err := st.PutResult(key, stale[typ]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -94,25 +110,27 @@ func TestStaleResultNotServed(t *testing.T) {
 	}
 	defer svc.Close()
 
-	ode, err := svc.Submit(Request{Type: JobODE, Params: versionODEParams})
+	abm, err := svc.Submit(Request{Type: JobABM, Params: versionABMParams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ode.CacheHit || !bytes.Equal(ode.Result, odeBlob) {
-		t.Errorf("ode: cache_hit %v, result %s — want the stored blob", ode.CacheHit, ode.Result)
+	if !abm.CacheHit || !bytes.Equal(abm.Result, stale[JobABM]) {
+		t.Errorf("abm: cache_hit %v, result %s — want the stored blob", abm.CacheHit, abm.Result)
 	}
 
-	fbsm, err := svc.Submit(Request{Type: JobFBSM, Params: versionFBSMParams})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fbsm.CacheHit {
-		t.Fatalf("fbsm: the version-1 blob %s was served", fbsm.Result)
-	}
-	fbsm = waitJob(t, svc, fbsm.ID)
-	mustSucceed(t, fbsm)
-	if bytes.Equal(fbsm.Result, fbsmBlob) {
-		t.Error("fbsm: recomputed result equals the stale blob")
+	for _, req := range []Request{{Type: JobODE, Params: versionODEParams}, {Type: JobFBSM, Params: versionFBSMParams}} {
+		job, err := svc.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.CacheHit {
+			t.Fatalf("%s: the version-1 blob %s was served", req.Type, job.Result)
+		}
+		job = waitJob(t, svc, job.ID)
+		mustSucceed(t, job)
+		if bytes.Equal(job.Result, stale[req.Type]) {
+			t.Errorf("%s: recomputed result equals the stale blob", req.Type)
+		}
 	}
 }
 
@@ -231,10 +249,11 @@ func TestRecoveredJobServedFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := []byte(`{"stored":"ode"}`)
-	if err := st.AppendSubmitted(store.JobState{ID: "j-000001", Seq: 1, Request: req, Key: v1ODEKey}); err != nil {
+	key := currentKey(t, JobODE, versionODEParams)
+	if err := st.AppendSubmitted(store.JobState{ID: "j-000001", Seq: 1, Request: req, Key: key}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutResult(v1ODEKey, blob); err != nil {
+	if err := st.PutResult(key, blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

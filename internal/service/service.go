@@ -739,6 +739,7 @@ func (s *Service) progressSink(r *jobRecord, stages *stageSpans, monitor *invari
 			T:         ev.T,
 			Value:     ev.Value,
 			Cost:      ev.Cost,
+			Grid:      ev.Grid,
 			UpdatedAt: time.Now(),
 		}
 		r.prog.Store(jp)
@@ -750,14 +751,14 @@ func (s *Service) progressSink(r *jobRecord, stages *stageSpans, monitor *invari
 			JobID: r.job.ID, TraceID: r.job.TraceID,
 			Kind: journal.KindProgress, Stage: ev.Stage,
 			Step: ev.Step, Total: ev.Total, T: ev.T, Value: ev.Value,
-			Cost: ev.Cost,
+			Cost: ev.Cost, Grid: ev.Grid,
 		})
 		if ev.Stage == obs.StageABM && ev.Elapsed > 0 {
 			s.met.abmStep.Record(ev.Elapsed.Seconds())
 		}
 		if every > 0 && n.Add(1)%every == 0 {
 			lg.Debug("job progress", "stage", ev.Stage, "step", ev.Step,
-				"total", ev.Total, "t", ev.T, "value", ev.Value, "cost", ev.Cost)
+				"total", ev.Total, "grid", ev.Grid, "t", ev.T, "value", ev.Value, "cost", ev.Cost)
 		}
 	}
 }
