@@ -11,12 +11,17 @@
 //     chosen so that the expected force over a configuration-model graph
 //     equals the mean-field force λ(k_v)·Θ (see DESIGN.md). Differences
 //     from the ODE quantify the quenched-network correction the paper's
-//     model ignores. Each step pushes that pressure from the infected
-//     nodes along their out-lists, so the run never reads an in-list.
+//     model ignores. The pressure is an integer fixed-point sum, pushed
+//     along out-lists once from the initially infected nodes and then
+//     only from the nodes that flip S→I (+) or I→R (−), so the run never
+//     reads an in-list and walks each node's arcs at most twice.
 //
-// The per-step transition sweep is sharded across worker goroutines
-// (Config.Workers); the quenched push before it is one serial pass in
-// ascending node id. Every Monte-Carlo transition draw comes from a
+// A run reads its graph through Network, which a stored *graph.Graph and
+// a *graph.OnDemand configuration model, whose arcs are redrawn on each
+// read, both satisfy. The per-step transition sweep is sharded across
+// worker goroutines (Config.Workers); each shard records its flips, and
+// the pressure updates they imply are applied serially after the barrier.
+// Every Monte-Carlo transition draw comes from a
 // counter-based generator keyed by (run seed, step, node) rather than a
 // shared sequential stream, so a run's output is bit-identical for every
 // worker count — and runs that differ only in their Blocked set stay
@@ -31,15 +36,25 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
 	"sync/atomic"
 	"time"
 
 	"rumornet/internal/degreedist"
-	"rumornet/internal/graph"
 	"rumornet/internal/obs"
 	"rumornet/internal/par"
+	"rumornet/internal/splitmix"
 )
+
+// Network is the graph a run walks: its node count, out-degrees and
+// out-lists. Implementations must allow concurrent reads, since MeanRun's
+// trials share one.
+type Network interface {
+	NumNodes() int
+	OutDegree(u int) int
+	// AppendOut appends the targets of u's out-arcs to dst and returns the
+	// extended slice.
+	AppendOut(dst []int, u int) []int
+}
 
 // Mode selects the contact structure.
 type Mode int
@@ -154,7 +169,7 @@ const shardSize = 2048
 // sweepPlan is the precomputed per-run geometry of the annealed transition
 // sweep: a degree-bucketed visit order per shard for the draw phase. The
 // quenched sweep needs no plan — it walks its shard in node order and reads
-// the pressure the step's push pass left in press.
+// each node's pressure from press.
 //
 // The plan depends only on the graph, never on the worker count or the RNG,
 // so it cannot perturb the deterministic trajectory. Determinism of the
@@ -175,7 +190,7 @@ type sweepPlan struct {
 	order []int32
 }
 
-func newSweepPlan(g *graph.Graph) *sweepPlan {
+func newSweepPlan(g Network) *sweepPlan {
 	n := g.NumNodes()
 	p := &sweepPlan{deg: make([]int32, n), order: make([]int32, n)}
 	for v := 0; v < n; v++ {
@@ -196,26 +211,39 @@ func newSweepPlan(g *graph.Graph) *sweepPlan {
 	return p
 }
 
-// pushPressure sets press[v] to the quenched pressure on v: the sum of
-// omegaOverDeg[u] over v's arcs from infected sources u. It pushes each
-// infected node's per-arc weight to its out-neighbors, sources in ascending
-// id and a parallel arc once per copy, so every sum runs in ascending
-// source order. On a configuration-model graph that is the order of v's
-// in-list, so the sum is bit for bit what a pull over InNeighbors(v) gives
-// (DESIGN.md §11). The pass is serial, so no worker count can change the
-// summation order.
-func pushPressure(g *graph.Graph, state []State, omegaOverDeg, press []float64) {
-	clear(press)
-	for u, st := range state {
-		if st != Infected {
-			continue
-		}
-		w := omegaOverDeg[u]
-		for _, v := range g.OutNeighbors(u) {
-			press[v] += w
-		}
-	}
+// pressureBits is the number of bits the quenched pressure's fixed-point
+// sums may reach: pressureScale keeps every sum below 2⁶² (see there).
+const pressureBits = 61
+
+// pressureScale returns the base-2 exponent of the quenched pressure's
+// fixed-point unit, 2^−shift, for a network whose per-node infectivities
+// sum to sumOmega. A node's weight ω(k_u)/k_u becomes round(ω(k_u)/k_u ·
+// 2^shift) units, at least 1 when positive, so the k_u arcs of u carry at
+// most ω(k_u)·2^shift + k_u units. With 2^shift·Σω < 2^61 no pressure,
+// which sums a subset of all arcs' weights, can reach 2^61 + m < 2^62: no
+// int64 sum overflows, whatever the order of its terms. The exponent is
+// capped at 1022 so that the unit itself stays a normal float64.
+func pressureScale(sumOmega float64) int {
+	_, e := math.Frexp(sumOmega) // sumOmega < 2^e
+	return min(pressureBits-e, 1022)
 }
+
+// pressureWeight returns ω/k in fixed-point units of 2^−shift: rounded to
+// the nearest unit, and never below one unit when positive, so a pressure
+// is zero exactly when none of its arcs comes from an infected node with
+// positive weight.
+func pressureWeight(omegaOverDeg float64, shift int) int64 {
+	w := int64(math.Round(math.Ldexp(omegaOverDeg, shift)))
+	if w == 0 && omegaOverDeg > 0 {
+		w = 1
+	}
+	return w
+}
+
+// afterStep, when non-nil, sees every quenched step's new states, pressures
+// and per-node weights once the step's flips are applied. Tests set it to
+// recount the pressure from in-lists; it must not keep the slices.
+var afterStep func(state []State, press, weight []int64)
 
 // thresholds returns a susceptible node's transition thresholds for one
 // step with infection exponent x = force·Δt and immunization probability
@@ -239,20 +267,11 @@ func stopBound(x, pRec1 float64) float64 {
 	return x + pRec1 + 1e-9
 }
 
-// splitmix64 is the SplitMix64 output mixer (Steele, Lea & Flood 2014): a
-// bijective avalanche function whose sequential stream passes BigCrush.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // stepKey returns the part of a transition draw's key that a whole step
 // shares: the run's base seed mixed with the step number. The sweep
 // computes it once per step, not once per node.
 func stepKey(base uint64, step int) uint64 {
-	return base ^ splitmix64(uint64(step)*0xA24BAED4963EE407)
+	return base ^ splitmix.Mix(uint64(step)*0xA24BAED4963EE407)
 }
 
 // transitionRand returns the uniform [0, 1) variate for node's transition
@@ -261,7 +280,7 @@ func stepKey(base uint64, step int) uint64 {
 // shard geometry and keeps paired comparisons (same seed, different
 // Blocked sets) aligned per node.
 func transitionRand(key uint64, node int) float64 {
-	x := splitmix64(key + uint64(node)*0x9FB21C651E98DF25)
+	x := splitmix.Mix(key + uint64(node)*0x9FB21C651E98DF25)
 	return float64(x>>11) * 0x1p-53
 }
 
@@ -269,7 +288,7 @@ func transitionRand(key uint64, node int) float64 {
 // still participate (they can be infected; they simply contribute no
 // infectivity). The trajectory is a deterministic function of (g, cfg, rng
 // state) and does not depend on cfg.Workers.
-func Run(g *graph.Graph, cfg Config, rng *rand.Rand) (*Result, error) {
+func Run(g Network, cfg Config, rng *rand.Rand) (*Result, error) {
 	return RunCtx(context.Background(), g, cfg, rng)
 }
 
@@ -277,7 +296,7 @@ func Run(g *graph.Graph, cfg Config, rng *rand.Rand) (*Result, error) {
 // long Monte-Carlo run aborts promptly when its job times out or is
 // cancelled. Cancellation does not perturb the deterministic trajectory of
 // runs that complete.
-func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*Result, error) {
+func RunCtx(ctx context.Context, g Network, cfg Config, rng *rand.Rand) (*Result, error) {
 	if g == nil || g.NumNodes() == 0 {
 		return nil, errors.New("abm: empty graph")
 	}
@@ -293,7 +312,9 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 	// Precompute per-node rates, so the per-step loops call no KFunc. The
 	// rates depend on the out-degree alone, so λ(k), ω(k) and ω(k)/k are
 	// evaluated once per distinct degree (OmegaSaturating calls math.Pow),
-	// at the first node of that degree, and copied to every other.
+	// at the first node of that degree, and copied to every other. The
+	// quenched weights ω(k)/k are turned into fixed-point units below, once
+	// Σω fixes the unit.
 	maxDeg := 0
 	for u := 0; u < n; u++ {
 		maxDeg = max(maxDeg, g.OutDegree(u))
@@ -302,13 +323,16 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 	lambda := make([]float64, n)
 	omegaNode := make([]float64, n)    // ω(k_u)
 	omegaOverDeg := make([]float64, n) // ω(k_u)/outdeg(u), 0 for isolated
-	var meanK float64
+	var meanK, sumOmega float64        // sumOmega: Σ ω(k_u) over nodes with arcs
 	for u := 0; u < n; u++ {
 		d := g.OutDegree(u)
 		k := float64(d)
 		meanK += k
 		if f := first[d] - 1; f >= 0 {
 			lambda[u], omegaNode[u], omegaOverDeg[u] = lambda[f], omegaNode[f], omegaOverDeg[f]
+			if d > 0 {
+				sumOmega += omegaNode[u]
+			}
 			continue
 		}
 		first[d] = int32(u) + 1
@@ -318,10 +342,11 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 		}
 		om := cfg.Omega(k)
 		if k > 0 {
-			if om < 0 {
-				return nil, fmt.Errorf("abm: ω(%g) negative", k)
+			if !(om >= 0) || math.IsInf(om, 1) {
+				return nil, fmt.Errorf("abm: ω(%g) = %g is negative or not finite", k, om)
 			}
 			omegaOverDeg[u] = om / k
+			sumOmega += om
 		}
 		omegaNode[u] = om
 	}
@@ -421,13 +446,39 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 	workers := par.Default(cfg.Workers)
 	deltas := make([]delta, par.NumShards(n, shardSize))
 	var (
-		plan  *sweepPlan
-		press []float64 // quenched: Σ ω(k_u)/k_u over v's infected in-arcs
+		plan *sweepPlan
+		// Quenched: press[v] is Σ weight[u] over v's arcs from infected u,
+		// weight[u] being ω(k_u)/k_u in fixed-point units of 2^−shift, and
+		// a node's force·Δt is λ(k_v)·press[v]·pressUnit. flips[s] lists
+		// shard s's transitions of the step: u for S→I, ^u for I→R.
+		press, weight []int64
+		pressUnit     float64
+		flips         [][]int32
+		arcs          []int
 	)
+	// push adds w to the pressure on every out-neighbour of u.
+	push := func(u int, w int64) {
+		arcs = g.AppendOut(arcs[:0], u)
+		for _, v := range arcs {
+			press[v] += w
+		}
+	}
 	if cfg.Mode == ModeAnnealed {
 		plan = newSweepPlan(g)
 	} else {
-		press = make([]float64, n)
+		shift := pressureScale(sumOmega)
+		pressUnit = math.Ldexp(cfg.Dt/meanK, -shift)
+		weight = make([]int64, n)
+		for u, w := range omegaOverDeg {
+			weight[u] = pressureWeight(w, shift)
+		}
+		press = make([]int64, n)
+		for u, st := range state {
+			if st == Infected {
+				push(u, weight[u])
+			}
+		}
+		flips = make([][]int32, len(deltas))
 	}
 
 	// Hoist the progress decision out of the step loop; the hook path costs
@@ -450,8 +501,6 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 		var theta float64
 		if cfg.Mode == ModeAnnealed {
 			theta = thetaSum / (nf * meanK)
-		} else {
-			pushPressure(g, state, omegaOverDeg, press)
 		}
 
 		key := stepKey(baseSeed, step)
@@ -522,9 +571,10 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 				}
 			} else {
 				// Quenched: the force is per-node (each v reads its own
-				// pushed pressure), so there is nothing for a degree bucket
-				// to share; a single node-ordered pass keeps the state[] and
+				// pressure), so there is nothing for a degree bucket to
+				// share; a single node-ordered pass keeps the state[] and
 				// press[] accesses sequential.
+				f := flips[shard][:0]
 				for v := lo; v < hi; v++ {
 					st := state[v]
 					next[v] = st
@@ -532,13 +582,13 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 					case Susceptible:
 						u := transitionRand(key, v)
 						pInf, pStop := 0.0, pRec1
-						if local := press[v]; local != 0 {
-							// local == 0 needs no exp: 1−exp(0) is exactly
-							// 0, so pInf = 0 and the immunization threshold
+						if p := press[v]; p != 0 {
+							// p == 0 needs no exp: 1−exp(0) is exactly 0,
+							// so pInf = 0 and the immunization threshold
 							// reduces to pRec1 — bit-identical to computing
 							// it. Nor does a draw at or above stopBound,
 							// which the node survives whatever exp returns.
-							x := lambda[v] * local / meanK * cfg.Dt
+							x := lambda[v] * float64(p) * pressUnit
 							if u >= stopBound(x, pRec1) {
 								break
 							}
@@ -550,6 +600,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 							d.dS--
 							d.dI++
 							d.dTheta += omegaNode[v]
+							f = append(f, int32(v))
 						case u < pStop:
 							next[v] = Recovered
 							d.dS--
@@ -561,9 +612,11 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 							d.dI--
 							d.dR++
 							d.dTheta -= omegaNode[v]
+							f = append(f, ^int32(v))
 						}
 					}
 				}
+				flips[shard] = f
 			}
 			deltas[shard] = d
 			return nil
@@ -578,7 +631,22 @@ func RunCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (*R
 			thetaSum += deltas[s].dTheta
 			deltas[s] = delta{}
 		}
+		// The step's flips move the pressure. Integer sums do not depend
+		// on the order of their terms, so applying them shard by shard
+		// gives the same pressure at every worker count.
+		for _, f := range flips {
+			for _, x := range f {
+				if x >= 0 {
+					push(int(x), weight[x])
+				} else {
+					push(int(^x), -weight[^x])
+				}
+			}
+		}
 		state, next = next, state
+		if afterStep != nil && press != nil {
+			afterStep(state, press, weight)
+		}
 		record(float64(step) * cfg.Dt)
 		if hook && (step%every == 0 || step == cfg.Steps) {
 			cfg.Progress(obs.Event{
@@ -620,13 +688,13 @@ func checkTrialAlignment(runs []*Result) error {
 // runs from its own RNG derived from rng up front in trial order, so trials
 // execute concurrently (up to cfg.Workers at once) while the averaged
 // result stays bit-identical for every worker count.
-func MeanRun(g *graph.Graph, cfg Config, trials int, rng *rand.Rand) (*Result, error) {
+func MeanRun(g Network, cfg Config, trials int, rng *rand.Rand) (*Result, error) {
 	return MeanRunCtx(context.Background(), g, cfg, trials, rng)
 }
 
 // MeanRunCtx is MeanRun with cancellation threaded into every trial; the
 // first trial to observe the cancelled context aborts the whole fan-out.
-func MeanRunCtx(ctx context.Context, g *graph.Graph, cfg Config, trials int, rng *rand.Rand) (*Result, error) {
+func MeanRunCtx(ctx context.Context, g Network, cfg Config, trials int, rng *rand.Rand) (*Result, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("abm: trials = %d must be positive", trials)
 	}

@@ -1,13 +1,17 @@
 package abm
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rumornet/internal/graph"
+	"rumornet/internal/splitmix"
 )
 
 // TestRunWorkerInvariance is the determinism regression for the sharded
@@ -118,8 +122,8 @@ func TestMeanRunTrialMismatch(t *testing.T) {
 // referenceTransitionRand is the per-node transition draw before its step
 // term was hoisted into stepKey, kept verbatim for referenceRun.
 func referenceTransitionRand(base uint64, step, node int) float64 {
-	x := base ^ splitmix64(uint64(step)*0xA24BAED4963EE407)
-	x = splitmix64(x + uint64(node)*0x9FB21C651E98DF25)
+	x := base ^ splitmix.Mix(uint64(step)*0xA24BAED4963EE407)
+	x = splitmix.Mix(x + uint64(node)*0x9FB21C651E98DF25)
 	return float64(x>>11) * 0x1p-53
 }
 
@@ -181,13 +185,14 @@ func BenchmarkMeanRun(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchmarkMeanRun(b, 0) })
 }
 
-// referenceRun is the pre-refactor transition sweep, kept verbatim as the
-// golden reference for the degree-bucketed path and the quenched push: one
-// serial pass in node order, per-node λ/ω lookups and exp() calls, the
-// quenched pressure pulled over InNeighbors, deltas accumulated inline.
-// Run must reproduce it byte for byte — neither the bucketed visit order
-// nor the push may change a single draw, branch outcome, or the Θ
-// summation order.
+// referenceRun is the pre-refactor transition sweep, kept as the golden
+// reference for the degree-bucketed path and the incremental quenched
+// pressure: one serial pass in node order, per-node λ/ω lookups and exp()
+// calls, the quenched fixed-point pressure recounted from scratch over
+// InNeighbors at every step, deltas accumulated inline. Run must
+// reproduce it byte for byte — neither the bucketed visit order nor the
+// incremental pressure may change a single draw, branch outcome, or the
+// Θ summation order.
 func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Result {
 	t.Helper()
 	n := g.NumNodes()
@@ -196,7 +201,7 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 	lambda := make([]float64, n)
 	omegaNode := make([]float64, n)
 	omegaOverDeg := make([]float64, n)
-	var meanK float64
+	var meanK, sumOmega float64
 	for u := 0; u < n; u++ {
 		k := float64(g.OutDegree(u))
 		meanK += k
@@ -204,10 +209,25 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 		om := cfg.Omega(k)
 		if k > 0 {
 			omegaOverDeg[u] = om / k
+			sumOmega += om
 		}
 		omegaNode[u] = om
 	}
 	meanK /= nf
+	// The fixed-point unit 2^−shift, written out here rather than taken
+	// from abm.go: the largest shift with 2^shift·Σω < 2^61, capped at
+	// 1022; a weight is ω/k rounded to the nearest unit, at least one unit
+	// when positive.
+	_, e := math.Frexp(sumOmega)
+	shift := min(61-e, 1022)
+	weight := make([]int64, n)
+	for u, w := range omegaOverDeg {
+		weight[u] = int64(math.Round(math.Ldexp(w, shift)))
+		if weight[u] == 0 && w > 0 {
+			weight[u] = 1
+		}
+	}
+	pressUnit := math.Ldexp(cfg.Dt/meanK, -shift)
 
 	state := make([]State, n)
 	for u := range state {
@@ -299,19 +319,19 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 				next[v] = st
 				switch st {
 				case Susceptible:
-					var force float64
+					var x float64 // force·Δt
 					if cfg.Mode == ModeAnnealed {
-						force = lambda[v] * theta
+						x = lambda[v] * theta * cfg.Dt
 					} else {
-						var local float64
+						var local int64
 						for _, u := range g.InNeighbors(v) {
 							if state[u] == Infected {
-								local += omegaOverDeg[u]
+								local += weight[u]
 							}
 						}
-						force = lambda[v] * local / meanK
+						x = lambda[v] * float64(local) * pressUnit
 					}
-					pInf := 1 - math.Exp(-force*cfg.Dt)
+					pInf := 1 - math.Exp(-x)
 					switch u := referenceTransitionRand(baseSeed, step, v); {
 					case u < pInf:
 						next[v] = Infected
@@ -348,15 +368,11 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, rng *rand.Rand) *Res
 }
 
 // TestBucketedSweepMatchesReference is the golden equivalence regression
-// for the degree-bucketed annealed sweep and the quenched push: same graph,
-// same seeds → byte-equal trajectories against the pre-refactor per-node
-// path, which pulls each node's pressure over InNeighbors, in both contact
-// modes, with and without a blocked set, at every worker count. On the
-// configuration-model graph the push adds the same terms in the same order
-// as the pull. The Barabási–Albert graph's in-lists are not in ascending
-// source order, so there a pushed pressure may differ from the pulled one
-// in its last bit; the trajectories still agree because no transition draw
-// falls between the two.
+// for the degree-bucketed annealed sweep and the incremental quenched
+// pressure: same graph, same seeds → byte-equal trajectories against the
+// per-node path, which recounts each node's pressure over InNeighbors at
+// every step, in both contact modes, with and without a blocked set, at
+// every worker count.
 func TestBucketedSweepMatchesReference(t *testing.T) {
 	ba, err := graph.BarabasiAlbert(10000, 3, rand.New(rand.NewSource(12)))
 	if err != nil {
@@ -396,40 +412,130 @@ func TestBucketedSweepMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPushedPressureMatchesPull checks the quenched push term by term: on
-// configuration-model graphs every node's pushed pressure has the bits of
-// the pull over its in-list, the sum the sweep computed before the push.
-func TestPushedPressureMatchesPull(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		seq, err := graph.PowerLawDegreeSequence(5000, 1.8, 1, 60, rng)
+// TestIncrementalPressureMatchesRecount checks the quenched pressure after
+// every step of a run: updated only from the step's flips, each node's
+// integer pressure must equal the recount of its infected in-arcs' weights,
+// exactly. It covers a configuration-model, a Barabási–Albert and an
+// edge-list graph (with self-loops and parallel arcs), each with and
+// without a blocked set, and requires recoveries to have happened, so a
+// lost I→R update cannot hide.
+func TestIncrementalPressureMatchesRecount(t *testing.T) {
+	defer func() { afterStep = nil }()
+	ba, err := graph.BarabasiAlbert(5000, 3, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list strings.Builder
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&list, "%d %d\n", rng.Intn(2000), rng.Intn(2000))
+	}
+	el, _, err := graph.ReadEdgeList(strings.NewReader(list.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"configuration-model", testGraph(t)}, {"barabasi-albert", ba}, {"edge-list", el}} {
+		g := gc.g
+		blocked, err := g.TopKByOutDegree(100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := graph.ConfigurationModel(seq, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := g.NumNodes()
-		state := make([]State, n)
-		omegaOverDeg := make([]float64, n)
-		for u := range state {
-			state[u] = State(1 + rng.Intn(3))
-			if k := g.OutDegree(u); k > 0 {
-				omegaOverDeg[u] = math.Sqrt(float64(k)) / (1 + math.Sqrt(float64(k))) / float64(k)
+		for _, withBlocked := range []bool{false, true} {
+			cfg := testConfig(ModeQuenched)
+			cfg.Steps, cfg.Workers = 40, 4
+			if withBlocked {
+				cfg.Blocked = blocked
 			}
-		}
-		press := make([]float64, n)
-		pushPressure(g, state, omegaOverDeg, press)
-		for v := 0; v < n; v++ {
-			var pull float64
-			for _, u := range g.InNeighbors(v) {
-				if state[u] == Infected {
-					pull += omegaOverDeg[u]
+			steps, recoveries := 0, 0
+			var prev []State
+			afterStep = func(state []State, press, weight []int64) {
+				steps++
+				for v := range state {
+					if prev != nil && prev[v] == Infected && state[v] == Recovered {
+						recoveries++
+					}
+					var want int64
+					for _, u := range g.InNeighbors(v) {
+						if state[u] == Infected {
+							want += weight[u]
+						}
+					}
+					if press[v] != want {
+						t.Fatalf("%s blocked=%v step %d node %d: pressure %d, recount %d",
+							gc.name, withBlocked, steps, v, press[v], want)
+					}
 				}
+				prev = append(prev[:0], state...)
 			}
-			if math.Float64bits(press[v]) != math.Float64bits(pull) {
-				t.Fatalf("seed %d node %d: pushed pressure %v, pulled %v", seed, v, press[v], pull)
+			if _, err := Run(g, cfg, rand.New(rand.NewSource(5))); err != nil {
+				t.Fatal(err)
+			}
+			if steps != cfg.Steps {
+				t.Fatalf("%s: the hook saw %d steps, want %d", gc.name, steps, cfg.Steps)
+			}
+			if recoveries == 0 {
+				t.Fatalf("%s blocked=%v: no I→R flip after step 1, so no subtraction was checked", gc.name, withBlocked)
+			}
+			t.Logf("%s blocked=%v: %d I→R flips checked", gc.name, withBlocked, recoveries)
+		}
+	}
+}
+
+// TestPressureScale checks the fixed-point unit: a sum of every arc's
+// weight stays below 2⁶² at extreme Σω, and a positive weight never rounds
+// to zero.
+func TestPressureScale(t *testing.T) {
+	for _, sum := range []float64{1e-300, 1e-9, 0.5, 1, 3, 1e4, 7.5e5, 1e15, 1e300} {
+		shift := pressureScale(sum)
+		// Every node's k arcs carry at most ω·2^shift + k units.
+		if total := math.Ldexp(sum, shift); total >= 1<<61 {
+			t.Errorf("Σω = %g: 2^shift·Σω = %g, want < 2^61", sum, total)
+		}
+		if w := pressureWeight(sum*1e-20, shift); w < 1 {
+			t.Errorf("Σω = %g: a tiny positive weight rounds to %d units", sum, w)
+		}
+	}
+	if w := pressureWeight(0, pressureScale(1)); w != 0 {
+		t.Errorf("zero weight = %d units", w)
+	}
+}
+
+// TestOnDemandMatchesMaterialized runs MeanRunCtx on a configuration model
+// drawn on demand and on the one ConfigurationModel builds from the same
+// rng state: the results must be equal, at 1, 2 and 8 workers, for 1 and
+// 3 trials. Under -race the trials share the on-demand graph.
+func TestOnDemandMatchesMaterialized(t *testing.T) {
+	seq, err := graph.PowerLawDegreeSequence(6000, 1.8, 1, 40, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trials := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := testConfig(ModeQuenched)
+			cfg.Steps, cfg.Workers = 30, workers
+			rng := rand.New(rand.NewSource(22))
+			g, err := graph.ConfigurationModel(seq, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := MeanRunCtx(context.Background(), g, cfg, trials, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng = rand.New(rand.NewSource(22))
+			od, err := graph.ConfigurationModelOnDemand(seq, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MeanRunCtx(context.Background(), od, cfg, trials, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("trials=%d workers=%d: the on-demand run differs from the materialized one", trials, workers)
 			}
 		}
 	}

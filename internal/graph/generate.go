@@ -129,60 +129,3 @@ func PowerLawDegreeSequence(n int, gamma float64, kmin, kmax int, rng *rand.Rand
 // ErrDegreeSequence is returned by ConfigurationModel when the requested
 // degree sequence cannot be realized.
 var ErrDegreeSequence = errors.New("graph: unrealizable degree sequence")
-
-// ConfigurationModel builds a directed graph whose out-degree sequence is
-// outDeg by pairing out-stubs with in-stubs drawn uniformly at random. Each
-// node's in-degree is sampled implicitly: in-stubs are assigned uniformly at
-// random across nodes, which matches a follower graph where popularity and
-// activity are uncorrelated. Self-loops are re-drawn a bounded number of
-// times and then dropped; parallel arcs are kept (the mean-field model only
-// consumes degrees). The graph's in-lists are laid out on their first read
-// (see Graph), so callers that only walk out-lists never build them.
-func ConfigurationModel(outDeg []int, rng *rand.Rand) (*Graph, error) {
-	n := len(outDeg)
-	if n == 0 {
-		return nil, ErrDegreeSequence
-	}
-	stubs := 0
-	for _, d := range outDeg {
-		stubs += max(d, 0)
-	}
-	// Draw every target first, node by node in the order an edge-at-a-time
-	// build would add them. The kept targets of node u then form one
-	// contiguous run of tgt, which is exactly u's out-list. The in-lists
-	// are left for Graph to lay out on their first read, in the order
-	// AddEdge would have appended them (see
-	// TestConfigurationModelMatchesReference).
-	tgt := make([]int, 0, stubs)
-	outCnt := make([]int, n)
-	draw := newUniformDraw(rng, n) // rng.Intn(n), draw for draw
-	for u, d := range outDeg {
-		if d < 0 {
-			return nil, fmt.Errorf("%w: negative degree %d at node %d", ErrDegreeSequence, d, u)
-		}
-		for e := 0; e < d; e++ {
-			v := draw.next()
-			for retry := 0; v == u && retry < 8; retry++ {
-				v = draw.next()
-			}
-			if v == u {
-				continue // drop stubborn self-loop
-			}
-			tgt = append(tgt, v)
-			outCnt[u]++
-		}
-	}
-
-	// Each out-list is a window of one flat backing, capped so that a later
-	// AddEdge reallocates instead of overwriting its neighbour. Nodes
-	// without arcs keep nil lists, as under AddEdge.
-	g := &Graph{out: make([][]int, n), m: len(tgt)}
-	off := 0
-	for u, c := range outCnt {
-		if c > 0 {
-			g.out[u] = tgt[off : off+c : off+c]
-			off += c
-		}
-	}
-	return g, nil
-}

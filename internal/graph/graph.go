@@ -81,6 +81,10 @@ func (g *Graph) AddUndirected(u, v int) error {
 // OutNeighbors returns the targets of edges leaving u as an internal view.
 func (g *Graph) OutNeighbors(u int) []int { return g.out[u] }
 
+// AppendOut appends the targets of u's out-arcs to dst and returns the
+// extended slice.
+func (g *Graph) AppendOut(dst []int, u int) []int { return append(dst, g.out[u]...) }
+
 // InNeighbors returns the sources of edges entering u as an internal view.
 func (g *Graph) InNeighbors(u int) []int { return g.ins()[u] }
 

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,29 +11,23 @@ import (
 	"rumornet/internal/graph"
 )
 
-// referenceConfigurationModel is ConfigurationModel before it drew every
-// target up front and laid the adjacency lists out in two flat backings:
-// one AddEdge per kept stub, kept verbatim as the golden reference.
+// referenceConfigurationModel builds the configuration model one AddEdge
+// per arc, source by source, with every target drawn by the on-demand
+// form's AppendOut from the same rng state: the layout ConfigurationModel
+// must reproduce from its flat backings, in-lists included.
 func referenceConfigurationModel(outDeg []int, rng *rand.Rand) (*graph.Graph, error) {
-	n := len(outDeg)
-	if n == 0 {
-		return nil, graph.ErrDegreeSequence
+	od, err := graph.ConfigurationModelOnDemand(outDeg, rng)
+	if err != nil {
+		return nil, err
 	}
-	g := graph.New(n)
-	for u, d := range outDeg {
-		if d < 0 {
-			return nil, graph.ErrDegreeSequence
-		}
-		for e := 0; e < d; e++ {
-			v := rng.Intn(n)
-			for retry := 0; v == u && retry < 8; retry++ {
-				v = rng.Intn(n)
+	g := graph.New(od.NumNodes())
+	var arcs []int
+	for u := range od.NumNodes() {
+		arcs = od.AppendOut(arcs[:0], u)
+		for _, v := range arcs {
+			if err := g.AddEdge(u, v); err != nil {
+				return nil, err
 			}
-			if v == u {
-				continue // drop stubborn self-loop
-			}
-			// Endpoints are valid by construction.
-			_ = g.AddEdge(u, v)
 		}
 	}
 	return g, nil
@@ -65,7 +60,8 @@ func TestConfigurationModelMatchesReference(t *testing.T) {
 		name string
 		seq  []int
 	}{
-		{"single-node-self-loops", []int{3}},
+		{"single-node-with-arcs", []int{3}},
+		{"single-node-no-arcs", []int{0}},
 		{"two-nodes", []int{4, 1}},
 		{"zeros", []int{0, 2, 0, 0, 5, 0, 1}},
 		{"star", []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 40}},
@@ -101,6 +97,96 @@ func TestConfigurationModelMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConfigurationModelStatistics builds Digg-scale graphs (71 367 nodes,
+// about 1.7 M arcs) at fixed seeds, materialized and on demand, and checks
+// what the arc function promises: no self-loop, every out-degree exactly
+// the requested one, the same arcs in both forms, and in-degrees whose
+// histogram passes a chi-square test against Binomial(m, 1/(n−1)) at the
+// 0.1% level.
+func TestConfigurationModelStatistics(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		seq, err := digg.SampleDegreeSequence(digg.PaperUsers, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := graph.ConfigurationModel(seq, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		od, err := graph.ConfigurationModelOnDemand(seq, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, m := g.NumNodes(), g.NumEdges()
+		if od.NumNodes() != n || od.NumEdges() != m {
+			t.Fatalf("seed %d: on demand %d nodes %d arcs, materialized %d and %d",
+				seed, od.NumNodes(), od.NumEdges(), n, m)
+		}
+		var arcs []int
+		for u, d := range seq {
+			if g.OutDegree(u) != d || od.OutDegree(u) != d {
+				t.Fatalf("seed %d node %d: out-degree %d (on demand %d), requested %d",
+					seed, u, g.OutDegree(u), od.OutDegree(u), d)
+			}
+			arcs = od.AppendOut(arcs[:0], u)
+			if d > 0 && !reflect.DeepEqual(arcs, g.OutNeighbors(u)) {
+				t.Fatalf("seed %d node %d: on-demand arcs differ from the stored ones", seed, u)
+			}
+			for _, v := range arcs {
+				if v == u {
+					t.Fatalf("seed %d: self-loop at node %d", seed, u)
+				}
+			}
+		}
+		stat, df := inDegreeChiSquare(g)
+		// Wilson–Hilferty: the chi-square quantile at 0.999, z = 3.0902.
+		h := 2 / (9 * float64(df))
+		crit := float64(df) * math.Pow(1-h+3.0902*math.Sqrt(h), 3)
+		t.Logf("seed %d: %d arcs, in-degree chi-square %.1f on %d df (0.1%% critical %.1f)", seed, m, stat, df, crit)
+		if stat > crit {
+			t.Errorf("seed %d: in-degree chi-square %.1f on %d df exceeds %.1f", seed, stat, df, crit)
+		}
+	}
+}
+
+// inDegreeChiSquare returns Pearson's statistic of g's in-degree histogram
+// against n draws of Binomial(m, 1/(n−1)), and its degrees of freedom. The
+// bins are the degrees lo..hi whose expected counts reach 5, with each
+// tail pooled into its end bin.
+func inDegreeChiSquare(g *graph.Graph) (stat float64, df int) {
+	n, m := g.NumNodes(), g.NumEdges()
+	p := 1 / float64(n-1)
+	lgm, _ := math.Lgamma(float64(m + 1))
+	pmf := func(k int) float64 {
+		b, _ := math.Lgamma(float64(k + 1))
+		c, _ := math.Lgamma(float64(m - k + 1))
+		return math.Exp(lgm - b - c + float64(k)*math.Log(p) + float64(m-k)*math.Log1p(-p))
+	}
+	lo, hi := int(float64(m)*p), int(float64(m)*p)
+	for lo > 0 && float64(n)*pmf(lo-1) >= 5 {
+		lo--
+	}
+	for float64(n)*pmf(hi+1) >= 5 {
+		hi++
+	}
+	got := make([]float64, hi-lo+1)
+	for v := range n {
+		got[min(max(g.InDegree(v), lo), hi)-lo]++
+	}
+	want := make([]float64, hi-lo+1)
+	rest := float64(n)
+	for k := 0; k < hi; k++ {
+		w := float64(n) * pmf(k)
+		want[max(k, lo)-lo] += w
+		rest -= w
+	}
+	want[hi-lo] = rest
+	for b := range got {
+		stat += (got[b] - want[b]) * (got[b] - want[b]) / want[b]
+	}
+	return stat, hi - lo
 }
 
 // TestConfigurationModelAddEdgeAfterBuild guards the capped windows: an

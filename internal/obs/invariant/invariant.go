@@ -28,8 +28,9 @@
 //     starts a new run of sweeps (the coarse grid's iteration is followed
 //     by the requested grid's, each numbered from 1).
 //   - r0_outcome: Theorem 5 — r0 ≤ 1 implies extinction, so a final
-//     infected fraction materially above zero contradicts the threshold
-//     theory (Eq. (5) defines r0).
+//     infected fraction materially above zero, at a horizon long enough
+//     for the decay to have got there, contradicts the threshold theory
+//     (Eq. (5) defines r0).
 //
 // A Monitor is per-job and latches: each check fires at most once per job,
 // so a violation storm costs one journal entry, one counter increment and
@@ -38,6 +39,7 @@ package invariant
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"rumornet/internal/obs"
@@ -79,7 +81,9 @@ type Config struct {
 	DivergeAfter int
 	// R0ExtinctI is the final infected fraction a subcritical (r0 ≤ 1)
 	// run may end with before CheckR0Outcome fires (default 0.05 —
-	// extinction is asymptotic, finite horizons retain a tail).
+	// extinction is asymptotic, finite horizons retain a tail). Only runs
+	// whose horizon is long enough to decay below it are judged (see
+	// CheckOutcome).
 	R0ExtinctI float64
 }
 
@@ -207,18 +211,27 @@ func (m *Monitor) Observe(ev obs.Event) {
 }
 
 // CheckOutcome evaluates the Theorem 5 consistency of a finished run:
-// call it with the model's threshold r0 and the final population-weighted
-// infected fraction.
-func (m *Monitor) CheckOutcome(r0, finalI float64) {
+// call it with the model's threshold r0, the final population-weighted
+// infected fraction, the run's horizon tf and its countermeasure rates ε1
+// and ε2. A subcritical spread dies out, but slowly: linearized at the
+// rumor-free equilibrium E0 (S = α/ε1), the infected modes decay at rate
+// ε2(1 − r0) and the susceptible ones at ε1. While S is still above α/ε1
+// the effective threshold is above r0 and may exceed 1, so the slowest
+// decay rate is min(ε1, ε2(1 − r0)). A run is judged only when that decay
+// over tf could take the whole population below R0ExtinctI,
+// min(ε1, ε2(1 − r0))·tf ≥ ln(1/R0ExtinctI); a shorter run may still be in
+// its transient, whatever it ends at.
+func (m *Monitor) CheckOutcome(r0, finalI, tf, eps1, eps2 float64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if r0 <= 1 && finalI > m.cfg.R0ExtinctI {
+	rate := min(eps1, eps2*(1-r0))
+	if r0 <= 1 && rate*tf >= -math.Log(m.cfg.R0ExtinctI) && finalI > m.cfg.R0ExtinctI {
 		m.violateLocked(CheckR0Outcome,
 			fmt.Sprintf("r0 = %.4g ≤ 1 predicts extinction (Theorem 5) but final infected fraction is %.4g (threshold %g)",
-				r0, finalI, m.cfg.R0ExtinctI), obs.Event{})
+				r0, finalI, m.cfg.R0ExtinctI), obs.Event{T: tf, Value: finalI})
 	}
 }
 

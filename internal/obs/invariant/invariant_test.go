@@ -32,8 +32,8 @@ func TestCleanTrajectoryIsSilent(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		m.Observe(obs.Event{Stage: obs.StageFBSM, Step: i, Value: 1.0 / float64(i)})
 	}
-	m.CheckOutcome(0.8, 0.01) // subcritical, extinct: fine
-	m.CheckOutcome(2.5, 0.4)  // supercritical, endemic: fine
+	m.CheckOutcome(0.8, 0.01, 1000, 0.05, 0.05) // subcritical, extinct: fine
+	m.CheckOutcome(2.5, 0.4, 1000, 0.05, 0.05)  // supercritical, endemic: fine
 	if len(*vs) != 0 {
 		t.Fatalf("clean stream produced violations: %+v", *vs)
 	}
@@ -67,7 +67,7 @@ func TestChecksFireOncePerJob(t *testing.T) {
 			m.Observe(obs.Event{Stage: obs.StageODE, Value: 0.2, MinI: -1e-3})
 		}},
 		{"r0 outcome", CheckR0Outcome, func(m *Monitor) {
-			m.CheckOutcome(0.9, 0.3)
+			m.CheckOutcome(0.9, 0.3, 1000, 0.05, 0.05)
 		}},
 	}
 	for _, tc := range cases {
@@ -187,14 +187,47 @@ func TestFBSMDivergenceNewRun(t *testing.T) {
 
 func TestR0OutcomeRespectsThreshold(t *testing.T) {
 	m, vs := collect(Config{R0ExtinctI: 0.1})
-	m.CheckOutcome(0.9, 0.09) // below the tail threshold: fine
-	m.CheckOutcome(1.8, 0.5)  // supercritical may stay endemic: fine
+	m.CheckOutcome(0.9, 0.09, 5000, 0.05, 0.05) // below the tail threshold: fine
+	m.CheckOutcome(1.8, 0.5, 5000, 0.05, 0.05)  // supercritical may stay endemic: fine
 	if len(*vs) != 0 {
 		t.Fatalf("false positives: %+v", *vs)
 	}
-	m.CheckOutcome(0.9, 0.11)
+	m.CheckOutcome(0.9, 0.11, 5000, 0.05, 0.05)
 	if len(*vs) != 1 {
 		t.Fatalf("missed the r0 contradiction: %+v", *vs)
+	}
+}
+
+// TestR0OutcomeJudgesOnlyLongHorizons: a subcritical run is judged only
+// once min(ε1, ε2(1 − r0))·tf reaches ln(1/R0ExtinctI), the time its
+// slowest mode at E0 needs to decay from the whole population to the
+// threshold.
+func TestR0OutcomeJudgesOnlyLongHorizons(t *testing.T) {
+	// The bench fbsm rates: ε2(1 − r0) = 0.02·0.548 ≈ 0.011 is below
+	// ε1 = 0.05, and ln(1/0.05) ≈ 3.0, so runs up to tf ≈ 273 are still in
+	// their transient.
+	m, vs := collect(Config{})
+	m.CheckOutcome(0.452, 0.092, 20, 0.05, 0.02)
+	m.CheckOutcome(0.452, 0.092, 270, 0.05, 0.02)
+	m.CheckOutcome(0.9, 0.3, 100, 0.05, 0.02) // 0.02·0.1·100 = 0.2: too short
+	// ε2(1 − r0)·tf = 0.5·0.1·60 = 3.0 would be long enough, but S decays
+	// towards α/ε1 at ε1 = 0.01 only, and ε1·tf = 0.6.
+	m.CheckOutcome(0.9, 0.3, 60, 0.01, 0.5)
+	m.CheckOutcome(0.9, 0.3, 290, 0.01, 0.5)
+	m.CheckOutcome(1, 0.3, 1e9, 0.05, 0.02)      // critical: no decay rate to judge by
+	m.CheckOutcome(0.452, 0.3, 1e9, 0.05, 0)     // no blocking: no decay rate either
+	m.CheckOutcome(0.452, 0.001, 400, 0.05, 0.2) // extinct anyway
+	if len(*vs) != 0 {
+		t.Fatalf("runs in their transient were judged: %+v", *vs)
+	}
+	m.CheckOutcome(0.452, 0.092, 280, 0.05, 0.02)
+	if len(*vs) != 1 || (*vs)[0].Check != CheckR0Outcome {
+		t.Fatalf("a long-horizon contradiction was not flagged: %+v", *vs)
+	}
+	m, vs = collect(Config{})
+	m.CheckOutcome(0.9, 0.3, 300, 0.01, 0.5)
+	if len(*vs) != 1 || (*vs)[0].Check != CheckR0Outcome {
+		t.Fatalf("a contradiction judged by ε1 was not flagged: %+v", *vs)
 	}
 }
 
@@ -216,7 +249,7 @@ func TestTolerancesRespected(t *testing.T) {
 func TestNilMonitorInert(t *testing.T) {
 	var m *Monitor
 	m.Observe(obs.Event{Stage: obs.StageODE, MassErr: 1})
-	m.CheckOutcome(0.5, 1)
+	m.CheckOutcome(0.5, 1, 1000, 0.05, 0.05)
 	if m.Violations() != nil {
 		t.Error("nil monitor reported violations")
 	}

@@ -139,12 +139,17 @@ func BenchmarkSubmitReject(b *testing.B) {
 	}
 }
 
-// BenchmarkODERequest is the solve benchmark's ode request
-// (rumorbench/requests.go odeReq) through ExecuteRequest on the built-in
-// Digg2009 scenario, with a no-op progress hook as rumord runs every job:
-// the per-request cost of the ode job's step rule, without the service
-// around it.
-func BenchmarkODERequest(b *testing.B) {
+// BenchmarkODERequest, BenchmarkABMRequest and BenchmarkFBSMRequest are
+// the solve benchmark's three requests (rumorbench/requests.go) through
+// ExecuteRequest on the built-in Digg2009 scenario, with a no-op progress
+// hook as rumord runs every job: each type's per-request cost, without the
+// service around it. The seed varies per op, as the benchmark's does; only
+// the abm job reads it.
+func BenchmarkODERequest(b *testing.B)  { benchRequest(b, JobODE, versionODEParams) }
+func BenchmarkABMRequest(b *testing.B)  { benchRequest(b, JobABM, versionABMParams) }
+func BenchmarkFBSMRequest(b *testing.B) { benchRequest(b, JobFBSM, versionFBSMParams) }
+
+func benchRequest(b *testing.B, typ JobType, p Params) {
 	s, err := New(Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -154,10 +159,11 @@ func BenchmarkODERequest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := Request{Type: JobODE, Params: versionODEParams}
+	req := Request{Type: typ, Params: p}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		req.Params.Seed = int64(i + 1)
 		if _, err := ExecuteRequest(context.Background(), sc, req, 1, func(obs.Event) {}); err != nil {
 			b.Fatal(err)
 		}

@@ -421,7 +421,7 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 		// lands in the journal before the terminal entry.
 		var odeRes ODEResult
 		if json.Unmarshal(res.Result, &odeRes) == nil {
-			monitor.CheckOutcome(odeRes.R0, odeRes.FinalI)
+			monitor.CheckOutcome(odeRes.R0, odeRes.FinalI, r.req.Params.Tf, r.req.Params.Eps1, r.req.Params.Eps2)
 		}
 	}
 	return s.settle(r, outcome{status: st, err: res.Error, result: res.Result, execEnd: arrive,

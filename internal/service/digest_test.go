@@ -21,8 +21,8 @@ var pinnedDigests = []struct {
 }{
 	{"ode", Request{Type: JobODE, Params: versionODEParams}, 2,
 		"d101d6360048b22c959daf3701da14046de94340aad5b1597ff453cdead1d84b"},
-	{"abm", Request{Type: JobABM, Params: versionABMParams}, 1,
-		"fe2f4d783deec24ace20277d7ec87f0d832d2e8735e6c0d6fa5cce2e080801f0"},
+	{"abm", Request{Type: JobABM, Params: versionABMParams}, 2,
+		"78077fa828f59156808486b0f178abfccbe1e83b5e68bdcacdef9c13217efe68"},
 	{"fbsm", Request{Type: JobFBSM, Params: versionFBSMParams}, 3,
 		"c41e2874a785048a6cd184214cf8d94fa2dcfdedc58fb3b87fc0d7a9ab5ad68c"},
 	{"fbsm+target", Request{Type: JobFBSM, Params: Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02,

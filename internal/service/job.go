@@ -261,6 +261,8 @@ func resultVersion(t JobType) int {
 		return 3 // coarse-grid warm start (2: safeguarded Anderson update)
 	case JobODE:
 		return 2 // step-doubled to a stated tolerance, err_est and steps
+	case JobABM:
+		return 2 // counter-based configuration-model arcs, fixed-point pressure
 	}
 	return 1
 }
@@ -632,8 +634,10 @@ func executeABM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) 
 			return nil, err
 		}
 	}
+	// The configuration model is drawn on demand: the run redraws a node's
+	// arcs each time it pushes pressure along them, so no arc is stored.
 	rng := rand.New(rand.NewSource(p.Seed))
-	g, err := graph.ConfigurationModel(dist.Sample(p.Nodes, rng), rng)
+	g, err := graph.ConfigurationModelOnDemand(dist.Sample(p.Nodes, rng), rng)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"rumornet/internal/core"
 	"rumornet/internal/obs"
 	"rumornet/internal/obs/invariant"
+	"rumornet/internal/obs/journal"
 	"rumornet/internal/ode"
 )
 
@@ -38,9 +40,8 @@ var odeModels = []struct {
 // reference, and err_est is at least a tenth of that true error. An
 // invariant monitor on the job's progress, as rumord runs it, raises no
 // violation, though the stiff model's discarded levels go non-finite.
-// (The monitor's r0_outcome check judges the answer, not its levels: the
-// fbsm rates' r0 0.45 spread is still at 9% by tf 20, and rumord flags it
-// whatever the step.)
+// (The monitor's r0_outcome check judges the answer, not its levels; see
+// TestR0OutcomeHorizon.)
 func TestODEAccuracy(t *testing.T) {
 	svc := newTestService(t, Config{})
 	sc := builtinScenario(t, svc)
@@ -204,5 +205,57 @@ func TestODERequestAlloc(t *testing.T) {
 	}
 	if n := len(got2.(*ODEResult).T); n != odeMaxSamples {
 		t.Errorf("points 1<<30 returned %d samples, want %d", n, odeMaxSamples)
+	}
+}
+
+// TestR0OutcomeHorizon runs subcritical ode jobs through rumord and checks
+// that the r0_outcome check judges only horizons covering the slowest
+// decay at E0, min(ε1, ε2(1 − r0)), and that every judged answer has died
+// out below the threshold. The solve benchmark's fbsm rates (r0 0.452) are
+// still at 9% at tf 20, in their transient: ε2(1 − r0)·tf = 0.22 is short
+// of ln(1/0.05). With ε1 0.01 and ε2 0.5 at r0 0.5, ε2(1 − r0)·tf reaches
+// ln(1/0.05) at tf 12, but S starts nine times above α/ε1 and relaxes
+// towards it at ε1 only: ε1·tf = 0.12, so that run is not judged either.
+func TestR0OutcomeHorizon(t *testing.T) {
+	svc := newTestService(t, Config{})
+	bench := Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02, Lambda0: 0.05, I0: 0.1}
+	slowS := Params{Alpha: 0.001, Eps1: 0.01, Eps2: 0.5, R0: 0.5, I0: 0.1}
+	for _, tc := range []struct {
+		name      string
+		p         Params
+		tf        float64
+		judged    bool
+		transient bool // final_i still above the threshold
+	}{
+		{"bench rates", bench, 20, false, true},
+		{"bench rates", bench, 400, true, false},
+		{"slow S", slowS, 12, false, false},
+		{"slow S", slowS, 600, true, false},
+	} {
+		p := tc.p
+		p.Tf = tc.tf
+		job, err := svc.Submit(Request{Type: JobODE, Params: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job = waitJob(t, svc, job.ID)
+		mustSucceed(t, job)
+		for _, en := range svc.journal.Replay(job.ID) {
+			if en.Kind == journal.KindInvariant {
+				t.Errorf("%s tf %g: invariant violation %s: %s", tc.name, tc.tf, en.Check, en.Msg)
+			}
+		}
+		var res ODEResult
+		if err := json.Unmarshal(job.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		judged := min(p.Eps1, p.Eps2*(1-res.R0))*tc.tf >= math.Log(20)
+		t.Logf("%s tf %g: r0 %.4g, final_i %.4g, judged %v", tc.name, tc.tf, res.R0, res.FinalI, judged)
+		if judged != tc.judged {
+			t.Errorf("%s tf %g: judged %v", tc.name, tc.tf, judged)
+		}
+		if (res.FinalI > 0.05) != tc.transient {
+			t.Errorf("%s tf %g: final_i %g", tc.name, tc.tf, res.FinalI)
+		}
 	}
 }

@@ -23,16 +23,21 @@ var (
 		Points: 500, Seed: 1, Trials: 1, Nodes: 20000, Dt: 0.5}
 	versionFBSMParams = Params{Alpha: 0.01, Eps1: 0.05, Eps2: 0.02, Lambda0: 0.05, I0: 0.1, Tf: 20,
 		Points: 500, Seed: 1, C1: 5, C2: 10, EpsMax: 0.6, Grid: 120}
+	// The serve benchmark's cold threshold request (coldThreshold, seed 1).
+	versionThresholdParams = Params{Alpha: 0.01, Eps1: 0.2, Eps2: 0.05, R0: 1.6, I0: 0.1, Tf: 30,
+		Points: 500, Seed: 1}
 )
 
 // Keys of those requests on the built-in scenario at result version 1:
 // before FBSM results moved to version 2 (the safeguarded Anderson control
-// update) and ODE results to version 2 (the step-doubling rule). ABM
-// results are still at version 1.
+// update), ODE results to version 2 (the step-doubling rule) and ABM
+// results to version 2 (counter-based configuration-model arcs and the
+// fixed-point pressure). Threshold results are still at version 1.
 const (
-	v1ODEKey  = "91caa31ac7c24b6320c492e9959e08cc80e78a01083435c7d67b7f440607ca7e"
-	v1ABMKey  = "3f5cc709b38485bd72b68fb83258ed01e7a704162b77a7a3c07cdb3e12605c07"
-	v1FBSMKey = "ede303b2723565a76a6f67b6135fff3a7a24c325002507fe5f204555ea26007c"
+	v1ODEKey       = "91caa31ac7c24b6320c492e9959e08cc80e78a01083435c7d67b7f440607ca7e"
+	v1ABMKey       = "3f5cc709b38485bd72b68fb83258ed01e7a704162b77a7a3c07cdb3e12605c07"
+	v1FBSMKey      = "ede303b2723565a76a6f67b6135fff3a7a24c325002507fe5f204555ea26007c"
+	v1ThresholdKey = "23d3805a36588b156bbb912b3fcacf6206dc553be512cdc41e71908cb26ff03c"
 )
 
 // currentKey is the cache key of a request of type typ with params p on
@@ -64,26 +69,30 @@ func TestCacheKeyResultVersion(t *testing.T) {
 	for _, tc := range []struct {
 		typ JobType
 		p   Params
-	}{{JobODE, versionODEParams}, {JobABM, versionABMParams}, {JobFBSM, versionFBSMParams}} {
+	}{{JobODE, versionODEParams}, {JobABM, versionABMParams}, {JobFBSM, versionFBSMParams},
+		{JobThreshold, versionThresholdParams}} {
 		if got := tc.p.WithDefaults(tc.typ); got != tc.p {
 			t.Fatalf("%s params are not canonical: %+v", tc.typ, got)
 		}
 	}
-	if got := cacheKey(JobABM, fp, versionABMParams); got != v1ABMKey {
-		t.Errorf("abm key = %s, want the version-1 key %s", got, v1ABMKey)
+	if got := cacheKey(JobThreshold, fp, versionThresholdParams); got != v1ThresholdKey {
+		t.Errorf("threshold key = %s, want the version-1 key %s", got, v1ThresholdKey)
 	}
-	if got := cacheKey(JobODE, fp, versionODEParams); got == v1ODEKey {
-		t.Errorf("ode key is still the version-1 key %s", got)
-	}
-	if got := cacheKey(JobFBSM, fp, versionFBSMParams); got == v1FBSMKey {
-		t.Errorf("fbsm key is still the version-1 key %s", got)
+	for _, tc := range []struct {
+		typ JobType
+		p   Params
+		v1  string
+	}{{JobODE, versionODEParams, v1ODEKey}, {JobABM, versionABMParams, v1ABMKey}, {JobFBSM, versionFBSMParams, v1FBSMKey}} {
+		if got := cacheKey(tc.typ, fp, tc.p); got == tc.v1 {
+			t.Errorf("%s key is still the version-1 key %s", tc.typ, got)
+		}
 	}
 }
 
 // TestStaleResultNotServed restarts a durable service over a store that
 // holds results written under version-1 keys (a memory miss reads through
-// to the store): the ABM blob, still at version 1, is served, and the ODE
-// and FBSM requests are recomputed instead.
+// to the store): the threshold blob, still at version 1, is served, and the
+// ODE, ABM and FBSM requests are recomputed instead.
 func TestStaleResultNotServed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{SyncMode: store.SyncNone})
@@ -91,11 +100,13 @@ func TestStaleResultNotServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := map[JobType][]byte{
-		JobODE:  []byte(`{"stale":"ode"}`),
-		JobABM:  []byte(`{"stale":"abm"}`),
-		JobFBSM: []byte(`{"stale":"fbsm"}`),
+		JobODE:       []byte(`{"stale":"ode"}`),
+		JobABM:       []byte(`{"stale":"abm"}`),
+		JobFBSM:      []byte(`{"stale":"fbsm"}`),
+		JobThreshold: []byte(`{"stale":"threshold"}`),
 	}
-	for typ, key := range map[JobType]string{JobODE: v1ODEKey, JobABM: v1ABMKey, JobFBSM: v1FBSMKey} {
+	for typ, key := range map[JobType]string{JobODE: v1ODEKey, JobABM: v1ABMKey, JobFBSM: v1FBSMKey,
+		JobThreshold: v1ThresholdKey} {
 		if err := st.PutResult(key, stale[typ]); err != nil {
 			t.Fatal(err)
 		}
@@ -110,15 +121,16 @@ func TestStaleResultNotServed(t *testing.T) {
 	}
 	defer svc.Close()
 
-	abm, err := svc.Submit(Request{Type: JobABM, Params: versionABMParams})
+	th, err := svc.Submit(Request{Type: JobThreshold, Params: versionThresholdParams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !abm.CacheHit || !bytes.Equal(abm.Result, stale[JobABM]) {
-		t.Errorf("abm: cache_hit %v, result %s — want the stored blob", abm.CacheHit, abm.Result)
+	if !th.CacheHit || !bytes.Equal(th.Result, stale[JobThreshold]) {
+		t.Errorf("threshold: cache_hit %v, result %s — want the stored blob", th.CacheHit, th.Result)
 	}
 
-	for _, req := range []Request{{Type: JobODE, Params: versionODEParams}, {Type: JobFBSM, Params: versionFBSMParams}} {
+	for _, req := range []Request{{Type: JobODE, Params: versionODEParams}, {Type: JobABM, Params: versionABMParams},
+		{Type: JobFBSM, Params: versionFBSMParams}} {
 		job, err := svc.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -349,15 +361,15 @@ func TestFBSMNestedNoViolation(t *testing.T) {
 }
 
 // TestABMRequestAlloc bounds what the solve benchmark's ABM request
-// allocates. The quenched sweep pushes pressure along out-lists, so
-// neither the run nor the configuration-model build lays out in-lists:
-// the request allocates about 6 MB, where building in-lists and an int32
-// copy of them took about 12 MB.
+// allocates. The job runs on a configuration model drawn on demand, which
+// stores no arc, and updates an integer pressure only where nodes flip: the
+// request allocates about 1.4 MB, where storing the graph's 450 k arcs and
+// re-pushing a float pressure every step took about 5.5 MB.
 func TestABMRequestAlloc(t *testing.T) {
 	got := requestAlloc(t, Request{Type: JobABM, Params: versionABMParams})
 	t.Logf("ABM request allocates %d B", got)
-	if got > 7<<20 {
-		t.Errorf("ABM request allocates %d B, want ≤ 7 MiB", got)
+	if got > 2<<20 {
+		t.Errorf("ABM request allocates %d B, want ≤ 2 MiB", got)
 	}
 }
 

@@ -181,7 +181,12 @@ func LoadEdgeList(r io.Reader) (*Graph, []int64, error) {
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // NewConfigurationGraph realizes a directed graph with the given out-degree
-// sequence via the configuration model.
+// sequence via the configuration model. Every node gets exactly its
+// requested out-degree, and each arc's target is uniform over the other
+// n − 1 nodes: no self-loops, parallel arcs kept. All arcs derive from one
+// rng.Uint64() key, so the graph is a pure function of the rng state. (The
+// graph drawn for a given seed changed when per-stub draws with self-loop
+// redraws gave way to this rule.)
 func NewConfigurationGraph(outDegrees []int, rng *rand.Rand) (*Graph, error) {
 	return graph.ConfigurationModel(outDegrees, rng)
 }
@@ -246,6 +251,9 @@ const (
 
 // RunABM simulates the agent-based SIR process on g.
 func RunABM(g *Graph, cfg ABMConfig, rng *rand.Rand) (*ABMResult, error) {
+	if g == nil { // a nil *Graph would be a non-nil abm.Network
+		return abm.Run(nil, cfg, rng)
+	}
 	return abm.Run(g, cfg, rng)
 }
 

@@ -226,6 +226,12 @@ func TestFacadeTargeting(t *testing.T) {
 	}, rng); err != nil {
 		t.Errorf("targeted ABM: %v", err)
 	}
+	if _, err := RunABM(nil, ABMConfig{
+		Lambda: LambdaLinear(0.05), Omega: OmegaConstant(1),
+		Eps1: 0.01, Eps2: 0.05, I0: 0.05, Dt: 0.5, Steps: 20, Mode: ABMQuenched,
+	}, rng); err == nil {
+		t.Error("ABM on a nil graph: want error")
+	}
 }
 
 func TestFacadeGraphConstructors(t *testing.T) {

@@ -117,20 +117,25 @@ if [ "${1:-}" = "-race" ]; then
 	# truncation rules, and edge lists and Digg friends/votes CSVs
 	# against their loaders. Tier 1 replays their seeds (f.Add calls and
 	# testdata/fuzz) and fails on a fuzzer not listed here; here each
-	# explores for 10s. Go fuzzes one target per
-	# invocation.
+	# explores for 10s. Go fuzzes one target per invocation.
+	# -fuzzminimizetime 0 turns off minimizing: by default Go minimizes
+	# each new-coverage input for up to 60s, and in 10s runs that left most
+	# fuzzers minimizing instead of exploring (FuzzWorkerRelay and
+	# FuzzWALReplay ran 9 and 8 execs). A failing input is still reported
+	# and written to testdata/fuzz, unminimized; rerun it with the default
+	# flags to minimize it.
 	echo "== tier 2: decoder fuzzers"
-	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s ./internal/obs
-	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s ./internal/obs
-	go test -run '^$' -fuzz '^FuzzWorkerRelay$' -fuzztime 10s ./internal/service
-	go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 10s ./internal/obs/trace
-	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s ./internal/store
-	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s ./internal/surface
-	go test -run '^$' -fuzz '^FuzzReadScheduleJSON$' -fuzztime 10s ./internal/control
-	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/store
-	go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s ./internal/graph
-	go test -run '^$' -fuzz '^FuzzLoadFriendsCSV$' -fuzztime 10s ./internal/digg
-	go test -run '^$' -fuzz '^FuzzLoadVotesCSV$' -fuzztime 10s ./internal/digg
+	go test -run '^$' -fuzz '^FuzzSnapshotRelay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/obs
+	go test -run '^$' -fuzz '^FuzzHDRMerge$' -fuzztime 10s -fuzzminimizetime 0 ./internal/obs
+	go test -run '^$' -fuzz '^FuzzWorkerRelay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/service
+	go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 10s -fuzzminimizetime 0 ./internal/obs/trace
+	go test -run '^$' -fuzz '^FuzzBlobFrame$' -fuzztime 10s -fuzzminimizetime 0 ./internal/store
+	go test -run '^$' -fuzz '^FuzzSurfaceDecode$' -fuzztime 10s -fuzzminimizetime 0 ./internal/surface
+	go test -run '^$' -fuzz '^FuzzReadScheduleJSON$' -fuzztime 10s -fuzzminimizetime 0 ./internal/control
+	go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/store
+	go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s -fuzzminimizetime 0 ./internal/graph
+	go test -run '^$' -fuzz '^FuzzLoadFriendsCSV$' -fuzztime 10s -fuzzminimizetime 0 ./internal/digg
+	go test -run '^$' -fuzz '^FuzzLoadVotesCSV$' -fuzztime 10s -fuzzminimizetime 0 ./internal/digg
 	# Go's amd64 math.Exp takes an FMA path on CPUs with FMA, and the
 	# quenched ABM's probabilities go through it: the pinned result
 	# digests must hold without that path too, as on a CPU without FMA.
@@ -142,11 +147,11 @@ if [ "${1:-}" = "-race" ]; then
 	# run a second time without the FMA path, as the digests do above, so
 	# the bodies must match their Go loops on a CPU without FMA too.
 	echo "== tier 2: kernel fuzzers"
-	go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s ./internal/core
-	go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s ./internal/control
+	go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
+	go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s -fuzzminimizetime 0 ./internal/control
 	echo "== tier 2: kernel fuzzers without FMA"
-	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s ./internal/core
-	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s ./internal/control
+	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzStageKernels$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
+	GODEBUG=cpu.fma=off go test -run '^$' -fuzz '^FuzzCostateKernels$' -fuzztime 10s -fuzzminimizetime 0 ./internal/control
 	# The FBSM solves every grid divisible by 4 on its quarter first and
 	# starts from that answer. Tier 1 checks it on the benchmark's small
 	# requests; this checks the paper's Fig. 4 at full fidelity (854
