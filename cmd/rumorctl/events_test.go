@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rumornet/internal/obs"
 	"rumornet/internal/obs/journal"
 )
 
@@ -78,7 +79,7 @@ func TestFormatEntry(t *testing.T) {
 	}{
 		{journal.Entry{Seq: 1, Time: at, Kind: journal.KindLifecycle, Msg: "started"},
 			"     1  12:30:45.500  lifecycle  started"},
-		{journal.Entry{Seq: 2, Time: at, Kind: journal.KindProgress, Stage: "ode", Step: 10, Total: 100, T: 1.5, Value: 0.25},
+		{journal.Entry{Seq: 2, Time: at, Kind: journal.KindProgress, Event: obs.Event{Stage: "ode", Step: 10, Total: 100, T: 1.5, Value: 0.25}},
 			"     2  12:30:45.500  progress   ode 10/100 t=1.5 value=0.25"},
 		{journal.Entry{Seq: 3, Time: at, Kind: journal.KindInvariant, Check: "theta_range", Msg: "theta 1.5 outside [0,1]"},
 			"     3  12:30:45.500  INVARIANT  theta_range: theta 1.5 outside [0,1]"},

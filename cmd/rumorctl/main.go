@@ -38,7 +38,7 @@
 // subcommand lists the daemon's retained jobs newest first, optionally
 // filtered by status. The workers subcommand lists the worker nodes
 // registered with a clustered coordinator — lease counts, liveness, and
-// each node's relayed telemetry (current stage, invariant violations, heap,
+// each node's health sample (current stage, invariant violations, heap,
 // uptime). The top subcommand aggregates the same registry into a fleet
 // dashboard, redrawn every -watch interval like top(1). The surfaces
 // subcommand lists the daemon's precomputed response surfaces or, with

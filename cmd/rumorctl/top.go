@@ -14,9 +14,10 @@ import (
 // runTop implements `rumorctl top`: a fleet-level dashboard over the
 // coordinator's worker registry. One shot by default; -watch re-fetches and
 // redraws at the given cadence until interrupted, like top(1) for the
-// cluster. The numbers come from the telemetry samples workers piggyback on
-// their heartbeats, so the dashboard needs no access to the workers
-// themselves.
+// cluster. The numbers come from each worker's health sample, which the
+// coordinator reads off the registry snapshot the worker piggybacks on its
+// lease polls, heartbeats and result uploads, so the dashboard needs no
+// access to the workers themselves.
 func runTop(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rumorctl top", flag.ContinueOnError)
 	addr := fs.String("addr", "http://localhost:8080", "base URL of the rumord coordinator")
@@ -83,7 +84,7 @@ func renderTop(out io.Writer, workers []cluster.WorkerInfo, lat latencySummary, 
 		fmt.Fprintf(out, "telemetry: executed %d  invariant violations %d  goroutines %d  heap %s (%d/%d reporting)\n",
 			executed, inv, gor, fmtBytes(heap), sampled, len(workers))
 	} else {
-		fmt.Fprintln(out, "telemetry: no samples yet (workers report on their first heartbeat)")
+		fmt.Fprintln(out, "telemetry: no samples yet (workers report with their first lease poll)")
 	}
 	renderLatency(out, lat)
 	renderSurfaceStats(out, surf)

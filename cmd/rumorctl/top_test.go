@@ -19,7 +19,7 @@ func cannedTelemetryRegistry(t *testing.T) *httptest.Server {
 		w.Header().Set("Content-Type", "application/json")
 		now := time.Now().UTC().Format(time.RFC3339Nano)
 		fmt.Fprintf(w, `{"workers":[
-			{"id":"w-alpha","addr":"10.0.0.5:0","live":true,"leases_held":1,"jobs_completed":42,
+			{"id":"w-alpha","live":true,"leases_held":1,"jobs_completed":42,
 			 "last_seen":%q,"oldest_lease_age_ms":1234.5,
 			 "telemetry":{"stage":"abm","invariant_violations":3,"jobs_executed":45,
 			              "goroutines":17,"gomaxprocs":4,"heap_alloc_bytes":5242880,

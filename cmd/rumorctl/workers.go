@@ -33,7 +33,8 @@ func fetchWorkers(addr string) ([]cluster.WorkerInfo, error) {
 
 // runWorkers implements `rumorctl workers`: it fetches the coordinator's
 // worker registry (GET /v1/workers) and renders one table row per worker,
-// including the telemetry sample each worker relays on its heartbeats.
+// including each remote worker's health sample, which the coordinator
+// reads off the registry snapshot the worker relays.
 // Against a standalone daemon it lists the in-process workers, which relay
 // no telemetry.
 func runWorkers(args []string, out io.Writer) error {
@@ -58,10 +59,10 @@ func runWorkers(args []string, out io.Writer) error {
 }
 
 // renderWorkers writes the per-worker table. Telemetry columns render "-"
-// until a worker's first heartbeat carries a sample.
+// until a worker's first registry snapshot arrives.
 func renderWorkers(out io.Writer, workers []cluster.WorkerInfo) error {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ID\tADDR\tSTATE\tLEASES\tLEASE AGE\tCOMPLETED\tSTAGE\tINV\tGOROUT\tHEAP\tUPTIME\tLAST SEEN")
+	fmt.Fprintln(tw, "ID\tSTATE\tLEASES\tLEASE AGE\tCOMPLETED\tSTAGE\tINV\tGOROUT\tHEAP\tUPTIME\tLAST SEEN")
 	for _, w := range workers {
 		state := "live"
 		if !w.Live {
@@ -83,8 +84,8 @@ func renderWorkers(out io.Writer, workers []cluster.WorkerInfo) error {
 			heap = fmtBytes(t.HeapAllocBytes)
 			up = fmtDuration(time.Duration(t.UptimeSeconds * float64(time.Second)))
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s ago\n",
-			w.ID, w.Addr, state, w.LeasesHeld, age, w.JobsCompleted,
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s ago\n",
+			w.ID, state, w.LeasesHeld, age, w.JobsCompleted,
 			stage, inv, gor, heap, up,
 			time.Since(w.LastSeen).Round(time.Millisecond))
 	}

@@ -26,7 +26,7 @@ func cannedWorkerRegistry(t *testing.T, empty bool) *httptest.Server {
 		}
 		now := time.Now().UTC().Format(time.RFC3339Nano)
 		fmt.Fprintf(w, `{"workers":[
-			{"id":"w-alpha","addr":"10.0.0.5:0","live":true,"leases_held":1,"jobs_completed":42,"last_seen":%q},
+			{"id":"w-alpha","live":true,"leases_held":1,"jobs_completed":42,"last_seen":%q},
 			{"id":"w-beta","live":false,"leases_held":0,"jobs_completed":7,"last_seen":%q}
 		],"count":2}`, now, now)
 	}))
@@ -41,7 +41,7 @@ func TestWorkersSubcommand(t *testing.T) {
 		t.Fatalf("runWorkers: %v", err)
 	}
 	got := out.String()
-	for _, want := range []string{"ID", "w-alpha", "10.0.0.5:0", "live", "42", "w-beta", "lost", "ago"} {
+	for _, want := range []string{"ID", "w-alpha", "live", "42", "w-beta", "lost", "ago"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}

@@ -51,13 +51,13 @@ type Lease struct {
 	Cancel bool
 }
 
-// Telemetry is the self-reported health snapshot a worker piggybacks on
-// heartbeats and result uploads: what it is doing right now plus a few Go
-// runtime vitals. The coordinator stores the latest sample per worker and
-// serves it on GET /v1/workers; rumorctl workers/top render it.
+// Telemetry is a remote worker's health sample on GET /v1/workers: what
+// it is doing right now plus a few Go runtime vitals. internal/service
+// reads it off the registry snapshot the worker last relayed, and the
+// stage off its own job table; rumorctl workers/top render it.
 type Telemetry struct {
-	// Stage is the most recent solver stage the worker reported
-	// (warmup/sweep/ode/fbsm/...), empty when idle.
+	// Stage is the stage of the newest checkpoint among the jobs the
+	// worker runs (ode/fbsm/abm/...), empty when it runs none.
 	Stage string `json:"stage,omitempty"`
 	// InvariantViolations counts invariant-monitor trips on the worker
 	// since it started, across all jobs it executed.
@@ -65,7 +65,7 @@ type Telemetry struct {
 	// JobsExecuted counts jobs the worker ran to a terminal status,
 	// whether or not the upload was accepted.
 	JobsExecuted int64 `json:"jobs_executed"`
-	// Go runtime vitals, sampled at send time.
+	// Go runtime vitals, as of the worker's last snapshot.
 	Goroutines          int     `json:"goroutines"`
 	GOMAXPROCS          int     `json:"gomaxprocs"`
 	HeapAllocBytes      uint64  `json:"heap_alloc_bytes"`
@@ -77,8 +77,7 @@ type Telemetry struct {
 // WorkerInfo is the registry's view of one worker node, served by
 // GET /v1/workers.
 type WorkerInfo struct {
-	ID   string `json:"id"`
-	Addr string `json:"addr,omitempty"`
+	ID string `json:"id"`
 	// Live reports an in-process worker, or a lease poll or heartbeat
 	// within the liveness window.
 	Live       bool `json:"live"`
@@ -92,16 +91,14 @@ type WorkerInfo struct {
 	// heartbeating and the lease is drifting toward expiry. Zero when the
 	// worker holds no leases.
 	OldestLeaseAgeMS float64 `json:"oldest_lease_age_ms,omitempty"`
-	// Telemetry is the last self-reported sample, nil until the worker's
-	// first heartbeat or result upload carries one.
+	// Telemetry is the worker's health sample, nil for an in-process
+	// worker and until a remote worker's first registry snapshot.
 	Telemetry *Telemetry `json:"telemetry,omitempty"`
 }
 
 type workerState struct {
-	addr      string
 	lastSeen  time.Time
 	completed int64
-	tel       *Telemetry
 	// resident marks an in-process worker: it lives as long as the table,
 	// so it is live without polling.
 	resident bool
@@ -140,20 +137,17 @@ func (t *Table) TTL() time.Duration { return t.ttl }
 
 // Touch records that a worker was seen (lease poll, heartbeat or upload),
 // registering it on first contact.
-func (t *Table) Touch(workerID, addr string) {
+func (t *Table) Touch(workerID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.touchLocked(workerID, addr)
+	t.touchLocked(workerID)
 }
 
-func (t *Table) touchLocked(workerID, addr string) *workerState {
+func (t *Table) touchLocked(workerID string) *workerState {
 	w := t.workers[workerID]
 	if w == nil {
 		w = &workerState{}
 		t.workers[workerID] = w
-	}
-	if addr != "" {
-		w.addr = addr
 	}
 	w.lastSeen = t.now()
 	return w
@@ -164,7 +158,7 @@ func (t *Table) touchLocked(workerID, addr string) *workerState {
 func (t *Table) Resident(workerID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.touchLocked(workerID, "").resident = true
+	t.touchLocked(workerID).resident = true
 }
 
 // Grant leases jobID to workerID under a fresh fenced token. Any previous
@@ -175,7 +169,7 @@ func (t *Table) Grant(jobID, workerID string, attempt int) Lease {
 	rand.Read(buf[:]) // crypto/rand.Read never fails on supported platforms
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.touchLocked(workerID, "")
+	t.touchLocked(workerID)
 	l := &Lease{
 		JobID:    jobID,
 		Worker:   workerID,
@@ -210,7 +204,7 @@ func (t *Table) Extend(jobID, token string) (Lease, error) {
 		return Lease{}, err
 	}
 	l.Deadline = t.now().Add(t.ttl)
-	t.touchLocked(l.Worker, "")
+	t.touchLocked(l.Worker)
 	return *l, nil
 }
 
@@ -224,7 +218,7 @@ func (t *Table) Release(jobID, token string) (Lease, error) {
 		return Lease{}, err
 	}
 	delete(t.leases, jobID)
-	t.touchLocked(l.Worker, "").completed++
+	t.touchLocked(l.Worker).completed++
 	return *l, nil
 }
 
@@ -284,17 +278,6 @@ func (t *Table) Leased(jobID string) (Lease, bool) {
 	return *l, true
 }
 
-// SetTelemetry stores the latest self-reported sample for workerID,
-// registering the worker on first contact (heartbeats can race the first
-// lease poll through a proxy).
-func (t *Table) SetTelemetry(workerID string, tel Telemetry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.touchLocked(workerID, "")
-	cp := tel
-	w.tel = &cp
-}
-
 // Deregister removes a worker from the registry (the SIGTERM-drain
 // goodbye). Leases it still holds are untouched — they expire normally,
 // which is the safe default if a "draining" worker in fact died mid-job.
@@ -335,20 +318,14 @@ func (t *Table) Workers() []WorkerInfo {
 	}
 	out := make([]WorkerInfo, 0, len(t.workers))
 	for id, w := range t.workers {
-		info := WorkerInfo{
+		out = append(out, WorkerInfo{
 			ID:               id,
-			Addr:             w.addr,
 			Live:             w.resident || now.Sub(w.lastSeen) <= t.liveness,
 			LeasesHeld:       held[id],
 			JobsCompleted:    w.completed,
 			LastSeen:         w.lastSeen,
 			OldestLeaseAgeMS: float64(oldest[id]) / float64(time.Millisecond),
-		}
-		if w.tel != nil {
-			cp := *w.tel
-			info.Telemetry = &cp
-		}
-		out = append(out, info)
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -199,9 +199,9 @@ func TestRegistryLiveness(t *testing.T) {
 	clk := newFakeClock()
 	tb := New(10*time.Second, 30*time.Second, clk.Now)
 
-	tb.Touch("w-a", "10.0.0.5:0")
+	tb.Touch("w-a")
 	clk.Advance(20 * time.Second)
-	tb.Touch("w-b", "")
+	tb.Touch("w-b")
 	tb.Grant("j-1", "w-b", 1)
 
 	if n := tb.LiveWorkers(); n != 2 {
@@ -216,8 +216,8 @@ func TestRegistryLiveness(t *testing.T) {
 	if len(ws) != 2 || ws[0].ID != "w-a" || ws[1].ID != "w-b" {
 		t.Fatalf("Workers = %+v, want w-a then w-b", ws)
 	}
-	if ws[0].Live || ws[0].Addr != "10.0.0.5:0" {
-		t.Errorf("w-a = %+v, want lost with its advertised addr", ws[0])
+	if ws[0].Live {
+		t.Errorf("w-a = %+v, want lost", ws[0])
 	}
 	if !ws[1].Live || ws[1].LeasesHeld != 1 {
 		t.Errorf("w-b = %+v, want live with one lease held", ws[1])

@@ -5,30 +5,18 @@ import (
 	"time"
 )
 
-// TestSetTelemetryAndLeaseAge covers the registry's telemetry columns: the
-// sample a worker relays shows up (copied, not aliased) on Workers(), the
-// oldest-lease age tracks grant/extend time, and deregistration drops both.
-func TestSetTelemetryAndLeaseAge(t *testing.T) {
+// TestOldestLeaseAge covers the registry's lease-age column: the
+// oldest-lease age tracks grant/extend time, and deregistration drops the
+// worker.
+func TestOldestLeaseAge(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
 	tbl := New(10*time.Second, time.Minute, clock)
 
-	tbl.Touch("w-1", "host:1")
-	tel := Telemetry{Stage: "ode", JobsExecuted: 3, Goroutines: 12, HeapAllocBytes: 1 << 20}
-	tbl.SetTelemetry("w-1", tel)
-	tel.Stage = "mutated-after-store" // the table must have copied
-
+	tbl.Touch("w-1")
 	ws := tbl.Workers()
-	if len(ws) != 1 || ws[0].Telemetry == nil {
-		t.Fatalf("Workers = %+v, want one worker with telemetry", ws)
-	}
-	if got := ws[0].Telemetry; got.Stage != "ode" || got.JobsExecuted != 3 {
-		t.Errorf("telemetry = %+v, want the stored sample unmutated", got)
-	}
-	// The returned sample is itself a copy: mutating it must not leak back.
-	ws[0].Telemetry.Stage = "scribbled"
-	if got := tbl.Workers()[0].Telemetry.Stage; got != "ode" {
-		t.Errorf("Workers leaked a live telemetry pointer (stage %q)", got)
+	if len(ws) != 1 {
+		t.Fatalf("Workers = %+v, want one worker", ws)
 	}
 
 	// No leases: no age reported.
@@ -54,11 +42,10 @@ func TestSetTelemetryAndLeaseAge(t *testing.T) {
 		t.Errorf("oldest lease age after extend = %gms, want 1000", age)
 	}
 
-	// Telemetry for an unknown worker registers it (touch semantics), and
-	// deregistration forgets the sample with the worker.
-	tbl.SetTelemetry("w-2", Telemetry{Stage: "abm"})
+	// Deregistration forgets the worker.
+	tbl.Touch("w-2")
 	if ws := tbl.Workers(); len(ws) != 2 {
-		t.Fatalf("Workers after sample from new node = %d entries, want 2", len(ws))
+		t.Fatalf("Workers after a new node's touch = %d entries, want 2", len(ws))
 	}
 	tbl.Deregister("w-2")
 	for _, w := range tbl.Workers() {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rumornet/internal/cluster/worker"
+	"rumornet/internal/obs"
 	"rumornet/internal/service"
 	"rumornet/internal/store"
 )
@@ -309,7 +310,7 @@ func TestWorkerKillRequeue(t *testing.T) {
 	}
 
 	// "w-dead" claims the job and is never heard from again.
-	leased, err := h.svc.LeaseNext("w-dead", "")
+	leased, err := h.svc.LeaseNext("w-dead")
 	if err != nil || leased == nil {
 		t.Fatalf("lease: %v, %v", leased, err)
 	}
@@ -428,7 +429,7 @@ func TestCoordinatorRestartWithLeasedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leased, err := svc1.LeaseNext("w-old", "")
+	leased, err := svc1.LeaseNext("w-old")
 	if err != nil || leased == nil || leased.Attempt != 1 {
 		t.Fatalf("lease: %+v, %v", leased, err)
 	}
@@ -461,7 +462,7 @@ func TestCoordinatorRestartWithLeasedJob(t *testing.T) {
 	}
 
 	// A fresh lease continues the attempt count where the WAL left it.
-	leased2, err := h.svc.LeaseNext("w-new", "")
+	leased2, err := h.svc.LeaseNext("w-new")
 	if err != nil || leased2 == nil {
 		t.Fatalf("lease after restart: %v, %v", leased2, err)
 	}
@@ -508,7 +509,7 @@ func TestPoisonJobExhaustsBudget(t *testing.T) {
 	}
 
 	// Attempt 1: lease and go silent; the reaper requeues.
-	leased, err := h.svc.LeaseNext("w-flaky", "")
+	leased, err := h.svc.LeaseNext("w-flaky")
 	if err != nil || leased == nil || leased.Attempt != 1 {
 		t.Fatalf("first lease: %+v, %v", leased, err)
 	}
@@ -518,7 +519,7 @@ func TestPoisonJobExhaustsBudget(t *testing.T) {
 	// is terminal.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		leased, err = h.svc.LeaseNext("w-flaky", "")
+		leased, err = h.svc.LeaseNext("w-flaky")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,14 +557,14 @@ func TestHeartbeatRelaysProgressAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leased, err := h.svc.LeaseNext("w-hb", "")
+	leased, err := h.svc.LeaseNext("w-hb")
 	if err != nil || leased == nil {
 		t.Fatalf("lease: %v, %v", leased, err)
 	}
 
 	code, body := h.postJSON("/v1/internal/jobs/"+job.ID+"/heartbeat", service.HeartbeatRequest{
 		WorkerID: "w-hb", LeaseToken: leased.LeaseToken,
-		Events: []service.ProgressEvent{{Stage: "ode", Step: 5, Total: 100, T: 1.5, Value: 0.2}},
+		Events: []service.RelayedEvent{{Event: obs.Event{Stage: "ode", Step: 5, Total: 100, T: 1.5, Value: 0.2}}},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("heartbeat: %d %s", code, body)

@@ -11,7 +11,8 @@
 // only the progress events, each stamped with its offset into the lease,
 // from which the coordinator derives the job's journal and stage spans.
 // Per node it keeps its own metric registry (solver histograms, job
-// counters, Go runtime gauges) and a health sample. Both piggyback on the
+// counters, Go runtime gauges, uptime), whose snapshot is also where the
+// coordinator reads the node's health sample. Both relays piggyback on the
 // requests it already makes (heartbeats, result uploads, and between jobs
 // the lease poll), so observability costs no extra round trips and needs
 // no listening port on the worker.
@@ -28,12 +29,9 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"rumornet/internal/cluster"
 	"rumornet/internal/obs"
 	"rumornet/internal/obs/invariant"
 	"rumornet/internal/service"
@@ -47,8 +45,6 @@ type Options struct {
 	// ID names this worker in leases, metrics and GET /v1/workers
 	// (default: "w-<hostname>-<pid>").
 	ID string
-	// Addr is an optional advertised address recorded in the registry.
-	Addr string
 	// InnerWorkers bounds each job's internal fan-out (default 1).
 	InnerWorkers int
 	// PollMin and PollMax bound the jittered exponential backoff between
@@ -60,8 +56,6 @@ type Options struct {
 	// Heartbeat is the lease-renewal cadence (default: a third of the TTL
 	// the coordinator granted, per job).
 	Heartbeat time.Duration
-	// Client is the HTTP client (default: 30s-timeout client).
-	Client *http.Client
 	// Logger receives the worker's structured records (nil discards).
 	Logger *slog.Logger
 	// Registry is the worker's metric registry (default: a fresh one).
@@ -87,9 +81,6 @@ func (o Options) withDefaults() Options {
 			o.PollMax = o.PollMin
 		}
 	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
 	}
@@ -113,36 +104,29 @@ const eventBufferCap = 512
 // no freshness a Prometheus scrape could observe. At most one snapshot per
 // window rides whichever send fires first (heartbeat, result upload, or
 // lease poll — the poll is what lets a worker that just went idle flush
-// its final counters). The fixed-size health sample is exempt: it rides
-// every heartbeat and result, so /v1/workers stays live.
+// its final counters).
 const snapshotEvery = 250 * time.Millisecond
 
 // node is the per-process telemetry state shared by every job the worker
-// runs: the metric registry relayed in snapshots, the counters behind the
-// health sample, and the cached MemStats read (heartbeats can tick every
-// few milliseconds in tests; ReadMemStats must not run per tick).
+// runs: the metric registry relayed in snapshots and its throttle.
 type node struct {
-	opts    Options
-	reg     *obs.Registry
-	started time.Time
+	opts Options
+	reg  *obs.Registry
 
 	jobsExecuted *obs.Counter
 	abmStep      *obs.HDR
 	invariants   map[string]*obs.Counter
-	invCount     atomic.Int64
-	lastStage    atomic.Value // string
-
-	memMu sync.Mutex
-	memAt time.Time
-	mem   runtime.MemStats
 
 	snapMu sync.Mutex
 	snapAt time.Time
 }
 
 func newNode(opts Options) *node {
-	n := &node{opts: opts, reg: opts.Registry, started: time.Now()}
+	n := &node{opts: opts, reg: opts.Registry}
+	started := time.Now()
 	obs.RegisterRuntime(n.reg)
+	n.reg.GaugeFunc("rumor_uptime_seconds", "Seconds since this worker started.",
+		func() float64 { return time.Since(started).Seconds() })
 	n.jobsExecuted = n.reg.Counter("rumor_jobs_executed_total",
 		"Jobs this worker ran to a terminal status (accepted by the coordinator or not).")
 	n.abmStep = n.reg.Histogram("rumor_abm_step_seconds",
@@ -154,34 +138,6 @@ func newNode(opts Options) *node {
 			obs.L("check", check))
 	}
 	return n
-}
-
-// memSample returns MemStats at most 250ms stale, mirroring the obs
-// runtime-gauge sampler: co-heartbeating jobs share one stop-the-world.
-func (n *node) memSample() runtime.MemStats {
-	n.memMu.Lock()
-	defer n.memMu.Unlock()
-	if n.memAt.IsZero() || time.Since(n.memAt) > 250*time.Millisecond {
-		runtime.ReadMemStats(&n.mem)
-		n.memAt = time.Now()
-	}
-	return n.mem
-}
-
-// telemetry builds the health sample piggybacked on heartbeats and uploads.
-func (n *node) telemetry() *cluster.Telemetry {
-	ms := n.memSample()
-	stage, _ := n.lastStage.Load().(string)
-	return &cluster.Telemetry{
-		Stage:               stage,
-		InvariantViolations: n.invCount.Load(),
-		JobsExecuted:        n.jobsExecuted.Value(),
-		Goroutines:          runtime.NumGoroutine(),
-		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		HeapAllocBytes:      ms.HeapAlloc,
-		GCPauseSecondsTotal: float64(ms.PauseTotalNs) / 1e9,
-		UptimeSeconds:       time.Since(n.started).Seconds(),
-	}
 }
 
 // relaySnapshot samples the relay registry, at most once per snapshotEvery
@@ -290,7 +246,7 @@ type remote struct {
 // bufferedEvent is a relayed event and whether it is its stage's first,
 // which the buffer never drops.
 type bufferedEvent struct {
-	ev    service.ProgressEvent
+	ev    service.RelayedEvent
 	opens bool
 }
 
@@ -301,11 +257,10 @@ func (n *node) newRemote(leased *service.LeasedJob, lg *slog.Logger) *remote {
 	rt := &remote{n: n, leased: leased, lg: jlg, start: time.Now(), stages: map[string]bool{}}
 	// The worker's own invariant monitor: the coordinator re-monitors the
 	// relayed event stream, but the relay buffer is bounded — this count
-	// (relayed in the health sample and the registry snapshot) sees every
-	// event. Entries in the job journal stay the coordinator's call, so a
-	// violation is journaled exactly once.
+	// (relayed in the registry snapshot) sees every event. Entries in the
+	// job journal stay the coordinator's call, so a violation is journaled
+	// exactly once.
 	rt.monitor = invariant.New(invariant.Config{}, func(v invariant.Violation) {
-		n.invCount.Add(1)
 		if c := n.invariants[v.Check]; c != nil {
 			c.Inc()
 		}
@@ -316,7 +271,6 @@ func (n *node) newRemote(leased *service.LeasedJob, lg *slog.Logger) *remote {
 }
 
 func (rt *remote) Progress(ev obs.Event) {
-	rt.n.lastStage.Store(ev.Stage)
 	// Monitor outside the buffer lock: Observe only touches the monitor's
 	// own latch state.
 	rt.monitor.Observe(ev)
@@ -330,7 +284,7 @@ func (rt *remote) Progress(ev obs.Event) {
 	}
 	opens := !rt.stages[ev.Stage]
 	rt.stages[ev.Stage] = true
-	rt.events = append(rt.events, bufferedEvent{service.WireProgress(ev, time.Since(rt.start)), opens})
+	rt.events = append(rt.events, bufferedEvent{service.RelayedEvent{AtUS: time.Since(rt.start).Microseconds(), Event: ev}, opens})
 }
 
 // dropOldest drops the oldest buffered event that does not open a stage,
@@ -350,10 +304,10 @@ func (rt *remote) dropOldest() {
 }
 
 // relay pops the progress events buffered since the last send.
-func (rt *remote) relay() []service.ProgressEvent {
+func (rt *remote) relay() []service.RelayedEvent {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]service.ProgressEvent, len(rt.events))
+	out := make([]service.RelayedEvent, len(rt.events))
 	for i, b := range rt.events {
 		out[i] = b.ev
 	}
@@ -367,7 +321,7 @@ func (rt *remote) relay() []service.ProgressEvent {
 // is going to reject anyway.
 func (rt *remote) Heartbeat(req service.HeartbeatRequest) (cancel, lost bool) {
 	req.Events = rt.relay()
-	req.Metrics, req.Telemetry = rt.n.relaySnapshot(), rt.n.telemetry()
+	req.Metrics = rt.n.relaySnapshot()
 	var ack service.HeartbeatAck
 	status, err := postJSON(rt.n.opts, 10*time.Second,
 		"/v1/internal/jobs/"+rt.leased.JobID+"/heartbeat", req, &ack)
@@ -390,9 +344,8 @@ func (rt *remote) Heartbeat(req service.HeartbeatRequest) (cancel, lost bool) {
 func (rt *remote) Complete(res service.ResultRequest) {
 	n := rt.n
 	n.jobsExecuted.Inc()
-	n.lastStage.Store("")
 	res.Events = rt.relay()
-	res.Metrics, res.Telemetry = n.relaySnapshot(), n.telemetry()
+	res.Metrics = n.relaySnapshot()
 
 	if rt.dropped > 0 {
 		rt.lg.Warn("progress events dropped by the heartbeat buffer", "dropped", rt.dropped)
@@ -427,11 +380,7 @@ func (rt *remote) Complete(res service.ResultRequest) {
 // polls; shutdown waits at most one poll round trip.
 func (n *node) lease() (*service.LeasedJob, error) {
 	opts := n.opts
-	req := service.LeaseRequest{WorkerID: opts.ID, Addr: opts.Addr}
-	if snap := n.relaySnapshot(); snap != nil {
-		req.Metrics = snap
-		req.Telemetry = n.telemetry()
-	}
+	req := service.LeaseRequest{WorkerID: opts.ID, Metrics: n.relaySnapshot()}
 	var leased service.LeasedJob
 	status, err := postJSON(opts, 15*time.Second, "/v1/internal/lease", req, &leased)
 	if err != nil {
@@ -464,7 +413,7 @@ func postJSON(opts Options, timeout time.Duration, path string, body, out any) (
 		return 0, fmt.Errorf("worker: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := opts.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

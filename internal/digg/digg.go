@@ -27,7 +27,6 @@ import (
 
 	"rumornet/internal/degreedist"
 	"rumornet/internal/graph"
-	"rumornet/internal/stats"
 )
 
 // Published Digg2009 statistics from Section V of the paper.
@@ -276,9 +275,27 @@ func LoadFriendsCSV(r io.Reader) (*graph.Graph, []int64, error) {
 	return g, ids, nil
 }
 
-// fitGamma estimates the out-degree power-law exponent with the
-// Clauset–Shalizi–Newman MLE at the kmin where the approximation is
-// reliable.
-func fitGamma(degs []int) (float64, int, error) {
-	return stats.PowerLawFit(degs, 6)
+// fitGamma estimates the out-degree power-law exponent P(k) ∝ k^-gamma
+// with the Clauset–Shalizi–Newman continuous approximation of the discrete
+// MLE,
+//
+//	gamma ≈ 1 + n / Σ ln(k_i / (kmin - 1/2)),
+//
+// over the n degrees at or above kmin = 6, where the approximation is
+// reliable (Clauset–Shalizi–Newman 2009, §3.4). It fails when fewer than
+// two degrees reach kmin.
+func fitGamma(degs []int) (gamma float64, n int, err error) {
+	const kmin = 6
+	var sum float64
+	for _, k := range degs {
+		if k < kmin {
+			continue
+		}
+		sum += math.Log(float64(k) / (float64(kmin) - 0.5))
+		n++
+	}
+	if n < 2 {
+		return 0, 0, fmt.Errorf("digg: power-law fit needs two degrees >= %d, have %d", kmin, n)
+	}
+	return 1 + float64(n)/sum, n, nil
 }

@@ -38,19 +38,6 @@ func Sum(a []float64) float64 {
 	return sum
 }
 
-// DistInf returns the L-infinity distance between a and b.
-// It panics if the slices have different lengths.
-func DistInf(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var m float64
-	for i, v := range a {
-		if d := math.Abs(v - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Clamp returns v restricted to the closed interval [lo, hi].
 // It panics if lo > hi.
 func Clamp(v, lo, hi float64) float64 {
@@ -67,41 +54,6 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
-}
-
-// ClampAll clamps every element of dst to [lo, hi] in place.
-func ClampAll(dst []float64, lo, hi float64) {
-	for i, v := range dst {
-		dst[i] = Clamp(v, lo, hi)
-	}
-}
-
-// Max returns the maximum element of a. It panics if a is empty.
-func Max(a []float64) float64 {
-	if len(a) == 0 {
-		panic("floats: Max of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element of a. It panics if a is empty.
-func Min(a []float64) float64 {
-	if len(a) == 0 {
-		panic("floats: Min of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

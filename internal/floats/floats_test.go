@@ -31,14 +31,6 @@ func TestSum(t *testing.T) {
 	}
 }
 
-func TestDistances(t *testing.T) {
-	a := []float64{0, 0}
-	b := []float64{3, 4}
-	if got := DistInf(a, b); got != 4 {
-		t.Errorf("DistInf = %v, want 4", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	tests := []struct {
 		name      string
@@ -67,25 +59,6 @@ func TestClampPanicsOnInvertedBounds(t *testing.T) {
 		}
 	}()
 	Clamp(0, 1, 0)
-}
-
-func TestClampAll(t *testing.T) {
-	dst := []float64{-5, 0.25, 5}
-	ClampAll(dst, 0, 1)
-	want := []float64{0, 0.25, 1}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("ClampAll = %v, want %v", dst, want)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	a := []float64{3, -1, 7, 2}
-	if got := Max(a); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-	if got := Min(a); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
 }
 
 func TestLinspace(t *testing.T) {
@@ -160,11 +133,11 @@ func TestQuickAddScaledMatchesAdd(t *testing.T) {
 	}
 }
 
-// Property: ClampAll output is always within bounds.
+// Property: Clamp output is always within bounds.
 func TestQuickClampBounds(t *testing.T) {
 	f := func(a []float64) bool {
-		ClampAll(a, -1, 1)
 		for _, v := range a {
+			v = Clamp(v, -1, 1)
 			if math.IsNaN(v) {
 				continue // NaN clamps to NaN; documented float behaviour
 			}

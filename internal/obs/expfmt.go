@@ -16,34 +16,12 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format (version 0.0.4): families sorted by name, series
 // sorted by label signature, one HELP/TYPE pair per family, histogram
-// buckets cumulative with an explicit +Inf bucket. A scrape concurrent
-// with metric updates sees a near-consistent snapshot; each individual
-// value is read atomically.
+// buckets cumulative with an explicit +Inf bucket. It renders the
+// registry's Snapshot, so a local scrape and a relayed worker snapshot go
+// through one writer. A scrape concurrent with metric updates sees a
+// near-consistent snapshot; each individual value is read atomically.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range r.families() {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		for i := range f.series {
-			writeSeries(bw, f.name, &f.series[i])
-		}
-	}
-	return bw.Flush()
-}
-
-func writeSeries(w *bufio.Writer, name string, s *series) {
-	switch {
-	case s.c != nil:
-		fmt.Fprintf(w, "%s%s %d\n", name, labelString(s.labels, nil), s.c.Value())
-	case s.gf != nil:
-		fmt.Fprintf(w, "%s%s %s\n", name, labelString(s.labels, nil), formatFloat(s.gf()))
-	case s.g != nil:
-		fmt.Fprintf(w, "%s%s %s\n", name, labelString(s.labels, nil), formatFloat(s.g.Value()))
-	case s.h != nil:
-		writeHistogram(w, name, s.labels, s.h.snapshot())
-	}
+	return r.Snapshot().WritePrometheus(w, nil)
 }
 
 // hdrLe are the le bounds every histogram renders at: the HDR layout's

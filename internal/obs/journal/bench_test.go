@@ -50,11 +50,7 @@ func (s *benchSink) hook(ev obs.Event) {
 	}
 	s.mu.Unlock()
 	s.monitor.Observe(ev)
-	s.jnl.Append(journal.Entry{
-		JobID: "bench", Kind: journal.KindProgress, Stage: ev.Stage,
-		Step: ev.Step, Total: ev.Total, T: ev.T, Value: ev.Value,
-		Cost: ev.Cost,
-	})
+	s.jnl.Append(journal.Entry{JobID: "bench", Kind: journal.KindProgress, Event: ev})
 }
 
 // decayRHS is the same linear test system the pr3 ODE pair integrates.

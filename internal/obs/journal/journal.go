@@ -4,8 +4,8 @@
 // sink for durable capture, and explicit removal so evicted jobs leave no
 // payload behind. See DESIGN.md §9 for the retention rules.
 //
-// The package depends only on the standard library; entries are plain
-// values, so publishing one to a subscriber never races with the writer.
+// Entries are plain values, so publishing one to a subscriber never races
+// with the writer.
 package journal
 
 import (
@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rumornet/internal/obs"
 )
 
 // Entry kinds.
@@ -49,14 +51,9 @@ type Entry struct {
 	// Final marks the job's last entry; streams close after sending it.
 	Final bool `json:"final,omitempty"`
 
-	// Progress payload (KindProgress, and KindInvariant where relevant).
-	Stage string  `json:"stage,omitempty"`
-	Step  int     `json:"step,omitempty"`
-	Total int     `json:"total,omitempty"`
-	T     float64 `json:"t,omitempty"`
-	Value float64 `json:"value,omitempty"`
-	Cost  float64 `json:"cost,omitempty"`
-	Grid  int     `json:"grid,omitempty"` // obs.Event.Grid
+	// Event is the solver checkpoint (KindProgress), or the one that
+	// tripped the invariant (KindInvariant); zero on other kinds.
+	obs.Event
 }
 
 // subscriber is one live listener on a job's entry stream.

@@ -7,12 +7,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rumornet/internal/obs"
 )
 
 func TestAppendReplay(t *testing.T) {
 	j := New(16, nil)
 	j.Append(Entry{JobID: "j-1", Kind: KindLifecycle, Msg: "queued"})
-	j.Append(Entry{JobID: "j-1", Kind: KindProgress, Stage: "ode", Step: 256})
+	j.Append(Entry{JobID: "j-1", Kind: KindProgress, Event: obs.Event{Stage: "ode", Step: 256}})
 	j.Append(Entry{JobID: "j-2", Kind: KindLifecycle, Msg: "queued"})
 
 	got := j.Replay("j-1")
@@ -46,7 +48,7 @@ func TestRingWraparound(t *testing.T) {
 	j := New(8, nil)
 	const total = 20
 	for i := 1; i <= total; i++ {
-		j.Append(Entry{JobID: "j-1", Kind: KindProgress, Step: i})
+		j.Append(Entry{JobID: "j-1", Kind: KindProgress, Event: obs.Event{Step: i}})
 	}
 	got := j.Replay("j-1")
 	if len(got) != 8 {
@@ -60,7 +62,7 @@ func TestRingWraparound(t *testing.T) {
 	}
 	// A second full lap keeps the order straight.
 	for i := total + 1; i <= total+8; i++ {
-		j.Append(Entry{JobID: "j-1", Step: i})
+		j.Append(Entry{JobID: "j-1", Event: obs.Event{Step: i}})
 	}
 	got = j.Replay("j-1")
 	if got[0].Seq != total+1 || got[7].Seq != total+8 {
@@ -76,7 +78,7 @@ func TestSubscribeReplayThenLive(t *testing.T) {
 	if len(history) != 1 || history[0].Msg != "queued" {
 		t.Fatalf("history: %+v", history)
 	}
-	j.Append(Entry{JobID: "j-1", Kind: KindProgress, Step: 5})
+	j.Append(Entry{JobID: "j-1", Kind: KindProgress, Event: obs.Event{Step: 5}})
 	select {
 	case e := <-ch:
 		if e.Step != 5 || e.Seq != 2 {
@@ -121,7 +123,7 @@ func TestSlowSubscriberDrops(t *testing.T) {
 	_, ch, cancel := j.Subscribe("j-1")
 	defer cancel()
 	for i := 0; i < subBuffer+10; i++ {
-		j.Append(Entry{JobID: "j-1", Step: i})
+		j.Append(Entry{JobID: "j-1", Event: obs.Event{Step: i}})
 	}
 	if j.Dropped() != 10 {
 		t.Errorf("dropped = %d, want 10", j.Dropped())
@@ -135,7 +137,7 @@ func TestJSONLSink(t *testing.T) {
 	var buf strings.Builder
 	j := New(8, &syncWriter{w: &buf})
 	j.Append(Entry{JobID: "j-1", Kind: KindLifecycle, Msg: "queued", TraceID: "abc"})
-	j.Append(Entry{JobID: "j-1", Kind: KindInvariant, Check: "mass_conservation", Value: 0.2})
+	j.Append(Entry{JobID: "j-1", Kind: KindInvariant, Check: "mass_conservation", Event: obs.Event{Value: 0.2}})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("sink lines = %d, want 2", len(lines))
@@ -190,7 +192,7 @@ func TestConcurrentAppendSubscribe(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("j-%d", w%2)
 			for i := 0; i < 200; i++ {
-				j.Append(Entry{JobID: id, Step: i})
+				j.Append(Entry{JobID: id, Event: obs.Event{Step: i}})
 			}
 		}(w)
 	}
@@ -239,7 +241,7 @@ func TestRingGrowsWithUse(t *testing.T) {
 	j := New(10, nil)
 	const total = 25
 	for i := 1; i <= total; i++ {
-		j.Append(Entry{JobID: "long", Kind: KindProgress, Step: i})
+		j.Append(Entry{JobID: "long", Kind: KindProgress, Event: obs.Event{Step: i}})
 	}
 	if n := j.Len("long"); n != 10 {
 		t.Fatalf("Len = %d, want the depth 10", n)
@@ -256,7 +258,7 @@ func TestRingGrowsWithUse(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		j.Append(Entry{JobID: "short", Kind: KindLifecycle, Step: i})
+		j.Append(Entry{JobID: "short", Kind: KindLifecycle, Event: obs.Event{Step: i}})
 	}
 	j.mu.Lock()
 	short := j.jobs["short"]

@@ -40,41 +40,46 @@ const (
 // Event is one solver progress checkpoint. Fields beyond Stage and Step
 // are stage-specific; unused ones are zero. Events are values — receivers
 // may retain them.
+//
+// Event is also the checkpoint's one serialized form: a lease relays it
+// from a worker, GET /v1/jobs/{id} serves it as the job's progress and
+// the journal records it, all under these JSON keys, with zero fields
+// omitted.
 type Event struct {
 	// Stage identifies the emitting loop (Stage* constants).
-	Stage string
+	Stage string `json:"stage,omitempty"`
 	// Step is the unit count reached: accepted ODE steps, FBSM
 	// iterations, ABM time steps, completed trials.
-	Step int
+	Step int `json:"step,omitempty"`
 	// Total is the known unit total, or 0 when open-ended.
-	Total int
+	Total int `json:"total,omitempty"`
 	// T is the solver time reached, where meaningful.
-	T float64
+	T float64 `json:"t,omitempty"`
 	// Value is the stage's headline scalar: Θ(t) for ODE checkpoints,
 	// the convergence residual for FBSM iterations, the infected
 	// fraction for ABM steps.
-	Value float64
+	Value float64 `json:"value,omitempty"`
 	// Cost is the FBSM objective J estimate (0 elsewhere).
-	Cost float64
+	Cost float64 `json:"cost,omitempty"`
 	// Elapsed is the wall time of the unit, where measured (ABM sweep
 	// steps).
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// Grid names the level a multi-level solve reports from: the FBSM
 	// grid's intervals on every FBSM stage (the quarter grid's sweeps, then
 	// the requested grid's), the step count on the ode job's StageODE and
 	// StageODELevel events. 0 elsewhere.
-	Grid int
+	Grid int `json:"grid,omitempty"`
 
 	// MinI is the smallest per-group infected density at the checkpoint
 	// (ODE and FBSM-forward events): negative values mean the integration
 	// undershot the I_i >= 0 bound. internal/obs/invariant watches it.
-	MinI float64
+	MinI float64 `json:"min_i,omitempty"`
 	// MassErr is the checkpoint's worst mass-conservation excess: for ODE
 	// and FBSM-forward events max_i(S_i+I_i - (1+alpha*t)) — System (1)'s
 	// inflow alpha bounds d(S+I)/dt, so values above ~roundoff mean the
 	// integration is leaking mass; for ABM steps |S+I+R - 1|, which the
 	// exact compartment counts keep at 0. Non-positive values are healthy.
-	MassErr float64
+	MassErr float64 `json:"mass_err,omitempty"`
 }
 
 // Progress receives solver checkpoints. A nil Progress means "no

@@ -48,6 +48,21 @@ type FamilySnapshot struct {
 	Series []SeriesSnapshot `json:"series"`
 }
 
+// Total sums the family's counter and gauge values over its series; a
+// histogram family totals 0.
+func (f FamilySnapshot) Total() float64 {
+	var sum float64
+	for _, s := range f.Series {
+		switch {
+		case s.Counter != nil:
+			sum += float64(*s.Counter)
+		case s.Gauge != nil:
+			sum += *s.Gauge
+		}
+	}
+	return sum
+}
+
 // Snapshot is a point-in-time sample of a whole registry, families sorted
 // by name and series by label signature (the same order WritePrometheus
 // renders), so snapshots are byte-stable run to run.

@@ -144,44 +144,14 @@ func ExecuteRequest(ctx context.Context, sc *Scenario, req Request, innerWorkers
 	return json.Marshal(payload)
 }
 
-// ProgressEvent is the wire form of one solver checkpoint (obs.Event),
-// relayed coordinator-ward in heartbeat and result payloads — the only
-// job-scoped record a lease relays. AtUS is when the checkpoint happened,
-// in microseconds since the runner received the lease; the coordinator
+// RelayedEvent is one solver checkpoint as a lease relays it
+// coordinator-ward in heartbeat and result payloads — the only job-scoped
+// record a lease relays. AtUS is when the checkpoint happened, in
+// microseconds since the runner received the lease; the coordinator
 // places it on its own clock (relayEvents).
-type ProgressEvent struct {
-	AtUS      int64   `json:"at_us,omitempty"`
-	Stage     string  `json:"stage,omitempty"`
-	Step      int     `json:"step,omitempty"`
-	Total     int     `json:"total,omitempty"`
-	T         float64 `json:"t,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-	Cost      float64 `json:"cost,omitempty"`
-	ElapsedUS int64   `json:"elapsed_us,omitempty"`
-	MinI      float64 `json:"min_i,omitempty"`
-	MassErr   float64 `json:"mass_err,omitempty"`
-	Grid      int     `json:"grid,omitempty"`
-}
-
-// WireProgress converts a solver checkpoint to its wire form; at is when
-// it was emitted, counted from when the runner received the lease.
-func WireProgress(ev obs.Event, at time.Duration) ProgressEvent {
-	return ProgressEvent{
-		AtUS:  at.Microseconds(),
-		Stage: ev.Stage, Step: ev.Step, Total: ev.Total, T: ev.T,
-		Value: ev.Value, Cost: ev.Cost,
-		ElapsedUS: ev.Elapsed.Microseconds(),
-		MinI:      ev.MinI, MassErr: ev.MassErr, Grid: ev.Grid,
-	}
-}
-
-func (p ProgressEvent) toObs() obs.Event {
-	return obs.Event{
-		Stage: p.Stage, Step: p.Step, Total: p.Total, T: p.T,
-		Value: p.Value, Cost: p.Cost,
-		Elapsed: time.Duration(p.ElapsedUS) * time.Microsecond,
-		MinI:    p.MinI, MassErr: p.MassErr, Grid: p.Grid,
-	}
+type RelayedEvent struct {
+	AtUS int64 `json:"at_us,omitempty"`
+	obs.Event
 }
 
 // LeaseRequest is the body of POST /v1/internal/lease. The optional
@@ -190,10 +160,8 @@ func (p ProgressEvent) toObs() obs.Event {
 // and between leases the poll is the only request a worker makes — without
 // it, an idle node's final counters would never reach /metrics.
 type LeaseRequest struct {
-	WorkerID  string             `json:"worker_id"`
-	Addr      string             `json:"addr,omitempty"`
-	Metrics   obs.Snapshot       `json:"metrics,omitempty"`
-	Telemetry *cluster.Telemetry `json:"telemetry,omitempty"`
+	WorkerID string       `json:"worker_id"`
+	Metrics  obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // LeasedJob is the coordinator's answer to a successful lease: everything a
@@ -217,19 +185,18 @@ type LeasedJob struct {
 // HeartbeatRequest is the body of POST /v1/internal/jobs/{id}/heartbeat.
 // Beyond the lease extension it is the telemetry relay: the job's solver
 // checkpoints (Events), from which the coordinator derives the job's
-// progress, journal and stage spans, and the node's registry snapshot and
-// runtime-health sample all piggyback on the beat — no extra round trips,
-// and a worker that can heartbeat can always report.
+// progress, journal and stage spans, and the node's registry snapshot
+// both piggyback on the beat — no extra round trips, and a worker that can
+// heartbeat can always report.
 type HeartbeatRequest struct {
-	WorkerID   string          `json:"worker_id"`
-	LeaseToken string          `json:"lease_token"`
-	Events     []ProgressEvent `json:"events,omitempty"`
+	WorkerID   string         `json:"worker_id"`
+	LeaseToken string         `json:"lease_token"`
+	Events     []RelayedEvent `json:"events,omitempty"`
 	// Metrics is a snapshot of the worker's metric registry, re-exported by
 	// the coordinator as rumor_worker_*{worker="..."} plus rumor_fleet_*
-	// aggregates.
+	// aggregates and read for the worker's health sample on
+	// GET /v1/workers.
 	Metrics obs.Snapshot `json:"metrics,omitempty"`
-	// Telemetry is the worker's health sample for GET /v1/workers.
-	Telemetry *cluster.Telemetry `json:"telemetry,omitempty"`
 }
 
 // HeartbeatAck extends the lease and carries the coordinator's cancel
@@ -252,11 +219,10 @@ type ResultRequest struct {
 	// applied before the job finalizes so the journal and the stage spans
 	// are complete. Most jobs end before their first heartbeat, so for
 	// them this is every event.
-	Events []ProgressEvent `json:"events,omitempty"`
-	// Metrics and Telemetry are the final node relay, the same piggyback
-	// as HeartbeatRequest.
-	Metrics   obs.Snapshot       `json:"metrics,omitempty"`
-	Telemetry *cluster.Telemetry `json:"telemetry,omitempty"`
+	Events []RelayedEvent `json:"events,omitempty"`
+	// Metrics is the final node relay, the same piggyback as
+	// HeartbeatRequest.
+	Metrics obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // ClusterStats is the lease section of /v1/stats.
@@ -272,8 +238,44 @@ type ClusterStats struct {
 }
 
 // Workers snapshots the worker registry: the in-process workers of a
-// standalone service, the remote nodes of a coordinator.
-func (s *Service) Workers() []cluster.WorkerInfo { return s.table.Workers() }
+// standalone service, the remote nodes of a coordinator. A remote node's
+// health sample comes from its last relayed registry snapshot
+// (workerTelemetry) and its stage from the jobs it runs here.
+func (s *Service) Workers() []cluster.WorkerInfo {
+	ws := s.table.Workers()
+	stages := s.runningStages()
+	s.telMu.Lock()
+	defer s.telMu.Unlock()
+	for i := range ws {
+		if snap, ok := s.workerSnaps[ws[i].ID]; ok {
+			ws[i].Telemetry = workerTelemetry(snap, stages[ws[i].ID])
+		}
+	}
+	return ws
+}
+
+// runningStages maps each worker running a job to the stage of the newest
+// checkpoint among its jobs' current attempts.
+func (s *Service) runningStages() map[string]string {
+	newest := map[string]*JobProgress{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.jobs {
+		p, w := r.prog.Load(), r.job.Worker
+		// A checkpoint older than the attempt is an earlier attempt's.
+		if r.job.Status != StatusRunning || p == nil || r.job.StartedAt == nil || p.UpdatedAt.Before(*r.job.StartedAt) {
+			continue
+		}
+		if newest[w] == nil || p.UpdatedAt.After(newest[w].UpdatedAt) {
+			newest[w] = p
+		}
+	}
+	stages := make(map[string]string, len(newest))
+	for w, p := range newest {
+		stages[w] = p.Stage
+	}
+	return stages
+}
 
 // DegradedReasons enumerates why the service should not receive submit
 // traffic, empty when healthy. A load balancer keys off the /readyz status
@@ -307,11 +309,11 @@ func (s *Service) DeregisterWorker(id string) {
 // class first — the admission priority in-process workers keep too. It
 // returns (nil, nil) at once when both queues are empty (or draining and
 // dry) — the worker backs off and polls again.
-func (s *Service) LeaseNext(workerID, addr string) (*LeasedJob, error) {
+func (s *Service) LeaseNext(workerID string) (*LeasedJob, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("%w: worker_id required", ErrBadRequest)
 	}
-	s.table.Touch(workerID, addr)
+	s.table.Touch(workerID)
 	noWait, cancel := context.WithCancel(context.Background())
 	cancel() // dequeue takes only what is already buffered
 	for {
@@ -350,7 +352,7 @@ func (s *Service) leasedJob(r *jobRecord, lease cluster.Lease) *LeasedJob {
 // the carried progress events through the job's sink — so SSE streams,
 // GET /v1/jobs/{id} progress, stage spans, invariant monitoring and
 // metrics all keep working for a remotely-executing job — and stores the
-// piggybacked node telemetry (metrics, health sample).
+// piggybacked registry snapshot.
 func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, error) {
 	arrive := time.Now()
 	s.mu.Lock()
@@ -368,7 +370,7 @@ func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, er
 	s.mu.Unlock()
 
 	relayEvents(sink, started, arrive, req.Events)
-	s.storeWorkerTelemetry(lease.Worker, req.Metrics, req.Telemetry)
+	s.storeWorkerTelemetry(lease.Worker, req.Metrics)
 	return HeartbeatAck{
 		LeaseTTLMS: s.table.TTL().Milliseconds(),
 		Cancel:     lease.Cancel,
@@ -415,7 +417,7 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	// no other worker can claim it, so finalization below is single-writer.
 	// The tail lands before the Final journal entry, in causal order.
 	relayEvents(sink, started, arrive, res.Events)
-	s.storeWorkerTelemetry(lease.Worker, res.Metrics, res.Telemetry)
+	s.storeWorkerTelemetry(lease.Worker, res.Metrics)
 	if st == StatusSucceeded && r.req.Type == JobODE {
 		// Theorem 5 consistency of the finished trajectory; a violation
 		// lands in the journal before the terminal entry.
@@ -434,14 +436,14 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 // Most jobs end before their first heartbeat; without at_us their events
 // would all land at the result's arrival, and their stage spans would
 // have no length.
-func relayEvents(sink eventSink, started, arrive time.Time, evs []ProgressEvent) {
+func relayEvents(sink eventSink, started, arrive time.Time, evs []RelayedEvent) {
 	window := arrive.Sub(started).Microseconds()
 	for _, ev := range evs {
 		at := arrive
 		if ev.AtUS < window {
 			at = started.Add(time.Duration(max(ev.AtUS, 0)) * time.Microsecond)
 		}
-		sink(ev.toObs(), at)
+		sink(ev.Event, at)
 	}
 }
 
@@ -559,8 +561,8 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	// Store the relay before leasing: it lands even on a 204 from an empty
 	// queue, which is exactly the idle-worker flush case.
-	s.storeWorkerTelemetry(req.WorkerID, req.Metrics, req.Telemetry)
-	lj, err := s.LeaseNext(req.WorkerID, req.Addr)
+	s.storeWorkerTelemetry(req.WorkerID, req.Metrics)
+	lj, err := s.LeaseNext(req.WorkerID)
 	if err != nil {
 		writeServiceError(w, err)
 		return

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rumornet/internal/obs"
-	"rumornet/internal/obs/invariant"
 	"rumornet/internal/store"
 )
 
@@ -61,16 +60,10 @@ type Config struct {
 	// the emitting goroutine; hand in a buffered or async writer for slow
 	// destinations.
 	JournalSink io.Writer
-	// TraceSpans bounds the in-memory finished-span ring exported at
-	// /debug/events (default 1024).
-	TraceSpans int
 	// SSEHeartbeat is the idle keep-alive cadence of the
 	// GET /v1/jobs/{id}/events stream (default 15s): a comment line that
 	// defeats idle-connection timeouts in proxies without waking clients.
 	SSEHeartbeat time.Duration
-	// Invariants sets the numerical invariant-monitor tolerances; the zero
-	// value selects internal/obs/invariant's documented defaults.
-	Invariants invariant.Config
 	// StoreDir, when non-empty, opens (creating if needed) the durable job
 	// store rooted there: every accepted job is logged to a write-ahead log
 	// and every result persisted to a content-addressed blob store, so a
@@ -143,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalEntries <= 0 {
 		c.JournalEntries = 256
-	}
-	if c.TraceSpans <= 0 {
-		c.TraceSpans = 1024
 	}
 	if c.SSEHeartbeat <= 0 {
 		c.SSEHeartbeat = 15 * time.Second

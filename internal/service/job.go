@@ -346,19 +346,13 @@ type Job struct {
 	Progress *JobProgress `json:"progress,omitempty"`
 }
 
-// JobProgress is the API view of a solver progress event (see
-// internal/obs): for FBSM jobs Value is the per-iteration relative control
-// change (the convergence residual) and Cost the objective J of the swept
-// schedule; for ODE and ABM jobs Value is Θ(t) and the infected fraction
-// respectively.
+// JobProgress is the API view of a job's latest solver checkpoint: the
+// obs.Event itself (for FBSM jobs Value is the per-iteration relative
+// control change, the convergence residual, and Cost the objective J of
+// the swept schedule; for ODE and ABM jobs Value is Θ(t) and the infected
+// fraction respectively) and when it arrived.
 type JobProgress struct {
-	Stage     string    `json:"stage"`
-	Step      int       `json:"step"`
-	Total     int       `json:"total,omitempty"`
-	T         float64   `json:"t,omitempty"`
-	Value     float64   `json:"value,omitempty"`
-	Cost      float64   `json:"cost,omitempty"`
-	Grid      int       `json:"grid,omitempty"` // the level's grid (obs.Event.Grid)
+	obs.Event
 	UpdatedAt time.Time `json:"updated_at"`
 }
 

@@ -31,13 +31,12 @@ import (
 func (s *Service) begin(r *jobRecord, worker string, cancel func()) (cluster.Lease, bool) {
 	lg := s.cfg.Logger.With("job_id", r.job.ID, "type", r.job.Type,
 		"trace_id", r.job.TraceID, "worker", worker)
-	monitor := invariant.New(s.cfg.Invariants, func(v invariant.Violation) {
+	monitor := invariant.New(invariant.Config{}, func(v invariant.Violation) {
 		s.met.invariantViolation(v.Check)
 		s.journal.Append(journal.Entry{
 			JobID: r.job.ID, TraceID: r.job.TraceID,
 			Kind: journal.KindInvariant, Check: v.Check, Msg: v.Msg,
-			Stage: v.Event.Stage, Step: v.Event.Step, T: v.Event.T,
-			Value: v.Event.Value,
+			Event: v.Event,
 		})
 		lg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
 			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
@@ -69,7 +68,6 @@ func (s *Service) begin(r *jobRecord, worker string, cancel func()) (cluster.Lea
 	r.cancel, r.monitor, r.sink, r.stages = cancel, monitor, sink, stages
 	r.attempts++
 	lease := s.table.Grant(r.job.ID, worker, r.attempts)
-	s.walStarted(r.job.ID)
 	s.walAttempt(r.job.ID, r.attempts)
 	s.mu.Unlock()
 

@@ -200,7 +200,7 @@ func TestLifecycleConformance(t *testing.T) {
 			h.open(lcCluster, true)
 			h.mark()
 			job := h.submit(lcThreshold)
-			lj, err := h.svc.LeaseNext("w1", "")
+			lj, err := h.svc.LeaseNext("w1")
 			if err != nil || lj == nil {
 				h.t.Fatalf("lease: %v, %v", lj, err)
 			}
@@ -225,7 +225,7 @@ func TestLifecycleConformance(t *testing.T) {
 			h.open(cfg, true)
 			h.mark()
 			job := h.submit(lcThreshold)
-			if lj, err := h.svc.LeaseNext("w1", ""); err != nil || lj == nil {
+			if lj, err := h.svc.LeaseNext("w1"); err != nil || lj == nil {
 				h.t.Fatalf("lease: %v, %v", lj, err)
 			}
 			return job.ID
@@ -238,13 +238,13 @@ func TestLifecycleConformance(t *testing.T) {
 			cfg.Cluster.LeaseTTL = time.Hour
 			h.open(cfg, true)
 			job := h.submit(lcThreshold)
-			if lj, err := h.svc.LeaseNext("w1", ""); err != nil || lj == nil {
+			if lj, err := h.svc.LeaseNext("w1"); err != nil || lj == nil {
 				h.t.Fatalf("lease: %v, %v", lj, err)
 			}
 			h.close()
 			h.open(cfg, false)
 			h.mark()
-			if lj, err := h.svc.LeaseNext("w1", ""); err != nil || lj != nil {
+			if lj, err := h.svc.LeaseNext("w1"); err != nil || lj != nil {
 				h.t.Fatalf("restarted job leased again (%+v, %v) past its 1-attempt budget", lj, err)
 			}
 			if j, _ := h.svc.Job(job.ID); !strings.Contains(j.Error, "attempt budget is exhausted (1/1)") {
@@ -280,7 +280,7 @@ func TestLifecycleConformance(t *testing.T) {
 			h.open(lcCluster, true)
 			h.mark()
 			job := h.submit(lcThreshold)
-			if lj, err := h.svc.LeaseNext("w1", ""); err != nil || lj == nil {
+			if lj, err := h.svc.LeaseNext("w1"); err != nil || lj == nil {
 				h.t.Fatalf("lease: %v, %v", lj, err)
 			}
 			if _, err := h.svc.Cancel(job.ID); err != nil {

@@ -119,7 +119,7 @@ func TestFleetMergeLossless(t *testing.T) {
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			t.Fatal(err)
 		}
-		e.svc.storeWorkerTelemetry(w.id, snap, nil)
+		e.svc.storeWorkerTelemetry(w.id, snap)
 	}
 
 	var want strings.Builder

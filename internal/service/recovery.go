@@ -18,7 +18,7 @@ import (
 //
 //   - every job that enters the queue gets an opSubmitted record (with the
 //     full request, so recovery can re-enqueue it verbatim); begin adds
-//     opStarted, and opAttempt for a lease;
+//     opAttempt for each lease;
 //   - settle writes the opFinished record for every terminal outcome the
 //     service *chose* (success, failure, user cancellation, timeout) of a
 //     job that has an opSubmitted record — a submit-time cache hit never
@@ -44,14 +44,6 @@ func (s *Service) walSubmitted(r *jobRecord) {
 		})
 	}
 	s.walErrored("submitted", r.job.ID, err)
-}
-
-// walStarted logs a job's transition to running. Callers hold s.mu.
-func (s *Service) walStarted(id string) {
-	if s.store == nil {
-		return
-	}
-	s.walErrored("started", id, s.store.AppendStarted(id))
 }
 
 // walFinished logs a terminal outcome. settle calls it before the terminal
@@ -238,7 +230,7 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 			})
 			s.cfg.Logger.Info("job recovered",
 				"job_id", js.ID, "type", req.Type, "scenario", req.Scenario,
-				"was_started", js.Started)
+				"attempts", js.Attempts)
 			return StatusQueued
 		default:
 			s.mu.Unlock()

@@ -108,7 +108,7 @@ func FuzzWorkerRelay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lj, err := s.LeaseNext("w-fuzz", "")
+		lj, err := s.LeaseNext("w-fuzz")
 		if err != nil || lj == nil || lj.JobID != job.ID {
 			t.Fatalf("lease: %+v, %v", lj, err)
 		}

@@ -157,6 +157,10 @@ type Service struct {
 	workerSnaps map[string]obs.Snapshot
 }
 
+// traceSpans bounds the in-memory finished-span ring exported at
+// /debug/events.
+const traceSpans = 1024
+
 // New builds a Service, registers the built-in Digg2009 scenario, and
 // starts the worker pool. Call Drain (graceful) or Close (immediate) to
 // shut it down.
@@ -170,7 +174,7 @@ func New(cfg Config) (*Service, error) {
 		scenarios: newRegistry(),
 		cache:     newResultCache(cfg.CacheEntries),
 		met:       newMetrics(),
-		tracer:    trace.New(cfg.TraceSpans),
+		tracer:    trace.New(traceSpans),
 		journal:   journal.New(cfg.JournalEntries, cfg.JournalSink),
 		jobs:      make(map[string]*jobRecord),
 		keyJobs:   make(map[string][]string),
@@ -732,26 +736,14 @@ func (s *Service) progressSink(r *jobRecord, stages *stageSpans, monitor *invari
 	var n atomic.Int64
 	every := int64(s.cfg.ProgressLogEvery)
 	return func(ev obs.Event, at time.Time) {
-		jp := &JobProgress{
-			Stage:     ev.Stage,
-			Step:      ev.Step,
-			Total:     ev.Total,
-			T:         ev.T,
-			Value:     ev.Value,
-			Cost:      ev.Cost,
-			Grid:      ev.Grid,
-			UpdatedAt: time.Now(),
-		}
-		r.prog.Store(jp)
+		r.prog.Store(&JobProgress{Event: ev, UpdatedAt: time.Now()})
 		stages.open(ev.Stage, at)
 		// Monitor first: a violation's journal entry then precedes the
 		// checkpoint that triggered it in the replay, reading causally.
 		monitor.Observe(ev)
 		s.journal.Append(journal.Entry{
 			JobID: r.job.ID, TraceID: r.job.TraceID,
-			Kind: journal.KindProgress, Stage: ev.Stage,
-			Step: ev.Step, Total: ev.Total, T: ev.T, Value: ev.Value,
-			Cost: ev.Cost, Grid: ev.Grid,
+			Kind: journal.KindProgress, Event: ev,
 		})
 		if ev.Stage == obs.StageABM && ev.Elapsed > 0 {
 			s.met.abmStep.Record(ev.Elapsed.Seconds())

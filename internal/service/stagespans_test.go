@@ -17,7 +17,7 @@ func leaseOne(t *testing.T, s *Service) (Job, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lj, err := s.LeaseNext("w-1", "")
+	lj, err := s.LeaseNext("w-1")
 	if err != nil || lj == nil || lj.JobID != sub.ID {
 		t.Fatalf("lease: %+v, %v", lj, err)
 	}
@@ -47,10 +47,10 @@ func TestRelayedStageSpanTiming(t *testing.T) {
 
 	before := time.Now()
 	if _, err := s.CompleteLease(job.ID, ResultRequest{WorkerID: "w-1", LeaseToken: token,
-		Status: string(StatusFailed), Error: "relay timing", Events: []ProgressEvent{
-			{Stage: obs.StageODE, AtUS: 1000},
-			{Stage: obs.StageFBSM, AtUS: -5},
-			{Stage: obs.StageABM, AtUS: 1_000_000_000_000},
+		Status: string(StatusFailed), Error: "relay timing", Events: []RelayedEvent{
+			{AtUS: 1000, Event: obs.Event{Stage: obs.StageODE}},
+			{AtUS: -5, Event: obs.Event{Stage: obs.StageFBSM}},
+			{AtUS: 1_000_000_000_000, Event: obs.Event{Stage: obs.StageABM}},
 		}}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRelayedUnknownStageOpensNoSpan(t *testing.T) {
 	s := newTestService(t, Config{Cluster: ClusterConfig{Enabled: true, LeaseTTL: time.Hour}})
 	job, token := leaseOne(t, s)
 	if _, err := s.ExtendLease(job.ID, HeartbeatRequest{WorkerID: "w-1", LeaseToken: token,
-		Events: []ProgressEvent{{Stage: "bogus", AtUS: 1}, {Stage: obs.StageODE, AtUS: 2}, {Stage: "ode/extra", AtUS: 3}}}); err != nil {
+		Events: []RelayedEvent{{AtUS: 1, Event: obs.Event{Stage: "bogus"}}, {AtUS: 2, Event: obs.Event{Stage: obs.StageODE}}, {AtUS: 3, Event: obs.Event{Stage: "ode/extra"}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.CompleteLease(job.ID, ResultRequest{WorkerID: "w-1", LeaseToken: token,
@@ -105,7 +105,7 @@ func TestRequeueEndsStageSpans(t *testing.T) {
 		LeaseTTL: 40 * time.Millisecond, ReapInterval: 5 * time.Millisecond}})
 	job, token := leaseOne(t, s)
 	if _, err := s.ExtendLease(job.ID, HeartbeatRequest{WorkerID: "w-1", LeaseToken: token,
-		Events: []ProgressEvent{{Stage: obs.StageODE}}}); err != nil {
+		Events: []RelayedEvent{{Event: obs.Event{Stage: obs.StageODE}}}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

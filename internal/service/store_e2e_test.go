@@ -172,7 +172,7 @@ func TestRecoverySyntheticWAL(t *testing.T) {
 	appendJob("j-000005", 5, `{"type":"ode","params":{"lambda0":0.02,"tf":40,"points":50}}`)
 	appendJob("j-000006", 6, `{"type":"ode","scenario":"ghost","params":{"lambda0":0.02}}`)
 	appendJob("j-000007", 7, `{"type":123}`)
-	if err := st.AppendStarted("j-000005"); err != nil {
+	if err := st.AppendAttempt("j-000005", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -210,7 +210,7 @@ func TestPriorityClassStarvation(t *testing.T) {
 		t.Fatalf("default class = %q, want interactive", inter.Class)
 	}
 
-	lease, err := s.LeaseNext("w1", "127.0.0.1:0")
+	lease, err := s.LeaseNext("w1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPriorityClassStarvation(t *testing.T) {
 			lease.JobID, lease.Request.Class, inter.ID)
 	}
 	// With the interactive queue drained, batch leases flow again.
-	next, err := s.LeaseNext("w1", "127.0.0.1:0")
+	next, err := s.LeaseNext("w1")
 	if err != nil {
 		t.Fatal(err)
 	}

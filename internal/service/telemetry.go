@@ -13,29 +13,49 @@ import (
 // §13). A lease relays one job-scoped record, its progress events, from
 // which the attempt's sink derives the job's progress, journal and stage
 // spans on every path (relayEvents, progressSink). What a worker relays
-// about itself rides the requests it already makes (lease polls,
-// heartbeats and result uploads): a registry snapshot and a health sample,
+// about itself is one record too, its registry snapshot, riding the
+// requests it already makes (lease polls, heartbeats and result uploads):
 // stored per worker, re-exported on GET /metrics as
-// rumor_worker_*{worker="..."} plus rumor_fleet_* aggregates, and served
-// on GET /v1/workers.
+// rumor_worker_*{worker="..."} plus rumor_fleet_* aggregates, and read for
+// the worker's health sample on GET /v1/workers.
 
-// storeWorkerTelemetry records a worker's relayed registry snapshot (for
-// the /metrics re-export) and health sample (for GET /v1/workers).
-func (s *Service) storeWorkerTelemetry(workerID string, snap obs.Snapshot, tel *cluster.Telemetry) {
-	if workerID == "" {
+// storeWorkerTelemetry records a worker's relayed registry snapshot.
+func (s *Service) storeWorkerTelemetry(workerID string, snap obs.Snapshot) {
+	if workerID == "" || len(snap) == 0 {
 		return
 	}
-	if len(snap) > 0 {
-		s.telMu.Lock()
-		if s.workerSnaps == nil {
-			s.workerSnaps = make(map[string]obs.Snapshot)
+	s.telMu.Lock()
+	if s.workerSnaps == nil {
+		s.workerSnaps = make(map[string]obs.Snapshot)
+	}
+	s.workerSnaps[workerID] = snap
+	s.telMu.Unlock()
+}
+
+// workerTelemetry reads a worker's health sample off its registry
+// snapshot; stage is what the coordinator's job table says it runs.
+func workerTelemetry(snap obs.Snapshot, stage string) *cluster.Telemetry {
+	tel := &cluster.Telemetry{Stage: stage}
+	for _, f := range snap {
+		v := f.Total()
+		switch f.Name {
+		case "rumor_invariant_violations_total":
+			tel.InvariantViolations = int64(v)
+		case "rumor_jobs_executed_total":
+			tel.JobsExecuted = int64(v)
+		case "rumor_runtime_goroutines":
+			tel.Goroutines = int(v)
+		case "rumor_runtime_gomaxprocs":
+			tel.GOMAXPROCS = int(v)
+		case "rumor_runtime_heap_alloc_bytes":
+			tel.HeapAllocBytes = uint64(v)
+		case "rumor_runtime_gc_pause_seconds_total":
+			tel.GCPauseSecondsTotal = v
+		case "rumor_uptime_seconds":
+			tel.UptimeSeconds = v
 		}
-		s.workerSnaps[workerID] = snap
-		s.telMu.Unlock()
 	}
-	if tel != nil {
-		s.table.SetTelemetry(workerID, *tel)
-	}
+	return tel
 }
 
 // dropWorkerTelemetry forgets a worker's relayed snapshot — the deregister

@@ -14,12 +14,13 @@ import (
 // a truncation point, not a failure — and the store that results must be
 // consistent enough to accept new appends and survive a reopen.
 func FuzzWALReplay(f *testing.F) {
-	// Seed 1: a well-formed log (submit ×2, start, finish).
+	// Seed 1: a well-formed log (submit ×2, start, finish). The started
+	// record is one that earlier builds wrote and replay now skips.
 	var good bytes.Buffer
 	for _, rec := range []walRecord{
 		{Op: opSubmitted, JobID: "j-000001", Seq: 1, Key: "00aa", Request: json.RawMessage(`{"type":"ode"}`), SubmittedAt: time.Unix(1700000000, 0)},
 		{Op: opSubmitted, JobID: "j-000002", Seq: 2, Key: "00bb", Request: json.RawMessage(`{"type":"abm"}`)},
-		{Op: opStarted, JobID: "j-000001"},
+		{Op: "started", JobID: "j-000001"},
 		{Op: opFinished, JobID: "j-000001", Status: "succeeded"},
 	} {
 		frame, err := encodeRecord(rec)

@@ -33,7 +33,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // WAL record operations (the Op field of a walRecord).
 const (
 	opSubmitted = "submitted"
-	opStarted   = "started"
 	opFinished  = "finished"
 	opAttempt   = "attempt"
 	opScenario  = "scenario"
@@ -101,9 +100,6 @@ type JobState struct {
 	// Class is the admission priority class recorded at submission
 	// (empty for pre-PR-10 records: the service defaults it).
 	Class string `json:"class,omitempty"`
-	// Started reports whether the job had begun executing; recovery
-	// re-enqueues it either way (results are deterministic and idempotent).
-	Started bool `json:"started,omitempty"`
 	// Attempts is the lease-grant count a clustered coordinator recorded
 	// for the job (zero for standalone jobs). It rides snapshots so
 	// compaction preserves the poison-job budget.

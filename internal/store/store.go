@@ -304,11 +304,6 @@ func (s *Store) AppendSubmitted(js JobState) error {
 	})
 }
 
-// AppendStarted logs that a job began executing.
-func (s *Store) AppendStarted(id string) error {
-	return s.appendRecord(walRecord{Op: opStarted, JobID: id})
-}
-
 // AppendFinished logs a job's terminal outcome (succeeded, failed or
 // cancelled); the job will not be re-enqueued by recovery.
 func (s *Store) AppendFinished(id, status string) error {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -47,13 +49,13 @@ func TestRecoveryRoundtrip(t *testing.T) {
 	j1 := submitJob(t, s, 1) // will finish
 	j2 := submitJob(t, s, 2) // started, never finished
 	j3 := submitJob(t, s, 3) // queued, never started
-	if err := s.AppendStarted(j1.ID); err != nil {
+	if err := s.AppendAttempt(j1.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendFinished(j1.ID, "succeeded"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendStarted(j2.ID); err != nil {
+	if err := s.AppendAttempt(j2.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -68,11 +70,11 @@ func TestRecoveryRoundtrip(t *testing.T) {
 	if pending[0].ID != j2.ID || pending[1].ID != j3.ID {
 		t.Errorf("pending order: %s, %s; want %s, %s", pending[0].ID, pending[1].ID, j2.ID, j3.ID)
 	}
-	if !pending[0].Started {
-		t.Error("j2 lost its started flag")
+	if pending[0].Attempts != 1 {
+		t.Errorf("j2 attempts = %d, want 1", pending[0].Attempts)
 	}
-	if pending[1].Started {
-		t.Error("j3 gained a started flag")
+	if pending[1].Attempts != 0 {
+		t.Errorf("j3 attempts = %d, want 0", pending[1].Attempts)
 	}
 	if string(pending[0].Request) != string(j2.Request) {
 		t.Errorf("request round-trip: %s != %s", pending[0].Request, j2.Request)
@@ -321,7 +323,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := s.AppendStarted("j-000001"); err == nil {
+	if err := s.AppendAttempt("j-000001", 1); err == nil {
 		t.Error("append after close should fail")
 	}
 }
@@ -370,5 +372,51 @@ func TestCompactionFallsBackWhenSnapshotTooLarge(t *testing.T) {
 	s2 := openTest(t, dir, Options{SyncMode: SyncNone})
 	if got := len(s2.PendingJobs()); got != 4 {
 		t.Errorf("pending after fallback rotation = %d, want all 4", got)
+	}
+}
+
+// TestReplayStartedRecords replays a log in the form earlier builds wrote:
+// a started record before each attempt record, and a snapshot whose job
+// carries "started":true. Replay skips both and recovers the same pending
+// set, attempt counts included, as those builds did.
+func TestReplayStartedRecords(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, walDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	records := []string{
+		`{"op":"snapshot","jobs":[{"id":"j-000001","seq":1,"request":{"type":"ode"},"key":"01","submitted_at":"2026-01-02T03:04:05Z","started":true,"attempts":2}],"max_seq":1}`,
+		`{"op":"submitted","job_id":"j-000002","seq":2,"request":{"type":"abm"},"key":"02","submitted_at":"2026-01-02T03:04:06Z"}`,
+		`{"op":"submitted","job_id":"j-000003","seq":3,"request":{"type":"fbsm"},"key":"03","submitted_at":"2026-01-02T03:04:07Z"}`,
+		`{"op":"started","job_id":"j-000002"}`,
+		`{"op":"attempt","job_id":"j-000002","attempt":1}`,
+		`{"op":"started","job_id":"j-000003"}`,
+		`{"op":"attempt","job_id":"j-000003","attempt":1}`,
+		`{"op":"finished","job_id":"j-000003","status":"succeeded"}`,
+	}
+	var seg []byte
+	for _, payload := range records {
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum([]byte(payload), castagnoli))
+		seg = append(seg, payload...)
+	}
+	if err := os.WriteFile(seg1(dir), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openTest(t, dir, Options{SyncMode: SyncNone})
+	if st := s.Snapshot(); st.ReplayRecords != int64(len(records)) || st.ReplayTruncations != 0 {
+		t.Errorf("replay applied %d records with %d truncations, want %d and 0",
+			st.ReplayRecords, st.ReplayTruncations, len(records))
+	}
+	pending := s.PendingJobs()
+	if len(pending) != 2 || pending[0].ID != "j-000001" || pending[1].ID != "j-000002" {
+		t.Fatalf("pending = %+v, want j-000001 then j-000002", pending)
+	}
+	if pending[0].Attempts != 2 || pending[1].Attempts != 1 {
+		t.Errorf("attempts = %d, %d; want 2, 1", pending[0].Attempts, pending[1].Attempts)
+	}
+	if string(pending[1].Request) != `{"type":"abm"}` || s.MaxSeq() != 3 {
+		t.Errorf("j-000002 request %s, max seq %d; want {\"type\":\"abm\"} and 3", pending[1].Request, s.MaxSeq())
 	}
 }

@@ -120,10 +120,6 @@ func (s *Store) apply(rec walRecord) {
 			ID: rec.JobID, Seq: rec.Seq, Request: rec.Request, Key: rec.Key,
 			TraceID: rec.TraceID, SubmittedAt: rec.SubmittedAt, Class: rec.Class,
 		})
-	case opStarted:
-		if js, ok := s.pending[rec.JobID]; ok {
-			js.Started = true
-		}
 	case opFinished:
 		s.dropPending(rec.JobID)
 	case opAttempt:

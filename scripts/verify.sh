@@ -2,7 +2,8 @@
 # verify.sh — the repository's verification gates (see ROADMAP.md).
 #
 #   tier 1: gofmt -l . (must print nothing), no direct solver call in
-#           non-test cmd/ code, no fuzzer left out of tier 2,
+#           non-test cmd/ code, no runtime.ReadMemStats call outside
+#           internal/obs/runtime.go, no fuzzer left out of tier 2,
 #           go build ./... && go vet ./...
 #           && go test ./..., go vet over the rumorbench module, and
 #           GOARCH=arm64 go vet ./... for the Go-only kernel path
@@ -61,6 +62,18 @@ direct=$(grep -rnE --include='*.go' 'core\.(NewModel|CalibratedModel|CalibrateLa
 if [ -n "$direct" ]; then
 	echo "verify: cmd/ calls a solver outside service.ExecuteRequest:" >&2
 	echo "$direct" >&2
+	exit 1
+fi
+# One MemStats sampler: runtime.ReadMemStats stops the world, so the root
+# module's only non-test call is the cached sampler behind the Go runtime
+# gauges (internal/obs/runtime.go); a worker's health sample is read off
+# its registry snapshot. Print every other call. rumorbench is the
+# benchmark's own module and samples its own process.
+memstats=$(grep -rnE --include='*.go' --exclude-dir=rumorbench --exclude-dir=.git 'runtime\.ReadMemStats\(' . |
+	grep -v -e '_test\.go:' -e '^\./internal/obs/runtime\.go:' || true)
+if [ -n "$memstats" ]; then
+	echo "verify: runtime.ReadMemStats outside internal/obs/runtime.go:" >&2
+	echo "$memstats" >&2
 	exit 1
 fi
 # Every fuzzer explored: tier 1 only replays each fuzzer's seeds, so print
