@@ -185,16 +185,6 @@ func TestRequestCancel(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	tb := New(10*time.Second, 30*time.Second, nil)
-	l := tb.Grant("j-1", "w-a", 1)
-	tb.Drop("j-1")
-	tb.Drop("j-1") // idempotent
-	if _, err := tb.Extend("j-1", l.Token); !errors.Is(err, ErrNotLeased) {
-		t.Errorf("extend after drop: %v, want ErrNotLeased", err)
-	}
-}
-
 func TestRegistryLiveness(t *testing.T) {
 	clk := newFakeClock()
 	tb := New(10*time.Second, 30*time.Second, clk.Now)

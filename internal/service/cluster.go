@@ -137,7 +137,7 @@ func ExecuteRequest(ctx context.Context, sc *Scenario, req Request, innerWorkers
 	if innerWorkers < 1 {
 		innerWorkers = 1
 	}
-	payload, err := execute(withInnerWorkers(ctx, innerWorkers), sc, req, prog)
+	payload, err := execute(ctx, sc, req, innerWorkers, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -307,18 +307,18 @@ func (s *Service) DeregisterWorker(id string) {
 
 // LeaseNext claims the next queued job for a remote worker, interactive
 // class first — the admission priority in-process workers keep too. It
-// returns (nil, nil) at once when both queues are empty (or draining and
-// dry) — the worker backs off and polls again.
+// returns (nil, nil) at once when both classes are empty (or the service
+// has stopped) — the worker backs off and polls again.
 func (s *Service) LeaseNext(workerID string) (*LeasedJob, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("%w: worker_id required", ErrBadRequest)
 	}
 	s.table.Touch(workerID)
-	noWait, cancel := context.WithCancel(context.Background())
-	cancel() // dequeue takes only what is already buffered
 	for {
-		r, ok := s.dequeue(noWait)
-		if !ok {
+		s.mu.Lock()
+		r := s.popLocked()
+		s.mu.Unlock()
+		if r == nil {
 			return nil, nil
 		}
 		id := r.job.ID
@@ -329,8 +329,8 @@ func (s *Service) LeaseNext(workerID string) (*LeasedJob, error) {
 			lj.Scenario = scenarioTable(r.sc)
 			return lj, nil
 		}
-		// The job left the queued state while buffered (cancelled, or out
-		// of attempts); try the next one.
+		// The job was cancelled just after it was popped, or is out of
+		// attempts; try the next one.
 	}
 }
 
@@ -485,10 +485,9 @@ func (s *Service) reapExpired() {
 	}
 }
 
-// reap requeues the job of one expired lease, or returns it with the
-// terminal status and reason it must settle with. It returns a nil record
-// when the job left the running state for the queue (or, while draining,
-// for the next process life).
+// reap requeues the job of one expired lease — draining or not — or
+// returns it with the terminal status and reason it must settle with. It
+// returns a nil record when the job left the running state for the queue.
 func (s *Service) reap(lease cluster.Lease) (*jobRecord, Status, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -496,6 +495,7 @@ func (s *Service) reap(lease cluster.Lease) (*jobRecord, Status, string) {
 	if !ok || r.job.Status != StatusRunning {
 		return nil, "", ""
 	}
+	r.job.Worker = ""
 	st, reason := StatusFailed, ""
 	switch {
 	case r.userCancelled:
@@ -505,40 +505,26 @@ func (s *Service) reap(lease cluster.Lease) (*jobRecord, Status, string) {
 		reason = fmt.Sprintf(
 			"lease expired on worker %q and the attempt budget is exhausted (%d/%d)",
 			lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts)
-	case s.draining:
-		// The queue channel is closed; pushing would panic. Leave the job
-		// running-without-a-lease: it has no terminal WAL record, so the
-		// next process life re-enqueues it — crash semantics, which is what
-		// a drain racing a worker death is.
-		s.cfg.Logger.Warn("lease expired while draining; job deferred to restart",
-			"job_id", lease.JobID, "worker", lease.Worker)
-		return nil, "", ""
 	default:
-		select {
-		case s.queues[classIndex(r.req.Class)] <- r:
-			// Back to queued under the lock, so begin cannot claim the job
-			// before the record reads queued again.
-			r.job.Status = StatusQueued
-			r.job.StartedAt = nil
-			r.job.Worker = ""
-			// The next attempt opens fresh stage spans.
-			r.stages.end("requeued")
-			s.met.requeues.Inc()
-			s.journal.Append(journal.Entry{
-				JobID: lease.JobID, TraceID: r.job.TraceID,
-				Kind: journal.KindLease,
-				Msg: fmt.Sprintf("lease expired on worker %q; requeued (attempt %d/%d used)",
-					lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts),
-			})
-			s.cfg.Logger.Warn("lease expired; job requeued",
-				"job_id", lease.JobID, "worker", lease.Worker,
-				"attempt", r.attempts, "max_attempts", s.cfg.Cluster.MaxAttempts)
-			return nil, "", ""
-		default:
-			reason = fmt.Sprintf("lease expired on worker %q and the queue is full", lease.Worker)
-		}
+		// Back to queued under the lock, so begin cannot claim the job
+		// before the record reads queued again.
+		r.job.Status = StatusQueued
+		r.job.StartedAt = nil
+		s.enqueueLocked(r)
+		// The next attempt opens fresh stage spans.
+		r.stages.end("requeued")
+		s.met.requeues.Inc()
+		s.journal.Append(journal.Entry{
+			JobID: lease.JobID, TraceID: r.job.TraceID,
+			Kind: journal.KindLease,
+			Msg: fmt.Sprintf("lease expired on worker %q; requeued (attempt %d/%d used)",
+				lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts),
+		})
+		s.cfg.Logger.Warn("lease expired; job requeued",
+			"job_id", lease.JobID, "worker", lease.Worker,
+			"attempt", r.attempts, "max_attempts", s.cfg.Cluster.MaxAttempts)
+		return nil, "", ""
 	}
-	r.job.Worker = ""
 	return r, st, reason
 }
 

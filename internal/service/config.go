@@ -22,9 +22,11 @@ type Config struct {
 	// (default 1: with Workers jobs in flight, per-job parallelism is
 	// usually counterproductive; raise it for a lightly loaded daemon).
 	InnerWorkers int
-	// QueueDepth bounds the number of queued-but-not-running jobs
-	// (default 64). Submissions beyond the bound are rejected so a burst
-	// degrades into fast 503s instead of unbounded memory growth.
+	// QueueDepth bounds the number of queued-but-not-running jobs per
+	// admission class at submission (default 64). Submissions beyond the
+	// bound are rejected so a burst degrades into fast 503s instead of
+	// unbounded memory growth; a requeued or recovered job is never
+	// refused.
 	QueueDepth int
 	// CacheEntries is the capacity of the content-addressed result cache
 	// (default 256; negative disables caching).

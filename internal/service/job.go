@@ -454,10 +454,11 @@ func BuildModel(sc *Scenario, p Params) (*core.Model, *degreedist.Dist, error) {
 }
 
 // execute runs one job to completion (or cancellation via ctx) and returns
-// the JSON-marshalable result payload. prog, when non-nil, receives the
-// solver's progress checkpoints (threshold jobs finish in microseconds and
-// emit none).
-func execute(ctx context.Context, sc *Scenario, req Request, prog obs.Progress) (any, error) {
+// the JSON-marshalable result payload. innerWorkers bounds an abm job's
+// fan-out across trials. prog, when non-nil, receives the solver's
+// progress checkpoints (threshold jobs finish in microseconds and emit
+// none).
+func execute(ctx context.Context, sc *Scenario, req Request, innerWorkers int, prog obs.Progress) (any, error) {
 	p := req.Params
 	switch req.Type {
 	case JobODE:
@@ -465,7 +466,7 @@ func execute(ctx context.Context, sc *Scenario, req Request, prog obs.Progress) 
 	case JobThreshold:
 		return executeThreshold(sc, p)
 	case JobABM:
-		return executeABM(ctx, sc, p, prog)
+		return executeABM(ctx, sc, p, innerWorkers, prog)
 	case JobFBSM:
 		return executeFBSM(ctx, sc, p, prog)
 	default:
@@ -616,7 +617,7 @@ func executeThreshold(sc *Scenario, p Params) (any, error) {
 	return res, nil
 }
 
-func executeABM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) (any, error) {
+func executeABM(ctx context.Context, sc *Scenario, p Params, workers int, prog obs.Progress) (any, error) {
 	_, dist, err := BuildModel(sc, p) // validates the scenario/params pair
 	if err != nil {
 		return nil, err
@@ -648,7 +649,7 @@ func executeABM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress) 
 		Dt:       p.Dt,
 		Steps:    steps,
 		Mode:     abm.ModeQuenched,
-		Workers:  innerWorkersFromCtx(ctx),
+		Workers:  workers,
 		Progress: prog,
 	}, p.Trials, rng)
 	if err != nil {
@@ -701,19 +702,4 @@ func executeFBSM(ctx context.Context, sc *Scenario, p Params, prog obs.Progress)
 		Eps1:             pol.Schedule.Eps1,
 		Eps2:             pol.Schedule.Eps2,
 	}, nil
-}
-
-// innerWorkersKey carries the per-job fan-out bound through the executor's
-// context, so execute stays a pure function of (ctx, scenario, request).
-type innerWorkersKey struct{}
-
-func withInnerWorkers(ctx context.Context, n int) context.Context {
-	return context.WithValue(ctx, innerWorkersKey{}, n)
-}
-
-func innerWorkersFromCtx(ctx context.Context) int {
-	if n, ok := ctx.Value(innerWorkersKey{}).(int); ok {
-		return n
-	}
-	return 1
 }

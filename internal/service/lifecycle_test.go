@@ -253,11 +253,10 @@ func TestLifecycleConformance(t *testing.T) {
 			return job.ID
 		}},
 		{"restart_shutdown_keeps_budget", StatusSucceeded, true, func(h *lcHarness) string {
-			// Shutdowns alone must not spend the attempt budget: each run
-			// Close cancels — the one in flight and the queued one it
-			// starts under a cancelled context — hands its attempt back.
-			// Three restarts under a 1-attempt budget leave both jobs
-			// startable.
+			// Shutdowns alone must not spend the attempt budget: the run
+			// Close cancels hands its attempt back, and the job queued
+			// behind it is never granted. Three restarts under a 1-attempt
+			// budget leave both jobs startable.
 			cfg := Config{Workers: 1, Cluster: ClusterConfig{MaxAttempts: 1}}
 			h.open(cfg, true)
 			slow := h.submit(lcSlow)
@@ -265,8 +264,12 @@ func TestLifecycleConformance(t *testing.T) {
 			queued := h.submit(Request{Type: JobODE, Scenario: "tiny", Params: Params{Lambda0: 0.02, Tf: 40}})
 			for life := 2; life <= 4; life++ {
 				h.close()
-				if j, _ := h.svc.Job(queued.ID); !strings.Contains(j.Error, "cancelled by shutdown") {
-					h.t.Fatalf("job queued at Close: %s (%s), want cancelled by shutdown", j.Status, j.Error)
+				h.svc.mu.Lock()
+				r := h.svc.jobs[queued.ID]
+				st, attempts := r.job.Status, r.attempts
+				h.svc.mu.Unlock()
+				if st != StatusQueued || attempts != 0 {
+					h.t.Fatalf("job queued at Close: %s after %d grants, want still queued, never granted", st, attempts)
 				}
 				if life == 4 {
 					cfg.Workers = 2 // the slow job no longer blocks the queued one

@@ -359,7 +359,8 @@ func TestE2EMetricsConcurrentScrape(t *testing.T) {
 	for err := range errc {
 		t.Errorf("concurrent scrape: %v", err)
 	}
-	for _, j := range e.svc.Jobs() {
+	jobs, _ := e.svc.JobIndex(submitters, "")
+	for _, j := range jobs {
 		e.wait(j.ID)
 	}
 }

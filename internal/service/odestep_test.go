@@ -53,7 +53,7 @@ func TestODEAccuracy(t *testing.T) {
 			p = p.WithDefaults(JobODE)
 			var viols []invariant.Violation
 			mon := invariant.New(invariant.Config{}, func(v invariant.Violation) { viols = append(viols, v) })
-			got, err := execute(context.Background(), sc, Request{Type: JobODE, Params: p}, mon.Observe)
+			got, err := execute(context.Background(), sc, Request{Type: JobODE, Params: p}, 1, mon.Observe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestODESamplesLandOnHorizon(t *testing.T) {
 				for k := ks[0]; k <= ks[1]; k++ {
 					p := Params{Alpha: 1e-4, Eps1: 1e-4, Eps2: 1e-4, Lambda0: 1e-5,
 						Tf: float64(k) / 10, Points: points}.WithDefaults(JobODE)
-					got, err := execute(context.Background(), sc, Request{Type: JobODE, Params: p}, nil)
+					got, err := execute(context.Background(), sc, Request{Type: JobODE, Params: p}, 1, nil)
 					if err != nil {
 						t.Fatalf("tf %v: %v", p.Tf, err)
 					}
@@ -199,7 +199,7 @@ func TestODERequestAlloc(t *testing.T) {
 		t.Errorf("points 1<<30 allocates %d B, points %d %d B", huge, odeMaxSamples, capped)
 	}
 	svc := newTestService(t, Config{})
-	got2, err := execute(context.Background(), builtinScenario(t, svc), Request{Type: JobODE, Params: p}, nil)
+	got2, err := execute(context.Background(), builtinScenario(t, svc), Request{Type: JobODE, Params: p}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,9 +150,9 @@ func (s *Service) recoverFromStore() {
 // status it settled into: StatusQueued (re-enqueued), StatusSucceeded (its
 // result was already on disk — the crash hit between the blob write and
 // the terminal record) or StatusFailed (the request no longer resolves,
-// e.g. an uploaded scenario that was not re-registered, or the queue is
-// full). Failures get a terminal WAL record so the log stops re-delivering
-// them; either way the job is visible to GET /v1/jobs under its old id.
+// e.g. an uploaded scenario that was not re-registered). Failures get a
+// terminal WAL record so the log stops re-delivering them; either way the
+// job is visible to GET /v1/jobs under its old id.
 func (s *Service) requeueRecovered(js store.JobState) Status {
 	var req Request
 	reason := ""
@@ -219,23 +219,19 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 				return StatusSucceeded
 			}
 		}
+		// Admitted before the crash, so the queue's bound does not apply.
 		s.mu.Lock()
-		select {
-		case s.queues[classIndex(req.Class)] <- r:
-			s.insertLocked(r)
-			s.mu.Unlock()
-			s.journal.Append(journal.Entry{
-				JobID: js.ID, TraceID: r.job.TraceID,
-				Kind: journal.KindLifecycle, Msg: "recovered: re-queued after restart",
-			})
-			s.cfg.Logger.Info("job recovered",
-				"job_id", js.ID, "type", req.Type, "scenario", req.Scenario,
-				"attempts", js.Attempts)
-			return StatusQueued
-		default:
-			s.mu.Unlock()
-			reason = "recovery: queue full"
-		}
+		s.insertLocked(r)
+		s.enqueueLocked(r)
+		s.mu.Unlock()
+		s.journal.Append(journal.Entry{
+			JobID: js.ID, TraceID: r.job.TraceID,
+			Kind: journal.KindLifecycle, Msg: "recovered: re-queued after restart",
+		})
+		s.cfg.Logger.Info("job recovered",
+			"job_id", js.ID, "type", req.Type, "scenario", req.Scenario,
+			"attempts", js.Attempts)
+		return StatusQueued
 	}
 	s.settle(r, outcome{status: StatusFailed, err: reason})
 	return StatusFailed

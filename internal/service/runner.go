@@ -132,20 +132,15 @@ func (t localTransport) Complete(res ResultRequest) {
 	}
 }
 
-// localWorker is one in-process worker: it blocks on the queue,
+// localWorker is one in-process worker: it waits for a queued job,
 // interactive first, and runs each job it is granted through the same
 // Runner a remote node uses. Its lease's cancel hook stops the job's
-// context at once. It exits once the queues are closed and dry: Drain and
-// Close both close them, and Close's cancelled context ends each job still
-// buffered as soon as it starts.
+// context at once. It exits once the workers are stopped: Drain stops them
+// when no job is live, Close at once, cancelling the job each is running.
 func (s *Service) localWorker(id string) {
 	defer s.wg.Done()
 	rn := Runner{Worker: id, InnerWorkers: s.cfg.InnerWorkers}
-	for {
-		r, ok := s.dequeue(s.baseCtx)
-		if !ok {
-			return
-		}
+	for r := s.next(); r != nil; r = s.next() {
 		ctx, stop := context.WithCancelCause(s.baseCtx)
 		if lease, ok := s.begin(r, id, func() { stop(errCancelledByClient) }); ok {
 			rn.Run(ctx, s.leasedJob(r, lease), r.sc, localTransport{s: s, id: r.job.ID, sink: r.sink})

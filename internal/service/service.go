@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,12 +140,20 @@ type Service struct {
 	order   []string            // submission order, for bounded retention
 	keyJobs map[string][]string // cache key -> jobs whose journal it retains
 	seq     uint64
-	// queues is one bounded channel per admission class, indexed by
-	// classIndex (0 = interactive, 1 = batch). Every lease drains
-	// interactive first — a queued batch sweep never delays a queued
-	// interactive job by more than the job already executing.
-	queues   [2]chan *jobRecord
+	// queued is one FIFO per admission class, indexed by classIndex (0 =
+	// interactive, 1 = batch). Every lease pops interactive first — a
+	// queued batch sweep never delays a queued interactive job by more
+	// than the job already executing. Only SubmitCtx bounds a class (at
+	// Config.QueueDepth); a requeue or a recovered job always gets in.
+	queued [2][]*jobRecord
+	// wake is signalled on s.mu when a job is queued and broadcast when
+	// the in-process workers stop.
+	wake     *sync.Cond
 	draining bool
+	// stopped ends the in-process workers' wait for jobs and every later
+	// pop: Drain sets it once no job is live, Close at once, leaving
+	// queued jobs for the next process life.
+	stopped bool
 
 	reqSeq atomic.Uint64 // request-id generator for the HTTP middleware
 
@@ -178,13 +186,10 @@ func New(cfg Config) (*Service, error) {
 		journal:   journal.New(cfg.JournalEntries, cfg.JournalSink),
 		jobs:      make(map[string]*jobRecord),
 		keyJobs:   make(map[string][]string),
-		queues: [2]chan *jobRecord{
-			make(chan *jobRecord, cfg.QueueDepth),
-			make(chan *jobRecord, cfg.QueueDepth),
-		},
-		surf:  newSurfaceManager(),
-		table: cluster.New(cfg.Cluster.LeaseTTL, cfg.Cluster.WorkerLiveness, nil),
+		surf:      newSurfaceManager(),
+		table:     cluster.New(cfg.Cluster.LeaseTTL, cfg.Cluster.WorkerLiveness, nil),
 	}
+	s.wake = sync.NewCond(&s.mu)
 	if cfg.SaturationBudget > 0 {
 		s.sat = newSatWindow(cfg.SaturationBudget, cfg.SaturationWindow)
 	}
@@ -387,26 +392,27 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (Job, error) {
 		return Job{}, ErrSaturated
 	}
 
-	select {
-	case s.queues[classIndex(req.Class)] <- r:
-		s.met.submit()
-		s.met.cacheMiss()
-		s.insertLocked(r)
-		s.walSubmitted(r)
-		s.journal.Append(journal.Entry{
-			JobID: r.job.ID, TraceID: r.job.TraceID,
-			Kind: journal.KindLifecycle, Msg: "queued",
-		})
-		s.cfg.Logger.Info("job queued",
-			"job_id", r.job.ID, "type", r.job.Type, "scenario", r.job.Scenario,
-			"class", r.req.Class, "timeout", timeout.String(), "trace_id", r.job.TraceID)
-		return r.job, nil
-	default:
+	// The queue's only bound: a requeue or a recovered job may take a class
+	// past it, and then submissions wait until it drains below.
+	if len(s.queued[classIndex(req.Class)]) >= s.cfg.QueueDepth {
 		span.End()
 		s.met.reject()
 		s.cfg.Logger.Warn("job rejected", "reason", "queue full", "type", req.Type)
 		return Job{}, ErrQueueFull
 	}
+	s.met.submit()
+	s.met.cacheMiss()
+	s.insertLocked(r)
+	s.enqueueLocked(r)
+	s.walSubmitted(r)
+	s.journal.Append(journal.Entry{
+		JobID: r.job.ID, TraceID: r.job.TraceID,
+		Kind: journal.KindLifecycle, Msg: "queued",
+	})
+	s.cfg.Logger.Info("job queued",
+		"job_id", r.job.ID, "type", r.job.Type, "scenario", r.job.Scenario,
+		"class", r.req.Class, "timeout", timeout.String(), "trace_id", r.job.TraceID)
+	return r.job, nil
 }
 
 // resolveRequest validates a request, resolves its scenario, canonicalizes
@@ -510,20 +516,6 @@ func (s *Service) Job(id string) (Job, bool) {
 	return r.snapshot(), true
 }
 
-// Jobs returns snapshots of all retained jobs in submission order.
-func (s *Service) Jobs() []Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Job, 0, len(s.jobs))
-	for _, id := range s.order {
-		if r, ok := s.jobs[id]; ok {
-			out = append(out, r.snapshot())
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // JobIndex returns up to limit retained jobs, newest submission first,
 // optionally filtered by status (""), plus the total number of retained
 // jobs matching the filter — the bounded GET /v1/jobs view: a daemon that
@@ -550,9 +542,10 @@ func (s *Service) JobIndex(limit int, status Status) ([]Job, int) {
 	return out, total
 }
 
-// Cancel stops a job: queued jobs finish immediately as cancelled, running
-// jobs have their context cancelled and settle asynchronously. Cancelling
-// a finished (or already cancelled) job is a no-op returning its snapshot.
+// Cancel stops a job: queued jobs leave the queue and finish immediately
+// as cancelled, running jobs have their context cancelled and settle
+// asynchronously. Cancelling a finished (or already cancelled) job is a
+// no-op returning its snapshot.
 func (s *Service) Cancel(id string) (Job, error) {
 	s.mu.Lock()
 	r, ok := s.jobs[id]
@@ -565,10 +558,13 @@ func (s *Service) Cancel(id string) (Job, error) {
 		s.mu.Unlock()
 		return job, nil
 	}
-	// The flag also makes begin skip a queued job, so the settle below has
-	// no competitor.
+	// The flag also makes begin skip a queued job popped just before, so
+	// the settle below has no competitor.
 	r.userCancelled = true
 	cancel := r.cancel
+	if job.Status == StatusQueued {
+		s.unqueueLocked(r)
+	}
 	s.mu.Unlock()
 	if job.Status == StatusQueued {
 		return s.settle(r, outcome{status: StatusCancelled, err: "cancelled before start"}), nil
@@ -587,8 +583,8 @@ func (s *Service) Stats() Stats {
 		Workers:       s.cfg.Workers,
 	}
 	s.mu.Lock()
-	st.QueueInteractive = len(s.queues[0])
-	st.QueueBatch = len(s.queues[1])
+	st.QueueInteractive = len(s.queued[0])
+	st.QueueBatch = len(s.queued[1])
 	st.QueueDepth = st.QueueInteractive + st.QueueBatch
 	st.Draining = s.draining
 	s.mu.Unlock()
@@ -614,8 +610,12 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// queueLen is the total buffered depth across both admission classes.
-func (s *Service) queueLen() int { return len(s.queues[0]) + len(s.queues[1]) }
+// queueLen is the queued depth across both admission classes.
+func (s *Service) queueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queued[0]) + len(s.queued[1])
+}
 
 // Ready reports whether the service accepts new submissions.
 func (s *Service) Ready() bool {
@@ -624,44 +624,51 @@ func (s *Service) Ready() bool {
 	return !s.draining
 }
 
-// Drain stops accepting submissions, lets queued and running jobs finish,
-// and returns once the in-process workers exit and every lease is
-// released (or ctx expires, in which case the remaining jobs keep running
-// and Close should follow).
+// Drain stops accepting submissions, lets queued and running jobs finish
+// — a job whose lease expires meanwhile is requeued and finishes too — and
+// returns once no job is live and the in-process workers have exited. If
+// ctx expires first, the remaining jobs keep running and Close should
+// follow.
 func (s *Service) Drain(ctx context.Context) error {
 	s.cfg.Logger.Info("drain started")
-	s.stopIntake()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		// Closing the queue did not stop remote leasing: a buffered
-		// receive on a closed channel still yields the remaining jobs, so
-		// remote workers keep claiming until the buffer is dry, and
-		// in-flight uploads keep landing. Poll both down to zero.
-		for s.queueLen() > 0 || s.table.Active() > 0 {
-			select {
-			case <-ctx.Done():
-				return // leave done open; the outer select reports the interrupt
-			case <-time.After(20 * time.Millisecond):
-			}
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	for s.liveJobs() > 0 {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
+		case <-tick.C:
 		}
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
 	}
+	s.stopWorkers()
+	s.wg.Wait()
+	return nil
+}
+
+// liveJobs counts the jobs not yet terminal: queued, popped for a grant, or
+// running.
+func (s *Service) liveJobs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, r := range s.jobs {
+		if !r.job.Status.Terminal() {
+			n++
+		}
+	}
+	return n
 }
 
 // Close shuts down immediately: intake stops, running jobs are cancelled,
-// and Close blocks until the workers exit. Shutdown-cancelled jobs get no
-// terminal WAL record on purpose: a restart over the same data directory
-// re-enqueues them (see recoverFromStore). The store closes last so every
-// worker's appends land.
+// and Close blocks until the workers exit. Queued jobs stay queued, and
+// neither they nor shutdown-cancelled jobs get a terminal WAL record: a
+// restart over the same data directory re-enqueues them (see
+// recoverFromStore). The store closes last so every worker's appends land.
 func (s *Service) Close() {
-	s.stopIntake()
+	s.stopWorkers()
 	s.baseCancel()
 	s.wg.Wait()
 	s.reaperWG.Wait() // the reaper appends to the WAL; stop it before the store closes
@@ -673,50 +680,60 @@ func (s *Service) Close() {
 	}
 }
 
-func (s *Service) stopIntake() {
+// stopWorkers stops intake and every later pop, and wakes the in-process
+// workers, each of which exits once its current job, if any, ends.
+func (s *Service) stopWorkers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.draining {
-		s.draining = true
-		close(s.queues[0]) // workers drain the buffered jobs then exit
-		close(s.queues[1])
+	s.draining, s.stopped = true, true
+	s.wake.Broadcast()
+}
+
+// enqueueLocked appends an admitted job to its class's FIFO and wakes one
+// in-process worker. It cannot fail: the bound is SubmitCtx's alone.
+// Callers hold s.mu.
+func (s *Service) enqueueLocked(r *jobRecord) {
+	c := classIndex(r.req.Class)
+	s.queued[c] = append(s.queued[c], r)
+	s.wake.Signal()
+}
+
+// popLocked takes the next queued job, interactive first, or returns nil
+// when none is queued or the service has stopped. Callers hold s.mu.
+func (s *Service) popLocked() *jobRecord {
+	if s.stopped {
+		return nil
+	}
+	for c, q := range s.queued {
+		if len(q) > 0 {
+			r := q[0]
+			s.queued[c] = slices.Delete(q, 0, 1)
+			return r
+		}
+	}
+	return nil
+}
+
+// unqueueLocked takes a queued job out of its class's FIFO, so it stops
+// counting against the bound at once; a job already popped is not there.
+// Callers hold s.mu.
+func (s *Service) unqueueLocked(r *jobRecord) {
+	c := classIndex(r.req.Class)
+	if i := slices.Index(s.queued[c], r); i >= 0 {
+		s.queued[c] = slices.Delete(s.queued[c], i, i+1)
 	}
 }
 
-// dequeue claims the next queued job, interactive first: buffered
-// interactive work always overtakes buffered batch work. It blocks until a
-// job arrives and returns ok == false once both queues are closed and dry
-// or ctx ends — under an ended ctx it takes only what is already buffered.
-func (s *Service) dequeue(ctx context.Context) (*jobRecord, bool) {
-	qs := s.queues // a closed-and-dry class drops out as nil: a nil channel never fires
+// next blocks an in-process worker until a job is queued and pops it,
+// interactive first; it returns nil once the workers are stopped.
+func (s *Service) next() *jobRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		for i, q := range qs {
-			select {
-			case r, ok := <-q:
-				if ok {
-					return r, true
-				}
-				qs[i] = nil
-			default:
-			}
+		if r := s.popLocked(); r != nil || s.stopped {
+			return r
 		}
-		if qs[0] == nil && qs[1] == nil {
-			return nil, false
-		}
-		select {
-		case r, ok := <-qs[0]:
-			if ok {
-				return r, true
-			}
-			qs[0] = nil
-		case r, ok := <-qs[1]:
-			if ok {
-				return r, true
-			}
-			qs[1] = nil
-		case <-ctx.Done():
-			return nil, false
-		}
+		s.wake.Wait()
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // operational counters.
 type Stats struct {
 	QueueDepth int `json:"queue_depth"`
-	// QueueInteractive/QueueBatch split the depth by admission class (each
-	// class has its own QueueCapacity-bounded buffer).
+	// QueueInteractive/QueueBatch split the depth by admission class. A
+	// submission is refused while its class holds QueueCapacity jobs; a
+	// requeued or recovered job may take a class past it.
 	QueueInteractive int  `json:"queue_interactive"`
 	QueueBatch       int  `json:"queue_batch"`
 	QueueCapacity    int  `json:"queue_capacity"`
@@ -252,10 +253,13 @@ func (m *metrics) registerDerived(s *Service) {
 		"Jobs queued but not yet running (both admission classes).",
 		func() float64 { return float64(s.queueLen()) })
 	for i, c := range []Class{ClassInteractive, ClassBatch} {
-		q := s.queues[i]
 		m.reg.GaugeFunc("rumor_queue_depth_class",
 			"Jobs queued but not yet running, by admission class.",
-			func() float64 { return float64(len(q)) }, obs.L("class", string(c)))
+			func() float64 {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return float64(len(s.queued[i]))
+			}, obs.L("class", string(c)))
 	}
 	m.reg.Gauge("rumor_queue_capacity",
 		"Bound of the job queue.").Set(float64(s.cfg.QueueDepth))

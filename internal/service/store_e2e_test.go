@@ -202,6 +202,8 @@ func TestRecoverySyntheticWAL(t *testing.T) {
 	if fresh.ID != "j-000008" {
 		t.Errorf("fresh id = %s, want j-000008 (above the synthetic log's max seq)", fresh.ID)
 	}
+	// Close leaves a queued job pending for the next life; let it finish.
+	mustSucceed(t, waitJob(t, svc, fresh.ID))
 	svc.Close()
 
 	// The failure records are terminal: a second life has nothing pending.

@@ -7,8 +7,9 @@
 #           go build ./... && go vet ./...
 #           && go test ./..., go vet over the rumorbench module, and
 #           GOARCH=arm64 go vet ./... for the Go-only kernel path
-#   tier 2: go test -race ./..., the concurrent in-list test under
-#           -race -count=10, one iteration of every benchmark, the
+#   tier 2: go test -race ./..., the concurrent in-list test and the
+#           job queue's concurrent lifecycle test under -race -count=10,
+#           one iteration of every benchmark, the
 #           rumorbench tests under -race, 10s of each decoder and kernel
 #           fuzzer, the pinned result digests and the kernel fuzzers
 #           (10s each) under GODEBUG=cpu.fma=off, and the full-fidelity
@@ -35,7 +36,8 @@
 # stage spans and journal entries while /metrics scrapes and SSE followers
 # read, and the rumorctl -follow live tail against a real cluster) and the response-surface tier (internal/service's construction
 # fan-out racing Close, interpolated queries racing an in-flight build,
-# and the two-class admission queue under concurrent submit/lease/shed)
+# and the two-class admission queue under concurrent submit/lease/cancel/
+# shed/drain)
 # must stay data-race free; -race
 # roughly 10x-es the runtime, so it is a separate gate. Tier 2 also runs
 # every Go benchmark for exactly one iteration — nothing else runs them,
@@ -109,6 +111,11 @@ if [ "${1:-}" = "-race" ]; then
 	# under a sync.Once; run the test whose 8 goroutines make that first
 	# read at once ten times, so a broken guard has ten chances to race.
 	go test -race -count=10 -run '^TestConfigurationModelConcurrentInLists$' ./internal/graph
+	# The job queue is one FIFO per class under the service lock: race
+	# submits, in-process and LeaseNext pops and cancels of queued jobs
+	# against Drain and Close ten times; every admitted job must settle
+	# exactly once and no goroutine may outlive the service.
+	go test -race -count=10 -run '^TestQueueConcurrentLifecycle$' ./internal/service
 	go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 	# rumorbench is its own module, so the -race sweep above never reaches
 	# it. Its smoke runs each workload BENCHMARK.json gates for a second
